@@ -8,7 +8,7 @@ identities rather than up to a sampling tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -20,7 +20,6 @@ __all__ = [
     "IntervalUnion",
     "Axis",
     "StripRegion",
-    "MapParameters",
     "baker_forward",
     "baker_inverse",
     "opening",
@@ -30,7 +29,6 @@ __all__ = [
     "escape_rate_estimate",
     "box_dimension",
     "ehrenfest_time",
-    "map_parameters",
 ]
 
 LYAPUNOV = math.log(3.0)
@@ -171,15 +169,6 @@ class StripRegion:
         return self.support.contains(coord)
 
 
-@dataclass(frozen=True)
-class MapParameters:
-    lyapunov: float
-    escape_rate: float
-    ehrenfest_time: float
-    channels: int
-    dimension: int
-
-
 def baker_forward(x: TorusPoint) -> TorusPoint:
     """One step of the triadic baker map: stretch q by 3, squeeze p by 3."""
     d = min(int(3.0 * x.q), 2)
@@ -283,13 +272,3 @@ def ehrenfest_time(N: int) -> float:
     if N % 3 != 0:
         raise ValueError("N must be divisible by 3")
     return math.log(N // 3) / LYAPUNOV
-
-
-def map_parameters(N: int) -> MapParameters:
-    return MapParameters(
-        lyapunov=LYAPUNOV,
-        escape_rate=ESCAPE_RATE,
-        ehrenfest_time=ehrenfest_time(N),
-        channels=N // 3,
-        dimension=N,
-    )

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -21,7 +20,6 @@ __all__ = [
     "ResonanceEigenpair",
     "Spectrum",
     "eigendecompose",
-    "refine_eigenpair",
     "select_long_lived",
     "weight",
     "weight_prediction",
@@ -29,8 +27,6 @@ __all__ = [
     "propagation_identity_check",
     "spectrum_csv_rows",
 ]
-
-ZERO_MODULUS = 1e-300
 
 
 @dataclass(frozen=True)
@@ -102,38 +98,6 @@ def eigendecompose(U_tilde: np.ndarray) -> Spectrum:
     # sort by modulus descending, ties by phase angle ascending
     pairs.sort(key=lambda p: (-p.modulus, cmath.phase(p.z)))
     return Spectrum(n, tuple(pairs))
-
-
-def refine_eigenpair(U_tilde: np.ndarray, pair: ResonanceEigenpair,
-                     iterations: int = 2) -> ResonanceEigenpair:
-    """Rayleigh-quotient inverse iteration on both the right and left vectors.
-
-    Needed for the Walsh map, whose degenerate long-lived eigenvalues leave
-    the one-shot LAPACK eigenvectors a few orders above round-off.
-    """
-    A = np.asarray(U_tilde, dtype=complex)
-    n = A.shape[0]
-    I = np.eye(n)
-    v, u, z = pair.right_vec, pair.left_vec, pair.z
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", la.LinAlgWarning)
-        for _ in range(iterations):
-            z = complex(v.conj() @ A @ v)
-            try:
-                v = la.solve(A - z * I, v)
-            except la.LinAlgError:
-                break
-            v /= np.linalg.norm(v)
-            try:
-                u = la.solve(A.conj().T - np.conj(z) * I, u)
-            except la.LinAlgError:
-                break
-            u /= np.linalg.norm(u)
-    z = complex(v.conj() @ A @ v)
-    v, u = _fix_phase(v), _fix_phase(u)
-    rr = float(np.linalg.norm(A @ v - z * v))
-    rl = float(np.linalg.norm(A.conj().T @ u - np.conj(z) * u))
-    return ResonanceEigenpair(z, v, u, rr, rl, pair.matched)
 
 
 def select_long_lived(s: Spectrum, count: int):

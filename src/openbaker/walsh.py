@@ -2,10 +2,18 @@
 
 Replacing the shifted DFT by a tensor product of unshifted 3x3 Fourier
 matrices (composed with ternary digit reversal) turns the open baker into a
-weighted digit shift. Its nonzero spectrum has exactly 2^k points counted
-with multiplicity, and the escape-region weights of the long-lived states
-obey weight(m) = |z|^(2m) (1 - |z|^2) to round-off, with no semiclassical
-error term.
+weighted digit shift. U~^k then kills everything outside a 2^k-dimensional
+invariant subspace: range(U~^k) carries the 2^k nonzero eigenvalues
+(counted with multiplicity) and their right eigenvectors, range((U~^k)^H)
+their left ones, and U~ is nilpotent on the rest. The escape-region weights of
+the long-lived states obey weight(m) = |z|^(2m) (1 - |z|^2) to round-off,
+with no semiclassical error term.
+
+The long-lived pairs are built from those two subspaces rather than from a
+dense eigensolve, whose eigenvectors in the degenerate clusters sit several
+orders above round-off: U~ is diagonalized on an orthonormal basis Q of
+range(U~^k), and the left vectors are the dual basis inside
+range((U~^k)^H), so <u_i|v_j> = 0 for i != j even within a degenerate cluster.
 
 Digit-order convention: the digit-reversal permutation is applied to the
 rows of the tensor-product transform, at every dimension (outer and inner
@@ -21,8 +29,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Spectrum, eigendecompose, refine_eigenpair, weight, weight_prediction
-from .quantum import escape_projector, opening_projector
+from .spectral import (
+    ResonanceEigenpair,
+    Spectrum,
+    _fix_phase,
+    eigendecompose,
+    weight,
+    weight_prediction,
+)
+from .quantum import escape_projector
 
 __all__ = [
     "WalshConfig",
@@ -90,6 +105,7 @@ def walsh_open_baker(k: int) -> np.ndarray:
     return Ut
 
 
+@lru_cache(maxsize=8)
 def nonzero_count(k: int, threshold: float = ZERO_THRESHOLD) -> int:
     """Number of nonzero eigenvalues of the open Walsh baker, via the
     numerical rank of U~^k (the nilpotent part dies after k steps)."""
@@ -99,17 +115,30 @@ def nonzero_count(k: int, threshold: float = ZERO_THRESHOLD) -> int:
 
 
 def long_lived_spectrum(k: int) -> Spectrum:
-    """Spectrum with the long-lived (nonzero-eigenvalue) pairs refined.
+    """Spectrum whose 2^k long-lived pairs come from the invariant subspaces.
 
-    The long-lived eigenvalues are highly degenerate, which leaves the
-    one-shot LAPACK eigenvectors several orders above round-off; a couple
-    of inverse-iteration sweeps restore machine precision.
+    One SVD of U~^k gives orthonormal bases Q of range(U~^k) and P of
+    range((U~^k)^H). The eigenpairs (z, w) of the small matrix Q^H U~ Q give the
+    right vectors V = Q w; the left vectors are the dual basis
+    U = P (P^H V)^-H inside range(P), so U^H V = I before normalization.
+    The N - 2^k kernel pairs follow, taken from the dense eigendecomposition.
     """
     Ut = walsh_open_baker(k)
-    s = eigendecompose(Ut)
-    r = nonzero_count(k)
-    pairs = [refine_eigenpair(Ut, p) for p in s.pairs[:r]] + list(s.pairs[r:])
-    return Spectrum(s.N, tuple(pairs))
+    X, sv, Yh = np.linalg.svd(np.linalg.matrix_power(Ut, k))
+    r = int((sv > ZERO_THRESHOLD).sum())
+    Q, P = X[:, :r].copy(), Yh[:r].conj().T
+    del X, Yh
+    z, w = np.linalg.eig(Q.conj().T @ Ut @ Q)
+    V = Q @ w
+    U = P @ np.linalg.inv(P.conj().T @ V).conj().T
+    V = np.column_stack([_fix_phase(v / np.linalg.norm(v)) for v in V.T])
+    U = np.column_stack([_fix_phase(u / np.linalg.norm(u)) for u in U.T])
+    res_r = np.linalg.norm(Ut @ V - V * z, axis=0)
+    res_l = np.linalg.norm(Ut.conj().T @ U - U * z.conj(), axis=0)
+    order = np.lexsort((np.angle(z), -np.abs(z)))
+    pairs = tuple(ResonanceEigenpair(complex(z[i]), V[:, i], U[:, i],
+                                     float(res_r[i]), float(res_l[i])) for i in order)
+    return Spectrum(Ut.shape[0], pairs + eigendecompose(Ut).pairs[r:])
 
 
 def walsh_spectrum_report(k: int):

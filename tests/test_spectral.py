@@ -10,7 +10,6 @@ from openbaker.spectral import (
     biorthogonality_matrix,
     eigendecompose,
     propagation_identity_check,
-    refine_eigenpair,
     select_long_lived,
     spectrum_csv_rows,
     weight,
@@ -136,14 +135,6 @@ def test_select_long_lived(spec27):
         select_long_lived(s, 0)
     with pytest.raises(ValueError):
         select_long_lived(s, 28)
-
-
-def test_refine_eigenpair_improves(spec27):
-    Ut, s = spec27
-    p = refine_eigenpair(Ut, s.pairs[0])
-    assert p.residual_right < 1e-13
-    assert p.residual_left < 1e-13
-    assert abs(p.z - s.pairs[0].z) < 1e-8
 
 
 def test_csv_rows(spec27):

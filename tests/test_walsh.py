@@ -90,6 +90,32 @@ def test_long_lived_spectrum_refined():
         assert p.modulus < 1e-5
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_long_lived_subspace_cross_check(k):
+    """The 2^k invariant-subspace pairs against an independent dense
+    eigensolve: same eigenvalues, round-off residuals on both sides,
+    biorthogonality inside the degenerate clusters and the exact weights."""
+    N, r = 3**k, 2**k
+    Ut = walsh_open_baker(k)
+    top = long_lived_spectrum(k).pairs[:r]
+    z = np.array([p.z for p in top])
+    ev = np.linalg.eigvals(Ut)
+    dense = list(ev[np.argsort(-np.abs(ev))][:r])
+    for zi in z:
+        j = int(np.argmin(np.abs(np.array(dense) - zi)))
+        assert abs(dense.pop(j) - zi) < 1e-12
+    assert max(p.residual_right for p in top) < 1e-13
+    assert max(p.residual_left for p in top) < 1e-13
+    V = np.column_stack([p.right_vec for p in top])
+    U = np.column_stack([p.left_vec for p in top])
+    G = np.abs(U.conj().T @ V)
+    assert (G - np.diag(np.diag(G))).max() < 1e-12
+    projs = [escape_projector(m, N) for m in range(min(5, k))]
+    for p in top:
+        for m, proj in enumerate(projs):
+            assert abs(weight(p, proj) - weight_prediction(p.z, m)) < 1e-12
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_weight_formula_exact(k):
     """For the Walsh map the semiclassical weight formula has no error term:
