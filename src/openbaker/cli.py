@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from .experiments import (
+    ExperimentRecord,
     RunConfig,
     run_classical,
     run_density_figures,
@@ -21,6 +22,29 @@ from .experiments import (
     run_weights_experiment,
     run_weyl_experiment,
 )
+
+# Subcommand -> (default k for N = 3^k, runner, options it reads beyond the
+# ones every subcommand takes). Runners are named, and looked up when called,
+# so that a wrapper bound to the module-level name (a tracer) sees the call.
+SUBCOMMANDS = {
+    "spectrum": (6, "run_spectrum", ()),
+    "weights": (6, "run_weights_experiment", ("--walsh",)),
+    "weyl": (7, "run_weyl_experiment", ("--threshold", "--walsh")),
+    "husimi": (6, "run_husimi_figure", ("--grid", "--count", "--sector")),
+    "density": (7, "run_density_figures", ("--sector",)),
+    "walsh": (4, "run_walsh_report", ()),
+    "classical": (6, "run_classical", ()),
+}
+
+OPTIONS = {
+    "--grid": dict(type=int, default=81, help="Husimi grid size"),
+    "--count": dict(type=int, default=100, help="number of long-lived states to select"),
+    "--threshold": dict(type=float, default=0.5,
+                        help="long-lived modulus cutoff for Weyl counting"),
+    "--sector": dict(choices=["even", "odd", "full"], default="even",
+                     help="parity sector for figure-level state selection"),
+    "--walsh": dict(action="store_true", help="use the Walsh quantization"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,67 +58,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="openbaker",
                      description="Open triadic baker map resonance laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = {
-        "spectrum": 6, "weights": 6, "weyl": 7, "husimi": 6,
-        "density": 7, "walsh": 4, "classical": 6,
-    }
-    for name, n_exp in defaults.items():
+    for name, (n_exp, _, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--n-exp", type=int, default=n_exp,
                        help="k for N = 3^k (default %(default)s)")
-        p.add_argument("--out", default="runs", help="output directory")
-        p.add_argument("--grid", type=int, default=81, help="Husimi grid size")
-        p.add_argument("--count", type=int, default=100,
-                       help="number of long-lived states to select")
-        p.add_argument("--threshold", type=float, default=0.5,
-                       help="long-lived modulus cutoff for Weyl counting")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--out", dest="out_dir", default="runs", help="output directory")
+        p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for noise baselines only")
-        p.add_argument("--sector", choices=["even", "odd", "full"], default="even",
-                       help="parity sector for figure-level state selection")
-        if name in ("weights", "weyl"):
-            p.add_argument("--walsh", action="store_true",
-                           help="use the Walsh quantization")
+        for flag in options:
+            p.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    run = globals()[SUBCOMMANDS[args.pop("command")][1]]
+    walsh = {"walsh": args.pop("walsh")} if "walsh" in args else {}
     try:
-        cfg = RunConfig(n_exp=args.n_exp, out_dir=args.out, grid=args.grid,
-                        count=args.count, threshold=args.threshold,
-                        fmt=args.format, seed=args.seed, sector=args.sector)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.command == "spectrum":
-            run_spectrum(cfg)
-        elif args.command == "weights":
-            rec = run_weights_experiment(cfg, walsh=args.walsh)
-            print(rec.results)
-        elif args.command == "weyl":
-            rec = run_weyl_experiment(cfg, walsh=args.walsh)
-            print(rec.results)
-        elif args.command == "husimi":
-            rec = run_husimi_figure(cfg)
-            print(rec.results)
-        elif args.command == "density":
-            rec = run_density_figures(cfg)
-            print(rec.results)
-        elif args.command == "walsh":
-            rec = run_walsh_report(cfg)
-            print(rec.results)
-        elif args.command == "classical":
-            rec = run_classical(cfg)
-            print(rec.results)
+        result = run(RunConfig(**args), **walsh)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    if isinstance(result, ExperimentRecord):
+        print(result.results)
     return 0
 
 

@@ -21,6 +21,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg as la
 
 from . import io_utils
 from .classical import (
@@ -45,8 +46,8 @@ from .phase_space import (
 from .quantum import baker_unitary, escape_projector, open_propagator, sector_block
 from .spectral import (
     Spectrum,
-    ResonanceEigenpair,
     eigendecompose,
+    eigenpairs,
     select_long_lived,
     spectrum_csv_rows,
     weight,
@@ -135,14 +136,12 @@ def sector_spectrum(N: int, sector: str) -> Spectrum:
 
 
 def _lifted_sector_spectrum(U: np.ndarray, sector: str) -> Spectrum:
+    """Eigenvectors of the sector block, lifted to the full space by one
+    product per side; residuals are taken against the full matrix U."""
     A, B = sector_block(U, sector)
-    s = eigendecompose(A)
-    pairs = []
-    for p in s.pairs:
-        pairs.append(ResonanceEigenpair(
-            p.z, B @ p.right_vec, B @ p.left_vec,
-            p.residual_right, p.residual_left, p.matched))
-    return Spectrum(U.shape[0], tuple(pairs))
+    z, L, R = la.eig(A, left=True, right=True)
+    R, L = B @ R, B @ L
+    return Spectrum(U.shape[0], eigenpairs(U, z, R, L))
 
 
 def weyl_scaled_count(count: int, N: int, N_ref: int = 729) -> int:

@@ -3,11 +3,18 @@
 Resonances of the open propagator are eigenvalues inside the unit disk;
 the decay rate is Gamma = -ln|z|^2. Left and right eigenvectors are
 normalized to unit norm separately (they are not orthogonal to each other).
+
+Every spectrum is built by one function, `eigenpairs(A, z, V, U)`, from
+eigenvalues with right and left eigenvector columns, whether they come from
+the dense eigensolve (`eigendecompose`), a parity-sector block lifted to the
+full space, or the Walsh trapped subspace. It normalizes the columns and
+fixes their phase in place, takes the residuals with one matrix product per
+side, marks the columns read-only and sorts the pairs by (-|z|, phase); the
+vectors of each pair are views of those columns.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,6 +26,7 @@ from .quantum import DiagonalProjector
 __all__ = [
     "ResonanceEigenpair",
     "Spectrum",
+    "eigenpairs",
     "eigendecompose",
     "select_long_lived",
     "weight",
@@ -68,11 +76,26 @@ class Spectrum:
         return np.column_stack([p.left_vec for p in self.pairs])
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Make the largest-modulus component real positive (reproducible sign)."""
-    i = int(np.argmax(np.abs(v)))
-    ph = v[i] / abs(v[i]) if abs(v[i]) > 0 else 1.0
-    return v / ph
+def eigenpairs(A: np.ndarray, z: np.ndarray, V: np.ndarray, U: np.ndarray) -> tuple:
+    """Eigenpairs of A from eigenvalues z with right (V) and left (U)
+    eigenvector columns, sorted by (-|z|, phase).
+
+    V and U are normalized in place, each column's largest-modulus component
+    is made real positive (a reproducible phase), and both are then marked
+    read-only. The residuals ||A v - z v|| and ||A^H u - conj(z) u|| are
+    reported, not checked.
+    """
+    for M in (V, U):
+        M /= np.linalg.norm(M, axis=0)
+        top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
+        M /= top / np.abs(top)
+        M.flags.writeable = False
+    res_r = np.linalg.norm(A @ V - V * z, axis=0)
+    # A^H U as conj(A^T conj(U)): copies of U's size, none of A's
+    res_l = np.linalg.norm((A.T @ U.conj()).conj() - U * z.conj(), axis=0)
+    order = np.lexsort((np.angle(z), -np.abs(z)))
+    return tuple(ResonanceEigenpair(complex(z[i]), V[:, i], U[:, i],
+                                    float(res_r[i]), float(res_l[i])) for i in order)
 
 
 def eigendecompose(U_tilde: np.ndarray) -> Spectrum:
@@ -86,18 +109,8 @@ def eigendecompose(U_tilde: np.ndarray) -> Spectrum:
     n = A.shape[0]
     if A.ndim != 2 or A.shape[1] != n or n < 2:
         raise ValueError("need a square matrix of dimension >= 2")
-    w, vl, vr = la.eig(A, left=True, right=True)
-    Ah = A.conj().T
-    pairs = []
-    for i in range(n):
-        v = _fix_phase(vr[:, i] / np.linalg.norm(vr[:, i]))
-        u = _fix_phase(vl[:, i] / np.linalg.norm(vl[:, i]))
-        rr = float(np.linalg.norm(A @ v - w[i] * v))
-        rl = float(np.linalg.norm(Ah @ u - np.conj(w[i]) * u))
-        pairs.append(ResonanceEigenpair(complex(w[i]), v, u, rr, rl))
-    # sort by modulus descending, ties by phase angle ascending
-    pairs.sort(key=lambda p: (-p.modulus, cmath.phase(p.z)))
-    return Spectrum(n, tuple(pairs))
+    z, U, V = la.eig(A, left=True, right=True)
+    return Spectrum(n, eigenpairs(A, z, V, U))
 
 
 def select_long_lived(s: Spectrum, count: int):

@@ -29,14 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (
-    ResonanceEigenpair,
-    Spectrum,
-    _fix_phase,
-    eigendecompose,
-    weight,
-    weight_prediction,
-)
+from .spectral import Spectrum, eigendecompose, eigenpairs, weight, weight_prediction
 from .quantum import escape_projector
 
 __all__ = [
@@ -106,39 +99,39 @@ def walsh_open_baker(k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _trapped_bases(k: int) -> tuple:
+    """One SVD of U~^k: its singular values, with orthonormal bases Q of
+    range(U~^k) and P of range((U~^k)^H), all read-only. Only the N x 2^k
+    bases are kept, not the full N x N singular-vector matrices."""
+    X, sv, Yh = np.linalg.svd(np.linalg.matrix_power(walsh_open_baker(k), k))
+    r = int((sv > ZERO_THRESHOLD).sum())
+    Q, P = X[:, :r].copy(), Yh[:r].conj().T
+    for a in (sv, Q, P):
+        a.flags.writeable = False
+    return sv, Q, P
+
+
 def nonzero_count(k: int, threshold: float = ZERO_THRESHOLD) -> int:
     """Number of nonzero eigenvalues of the open Walsh baker, via the
     numerical rank of U~^k (the nilpotent part dies after k steps)."""
-    Ut = walsh_open_baker(k)
-    sv = np.linalg.svd(np.linalg.matrix_power(Ut, k), compute_uv=False)
-    return int((sv > threshold).sum())
+    return int((_trapped_bases(k)[0] > threshold).sum())
 
 
 def long_lived_spectrum(k: int) -> Spectrum:
     """Spectrum whose 2^k long-lived pairs come from the invariant subspaces.
 
-    One SVD of U~^k gives orthonormal bases Q of range(U~^k) and P of
-    range((U~^k)^H). The eigenpairs (z, w) of the small matrix Q^H U~ Q give the
-    right vectors V = Q w; the left vectors are the dual basis
-    U = P (P^H V)^-H inside range(P), so U^H V = I before normalization.
-    The N - 2^k kernel pairs follow, taken from the dense eigendecomposition.
+    The eigenpairs (z, w) of the small matrix Q^H U~ Q, with Q and P the
+    bases of `_trapped_bases`, give the right vectors V = Q w; the left
+    vectors are the dual basis U = P (P^H V)^-H inside range(P), so
+    U^H V = I before normalization. The N - 2^k kernel pairs follow, taken
+    from the dense eigendecomposition.
     """
+    _, Q, P = _trapped_bases(k)
     Ut = walsh_open_baker(k)
-    X, sv, Yh = np.linalg.svd(np.linalg.matrix_power(Ut, k))
-    r = int((sv > ZERO_THRESHOLD).sum())
-    Q, P = X[:, :r].copy(), Yh[:r].conj().T
-    del X, Yh
     z, w = np.linalg.eig(Q.conj().T @ Ut @ Q)
     V = Q @ w
     U = P @ np.linalg.inv(P.conj().T @ V).conj().T
-    V = np.column_stack([_fix_phase(v / np.linalg.norm(v)) for v in V.T])
-    U = np.column_stack([_fix_phase(u / np.linalg.norm(u)) for u in U.T])
-    res_r = np.linalg.norm(Ut @ V - V * z, axis=0)
-    res_l = np.linalg.norm(Ut.conj().T @ U - U * z.conj(), axis=0)
-    order = np.lexsort((np.angle(z), -np.abs(z)))
-    pairs = tuple(ResonanceEigenpair(complex(z[i]), V[:, i], U[:, i],
-                                     float(res_r[i]), float(res_l[i])) for i in order)
-    return Spectrum(Ut.shape[0], pairs + eigendecompose(Ut).pairs[r:])
+    return Spectrum(Ut.shape[0], eigenpairs(Ut, z, V, U) + eigendecompose(Ut).pairs[len(z):])
 
 
 def walsh_spectrum_report(k: int):

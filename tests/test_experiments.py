@@ -8,6 +8,7 @@ import pytest
 from openbaker.cli import main
 from openbaker.experiments import (
     RunConfig,
+    closed_spectrum,
     open_spectrum,
     run_classical,
     run_density_figures,
@@ -20,6 +21,8 @@ from openbaker.experiments import (
     weyl_scaled_count,
 )
 from openbaker.io_utils import fmt, sha256_file, write_csv, write_pgm
+from openbaker.quantum import open_propagator
+from openbaker.walsh import long_lived_spectrum
 
 
 def test_run_config_validation(tmp_path):
@@ -63,11 +66,31 @@ def test_sector_spectra_partition():
         sector_spectrum(N, "odd").moduli()]))
     assert len(both) == N
     assert np.allclose(full, both, atol=1e-9)
-    # lifted eigenvectors really are eigenvectors of the full propagator
-    from openbaker.quantum import open_propagator
+    # every lifted right and left vector is an eigenvector of the full
+    # propagator and lies in its parity sector
     Ut = open_propagator(N)
-    p = sector_spectrum(N, "even").pairs[0]
-    assert np.linalg.norm(Ut @ p.right_vec - p.z * p.right_vec) < 1e-9
+    for sector, sign in (("even", 1), ("odd", -1)):
+        s = sector_spectrum(N, sector)
+        z, V, U = s.eigenvalues(), s.right_matrix(), s.left_matrix()
+        assert np.linalg.norm(Ut @ V - V * z, axis=0).max() < 1e-9
+        assert np.linalg.norm(Ut.conj().T @ U - U * z.conj(), axis=0).max() < 1e-9
+        assert np.abs(V[::-1] - sign * V).max() < 1e-12
+        assert np.abs(U[::-1] - sign * U).max() < 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda: open_spectrum(27),
+    lambda: sector_spectrum(27, "even"),
+    lambda: closed_spectrum(27),
+    lambda: closed_spectrum(27, "odd"),
+    lambda: long_lived_spectrum(3),
+], ids=["open", "sector", "closed", "closed_sector", "walsh_long_lived"])
+def test_cached_spectra_read_only(build):
+    s = build()
+    for p in (s.pairs[0], s.pairs[-1]):
+        for vec in (p.right_vec, p.left_vec):
+            with pytest.raises(ValueError):
+                vec[0] = 0.0
 
 
 def test_weyl_scaled_count():
@@ -199,6 +222,10 @@ def test_cli_classical_and_walsh(tmp_path, capsys):
 def test_cli_invalid_args(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--format", "xml"])
+    assert exc.value.code == 1
+    # options are registered only on the subcommands that read them
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--grid", "5"])
     assert exc.value.code == 1
     assert main(["weights", "--n-exp", "2", "--out", str(tmp_path)]) == 1
 

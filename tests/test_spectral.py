@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,6 +11,7 @@ from openbaker.quantum import escape_projector, open_propagator, opening_project
 from openbaker.spectral import (
     biorthogonality_matrix,
     eigendecompose,
+    eigenpairs,
     propagation_identity_check,
     select_long_lived,
     spectrum_csv_rows,
@@ -55,6 +58,41 @@ def test_eigenvalue_oracle_diagonal():
         assert np.linalg.norm(A @ p.right_vec - p.z * p.right_vec) < 1e-14
         assert np.linalg.norm(A.conj().T @ p.left_vec
                               - np.conj(p.z) * p.left_vec) < 1e-14
+
+
+def _reference_pairs(A, z, V, U):
+    """Per-pair reference for `eigenpairs`: normalize each column, make its
+    largest component real positive, take the residuals by matrix-vector
+    products, and sort by (-|z|, phase)."""
+    pairs = []
+    for i in range(len(z)):
+        v, u = (M[:, i] / np.linalg.norm(M[:, i]) for M in (V, U))
+        v, u = (x / (x[np.argmax(np.abs(x))] / np.abs(x).max()) for x in (v, u))
+        pairs.append((complex(z[i]), v, u,
+                      np.linalg.norm(A @ v - z[i] * v),
+                      np.linalg.norm(A.conj().T @ u - np.conj(z[i]) * u)))
+    pairs.sort(key=lambda p: (-abs(p[0]), cmath.phase(p[0])))
+    return pairs
+
+
+@pytest.mark.parametrize("A", [
+    open_propagator(27),
+    np.array([[0.5, 1.0], [0.0, -0.25]], dtype=complex),
+], ids=["open_27", "non_normal_2x2"])
+def test_eigenpairs_matches_per_pair_reference(A):
+    z, U, V = la.eig(A, left=True, right=True)
+    ref = _reference_pairs(A, z, V.copy(), U.copy())
+    pairs = eigenpairs(A, z, V, U)
+    assert [p.z for p in pairs] == [r[0] for r in ref]
+    for p, (_, v, u, res_r, res_l) in zip(pairs, ref):
+        for got, want in ((p.right_vec, v), (p.left_vec, u)):
+            assert abs(np.linalg.norm(got) - 1) < 1e-14
+            top = got[np.argmax(np.abs(got))]
+            assert top.real > 0 and abs(top.imag) < 1e-14
+            assert np.abs(got - want).max() < 1e-14
+        assert abs(p.residual_right - res_r) < 1e-14
+        assert abs(p.residual_left - res_l) < 1e-14
+    assert not V.flags.writeable and not U.flags.writeable
 
 
 def test_left_vectors_vanish_on_opening(spec27):
