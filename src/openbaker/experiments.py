@@ -35,9 +35,9 @@ from .classical import (
 from .phase_space import (
     DensityGrid,
     average_density,
-    band_mass,
     cantor_mass,
     husimi_grids,
+    interval_mask,
     momentum_density,
     position_density,
     self_similarity_score,
@@ -253,8 +253,7 @@ def _husimi_band_masses(spectrum: Spectrum, count: int, G: int):
     sel = select_long_lived(spectrum, count)
     avg_r = average_density(husimi_grids([p.right_vec for p in sel], G))
     avg_l = average_density(husimi_grids([p.left_vec for p in sel], G))
-    pgrid = (np.arange(G) + 0.5) / G
-    band = (pgrid < 1.0 / 3.0) | (pgrid >= 2.0 / 3.0)
+    band = interval_mask(cantor_approx(1), G)
     right_mass = float(avg_r.values[:, band].sum())   # horizontal Cantor band
     left_mass = float(avg_l.values[band, :].sum())    # vertical Cantor band
     return avg_r, avg_l, right_mass, left_mass
@@ -285,12 +284,7 @@ def run_husimi_figure(cfg: RunConfig) -> ExperimentRecord:
 
     for level in (1, 2, 3):
         mask = np.zeros((G, G))
-        pgrid = (np.arange(G) + 0.5) / G
-        keep = cantor_approx(level)
-        sel_cols = np.zeros(G, dtype=bool)
-        for a, b in keep.intervals:
-            sel_cols |= (pgrid >= float(a)) & (pgrid < float(b))
-        mask[:, sel_cols] = 1.0
+        mask[:, interval_mask(cantor_approx(level), G)] = 1.0
         io_utils.write_pgm(out / f"cantor_band_level{level}_{G}.pgm", mask, cfgd, bits=8)
 
     closed = closed_spectrum(N, cfg.sector)

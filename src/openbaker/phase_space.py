@@ -4,6 +4,16 @@ Conventions: position grid q_n = (n+1/2)/N, antiperiodic wavefunctions
 (psi(q+1) = -psi(q)), Gaussian coherent states of width sigma_q =
 1/sqrt(2 pi N). The Wigner function lives on the doubled 2N x 2N grid of
 half-integer phase-space points.
+
+Every transform here is an FFT or a GEMM. The antiperiodic DFT is a plain
+FFT of the twiddled state psi_n e^{-i pi n/N}: of length N for momentum
+amplitudes, zero-padded to 2N for the half-grid amplitudes of the Wigner
+function. A Wigner average over S states needs one averaged density matrix
+(one GEMM of the 2N x S amplitudes), one signed gather from it, and one
+length-N FFT along the phase-point axis. Husimi images are one GEMM against
+a cached bank of conjugated coherent vectors, built block by block from
+separable factors (Gaussian per lattice image, plane wave, phase per
+centre) by the same formula as `coherent_vector`.
 """
 
 from __future__ import annotations
@@ -16,7 +26,6 @@ from functools import lru_cache
 import numpy as np
 
 from .classical import IntervalUnion, TorusPoint, cantor_approx
-from .quantum import dft_matrix
 
 __all__ = [
     "CoherentState",
@@ -34,6 +43,7 @@ __all__ = [
     "position_density",
     "momentum_density",
     "average_density",
+    "interval_mask",
     "cantor_mass",
     "band_mass",
     "self_similarity_score",
@@ -78,19 +88,28 @@ class CoherentState:
     vector: np.ndarray
 
 
-def coherent_vector(center: TorusPoint, N: int) -> np.ndarray:
-    """Unit-norm Gaussian wave packet at (q0, p0) with antiperiodic wrapping.
+def _packets(q0: np.ndarray, p0s, N: int):
+    """For each momentum p0 in p0s, yield the unit-norm Gaussian wave
+    packets centred at (q0[i], p0) as rows, with antiperiodic wrapping.
 
-    Three lattice images suffice: the neglected tails are O(exp(-pi N * 2))."""
-    q0, p0 = center.q, center.p
-    n = np.arange(N)
-    qn = (n + 0.5) / N
-    v = np.zeros(N, dtype=complex)
-    for nu in (-1, 0, 1):
-        amp = np.exp(-math.pi * N * (qn - q0 + nu) ** 2)
-        phase = np.exp(2j * math.pi * N * p0 * (qn + nu - q0 / 2.0))
-        v += (-1.0) ** nu * amp * phase
-    return v / np.linalg.norm(v)
+    The phase factorizes: a Gaussian per lattice image nu (computed once)
+    weighted by (-1)^nu e^{2 pi i N p0 nu}, one plane wave e^{2 pi i N p0 q_n}
+    and one phase e^{-i pi N p0 q0} per centre. Three images suffice: the
+    neglected tails are O(exp(-pi N * 2))."""
+    qn = (np.arange(N) + 0.5) / N
+    nu = np.arange(-1, 2)
+    gauss = np.exp(-math.pi * N * (qn - q0[:, None] + nu[:, None, None]) ** 2)
+    for p0 in p0s:
+        rows = np.tensordot((-1.0) ** nu * np.exp(2j * math.pi * N * p0 * nu), gauss, 1)
+        rows *= np.exp(2j * math.pi * N * p0 * qn)
+        rows *= np.exp(-1j * math.pi * N * p0 * q0)[:, None]
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        yield rows
+
+
+def coherent_vector(center: TorusPoint, N: int) -> np.ndarray:
+    """Unit-norm Gaussian wave packet at (q0, p0) with antiperiodic wrapping."""
+    return next(_packets(np.array([center.q]), [center.p], N))[0]
 
 
 def coherent_state(center: TorusPoint, N: int) -> CoherentState:
@@ -101,57 +120,39 @@ def coherent_state(center: TorusPoint, N: int) -> CoherentState:
 
 @lru_cache(maxsize=4)
 def _coherent_bank(N: int, G: int) -> np.ndarray:
-    """Conjugated, row-normalized coherent vectors for every grid center;
-    shape (G*G, N), row index i*G + j for center ((i+1/2)/G, (j+1/2)/G)."""
-    qn = (np.arange(N) + 0.5) / N
-    q0 = (np.arange(G) + 0.5) / G
+    """Conjugated coherent vectors for every grid center; shape (G*G, N),
+    row index i*G + j for center ((i+1/2)/G, (j+1/2)/G). Filled one
+    momentum column of centres at a time, so the transient is one (G, N)
+    block."""
+    centres = (np.arange(G) + 0.5) / G
     bank = np.empty((G * G, N), dtype=complex)
-    for j in range(G):
-        p = (j + 0.5) / G
-        col = np.zeros((G, N), dtype=complex)
-        for nu in (-1, 0, 1):
-            amp = np.exp(-math.pi * N * (qn[None, :] - q0[:, None] + nu) ** 2)
-            phase = np.exp(2j * math.pi * N * p * (qn[None, :] + nu - q0[:, None] / 2.0))
-            col += ((-1.0) ** nu) * amp * phase
-        col /= np.linalg.norm(col, axis=1)[:, None]
-        bank[j::G] = np.conj(col)
+    for j, rows in enumerate(_packets(centres, centres, N)):
+        bank[j::G] = np.conj(rows)
     return bank
 
 
-def husimi_grid(state: np.ndarray, G: int,
-                normalization: Normalization = Normalization.UNIT_SUM) -> DensityGrid:
-    """G x G Husimi distribution: values[i, j] = |<x_ij | psi>|^2 at
-    x_ij = ((i+1/2)/G, (j+1/2)/G), i indexing position and j momentum."""
-    if G < 8:
-        raise ValueError("G must be >= 8")
-    psi = np.asarray(state, dtype=complex)
-    H = np.abs(_coherent_bank(len(psi), G) @ psi).reshape(G, G) ** 2
-    grid = DensityGrid(H, "phase_space")
-    return grid.unit_sum() if normalization is Normalization.UNIT_SUM else grid
+def husimi_grid(state: np.ndarray, G: int) -> DensityGrid:
+    """G x G Husimi distribution of unit sum: values[i, j] = |<x_ij | psi>|^2
+    at x_ij = ((i+1/2)/G, (j+1/2)/G), i indexing position and j momentum."""
+    return husimi_grids([state], G)[0]
 
 
 def husimi_grids(states, G: int):
     """Husimi distributions of many states sharing one coherent bank."""
+    if G < 8:
+        raise ValueError("G must be >= 8")
     V = np.column_stack([np.asarray(s, dtype=complex) for s in states])
-    bank = _coherent_bank(V.shape[0], G)
-    H = np.abs(bank @ V) ** 2  # (G*G, n_states)
-    out = []
-    for c in range(H.shape[1]):
-        out.append(DensityGrid(H[:, c].reshape(G, G), "phase_space").unit_sum())
-    return out
+    H = np.abs(_coherent_bank(V.shape[0], G) @ V) ** 2  # (G*G, n_states)
+    return [DensityGrid(H[:, c].reshape(G, G), "phase_space").unit_sum()
+            for c in range(H.shape[1])]
 
 
-@lru_cache(maxsize=2)
-def _half_grid_matrix(N: int) -> np.ndarray:
-    """2N x N transform to momentum amplitudes on the half-integer grid:
-    Y_s = N^{-1/2} sum_n psi_n exp(-2 pi i (n+1/2)(s/2+1/2)/N)."""
-    n = np.arange(N) + 0.5
-    s = np.arange(2 * N)
-    return np.exp(-2j * np.pi * np.outer(s / 2.0 + 0.5, n) / N) / math.sqrt(N)
-
-
-def _half_grid_transform(psi: np.ndarray) -> np.ndarray:
-    return _half_grid_matrix(len(psi)) @ psi
+def _antiperiodic_fft(X: np.ndarray, n: int) -> np.ndarray:
+    """Length-n FFT down the columns of X (N x S), twiddled by e^{-i pi k/N}
+    and zero-padded: the antiperiodic DFT up to its output half-shift and
+    1/sqrt(N)."""
+    N = X.shape[0]
+    return np.fft.fft(X * np.exp(-1j * np.pi * np.arange(N) / N)[:, None], n=n, axis=0)
 
 
 def wigner_grid(state: np.ndarray) -> WignerGrid:
@@ -166,28 +167,29 @@ def wigner_grid(state: np.ndarray) -> WignerGrid:
 def wigner_grid_average(states) -> WignerGrid:
     """Mean Wigner function of several states.
 
-    The transform is bilinear in the half-grid amplitudes, so the per-state
-    outer products are averaged first and the expensive kernel contraction
-    runs once."""
+    The transform is bilinear in the half-grid amplitudes
+    Y_s = N^{-1/2} sum_n psi_n exp(-2 pi i (n+1/2)(s/2+1/2)/N), s < 2N, so
+    it is linear in their averaged density matrix rho = conj(Y) Y^T / S.
+    W[j, l] = Re sum_m e^{i pi j (1 - (2m+1)/N)} Z[m, l] / 4N, with Z a
+    signed gather from rho; the sum over m is a length-N FFT."""
     states = [np.asarray(s, dtype=complex) for s in states]
     if not states:
         raise ValueError("need at least one state")
-    N = len(states[0])
-    m = np.arange(N)
-    l = np.arange(2 * N)
-    a = (2 * m[:, None] + l[None, :])
-    b = (2 * (N - 1 - m[:, None]) + l[None, :])
-    sign = np.where((a // (2 * N)) % 2 == 0, 1.0, -1.0) * \
-        np.where((b // (2 * N)) % 2 == 0, 1.0, -1.0)
-    am, bm = a % (2 * N), b % (2 * N)
-    Z = np.zeros((N, 2 * N), dtype=complex)
-    for psi in states:
-        Y = _half_grid_transform(psi)
-        Z += sign * np.conj(Y[am]) * Y[bm]
-    Z /= len(states)
-    j = np.arange(2 * N)
-    kernel = np.exp(1j * np.pi * j[:, None] * (1.0 - (2 * m[None, :] + 1.0) / N))
-    return WignerGrid((kernel @ Z).real / (4.0 * N))
+    X = np.column_stack(states)
+    N, S = X.shape
+    s = np.arange(2 * N)
+    Y = _antiperiodic_fft(X, 2 * N) * (np.exp(-1j * np.pi * (s + 1) / (2 * N))
+                                      / math.sqrt(N))[:, None]
+    rho = np.conj(Y) @ Y.T / S
+    m = np.arange(N)[:, None]
+    a = 2 * m + s
+    b = 2 * (N - 1 - m) + s
+    # antiperiodicity: an index wrapped past 2N flips the amplitude's sign
+    Z = rho[a % (2 * N), b % (2 * N)]
+    Z[(a >= 2 * N) != (b >= 2 * N)] *= -1.0
+    phase = np.exp(1j * np.pi * s * (1.0 - 1.0 / N)).reshape(2, N, 1)
+    W = (phase * np.fft.fft(Z, axis=0)).real.reshape(2 * N, 2 * N)
+    return WignerGrid(W / (4.0 * N))
 
 
 def wigner_position_marginal(w: WignerGrid) -> np.ndarray:
@@ -212,8 +214,8 @@ def position_density(state: np.ndarray) -> DensityGrid:
 
 def momentum_density(state: np.ndarray) -> DensityGrid:
     psi = np.asarray(state, dtype=complex)
-    y = dft_matrix(len(psi)) @ psi
-    return DensityGrid(np.abs(y) ** 2, "momentum", Normalization.UNIT_SUM)
+    y = _antiperiodic_fft(psi[:, None], len(psi))[:, 0]
+    return DensityGrid(np.abs(y) ** 2 / len(psi), "momentum", Normalization.UNIT_SUM)
 
 
 def average_density(densities) -> DensityGrid:
@@ -225,31 +227,29 @@ def average_density(densities) -> DensityGrid:
     return DensityGrid(vals, densities[0].axis).unit_sum()
 
 
+def interval_mask(support: IntervalUnion, L: int) -> np.ndarray:
+    """Boolean mask of the grid cells whose centres (n+1/2)/L lie in `support`."""
+    grid = (np.arange(L) + 0.5) / L
+    mask = np.zeros(L, dtype=bool)
+    for a, b in support.intervals:
+        mask |= (grid >= float(a)) & (grid < float(b))
+    return mask
+
+
 def cantor_mass(d: DensityGrid, level: int) -> float:
     """Fraction of the total mass lying in the level-`level` Cantor cells."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    vals = d.values
-    L = len(vals)
+    L = len(d.values)
     if L % 3**level != 0:
         raise ValueError(f"grid length {L} not divisible by 3^{level}")
-    keep = cantor_approx(level)
-    grid = (np.arange(L) + 0.5) / L
-    mask = np.zeros(L, dtype=bool)
-    for a, b in keep.intervals:
-        mask |= (grid >= float(a)) & (grid < float(b))
-    return float(vals[mask].sum() / vals.sum())
+    return band_mass(d, cantor_approx(level))
 
 
 def band_mass(d: DensityGrid, support: IntervalUnion) -> float:
     """Fraction of mass of a 1D density inside an interval union."""
     vals = d.values
-    L = len(vals)
-    grid = (np.arange(L) + 0.5) / L
-    mask = np.zeros(L, dtype=bool)
-    for a, b in support.intervals:
-        mask |= (grid >= float(a)) & (grid < float(b))
-    return float(vals[mask].sum() / vals.sum())
+    return float(vals[interval_mask(support, len(vals))].sum() / vals.sum())
 
 
 def self_similarity_score(d: DensityGrid, factor: int = 3) -> float:
@@ -273,11 +273,8 @@ def self_similarity_score(d: DensityGrid, factor: int = 3) -> float:
 def kill_property_check(U_tilde: np.ndarray, m: int, centers) -> float:
     """Max over coherent states centered in the m-step backward escape region
     of ||(U~^dag)^m |x>||; decays as N grows."""
-    A = np.asarray(U_tilde, dtype=complex)
-    N = A.shape[0]
-    Am = np.linalg.matrix_power(A.conj().T, m)
-    worst = 0.0
-    for c in centers:
-        v = coherent_vector(c, N)
-        worst = max(worst, float(np.linalg.norm(Am @ v)))
-    return worst
+    A_dag = np.asarray(U_tilde, dtype=complex).conj().T
+    V = np.column_stack([coherent_vector(c, A_dag.shape[0]) for c in centers])
+    for _ in range(m):
+        V = A_dag @ V
+    return float(np.linalg.norm(V, axis=0).max())

@@ -12,6 +12,7 @@ from openbaker.phase_space import (
     coherent_vector,
     husimi_grid,
     husimi_grids,
+    interval_mask,
     kill_property_check,
     momentum_density,
     position_density,
@@ -76,6 +77,19 @@ def test_coherent_overlap_decay():
     assert abs(np.vdot(a, b)) < 1e-4
 
 
+@pytest.mark.parametrize("q0, p0", [(0.01, 0.37), (0.5, 0.81), (0.97, 0.12)])
+def test_coherent_vector_matches_image_sum(q0, p0):
+    """The factorized packet equals the direct sum over three lattice images
+    sum_nu (-1)^nu exp(-pi N (q_n - q0 + nu)^2 + 2 pi i N p0 (q_n + nu - q0/2))."""
+    N = 81
+    qn = (np.arange(N) + 0.5) / N
+    ref = sum((-1.0) ** nu * np.exp(-np.pi * N * (qn - q0 + nu) ** 2
+                                    + 2j * np.pi * N * p0 * (qn + nu - q0 / 2))
+              for nu in (-1, 0, 1))
+    ref /= np.linalg.norm(ref)
+    assert np.abs(coherent_vector(TorusPoint(q0, p0), N) - ref).max() < 1e-12
+
+
 def test_coherent_antiperiodic_images():
     """Wrapping across q = 0 keeps the packet smooth: a center near the edge
     still yields a unit-norm localized state."""
@@ -106,6 +120,18 @@ def test_husimi_grids_batch_matches_single():
     batch = husimi_grids(states, G)
     for s, h in zip(states, batch):
         assert np.allclose(h.values, husimi_grid(s, G).values, atol=1e-12)
+
+
+@pytest.mark.parametrize("N, G", [(81, 27), (81, 10)])
+def test_husimi_grids_match_coherent_overlaps(N, G):
+    """Every bank value equals |<x|psi>|^2 with |x> = coherent_vector at the
+    cell centre, whether or not G divides N."""
+    rng = np.random.default_rng(6)
+    states = [rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(2)]
+    for psi, h in zip(states, husimi_grids(states, G)):
+        ref = np.array([[abs(np.vdot(coherent_vector(TorusPoint((i + 0.5) / G, (j + 0.5) / G), N),
+                                     psi)) ** 2 for j in range(G)] for i in range(G)])
+        assert np.abs(h.values - ref / ref.sum()).max() < 1e-12
 
 
 def test_wigner_total_and_marginals():
@@ -166,6 +192,15 @@ def test_densities():
         average_density([])
 
 
+@pytest.mark.parametrize("N", [27, 243])
+def test_momentum_density_matches_dense_dft(N):
+    rng = np.random.default_rng(N)
+    psi = rng.normal(size=N) + 1j * rng.normal(size=N)
+    psi /= np.linalg.norm(psi)
+    ref = np.abs(dft_matrix(N) @ psi) ** 2
+    assert np.abs(momentum_density(psi).values - ref).max() < 1e-13
+
+
 def test_cantor_and_band_mass():
     N = 81
     vals = np.zeros(N)
@@ -173,6 +208,8 @@ def test_cantor_and_band_mass():
     keep = cantor_approx(3)
     for a, b in keep.intervals:
         vals[(grid >= float(a)) & (grid < float(b))] = 1.0
+    assert np.array_equal(vals > 0, interval_mask(keep, N))
+    assert interval_mask(cantor_approx(1), 9).tolist() == [True] * 3 + [False] * 3 + [True] * 3
     d = DensityGrid(vals, "momentum")
     assert cantor_mass(d, 1) == pytest.approx(1.0)
     assert cantor_mass(d, 3) == pytest.approx(1.0)
