@@ -1,8 +1,9 @@
 """Classical triadic baker map, escape regions and trapped-set geometry.
 
 All regions are held exactly as finite unions of triadic intervals with
-rational endpoints, so the escape-region recursions can be checked as set
-identities rather than up to a sampling tolerance.
+rational endpoints, built in closed form from Cantor words (integers whose
+ternary digits are all 0 or 2), so the escape-region recursions can be
+checked as set identities rather than up to a sampling tolerance.
 """
 
 from __future__ import annotations
@@ -183,51 +184,47 @@ def baker_inverse(x: TorusPoint) -> TorusPoint:
 
 def opening() -> StripRegion:
     """The absorbing region: the middle vertical strip q in [1/3, 2/3)."""
-    return StripRegion(Axis.POSITION, IntervalUnion.from_pairs([(Fraction(1, 3), Fraction(2, 3))]))
+    return region_R_plus(0)
 
 
-def _triadic_preimage(u: IntervalUnion) -> IntervalUnion:
-    """Preimage of a position set under q -> 3q mod 1."""
-    out = u.scale_shift(0, 3)
-    for d in (1, 2):
-        out = out.union(u.scale_shift(d, 3))
-    return out
+def _cantor_words(length: int) -> list:
+    """Ascending integers whose `length` ternary digits are all 0 or 2."""
+    words = [0]
+    for _ in range(length):
+        words = [3 * a + d for a in words for d in (0, 2)]
+    return words
 
 
 def region_R_plus(m: int) -> StripRegion:
     """Points escaping through the opening at exactly the m-th forward step.
 
-    Vertical strip; 2^m intervals of length 3^-(m+1). m = 0 is the opening
-    itself.
+    Vertical strip: the q whose first m ternary digits avoid 1 and whose next
+    digit is 1, i.e. [(3a+1)/3^(m+1), (3a+2)/3^(m+1)) over the Cantor words a
+    of length m. m = 0 is the opening itself.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    support = opening().support
-    for _ in range(m):
-        support = _triadic_preimage(support).difference(opening().support)
-    return StripRegion(Axis.POSITION, support)
+    den = 3 ** (m + 1)
+    return StripRegion(Axis.POSITION, IntervalUnion.from_pairs(
+        [(Fraction(3 * a + 1, den), Fraction(3 * a + 2, den)) for a in _cantor_words(m)]))
 
 
 def region_R_minus(m: int) -> StripRegion:
-    """Points that left through the opening exactly m steps ago (horizontal
-    strip in momentum)."""
+    """Points that left through the opening exactly m steps ago: the
+    horizontal strip whose momentum support is that of R_+^(m-1)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    support = IntervalUnion.from_pairs([(Fraction(1, 3), Fraction(2, 3))])
-    for _ in range(m - 1):
-        support = support.scale_shift(0, 3).union(support.scale_shift(2, 3))
-    return StripRegion(Axis.MOMENTUM, support)
+    return StripRegion(Axis.MOMENTUM, region_R_plus(m - 1).support)
 
 
 def cantor_approx(level: int) -> IntervalUnion:
-    """Level-`level` middle-third Cantor approximant: 2^level intervals of
-    length 3^-level."""
+    """Level-`level` middle-third Cantor approximant: [a/3^level, (a+1)/3^level)
+    over the Cantor words a of that length."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    u = IntervalUnion.full()
-    for _ in range(level):
-        u = u.scale_shift(0, 3).union(u.scale_shift(2, 3))
-    return u
+    den = 3**level
+    return IntervalUnion.from_pairs(
+        [(Fraction(a, den), Fraction(a + 1, den)) for a in _cantor_words(level)])
 
 
 def escape_rate_estimate(max_m: int) -> float:

@@ -53,7 +53,7 @@ from .spectral import (
     weight,
     weight_prediction,
 )
-from .walsh import long_lived_spectrum, nonzero_count, walsh_spectrum_report
+from .walsh import ZERO_THRESHOLD, long_lived_spectrum, nonzero_count, walsh_spectrum_report
 
 __all__ = [
     "RunConfig",
@@ -180,14 +180,12 @@ def run_weights_experiment(cfg: RunConfig, walsh: bool = False):
     if walsh:
         if k < 2:
             raise ValueError("walsh weights need n_exp >= 2")
-        s = long_lived_spectrum(k)
-        pairs = s.pairs[: nonzero_count(k)]
+        pairs = long_lived_spectrum(k).pairs
         m_max = min(4, k - 1)
     else:
         if k < 4:
             raise ValueError("weights experiment needs n_exp >= 4")
-        s = open_spectrum(cfg.N)
-        pairs = s.pairs
+        pairs = open_spectrum(cfg.N).pairs
         m_max = min(4, k - 2)
     N = 3**k
     rows = []
@@ -216,7 +214,7 @@ def run_weyl_experiment(cfg: RunConfig, N_list=None, walsh: bool = False) -> Exp
     """Fractal Weyl counting: log-log slope of #{|z| > r} against N."""
     if walsh:
         ks = list(range(2, cfg.n_exp + 1))
-        rows = [[str(k), str(3**k), io_utils.fmt(1e-6), str(nonzero_count(k)), str(2**k)]
+        rows = [[str(k), str(3**k), io_utils.fmt(ZERO_THRESHOLD), str(nonzero_count(k)), str(2**k)]
                 for k in ks]
         path = _emit(cfg, f"weyl_walsh_{3 ** cfg.n_exp}",
                      ["k", "N", "threshold", "count", "expected_2k"], rows)
@@ -249,24 +247,18 @@ def run_weyl_experiment(cfg: RunConfig, N_list=None, walsh: bool = False) -> Exp
                              "target": CANTOR_DIM, "path": str(path)})
 
 
-def _husimi_band_masses(spectrum: Spectrum, count: int, G: int):
-    sel = select_long_lived(spectrum, count)
-    avg_r = average_density(husimi_grids([p.right_vec for p in sel], G))
-    avg_l = average_density(husimi_grids([p.left_vec for p in sel], G))
-    band = interval_mask(cantor_approx(1), G)
-    right_mass = float(avg_r.values[:, band].sum())   # horizontal Cantor band
-    left_mass = float(avg_l.values[band, :].sum())    # vertical Cantor band
-    return avg_r, avg_l, right_mass, left_mass
-
-
 def run_husimi_figure(cfg: RunConfig) -> ExperimentRecord:
     """Averaged Husimi and Wigner distributions of the longest-lived states
     (Fig. 1 layout), with closed-map control and Cantor overlay masks."""
     N, G = cfg.N, cfg.grid
     s = sector_spectrum(N, cfg.sector)
     count = min(cfg.count, len(s.pairs))
-    avg_r, avg_l, right_mass, left_mass = _husimi_band_masses(s, count, G)
     sel = select_long_lived(s, count)
+    avg_r = average_density(husimi_grids([p.right_vec for p in sel], G))
+    avg_l = average_density(husimi_grids([p.left_vec for p in sel], G))
+    band = interval_mask(cantor_approx(1), G)
+    right_mass = float(avg_r.values[:, band].sum())   # horizontal Cantor band
+    left_mass = float(avg_l.values[band, :].sum())    # vertical Cantor band
 
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -287,8 +279,9 @@ def run_husimi_figure(cfg: RunConfig) -> ExperimentRecord:
         mask[:, interval_mask(cantor_approx(level), G)] = 1.0
         io_utils.write_pgm(out / f"cantor_band_level{level}_{G}.pgm", mask, cfgd, bits=8)
 
-    closed = closed_spectrum(N, cfg.sector)
-    _, _, closed_mass, _ = _husimi_band_masses(closed, count, G)
+    closed = select_long_lived(closed_spectrum(N, cfg.sector), count)
+    closed_r = average_density(husimi_grids([p.right_vec for p in closed], G))
+    closed_mass = float(closed_r.values[:, band].sum())
 
     results = {"count": count, "right_band_mass": right_mass,
                "left_band_mass": left_mass, "closed_band_mass": closed_mass}

@@ -17,6 +17,8 @@ __all__ = [
     "DiagonalProjector",
     "UnresolvedRegionError",
     "dft_matrix",
+    "baker_form",
+    "opened",
     "baker_unitary",
     "projector_for_region",
     "opening_projector",
@@ -68,17 +70,30 @@ def dft_matrix(N: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(n, n) / N) / np.sqrt(N)
 
 
+def baker_form(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Closed baker propagator outer^-1 diag(inner, inner, inner) of a
+    quantization with unitary transforms `outer` on N and `inner` on N/3."""
+    N, M = outer.shape[0], inner.shape[0]
+    D = np.zeros((N, N), dtype=complex)
+    for s in range(0, N, M):
+        D[s:s + M, s:s + M] = inner
+    return outer.conj().T @ D
+
+
+def opened(U: np.ndarray) -> np.ndarray:
+    """U (I - pi_0): a copy of U with the middle third of the columns set to
+    zero."""
+    N = U.shape[0]
+    Ut = U.copy()
+    Ut[:, N // 3: 2 * N // 3] = 0.0
+    return Ut
+
+
 def baker_unitary(N: int) -> np.ndarray:
     """Closed baker propagator U_N = F_N^-1 diag(F_{N/3}, F_{N/3}, F_{N/3})."""
     if N % 3 != 0:
         raise ValueError("N must be divisible by 3")
-    FN = dft_matrix(N)
-    F3 = dft_matrix(N // 3)
-    D = np.zeros((N, N), dtype=complex)
-    for b in range(3):
-        s = b * (N // 3)
-        D[s:s + N // 3, s:s + N // 3] = F3
-    return FN.conj().T @ D
+    return baker_form(dft_matrix(N), dft_matrix(N // 3))
 
 
 def projector_for_region(region: StripRegion, N: int) -> DiagonalProjector:
@@ -111,12 +126,8 @@ def escape_projector(m: int, N: int) -> DiagonalProjector:
 
 
 def open_propagator(N: int) -> np.ndarray:
-    """Open propagator U_tilde = U_N (I - pi_0): middle third of the columns
-    of U_N set to zero."""
-    U = baker_unitary(N)
-    Ut = U.copy()
-    Ut[:, N // 3: 2 * N // 3] = 0.0
-    return Ut
+    """Open propagator U_tilde = U_N (I - pi_0)."""
+    return opened(baker_unitary(N))
 
 
 def momentum_transform(state: np.ndarray) -> np.ndarray:

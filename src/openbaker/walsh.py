@@ -14,6 +14,9 @@ dense eigensolve, whose eigenvectors in the degenerate clusters sit several
 orders above round-off: U~ is diagonalized on an orthonormal basis Q of
 range(U~^k), and the left vectors are the dual basis inside
 range((U~^k)^H), so <u_i|v_j> = 0 for i != j even within a degenerate cluster.
+The other N - 2^k eigenvalues are exactly 0 (U~ is nilpotent off range(U~^k));
+they are reported as such, not as the round-off fragments a dense eigensolve
+scatters them into.
 
 Digit-order convention: the digit-reversal permutation is applied to the
 rows of the tensor-product transform, at every dimension (outer and inner
@@ -29,8 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Spectrum, eigendecompose, eigenpairs, weight, weight_prediction
-from .quantum import escape_projector
+from .spectral import Spectrum, eigenpairs, weight, weight_prediction
+from .quantum import baker_form, escape_projector, opened
 
 __all__ = [
     "WalshConfig",
@@ -41,7 +44,7 @@ __all__ = [
     "walsh_spectrum_report",
 ]
 
-ZERO_THRESHOLD = 1e-10
+ZERO_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,16 +89,7 @@ def walsh_open_baker(k: int) -> np.ndarray:
     the columns zeroed."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    N = 3**k
-    W = walsh_transform(k)
-    Wi = walsh_transform(k - 1)
-    D = np.zeros((N, N), dtype=complex)
-    for b in range(3):
-        s = b * (N // 3)
-        D[s:s + N // 3, s:s + N // 3] = Wi
-    Ut = W.conj().T @ D
-    Ut[:, N // 3: 2 * N // 3] = 0.0
-    return Ut
+    return opened(baker_form(walsh_transform(k), walsh_transform(k - 1)))
 
 
 @lru_cache(maxsize=8)
@@ -118,47 +112,34 @@ def nonzero_count(k: int, threshold: float = ZERO_THRESHOLD) -> int:
 
 
 def long_lived_spectrum(k: int) -> Spectrum:
-    """Spectrum whose 2^k long-lived pairs come from the invariant subspaces.
+    """The 2^k long-lived pairs, from the invariant subspaces.
 
     The eigenpairs (z, w) of the small matrix Q^H U~ Q, with Q and P the
     bases of `_trapped_bases`, give the right vectors V = Q w; the left
     vectors are the dual basis U = P (P^H V)^-H inside range(P), so
-    U^H V = I before normalization. The N - 2^k kernel pairs follow, taken
-    from the dense eigendecomposition.
+    U^H V = I before normalization. The remaining eigenvalues are exactly 0.
     """
     _, Q, P = _trapped_bases(k)
     Ut = walsh_open_baker(k)
     z, w = np.linalg.eig(Q.conj().T @ Ut @ Q)
     V = Q @ w
     U = P @ np.linalg.inv(P.conj().T @ V).conj().T
-    return Spectrum(Ut.shape[0], eigenpairs(Ut, z, V, U) + eigendecompose(Ut).pairs[len(z):])
+    return Spectrum(Ut.shape[0], eigenpairs(Ut, z, V, U))
 
 
 def walsh_spectrum_report(k: int):
     """Per-eigenvalue table: modulus, short/long flag, kernel dimension and
-    the worst weight-formula residual over the resolvable depths."""
+    the worst weight-formula residual over the resolvable depths. The
+    N - 2^k kernel rows have z = 0 exactly."""
     if k < 2:
         raise ValueError("k must be >= 2")
     N = 3**k
-    s = long_lived_spectrum(k)
-    r = nonzero_count(k)
+    pairs = long_lived_spectrum(k).pairs
+    r = len(pairs)
     projs = [escape_projector(m, N) for m in range(min(5, k))]
-    rows = []
-    for i, p in enumerate(s.pairs):
-        long_lived = i < r
-        res = 0.0
-        if long_lived:
-            res = max(
-                abs(weight(p, proj) - weight_prediction(p.z, m))
-                for m, proj in enumerate(projs)
-            )
-        rows.append({
-            "index": i,
-            "re_z": p.z.real,
-            "im_z": p.z.imag,
-            "modulus": p.modulus,
-            "long_lived": long_lived,
-            "kernel_dim": N - r,
-            "max_weight_residual": res,
-        })
-    return rows
+    z = [p.z for p in pairs] + [0j] * (N - r)
+    res = [max(abs(weight(p, proj) - weight_prediction(p.z, m)) for m, proj in enumerate(projs))
+           for p in pairs] + [0.0] * (N - r)
+    return [{"index": i, "re_z": z[i].real, "im_z": z[i].imag, "modulus": abs(z[i]),
+             "long_lived": i < r, "kernel_dim": N - r, "max_weight_residual": res[i]}
+            for i in range(N)]

@@ -106,7 +106,7 @@ def test_region_R_minus():
         region_R_minus(0)
 
 
-@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("m", range(1, 9))
 def test_region_R_minus_forward_recursion(m):
     # image of (R_-^m minus the opening) under the map is R_-^{m+1}
     s = region_R_minus(m).support
@@ -114,7 +114,7 @@ def test_region_R_minus_forward_recursion(m):
     assert image.intervals == region_R_minus(m + 1).support.intervals
 
 
-@pytest.mark.parametrize("m", range(6))
+@pytest.mark.parametrize("m", range(9))
 def test_region_R_plus_preimage_recursion(m):
     s = region_R_plus(m).support
     pre = IntervalUnion()
@@ -156,6 +156,14 @@ def test_cantor_approx():
         (Fraction(2, 3), Fraction(7, 9)), (Fraction(8, 9), Fraction(1)))
     for level in range(6):
         assert cantor_approx(level).measure == Fraction(2, 3) ** level
+
+
+@pytest.mark.parametrize("level", range(8))
+def test_cantor_approx_recursion(level):
+    # the closed form against the recursion C_{l+1} = C_l/3 u (C_l + 2)/3
+    u = cantor_approx(level)
+    assert u.scale_shift(0, 3).union(u.scale_shift(2, 3)).intervals == \
+        cantor_approx(level + 1).intervals
 
 
 def test_escape_rate_exact():

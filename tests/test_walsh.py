@@ -4,6 +4,7 @@ import pytest
 from openbaker.quantum import escape_projector, opening_projector
 from openbaker.spectral import weight, weight_prediction
 from openbaker.walsh import (
+    ZERO_THRESHOLD,
     WalshConfig,
     _digit_reversal,
     long_lived_spectrum,
@@ -65,7 +66,7 @@ def test_nonzero_count_is_power_of_two(k):
 
 
 def test_nonzero_count_threshold_stable():
-    for t in (1e-12, 1e-10, 1e-8):
+    for t in (1e-12, 1e-10, 1e-8, ZERO_THRESHOLD):
         assert nonzero_count(3, threshold=t) == 8
 
 
@@ -81,13 +82,26 @@ def test_nilpotent_remainder():
 
 def test_long_lived_spectrum_refined():
     s = long_lived_spectrum(3)
-    r = nonzero_count(3)
-    for p in s.pairs[:r]:
+    assert len(s.pairs) == nonzero_count(3) == 8
+    for p in s.pairs:
         assert p.residual_right < 1e-12
         assert p.residual_left < 1e-12
         assert p.modulus > 0.1
-    for p in s.pairs[r:]:
-        assert p.modulus < 1e-5
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_kernel_reported_as_exact_zeros(k):
+    """Only the 2^k trapped-subspace pairs are resonances; the report gives
+    the N - 2^k kernel rows z = 0 exactly and no round-off fragment."""
+    N, r = 3**k, 2**k
+    assert len(long_lived_spectrum(k).pairs) == r
+    rows = walsh_spectrum_report(k)
+    assert len(rows) == N
+    assert all(row["long_lived"] for row in rows[:r])
+    for row in rows[r:]:
+        assert row["re_z"] == row["im_z"] == row["modulus"] == 0.0
+        assert not row["long_lived"] and row["kernel_dim"] == N - r
+    assert not any(0.0 < row["modulus"] < 1e-3 for row in rows)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
@@ -97,7 +111,8 @@ def test_long_lived_subspace_cross_check(k):
     biorthogonality inside the degenerate clusters and the exact weights."""
     N, r = 3**k, 2**k
     Ut = walsh_open_baker(k)
-    top = long_lived_spectrum(k).pairs[:r]
+    top = long_lived_spectrum(k).pairs
+    assert len(top) == r
     z = np.array([p.z for p in top])
     ev = np.linalg.eigvals(Ut)
     dense = list(ev[np.argsort(-np.abs(ev))][:r])
@@ -123,7 +138,7 @@ def test_weight_formula_exact(k):
     N = 3**k
     s = long_lived_spectrum(k)
     projs = [escape_projector(m, N) for m in range(k)]
-    for p in s.pairs[: nonzero_count(k)]:
+    for p in s.pairs:
         for m, proj in enumerate(projs):
             assert abs(weight(p, proj) - weight_prediction(p.z, m)) < 1e-12
 
@@ -133,13 +148,13 @@ def test_moduli_structure():
     products; at any k the largest is sqrt(2/3 + ...) — check the invariant
     that all 2^k nonzero moduli are <= the k = 1-step bound and > 0."""
     s = long_lived_spectrum(4)
-    mods = [p.modulus for p in s.pairs[: nonzero_count(4)]]
+    mods = [p.modulus for p in s.pairs]
     assert all(0.0 < m <= 1.0 for m in mods)
     # spectrum is closed under complex conjugation
     zs = sorted((round(p.z.real, 9), round(abs(p.z.imag), 9))
-                for p in s.pairs[: nonzero_count(4)])
+                for p in s.pairs)
     conj = sorted((round(p.z.real, 9), round(abs(np.conj(p.z).imag), 9))
-                  for p in s.pairs[: nonzero_count(4)])
+                  for p in s.pairs)
     assert zs == conj
 
 
