@@ -99,51 +99,6 @@ class IntervalUnion:
         x = _as_fraction(x)
         return any(a <= x < b for a, b in self.intervals)
 
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        # merge endpoint lists; from_pairs rejects genuine overlaps, so
-        # resolve them here by sweeping.
-        points = sorted(set(
-            [p for iv in self.intervals for p in iv]
-            + [p for iv in other.intervals for p in iv]
-        ))
-        out = []
-        for a, b in zip(points, points[1:]):
-            mid = (a + b) / 2
-            if self.contains(mid) or other.contains(mid):
-                out.append((a, b))
-        return IntervalUnion.from_pairs(out)
-
-    def intersection(self, other: "IntervalUnion") -> "IntervalUnion":
-        out = []
-        for a, b in self.intervals:
-            for c, d in other.intervals:
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalUnion.from_pairs(out)
-
-    def difference(self, other: "IntervalUnion") -> "IntervalUnion":
-        out = []
-        for a, b in self.intervals:
-            cuts = [a, b]
-            for c, d in other.intervals:
-                if c > a and c < b:
-                    cuts.append(c)
-                if d > a and d < b:
-                    cuts.append(d)
-            cuts = sorted(set(cuts))
-            for lo, hi in zip(cuts, cuts[1:]):
-                if not other.contains((lo + hi) / 2):
-                    out.append((lo, hi))
-        return IntervalUnion.from_pairs(out)
-
-    def scale_shift(self, num, den) -> "IntervalUnion":
-        """Affine image x -> (x + num) / den of every interval."""
-        num, den = Fraction(num), Fraction(den)
-        return IntervalUnion.from_pairs(
-            [((a + num) / den, (b + num) / den) for a, b in self.intervals]
-        )
-
     def __bool__(self) -> bool:
         return bool(self.intervals)
 

@@ -10,6 +10,10 @@ propagator commutes with parity, and the published eigenvalue window for
 the longest-lived states (top modulus about 0.89 at N = 3^7) is the one
 seen after symmetry reduction, while the full spectrum's top modulus is
 0.939.
+
+Open spectra never diagonalize the N x N propagator: a parity sector is its
+folded N/3 kept block plus the exact kernel of the opening (z = 0), and the
+full spectrum is both sectors merged; the closed map keeps dense blocks.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .phase_space import (
     self_similarity_score,
     wigner_grid_average,
 )
-from .quantum import baker_unitary, escape_projector, open_propagator, sector_block
+from .quantum import baker_unitary, escape_projector, sector_block
 from .spectral import (
     Spectrum,
     eigendecompose,
@@ -115,7 +119,15 @@ class ExperimentRecord:
 
 @lru_cache(maxsize=6)
 def open_spectrum(N: int) -> Spectrum:
-    return eigendecompose(open_propagator(N))
+    """Full spectrum of the open propagator: the pairs of both parity
+    sectors, folded from one U and merged in (-|z|, phase) order; their
+    vectors are views of the sector columns."""
+    U = baker_unitary(N)
+    # both LAPACK solves first: NumPy's BLAS threads spinning after a product slow them
+    even, odd = [_folded_block_eig(U, sign) for sign in (1.0, -1.0)]
+    pairs = _folded_sector_pairs(U, 1.0, *even) + _folded_sector_pairs(U, -1.0, *odd)
+    z = np.array([p.z for p in pairs])
+    return Spectrum(N, tuple(pairs[i] for i in np.lexsort((np.angle(z), -np.abs(z)))))
 
 
 @lru_cache(maxsize=6)
@@ -129,10 +141,43 @@ def closed_spectrum(N: int, sector: str = "full") -> Spectrum:
 @lru_cache(maxsize=8)
 def sector_spectrum(N: int, sector: str) -> Spectrum:
     """Spectrum of the open propagator restricted to one parity sector,
-    with eigenvectors lifted back to the full N-dimensional space."""
+    with eigenvectors in the full N-dimensional space."""
     if sector == "full":
         return open_spectrum(N)
-    return _lifted_sector_spectrum(open_propagator(N), sector)
+    if sector not in ("even", "odd"):
+        raise ValueError("sector must be 'even', 'odd' or 'full'")
+    U, sign = baker_unitary(N), 1.0 if sector == "even" else -1.0
+    return Spectrum(N, _folded_sector_pairs(U, sign, *_folded_block_eig(U, sign)))
+
+
+def _folded_block_eig(U: np.ndarray, sign: float) -> tuple:
+    """Eigenvalues with left and right eigenvectors of the folded kept block
+    of the even (sign 1) or odd (-1) sector, for i, j < t = N/3, i' = N-1-i:
+        A[i, j] = (U[i, j] + U[i', j']) / 2 +- (U[i, j'] + U[i', j]) / 2,
+    which averages both parity images (U commutes with parity only to
+    round-off)."""
+    t = U.shape[0] // 3
+    A = (U[:t, :t] + U[::-1, ::-1][:t, :t] + sign * (U[:t, ::-1][:, :t] + U[::-1][:t, :t])) / 2
+    return la.eig(A, left=True, right=True)
+
+
+def _folded_sector_pairs(U: np.ndarray, sign: float, z, Wl, Wr) -> tuple:
+    """Eigenpairs of U~ = U (I - pi_0) in one parity sector from those of its
+    folded block, without forming U~ or a parity basis: right vectors
+    U~ (w, +-w reversed), left vectors (w_l, 0, +-w_l reversed), and the exact
+    kernel of the opening pairs (n, n'), z = 0 with right vector
+    (e_n +- e_n')/sqrt 2 (e_n at the middle) and left vector U times it."""
+    N, t = U.shape[0], U.shape[0] // 3
+    # opening indices n <= n' (n < n' when odd); column n holds n's kernel pair
+    n = np.arange(t, (N + 1) // 2 if sign > 0 else N // 2)
+    V, L = np.zeros((2, N, t + len(n)), dtype=complex)
+    V[:, :t] = U[:, :t] @ Wr
+    V[:, :t] += U[:, 2 * t:] @ (sign * Wr[::-1])
+    L[:t, :t], L[2 * t:, :t] = Wl, sign * Wl[::-1]
+    V[n, n], V[N - 1 - n, n] = 2**-0.5, sign * 2**-0.5  # middle: e_n/sqrt 2, normalized below
+    L[:, t:] = U[:, t:2 * t] @ V[t:2 * t, t:]
+    z = np.concatenate([z, np.zeros(len(n))])
+    return eigenpairs(U, z, V, L, keep=(slice(0, t), slice(2 * t, N)))
 
 
 def _lifted_sector_spectrum(U: np.ndarray, sector: str) -> Spectrum:

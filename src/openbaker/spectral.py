@@ -1,16 +1,17 @@
-"""Dense non-Hermitian eigendecomposition with matched left/right pairs.
+"""Non-Hermitian eigenpairs with matched left/right vectors.
 
 Resonances of the open propagator are eigenvalues inside the unit disk;
 the decay rate is Gamma = -ln|z|^2. Left and right eigenvectors are
 normalized to unit norm separately (they are not orthogonal to each other).
 
-Every spectrum is built by one function, `eigenpairs(A, z, V, U)`, from
-eigenvalues with right and left eigenvector columns, whether they come from
-the dense eigensolve (`eigendecompose`), a parity-sector block lifted to the
-full space, or the Walsh trapped subspace. It normalizes the columns and
-fixes their phase in place, takes the residuals with one matrix product per
-side, marks the columns read-only and sorts the pairs by (-|z|, phase); the
-vectors of each pair are views of those columns.
+Every spectrum is built by one function, `eigenpairs(A, z, V, U, keep)`,
+from eigenvalues with right and left eigenvector columns, whether they come
+from a dense eigensolve of the closed map (`eigendecompose` or a parity
+block), the folded blocks of the open map, or the Walsh trapped subspace.
+It normalizes the columns and fixes their phase in place, takes the
+residuals against A restricted to the column blocks `keep` (so
+U (I - pi_0) is never formed), marks the columns read-only and sorts the
+pairs by (-|z|, phase); the vectors of each pair are views of those columns.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "weight",
     "weight_prediction",
     "biorthogonality_matrix",
-    "propagation_identity_check",
     "spectrum_csv_rows",
 ]
 
@@ -76,23 +76,33 @@ class Spectrum:
         return np.column_stack([p.left_vec for p in self.pairs])
 
 
-def eigenpairs(A: np.ndarray, z: np.ndarray, V: np.ndarray, U: np.ndarray) -> tuple:
-    """Eigenpairs of A from eigenvalues z with right (V) and left (U)
-    eigenvector columns, sorted by (-|z|, phase).
+def eigenpairs(A: np.ndarray, z: np.ndarray, V: np.ndarray, U: np.ndarray,
+               keep: tuple = (slice(None),)) -> tuple:
+    """Eigenpairs of A~ (A with its columns outside the slices `keep` set to
+    zero) from eigenvalues z with right (V) and left (U) eigenvector
+    columns, sorted by (-|z|, phase).
 
     V and U are normalized in place, each column's largest-modulus component
     is made real positive (a reproducible phase), and both are then marked
-    read-only. The residuals ||A v - z v|| and ||A^H u - conj(z) u|| are
-    reported, not checked.
+    read-only. The residuals ||A~ v - z v|| and ||A~^H u - conj(z) u|| are
+    reported, not checked; both sides share one buffer of V's size.
     """
     for M in (V, U):
         M /= np.linalg.norm(M, axis=0)
         top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
         M /= top / np.abs(top)
         M.flags.writeable = False
-    res_r = np.linalg.norm(A @ V - V * z, axis=0)
-    # A^H U as conj(A^T conj(U)): copies of U's size, none of A's
-    res_l = np.linalg.norm((A.T @ U.conj()).conj() - U * z.conj(), axis=0)
+    R = V * -z
+    for s in keep:
+        R += A[:, s] @ V[s]
+    res_r = np.linalg.norm(R, axis=0)
+    # ||A~^H u - conj(z) u|| = ||A~^T conj(u) - z conj(u)||; no copy of A
+    Uc = np.conjugate(U, out=R)
+    products = [A[:, s].T @ Uc for s in keep]
+    Uc *= -z
+    for s, P in zip(keep, products):
+        Uc[s] += P
+    res_l = np.linalg.norm(Uc, axis=0)
     order = np.lexsort((np.angle(z), -np.abs(z)))
     return tuple(ResonanceEigenpair(complex(z[i]), V[:, i], U[:, i],
                                     float(res_r[i]), float(res_l[i])) for i in order)
@@ -140,16 +150,6 @@ def biorthogonality_matrix(s: Spectrum) -> np.ndarray:
     """Entries |<left_n | right_m>|; off-diagonals vanish for distinct
     eigenvalues, diagonals measure eigenbasis conditioning."""
     return np.abs(s.left_matrix().conj().T @ s.right_matrix())
-
-
-def propagation_identity_check(s: Spectrum, U_tilde: np.ndarray, m: int) -> float:
-    """Max over pairs of || U~^m v - z^m v ||."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    A = np.linalg.matrix_power(np.asarray(U_tilde, dtype=complex), m)
-    V = s.right_matrix()
-    Z = s.eigenvalues() ** m
-    return float(np.linalg.norm(A @ V - V * Z[None, :], axis=0).max())
 
 
 def spectrum_csv_rows(s: Spectrum):

@@ -45,7 +45,6 @@ from openbaker.quantum import (
     escape_projector,
     open_propagator,
     opening_projector,
-    sector_block,
 )
 from openbaker.spectral import (
     biorthogonality_matrix,
@@ -54,6 +53,7 @@ from openbaker.spectral import (
     weight_prediction,
 )
 from openbaker.walsh import long_lived_spectrum, nonzero_count, walsh_open_baker
+from interval_ops import difference, scale_shift, union
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
 
@@ -149,11 +149,6 @@ def test_criterion_05_walsh_exactness():
            f"counts = 2^k: {counts_ok}, max weight residual {worst:.3e} (< 1e-8)")
 
 
-def _sector_moduli(N: int, sector: str) -> np.ndarray:
-    A, _ = sector_block(open_propagator(N), sector)
-    return np.abs(np.linalg.eigvals(A))
-
-
 def test_criterion_06_fractal_weyl(even_2187):
     """The number of long-lived resonances grows like N^(ln 2 / ln 3)."""
     N_list = [27, 81, 243, 729, 2187]
@@ -163,7 +158,7 @@ def test_criterion_06_fractal_weyl(even_2187):
             counts.append(int((open_spectrum(N).moduli() > 0.5).sum()))
         else:
             c = int((even_2187.moduli() > 0.5).sum())
-            c += int((_sector_moduli(N, "odd") > 0.5).sum())
+            c += int((sector_spectrum(N, "odd").moduli() > 0.5).sum())
             counts.append(c)
     slope = float(np.polyfit(np.log(N_list), np.log(counts), 1)[0])
     walsh_ok = all(nonzero_count(k) == 2**k for k in (3, 4, 5))
@@ -243,12 +238,12 @@ def test_criterion_10_classical_exactness():
         s = region_R_plus(m).support
         pre = IntervalUnion()
         for d in (0, 1, 2):
-            pre = pre.union(s.scale_shift(d, 3))
-        rec_plus_ok &= (pre.difference(opening().support).intervals
+            pre = union(pre, scale_shift(s, d, 3))
+        rec_plus_ok &= (difference(pre, opening().support).intervals
                         == region_R_plus(m + 1).support.intervals)
     rec_minus_ok = all(
-        region_R_minus(m).support.scale_shift(0, 3)
-        .union(region_R_minus(m).support.scale_shift(2, 3)).intervals
+        union(scale_shift(region_R_minus(m).support, 0, 3),
+              scale_shift(region_R_minus(m).support, 2, 3)).intervals
         == region_R_minus(m + 1).support.intervals
         for m in range(1, 6))
     rate_err = abs(escape_rate_estimate(8) - math.log(1.5))

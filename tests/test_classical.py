@@ -19,6 +19,7 @@ from openbaker.classical import (
     region_R_minus,
     region_R_plus,
 )
+from interval_ops import difference, intersection, scale_shift, union
 
 
 def test_baker_forward_branches():
@@ -110,7 +111,7 @@ def test_region_R_minus():
 def test_region_R_minus_forward_recursion(m):
     # image of (R_-^m minus the opening) under the map is R_-^{m+1}
     s = region_R_minus(m).support
-    image = s.scale_shift(0, 3).union(s.scale_shift(2, 3))
+    image = union(scale_shift(s, 0, 3), scale_shift(s, 2, 3))
     assert image.intervals == region_R_minus(m + 1).support.intervals
 
 
@@ -119,8 +120,8 @@ def test_region_R_plus_preimage_recursion(m):
     s = region_R_plus(m).support
     pre = IntervalUnion()
     for d in (0, 1, 2):
-        pre = pre.union(s.scale_shift(d, 3))
-    assert pre.difference(opening().support).intervals == \
+        pre = union(pre, scale_shift(s, d, 3))
+    assert difference(pre, opening().support).intervals == \
         region_R_plus(m + 1).support.intervals
 
 
@@ -131,13 +132,13 @@ def test_R_plus_R_minus_digit_symmetry():
 
 
 def test_R_plus_disjointness():
-    union = IntervalUnion()
+    covered = IntervalUnion()
     for m in range(9):
         sup = region_R_plus(m).support
-        assert union.intersection(sup).measure == 0
-        union = union.union(sup)
+        assert intersection(covered, sup).measure == 0
+        covered = union(covered, sup)
         # escape regions never meet the Cantor approximant one level deeper
-        assert cantor_approx(m + 1).intersection(sup).measure == 0
+        assert intersection(cantor_approx(m + 1), sup).measure == 0
 
 
 def test_R_plus_measure_partial_sums():
@@ -162,7 +163,7 @@ def test_cantor_approx():
 def test_cantor_approx_recursion(level):
     # the closed form against the recursion C_{l+1} = C_l/3 u (C_l + 2)/3
     u = cantor_approx(level)
-    assert u.scale_shift(0, 3).union(u.scale_shift(2, 3)).intervals == \
+    assert union(scale_shift(u, 0, 3), scale_shift(u, 2, 3)).intervals == \
         cantor_approx(level + 1).intervals
 
 

@@ -1,0 +1,90 @@
+"""The open spectrum built from the two index-folded N/3 blocks and the exact
+opening kernel, checked against routes that share none of its code: the
+dense eigensolve of U~ = U_N (I - pi_0), the dense propagator itself, and
+the time-reversal symmetry that maps right vectors to left ones."""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg as la
+
+from openbaker.experiments import open_spectrum, sector_spectrum
+from openbaker.quantum import dft_matrix, open_propagator
+
+# Resonance tolerance by modulus band, as (lower bound, tolerance): the
+# values of SPECTRUM_TOLERANCE in bench/checks.py, measured there across the
+# full dense, deflated and parity routes. Below RESONANCE_FLOOR the
+# eigenvalues are round-off fragments of the nilpotent zero cluster.
+BAND_TOLERANCE = ((0.03, 1e-10), (0.01, 2e-9), (0.003, 5e-6), (0.0, 1e-3))
+RESONANCE_FLOOR = 1e-3
+
+
+def _tolerance(modulus: float) -> float:
+    return next(tol for lower, tol in BAND_TOLERANCE if modulus >= lower)
+
+
+@pytest.mark.parametrize("N", [81, 243, 729])
+def test_resonances_match_dense_eigensolve(N):
+    """Every resonance above the zero cluster agrees with LAPACK on the
+    dense N x N propagator, matched one to one, largest modulus first."""
+    ref = la.eigvals(open_propagator(N))
+    ref = ref[np.abs(ref) > RESONANCE_FLOOR]
+    got = open_spectrum(N).eigenvalues()
+    got = got[np.abs(got) > RESONANCE_FLOOR]
+    assert len(got) == len(ref)
+    used = np.zeros(len(got), dtype=bool)
+    for a in ref[np.argsort(-np.abs(ref))]:
+        d = np.where(used, np.inf, np.abs(got - a))
+        j = int(np.argmin(d))
+        assert d[j] <= _tolerance(abs(a)), f"resonance {a} unmatched ({d[j]:.3g})"
+        used[j] = True
+
+
+@pytest.mark.parametrize("N", [3, 6, 9, 12, 81])
+def test_sector_sizes_and_exact_kernel(N):
+    t = N // 3
+    even, odd = sector_spectrum(N, "even"), sector_spectrum(N, "odd")
+    assert len(even.pairs) == math.ceil(N / 2) and len(odd.pairs) == N // 2
+    assert len(open_spectrum(N).pairs) == N
+    Ut = open_propagator(N)
+    outside = np.r_[0:t, 2 * t:N]
+    for s, kernel_dim in ((even, math.ceil(t / 2)), (odd, t // 2)):
+        kernel = [p for p in s.pairs if p.z == 0.0]
+        assert len(kernel) == kernel_dim
+        for p in kernel:
+            assert p.residual_right == 0.0 and math.isinf(p.gamma)
+            assert np.all(p.right_vec[outside] == 0)
+            assert np.all(Ut @ p.right_vec == 0)
+            assert np.linalg.norm(Ut.conj().T @ p.left_vec) < 1e-13
+    if N == 3:
+        assert len(odd.pairs) == 1 and odd.pairs[0].z != 0.0
+    with pytest.raises(ValueError):
+        sector_spectrum(N, "sideways")
+
+
+def test_reported_residuals_are_those_of_the_dense_propagator():
+    """The residuals taken through U's kept column blocks equal those of
+    the dense U~ applied to the same vectors."""
+    N = 81
+    Ut = open_propagator(N)
+    for p in open_spectrum(N).pairs:
+        r = np.linalg.norm(Ut @ p.right_vec - p.z * p.right_vec)
+        l = np.linalg.norm(Ut.conj().T @ p.left_vec - np.conj(p.z) * p.left_vec)
+        assert abs(p.residual_right - r) < 1e-14
+        assert abs(p.residual_left - l) < 1e-14
+        assert max(r, l) < 1e-13
+
+
+@pytest.mark.parametrize("N", [27, 81, 243])
+def test_time_reversal_maps_right_to_left_vectors(N):
+    """U~^T = F U~ F^-1, so the left vector of z is conj(F v) up to a
+    phase; this checks the folded left vectors without LAPACK's left
+    solver."""
+    F, Ut = dft_matrix(N), open_propagator(N)
+    assert np.abs(Ut.T - F @ Ut @ F.conj().T).max() < 1e-13
+    for p in open_spectrum(N).pairs:
+        if p.modulus > 0.1:
+            w = np.conj(F @ p.right_vec)
+            w /= np.linalg.norm(w)
+            assert 1 - abs(np.vdot(w, p.left_vec)) < 1e-12

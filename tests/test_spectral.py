@@ -12,7 +12,6 @@ from openbaker.spectral import (
     biorthogonality_matrix,
     eigendecompose,
     eigenpairs,
-    propagation_identity_check,
     select_long_lived,
     spectrum_csv_rows,
     weight,
@@ -112,6 +111,16 @@ def test_biorthogonality(spec27):
     distinct = np.abs(Z[:, None] - Z[None, :]) > 1e-8
     off = M[distinct & ~np.eye(27, dtype=bool)]
     assert off.max() < 1e-10
+
+
+def propagation_identity_check(s, U_tilde, m: int) -> float:
+    """Max over pairs of || U~^m v - z^m v ||."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    A = np.linalg.matrix_power(np.asarray(U_tilde, dtype=complex), m)
+    V = s.right_matrix()
+    Z = s.eigenvalues() ** m
+    return float(np.linalg.norm(A @ V - V * Z[None, :], axis=0).max())
 
 
 def test_propagation_identity(spec27):
