@@ -37,7 +37,6 @@ from .classical import (
     region_R_plus,
 )
 from .phase_space import (
-    DensityGrid,
     average_density,
     cantor_mass,
     husimi_grids,
@@ -45,6 +44,7 @@ from .phase_space import (
     momentum_density,
     position_density,
     self_similarity_score,
+    unit_sum,
     wigner_grid_average,
 )
 from .quantum import baker_unitary, escape_projector, sector_block
@@ -302,19 +302,19 @@ def run_husimi_figure(cfg: RunConfig) -> ExperimentRecord:
     avg_r = average_density(husimi_grids([p.right_vec for p in sel], G))
     avg_l = average_density(husimi_grids([p.left_vec for p in sel], G))
     band = interval_mask(cantor_approx(1), G)
-    right_mass = float(avg_r.values[:, band].sum())   # horizontal Cantor band
-    left_mass = float(avg_l.values[band, :].sum())    # vertical Cantor band
+    right_mass = float(avg_r[:, band].sum())   # horizontal Cantor band
+    left_mass = float(avg_l[band, :].sum())    # vertical Cantor band
 
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     cfgd = cfg.as_dict()
-    io_utils.write_pgm(out / f"husimi_right_{N}.pgm", avg_r.values, cfgd)
-    io_utils.write_pgm(out / f"husimi_left_{N}.pgm", avg_l.values, cfgd)
-    rows = [[str(i), str(j), io_utils.fmt(avg_r.values[i, j])]
+    io_utils.write_pgm(out / f"husimi_right_{N}.pgm", avg_r, cfgd)
+    io_utils.write_pgm(out / f"husimi_left_{N}.pgm", avg_l, cfgd)
+    rows = [[str(i), str(j), io_utils.fmt(avg_r[i, j])]
             for i in range(G) for j in range(G)]
     _emit(cfg, f"husimi_right_{N}", ["q_index", "p_index", "value"], rows)
 
-    W = wigner_grid_average([p.right_vec for p in sel]).values
+    W = wigner_grid_average([p.right_vec for p in sel])
     io_utils.write_pgm(out / f"wigner_pos_{N}.pgm", np.maximum(W, 0.0), cfgd)
     io_utils.write_pgm(out / f"wigner_neg_{N}.pgm", np.maximum(-W, 0.0), cfgd)
     io_utils.write_pgm(out / f"wigner_sign_{N}.pgm", (W >= 0).astype(float), cfgd, bits=8)
@@ -326,7 +326,7 @@ def run_husimi_figure(cfg: RunConfig) -> ExperimentRecord:
 
     closed = select_long_lived(closed_spectrum(N, cfg.sector), count)
     closed_r = average_density(husimi_grids([p.right_vec for p in closed], G))
-    closed_mass = float(closed_r.values[:, band].sum())
+    closed_mass = float(closed_r[:, band].sum())
 
     results = {"count": count, "right_band_mass": right_mass,
                "left_band_mass": left_mass, "closed_band_mass": closed_mass}
@@ -346,6 +346,11 @@ def _modulus_bin(s: Spectrum, lo: float, hi: float):
         widened += 1
 
 
+def _density_rows(values, N: int):
+    """CSV rows (index, grid point (i + 1/2)/N, value) of a 1D density."""
+    return [[str(i), io_utils.fmt((i + 0.5) / N), io_utils.fmt(v)] for i, v in enumerate(values)]
+
+
 def run_density_figures(cfg: RunConfig) -> ExperimentRecord:
     """Momentum density of the longest-lived right states with a x3
     magnification (Fig. 3) and position densities for two decay-rate bins
@@ -358,33 +363,25 @@ def run_density_figures(cfg: RunConfig) -> ExperimentRecord:
     results["fig3_modulus_max"] = max(p.modulus for p in sel)
     results["fig3_modulus_min"] = min(p.modulus for p in sel)
     mdens = average_density([momentum_density(p.right_vec) for p in sel])
-    mag = DensityGrid(mdens.values[: N // 3], "momentum").unit_sum()
-    rows = [[str(i), io_utils.fmt((i + 0.5) / N), io_utils.fmt(v)]
-            for i, v in enumerate(mdens.values)]
-    _emit(cfg, f"fig3_momentum_density_{N}", ["index", "p", "value"], rows)
-    rows = [[str(i), io_utils.fmt((i + 0.5) / N), io_utils.fmt(v)]
-            for i, v in enumerate(mag.values)]
-    _emit(cfg, f"fig3_magnification_{N}", ["index", "p_unmagnified", "value"], rows)
+    _emit(cfg, f"fig3_momentum_density_{N}", ["index", "p", "value"], _density_rows(mdens, N))
+    _emit(cfg, f"fig3_magnification_{N}", ["index", "p_unmagnified", "value"],
+          _density_rows(unit_sum(mdens[: N // 3]), N))
     results["fig3_cantor_mass_level2"] = cantor_mass(mdens, 2)
     results["fig3_self_similarity"] = self_similarity_score(mdens)
 
     for tag, (lo, hi) in {"low": (0.35, 0.45), "high": (0.65, 0.75)}.items():
         bin_pairs, widened = _modulus_bin(s, lo, hi)
         pdens = average_density([position_density(p.right_vec) for p in bin_pairs])
-        rows = [[str(i), io_utils.fmt((i + 0.5) / N), io_utils.fmt(v)]
-                for i, v in enumerate(pdens.values)]
-        _emit(cfg, f"fig4_{tag}_position_density_{N}", ["index", "q", "value"], rows)
-        mag = DensityGrid(pdens.values[: N // 3], "position").unit_sum()
-        rows = [[str(i), io_utils.fmt((i + 0.5) / N), io_utils.fmt(v)]
-                for i, v in enumerate(mag.values)]
-        _emit(cfg, f"fig4_{tag}_magnification_{N}", ["index", "q_unmagnified", "value"], rows)
+        _emit(cfg, f"fig4_{tag}_position_density_{N}", ["index", "q", "value"],
+              _density_rows(pdens, N))
+        _emit(cfg, f"fig4_{tag}_magnification_{N}", ["index", "q_unmagnified", "value"],
+              _density_rows(unit_sum(pdens[: N // 3]), N))
         results[f"fig4_{tag}_count"] = len(bin_pairs)
         results[f"fig4_{tag}_widened_steps"] = widened
         results[f"fig4_{tag}_self_similarity"] = self_similarity_score(pdens)
 
     rng = np.random.default_rng(cfg.seed)
-    noise = DensityGrid(rng.random(N), "position")
-    results["noise_self_similarity"] = self_similarity_score(noise)
+    results["noise_self_similarity"] = self_similarity_score(rng.random(N))
 
     _emit(cfg, f"density_scores_{N}", ["quantity", "value"],
           [[k, io_utils.fmt(v)] for k, v in results.items()])

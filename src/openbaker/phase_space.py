@@ -3,7 +3,8 @@
 Conventions: position grid q_n = (n+1/2)/N, antiperiodic wavefunctions
 (psi(q+1) = -psi(q)), Gaussian coherent states of width sigma_q =
 1/sqrt(2 pi N). The Wigner function lives on the doubled 2N x 2N grid of
-half-integer phase-space points.
+half-integer phase-space points. Every distribution is a plain real array:
+densities of length N, Husimi images (G, G), Wigner grids (2N, 2N).
 
 Every transform here is an FFT or a GEMM. The antiperiodic DFT is a plain
 FFT of the twiddled state psi_n e^{-i pi n/N}: of length N for momentum
@@ -19,8 +20,6 @@ centre) by the same formula as `coherent_vector`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -28,20 +27,14 @@ import numpy as np
 from .classical import IntervalUnion, TorusPoint, cantor_approx
 
 __all__ = [
-    "CoherentState",
-    "DensityGrid",
-    "WignerGrid",
-    "Normalization",
-    "coherent_state",
     "coherent_vector",
-    "husimi_grid",
     "husimi_grids",
-    "wigner_grid",
     "wigner_grid_average",
     "wigner_position_marginal",
     "wigner_momentum_marginal",
     "position_density",
     "momentum_density",
+    "unit_sum",
     "average_density",
     "interval_mask",
     "cantor_mass",
@@ -49,43 +42,6 @@ __all__ = [
     "self_similarity_score",
     "kill_property_check",
 ]
-
-
-class Normalization(Enum):
-    UNIT_SUM = "unit_sum"
-    RAW = "raw"
-
-
-@dataclass(frozen=True)
-class DensityGrid:
-    values: np.ndarray
-    axis: str  # "position", "momentum" or "phase_space"
-    normalization: Normalization = Normalization.RAW
-
-    def unit_sum(self) -> "DensityGrid":
-        total = self.values.sum()
-        if total <= 0:
-            raise ValueError("cannot normalize a zero-mass grid")
-        return DensityGrid(self.values / total, self.axis, Normalization.UNIT_SUM)
-
-
-@dataclass(frozen=True)
-class WignerGrid:
-    """Signed quasi-distribution on the doubled grid; values[j, l] sits at
-    (q, p) = (j/(2N), l-dependent momentum), row sums give momentum slices."""
-
-    values: np.ndarray  # shape (2N, 2N), real
-
-    @property
-    def N(self) -> int:
-        return self.values.shape[0] // 2
-
-
-@dataclass(frozen=True)
-class CoherentState:
-    center: TorusPoint
-    N: int
-    vector: np.ndarray
 
 
 def _packets(q0: np.ndarray, p0s, N: int):
@@ -109,13 +65,9 @@ def _packets(q0: np.ndarray, p0s, N: int):
 
 def coherent_vector(center: TorusPoint, N: int) -> np.ndarray:
     """Unit-norm Gaussian wave packet at (q0, p0) with antiperiodic wrapping."""
-    return next(_packets(np.array([center.q]), [center.p], N))[0]
-
-
-def coherent_state(center: TorusPoint, N: int) -> CoherentState:
     if N < 3:
         raise ValueError("N must be >= 3")
-    return CoherentState(center, N, coherent_vector(center, N))
+    return next(_packets(np.array([center.q]), [center.p], N))[0]
 
 
 @lru_cache(maxsize=4)
@@ -131,20 +83,15 @@ def _coherent_bank(N: int, G: int) -> np.ndarray:
     return bank
 
 
-def husimi_grid(state: np.ndarray, G: int) -> DensityGrid:
-    """G x G Husimi distribution of unit sum: values[i, j] = |<x_ij | psi>|^2
-    at x_ij = ((i+1/2)/G, (j+1/2)/G), i indexing position and j momentum."""
-    return husimi_grids([state], G)[0]
-
-
 def husimi_grids(states, G: int):
-    """Husimi distributions of many states sharing one coherent bank."""
+    """G x G Husimi distributions of unit sum, one per state, from one shared
+    coherent bank: H[i, j] = |<x_ij | psi>|^2 at x_ij = ((i+1/2)/G,
+    (j+1/2)/G), i indexing position and j momentum."""
     if G < 8:
         raise ValueError("G must be >= 8")
     V = np.column_stack([np.asarray(s, dtype=complex) for s in states])
     H = np.abs(_coherent_bank(V.shape[0], G) @ V) ** 2  # (G*G, n_states)
-    return [DensityGrid(H[:, c].reshape(G, G), "phase_space").unit_sum()
-            for c in range(H.shape[1])]
+    return [unit_sum(H[:, c].reshape(G, G)) for c in range(H.shape[1])]
 
 
 def _antiperiodic_fft(X: np.ndarray, n: int) -> np.ndarray:
@@ -155,17 +102,13 @@ def _antiperiodic_fft(X: np.ndarray, n: int) -> np.ndarray:
     return np.fft.fft(X * np.exp(-1j * np.pi * np.arange(N) / N)[:, None], n=n, axis=0)
 
 
-def wigner_grid(state: np.ndarray) -> WignerGrid:
-    """Discrete Wigner function from displaced-parity phase-point operators.
+def wigner_grid_average(states) -> np.ndarray:
+    """Mean discrete Wigner function of several states, from displaced-parity
+    phase-point operators, as a real (2N, 2N) array.
 
-    W[j, l] is real; the total over the doubled grid is 1 and the marginals
-    reproduce the position and momentum densities (see the marginal
-    helpers for the index bookkeeping)."""
-    return wigner_grid_average([state])
-
-
-def wigner_grid_average(states) -> WignerGrid:
-    """Mean Wigner function of several states.
+    W[j, l] sits at (q, p) = (j/(2N), l-dependent momentum); the total over
+    the doubled grid is 1 and the marginals reproduce the position and
+    momentum densities (see the marginal helpers for the index bookkeeping).
 
     The transform is bilinear in the half-grid amplitudes
     Y_s = N^{-1/2} sum_n psi_n exp(-2 pi i (n+1/2)(s/2+1/2)/N), s < 2N, so
@@ -189,42 +132,50 @@ def wigner_grid_average(states) -> WignerGrid:
     Z[(a >= 2 * N) != (b >= 2 * N)] *= -1.0
     phase = np.exp(1j * np.pi * s * (1.0 - 1.0 / N)).reshape(2, N, 1)
     W = (phase * np.fft.fft(Z, axis=0)).real.reshape(2 * N, 2 * N)
-    return WignerGrid(W / (4.0 * N))
+    return W / (4.0 * N)
 
 
-def wigner_position_marginal(w: WignerGrid) -> np.ndarray:
-    """Position density recovered from the Wigner grid (rows j = 2n+1)."""
-    N = w.N
-    rows = w.values.sum(axis=1)
+def wigner_position_marginal(W: np.ndarray) -> np.ndarray:
+    """Position density recovered from a Wigner grid (rows j = 2n+1)."""
+    N = W.shape[0] // 2
+    rows = W.sum(axis=1)
     return 2.0 * rows[2 * np.arange(N) + 1]
 
 
-def wigner_momentum_marginal(w: WignerGrid) -> np.ndarray:
-    """Momentum density recovered from the Wigner grid."""
-    N = w.N
-    cols = w.values.sum(axis=0)
+def wigner_momentum_marginal(W: np.ndarray) -> np.ndarray:
+    """Momentum density recovered from a Wigner grid."""
+    N = W.shape[0] // 2
+    cols = W.sum(axis=0)
     l = (2 * np.arange(N) - N + 1) % (2 * N)
     return 2.0 * cols[l]
 
 
-def position_density(state: np.ndarray) -> DensityGrid:
-    psi = np.asarray(state, dtype=complex)
-    return DensityGrid(np.abs(psi) ** 2, "position", Normalization.UNIT_SUM)
+def position_density(state: np.ndarray) -> np.ndarray:
+    """|psi_n|^2: of unit sum for a unit-norm state."""
+    return np.abs(np.asarray(state, dtype=complex)) ** 2
 
 
-def momentum_density(state: np.ndarray) -> DensityGrid:
+def momentum_density(state: np.ndarray) -> np.ndarray:
+    """Squared antiperiodic-DFT amplitudes: of unit sum for a unit-norm state."""
     psi = np.asarray(state, dtype=complex)
     y = _antiperiodic_fft(psi[:, None], len(psi))[:, 0]
-    return DensityGrid(np.abs(y) ** 2 / len(psi), "momentum", Normalization.UNIT_SUM)
+    return np.abs(y) ** 2 / len(psi)
 
 
-def average_density(densities) -> DensityGrid:
+def unit_sum(values: np.ndarray) -> np.ndarray:
+    """`values` divided by their total."""
+    total = values.sum()
+    if total <= 0:
+        raise ValueError("cannot normalize a zero-mass grid")
+    return values / total
+
+
+def average_density(densities) -> np.ndarray:
     """Arithmetic mean of same-shape densities, renormalized to unit sum."""
     densities = list(densities)
     if not densities:
         raise ValueError("need at least one density")
-    vals = np.mean([d.values for d in densities], axis=0)
-    return DensityGrid(vals, densities[0].axis).unit_sum()
+    return unit_sum(np.mean(densities, axis=0))
 
 
 def interval_mask(support: IntervalUnion, L: int) -> np.ndarray:
@@ -236,26 +187,25 @@ def interval_mask(support: IntervalUnion, L: int) -> np.ndarray:
     return mask
 
 
-def cantor_mass(d: DensityGrid, level: int) -> float:
+def cantor_mass(values: np.ndarray, level: int) -> float:
     """Fraction of the total mass lying in the level-`level` Cantor cells."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    L = len(d.values)
+    L = len(values)
     if L % 3**level != 0:
         raise ValueError(f"grid length {L} not divisible by 3^{level}")
-    return band_mass(d, cantor_approx(level))
+    return band_mass(values, cantor_approx(level))
 
 
-def band_mass(d: DensityGrid, support: IntervalUnion) -> float:
+def band_mass(values: np.ndarray, support: IntervalUnion) -> float:
     """Fraction of mass of a 1D density inside an interval union."""
-    vals = d.values
-    return float(vals[interval_mask(support, len(vals))].sum() / vals.sum())
+    return float(values[interval_mask(support, len(values))].sum() / values.sum())
 
 
-def self_similarity_score(d: DensityGrid, factor: int = 3) -> float:
+def self_similarity_score(values: np.ndarray, factor: int = 3) -> float:
     """Pearson correlation of the first 1/factor of the density against the
     block-averaged full density."""
-    vals = np.asarray(d.values, dtype=float)
+    vals = np.asarray(values, dtype=float)
     L = len(vals)
     if L % factor != 0:
         raise ValueError(f"length {L} not divisible by {factor}")

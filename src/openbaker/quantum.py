@@ -2,64 +2,30 @@
 
 The Hilbert space has dimension N (effective hbar = 1/(2 pi N)); position
 grid points sit at q_n = (n + 1/2)/N, matching the half-integer offsets of
-the antiperiodic discrete Fourier transform.
+the antiperiodic discrete Fourier transform. A projector onto a vertical
+strip is diagonal in this basis and is held as its 0/1 diagonal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .classical import Axis, StripRegion, opening, region_R_plus
+from .classical import Axis, StripRegion, region_R_plus
 
 __all__ = [
-    "DiagonalProjector",
     "UnresolvedRegionError",
     "dft_matrix",
     "baker_form",
     "opened",
     "baker_unitary",
     "projector_for_region",
-    "opening_projector",
     "escape_projector",
     "open_propagator",
-    "momentum_transform",
-    "parity_matrix",
 ]
 
 
 class UnresolvedRegionError(ValueError):
     """The grid is too coarse to represent a region exactly."""
-
-
-@dataclass(frozen=True)
-class DiagonalProjector:
-    """Diagonal 0/1 projector onto a set of position indices."""
-
-    dim: int
-    kept_indices: tuple
-
-    def matrix(self) -> np.ndarray:
-        P = np.zeros((self.dim, self.dim), dtype=complex)
-        idx = np.asarray(self.kept_indices, dtype=int)
-        P[idx, idx] = 1.0
-        return P
-
-    def diagonal(self) -> np.ndarray:
-        d = np.zeros(self.dim)
-        d[np.asarray(self.kept_indices, dtype=int)] = 1.0
-        return d
-
-    @property
-    def rank(self) -> int:
-        return len(self.kept_indices)
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(state)
-        idx = np.asarray(self.kept_indices, dtype=int)
-        out[idx] = state[idx]
-        return out
 
 
 def dft_matrix(N: int) -> np.ndarray:
@@ -96,49 +62,36 @@ def baker_unitary(N: int) -> np.ndarray:
     return baker_form(dft_matrix(N), dft_matrix(N // 3))
 
 
-def projector_for_region(region: StripRegion, N: int) -> DiagonalProjector:
-    """Projector onto grid points (n+1/2)/N lying in a vertical strip.
+def projector_for_region(region: StripRegion, N: int) -> np.ndarray:
+    """Read-only 0/1 diagonal (length N, float) of the projector onto the grid
+    points (n+1/2)/N lying in a vertical strip.
 
     Raises UnresolvedRegionError when an interval of the region only
     partially covers some grid cell [n/N, (n+1)/N).
     """
     if region.axis is not Axis.POSITION:
         raise ValueError("only vertical (position) strips quantize to diagonal projectors")
-    kept = []
+    d = np.zeros(N)
     for a, b in region.support.intervals:
         lo, hi = a * N, b * N
         if lo.denominator != 1 or hi.denominator != 1:
             raise UnresolvedRegionError(
                 f"interval [{a},{b}) not aligned with the 1/{N} grid"
             )
-        kept.extend(range(int(lo), int(hi)))
-    return DiagonalProjector(N, tuple(sorted(kept)))
+        d[int(lo):int(hi)] = 1.0
+    d.flags.writeable = False
+    return d
 
 
-def opening_projector(N: int) -> DiagonalProjector:
-    """pi_0: projector onto the opening strip."""
-    return projector_for_region(opening(), N)
-
-
-def escape_projector(m: int, N: int) -> DiagonalProjector:
-    """pi_m: projector onto the escape region R_+^m."""
+def escape_projector(m: int, N: int) -> np.ndarray:
+    """pi_m: diagonal of the projector onto the escape region R_+^m (m = 0 is
+    the opening pi_0)."""
     return projector_for_region(region_R_plus(m), N)
 
 
 def open_propagator(N: int) -> np.ndarray:
     """Open propagator U_tilde = U_N (I - pi_0)."""
     return opened(baker_unitary(N))
-
-
-def momentum_transform(state: np.ndarray) -> np.ndarray:
-    """Map a position-representation vector to the momentum representation."""
-    state = np.asarray(state)
-    return dft_matrix(state.shape[0]) @ state
-
-
-def parity_matrix(N: int) -> np.ndarray:
-    """Parity n -> N-1-n; commutes with U_N thanks to the half-integer shifts."""
-    return np.eye(N)[::-1].astype(complex)
 
 
 def parity_sector_basis(N: int, sector: str) -> np.ndarray:

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .quantum import DiagonalProjector
-
 __all__ = [
     "ResonanceEigenpair",
     "Spectrum",
@@ -32,7 +30,6 @@ __all__ = [
     "select_long_lived",
     "weight",
     "weight_prediction",
-    "biorthogonality_matrix",
     "spectrum_csv_rows",
 ]
 
@@ -125,17 +122,18 @@ def eigendecompose(U_tilde: np.ndarray) -> Spectrum:
 
 def select_long_lived(s: Spectrum, count: int):
     """The `count` pairs of largest modulus (spectrum is pre-sorted)."""
-    if not 1 <= count <= s.N:
-        raise ValueError(f"count must be in [1, {s.N}]")
+    if not 1 <= count <= len(s.pairs):
+        raise ValueError(f"count must be in [1, {len(s.pairs)}], the number of pairs")
     return list(s.pairs[:count])
 
 
-def weight(pair: ResonanceEigenpair, proj: DiagonalProjector, side: str = "right") -> float:
-    """Probability mass of one eigenvector on a diagonal projector."""
+def weight(pair: ResonanceEigenpair, proj: np.ndarray, side: str = "right") -> float:
+    """Probability mass of one eigenvector on a projector given by its 0/1
+    diagonal."""
     vec = pair.right_vec if side == "right" else pair.left_vec
-    if len(vec) != proj.dim:
+    if len(vec) != len(proj):
         raise ValueError("projector dimension does not match eigenvector")
-    return float((proj.diagonal() * np.abs(vec) ** 2).sum())
+    return float((proj * np.abs(vec) ** 2).sum())
 
 
 def weight_prediction(z: complex, m: int) -> float:
@@ -144,12 +142,6 @@ def weight_prediction(z: complex, m: int) -> float:
         raise ValueError("m must be >= 0")
     r2 = abs(z) ** 2
     return r2**m * (1.0 - r2)
-
-
-def biorthogonality_matrix(s: Spectrum) -> np.ndarray:
-    """Entries |<left_n | right_m>|; off-diagonals vanish for distinct
-    eigenvalues, diagonals measure eigenbasis conditioning."""
-    return np.abs(s.left_matrix().conj().T @ s.right_matrix())
 
 
 def spectrum_csv_rows(s: Spectrum):

@@ -27,7 +27,6 @@ instead of 16 nonzero eigenvalues at k = 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +35,6 @@ from .spectral import Spectrum, eigenpairs, weight, weight_prediction
 from .quantum import baker_form, escape_projector, opened
 
 __all__ = [
-    "WalshConfig",
     "walsh_transform",
     "walsh_open_baker",
     "nonzero_count",
@@ -45,19 +43,6 @@ __all__ = [
 ]
 
 ZERO_THRESHOLD = 1e-6
-
-
-@dataclass(frozen=True)
-class WalshConfig:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
-    @property
-    def N(self) -> int:
-        return 3**self.k
 
 
 def _digit_reversal(k: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from openbaker.phase_space import (
     momentum_density,
     position_density,
     self_similarity_score,
-    wigner_grid,
+    wigner_grid_average,
     wigner_momentum_marginal,
     wigner_position_marginal,
 )
@@ -44,10 +44,8 @@ from openbaker.quantum import (
     dft_matrix,
     escape_projector,
     open_propagator,
-    opening_projector,
 )
 from openbaker.spectral import (
-    biorthogonality_matrix,
     select_long_lived,
     weight,
     weight_prediction,
@@ -73,12 +71,12 @@ def test_criterion_01_exact_opening_identity():
     worst = 0.0
     for N in (27, 243, 2187):
         Ut = open_propagator(N)
-        target = np.eye(N) - opening_projector(N).matrix()
+        target = np.eye(N) - np.diag(escape_projector(0, N))
         worst = max(worst, float(np.abs(Ut.conj().T @ Ut - target).max()))
     for k in (3, 5, 7):
         N = 3**k
         Ut = walsh_open_baker(k)
-        target = np.eye(N) - opening_projector(N).matrix()
+        target = np.eye(N) - np.diag(escape_projector(0, N))
         worst = max(worst, float(np.abs(Ut.conj().T @ Ut - target).max()))
     report(1, "exact opening identity", worst < 1e-12,
            f"max entrywise error {worst:.3e} (< 1e-12), standard and Walsh")
@@ -88,7 +86,7 @@ def test_criterion_02_opening_weight_identity():
     """Every eigenstate's opening weight equals 1 - |z|^2 exactly."""
     worst = 0.0
     for N in (243, 729):
-        pi0 = opening_projector(N)
+        pi0 = escape_projector(0, N)
         for p in open_spectrum(N).pairs:
             worst = max(worst, abs(weight(p, pi0) - (1 - p.modulus**2)))
     report(2, "opening weight = 1 - |z|^2", worst < 1e-9,
@@ -175,7 +173,7 @@ def _band_masses(N: int, count: int, G: int = 27, closed: bool = False):
     avg_l = average_density(husimi_grids([p.left_vec for p in sel], G))
     pgrid = (np.arange(G) + 0.5) / G
     band = (pgrid < 1 / 3) | (pgrid >= 2 / 3)
-    return float(avg_r.values[:, band].sum()), float(avg_l.values[band, :].sum())
+    return float(avg_r[:, band].sum()), float(avg_l[band, :].sum())
 
 
 def test_criterion_07_trapped_set_concentration():
@@ -259,7 +257,7 @@ def test_criterion_11_property_suite(tmp_path):
     """Structural invariants: biorthogonality, unit-sum densities, Wigner
     marginals, and byte-identical reruns."""
     s = open_spectrum(81)
-    M = biorthogonality_matrix(s)
+    M = np.abs(s.left_matrix().conj().T @ s.right_matrix())
     Z = s.eigenvalues()
     distinct = (np.abs(Z[:, None] - Z[None, :]) > 1e-8) & ~np.eye(81, dtype=bool)
     bio = float(M[distinct].max())
@@ -267,10 +265,10 @@ def test_criterion_11_property_suite(tmp_path):
     rng = np.random.default_rng(3)
     psi = rng.normal(size=81) + 1j * rng.normal(size=81)
     psi /= np.linalg.norm(psi)
-    sums = [abs(position_density(psi).values.sum() - 1),
-            abs(momentum_density(psi).values.sum() - 1),
-            abs(husimi_grids([psi], 27)[0].values.sum() - 1)]
-    W = wigner_grid(psi)
+    sums = [abs(position_density(psi).sum() - 1),
+            abs(momentum_density(psi).sum() - 1),
+            abs(husimi_grids([psi], 27)[0].sum() - 1)]
+    W = wigner_grid_average([psi])
     marg = max(float(np.abs(wigner_position_marginal(W) - np.abs(psi) ** 2).max()),
                float(np.abs(wigner_momentum_marginal(W)
                             - np.abs(dft_matrix(81) @ psi) ** 2).max()))

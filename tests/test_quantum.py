@@ -7,14 +7,16 @@ from openbaker.quantum import (
     baker_unitary,
     dft_matrix,
     escape_projector,
-    momentum_transform,
     open_propagator,
-    opening_projector,
-    parity_matrix,
     parity_sector_basis,
     projector_for_region,
     sector_block,
 )
+
+
+def parity_matrix(N):
+    """Parity n -> N-1-n as a matrix."""
+    return np.eye(N)[::-1]
 
 
 def test_dft_unitary():
@@ -69,9 +71,9 @@ def test_baker_transports_coherent_state():
 
 
 def test_projector_exact_and_unresolved():
-    pi0 = opening_projector(9)
-    assert pi0.kept_indices == (3, 4, 5)
-    assert pi0.rank == 3
+    pi0 = escape_projector(0, 9)
+    assert np.flatnonzero(pi0).tolist() == [3, 4, 5]
+    assert pi0.sum() == 3
     with pytest.raises(UnresolvedRegionError):
         escape_projector(2, 9)  # needs N divisible by 27
     horizontal = StripRegion(Axis.MOMENTUM, region_R_minus(1).support)
@@ -81,18 +83,19 @@ def test_projector_exact_and_unresolved():
 
 def test_projector_matrix_and_apply():
     pi = escape_projector(1, 27)
-    assert pi.kept_indices == (3, 4, 5, 21, 22, 23)
+    assert np.flatnonzero(pi).tolist() == [3, 4, 5, 21, 22, 23]
+    assert pi.dtype == float and set(np.unique(pi)) == {0.0, 1.0}
+    assert not pi.flags.writeable
     v = np.arange(27, dtype=complex)
-    assert np.allclose(pi.apply(v), pi.matrix() @ v)
-    assert np.allclose(pi.matrix() @ pi.matrix(), pi.matrix())
-    assert pi.diagonal().sum() == pi.rank
+    assert np.allclose(pi * v, np.diag(pi) @ v)
+    assert np.array_equal(np.diag(pi) @ np.diag(pi), np.diag(pi))
 
 
 @pytest.mark.parametrize("m,N", [(0, 9), (1, 27), (2, 81), (3, 243)])
 def test_escape_projector_rank(m, N):
     # rank / N equals the region area (1/3)(2/3)^m exactly
     pi = escape_projector(m, N)
-    assert pi.rank * 3 ** (m + 1) == N * 2**m
+    assert pi.sum() * 3 ** (m + 1) == N * 2**m
 
 
 def test_open_propagator_structure():
@@ -103,7 +106,7 @@ def test_open_propagator_structure():
     assert np.all(Ut[:, 9:18] == 0)
     assert np.allclose(Ut[:, 18:], U[:, 18:])
     # equivalent form U (I - pi_0)
-    pi0 = opening_projector(N).matrix()
+    pi0 = np.diag(escape_projector(0, N))
     assert np.allclose(Ut, U @ (np.eye(N) - pi0), atol=1e-14)
 
 
@@ -112,15 +115,9 @@ def test_exact_subunitarity_identity():
     opening weight of each eigenstate exactly 1 - |z|^2."""
     for N in (9, 27, 81):
         Ut = open_propagator(N)
-        pi0 = opening_projector(N).matrix()
+        pi0 = np.diag(escape_projector(0, N))
         err = np.linalg.norm(Ut.conj().T @ Ut - (np.eye(N) - pi0))
         assert err < 1e-12
-
-
-def test_momentum_transform():
-    N = 27
-    v = np.random.default_rng(3).normal(size=N) + 0j
-    assert np.allclose(momentum_transform(v), dft_matrix(N) @ v)
 
 
 def test_parity_sector_basis():
@@ -132,7 +129,7 @@ def test_parity_sector_basis():
         assert np.allclose(Be.T @ Be, np.eye(Be.shape[1]), atol=1e-14)
         assert np.allclose(Bo.T @ Bo, np.eye(Bo.shape[1]), atol=1e-14)
         assert np.allclose(Be.T @ Bo, 0, atol=1e-14)
-        P = parity_matrix(N).real
+        P = parity_matrix(N)
         assert np.allclose(P @ Be, Be, atol=1e-14)
         assert np.allclose(P @ Bo, -Bo, atol=1e-14)
     with pytest.raises(ValueError):

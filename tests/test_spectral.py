@@ -7,9 +7,9 @@ import scipy.linalg as la
 from hypothesis import given
 from hypothesis import strategies as st
 
-from openbaker.quantum import escape_projector, open_propagator, opening_projector
+from openbaker.experiments import sector_spectrum
+from openbaker.quantum import escape_projector, open_propagator
 from openbaker.spectral import (
-    biorthogonality_matrix,
     eigendecompose,
     eigenpairs,
     select_long_lived,
@@ -106,7 +106,7 @@ def test_left_vectors_vanish_on_opening(spec27):
 
 def test_biorthogonality(spec27):
     _, s = spec27
-    M = biorthogonality_matrix(s)
+    M = np.abs(s.left_matrix().conj().T @ s.right_matrix())
     Z = s.eigenvalues()
     distinct = np.abs(Z[:, None] - Z[None, :]) > 1e-8
     off = M[distinct & ~np.eye(27, dtype=bool)]
@@ -135,7 +135,7 @@ def test_propagation_identity(spec27):
 def test_opening_weight_identity(spec27):
     """weight on the opening equals 1 - |z|^2 exactly (operator identity)."""
     _, s = spec27
-    pi0 = opening_projector(27)
+    pi0 = escape_projector(0, 27)
     for p in s.pairs:
         assert weight(p, pi0) == pytest.approx(1 - p.modulus**2, abs=1e-12)
 
@@ -143,7 +143,7 @@ def test_opening_weight_identity(spec27):
 def test_weight_validation(spec27):
     _, s = spec27
     with pytest.raises(ValueError):
-        weight(s.pairs[0], opening_projector(9))
+        weight(s.pairs[0], escape_projector(0, 9))
     with pytest.raises(ValueError):
         weight_prediction(0.5, -1)
 
@@ -182,6 +182,13 @@ def test_select_long_lived(spec27):
         select_long_lived(s, 0)
     with pytest.raises(ValueError):
         select_long_lived(s, 28)
+    # a parity sector holds fewer pairs than N: asking for more fails
+    # instead of returning fewer
+    even = sector_spectrum(27, "even")
+    assert len(even.pairs) == 14
+    assert len(select_long_lived(even, 14)) == 14
+    with pytest.raises(ValueError, match="number of pairs"):
+        select_long_lived(even, 20)
 
 
 def test_csv_rows(spec27):
@@ -201,4 +208,4 @@ def test_weight_sum_over_escape_depths(spec27):
     p = s.pairs[0]
     total = sum(weight(p, escape_projector(m, 27)) for m in range(2))
     assert total <= 1.0 + 1e-12
-    assert total >= weight(p, opening_projector(27)) - 1e-12
+    assert total >= weight(p, escape_projector(0, 27)) - 1e-12
