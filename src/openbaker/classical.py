@@ -23,7 +23,6 @@ __all__ = [
     "StripRegion",
     "baker_forward",
     "baker_inverse",
-    "opening",
     "region_R_plus",
     "region_R_minus",
     "cantor_approx",
@@ -135,11 +134,6 @@ def baker_inverse(x: TorusPoint) -> TorusPoint:
     """Inverse baker step; the branch is selected by the leading digit of p."""
     d = min(int(3.0 * x.p), 2)
     return TorusPoint((x.q + d) / 3.0, 3.0 * x.p - d)
-
-
-def opening() -> StripRegion:
-    """The absorbing region: the middle vertical strip q in [1/3, 2/3)."""
-    return region_R_plus(0)
 
 
 def _cantor_words(length: int) -> list:

@@ -12,7 +12,6 @@ import sys
 import numpy as np
 
 from .experiments import (
-    ExperimentRecord,
     RunConfig,
     run_classical,
     run_density_figures,
@@ -83,8 +82,8 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    if isinstance(result, ExperimentRecord):
-        print(result.results)
+    if isinstance(result, dict):
+        print(result)
     return 0
 
 

@@ -1,9 +1,10 @@
-"""Figure-level pipelines and reproducible experiment records.
+"""Figure-level pipelines.
 
 Each experiment consumes a RunConfig, writes CSV (or JSON) tables plus PGM
-images under the configured output directory, and returns ExperimentRecord
-objects mirroring the emitted aggregates. CSV bytes are deterministic for a
-fixed configuration; timestamps live only in the JSON sidecars.
+images under the configured output directory, and returns a dict of the
+emitted aggregates (`run_spectrum` returns its table's path). CSV bytes are
+deterministic for a fixed configuration; timestamps live only in the JSON
+sidecars.
 
 Figure pipelines select eigenstates in the even parity sector: the
 propagator commutes with parity, and the published eigenvalue window for
@@ -11,9 +12,11 @@ the longest-lived states (top modulus about 0.89 at N = 3^7) is the one
 seen after symmetry reduction, while the full spectrum's top modulus is
 0.939.
 
-Open spectra never diagonalize the N x N propagator: a parity sector is its
-folded N/3 kept block plus the exact kernel of the opening (z = 0), and the
-full spectrum is both sectors merged; the closed map keeps dense blocks.
+Every baker spectrum is built per parity sector, and the full spectrum is
+both sectors merged once. An open sector is its folded N/3 kept block plus
+the exact kernel of the opening (z = 0), so the N x N propagator is never
+diagonalized. A closed sector is the dense block of U in that sector, solved
+for right vectors only: U is unitary, so its left vectors are its right ones.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .phase_space import (
 from .quantum import baker_unitary, escape_projector, sector_block
 from .spectral import (
     Spectrum,
-    eigendecompose,
     eigenpairs,
     select_long_lived,
     spectrum_csv_rows,
@@ -61,7 +63,6 @@ from .walsh import ZERO_THRESHOLD, long_lived_spectrum, nonzero_count, walsh_spe
 
 __all__ = [
     "RunConfig",
-    "ExperimentRecord",
     "open_spectrum",
     "sector_spectrum",
     "weyl_scaled_count",
@@ -106,17 +107,6 @@ class RunConfig:
         return d
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    experiment: str
-    params: dict
-    results: dict
-
-    def as_dict(self) -> dict:
-        return {"experiment": self.experiment, "params": self.params,
-                "results": self.results}
-
-
 @lru_cache(maxsize=6)
 def open_spectrum(N: int) -> Spectrum:
     """Full spectrum of the open propagator: the pairs of both parity
@@ -125,17 +115,16 @@ def open_spectrum(N: int) -> Spectrum:
     U = baker_unitary(N)
     # both LAPACK solves first: NumPy's BLAS threads spinning after a product slow them
     even, odd = [_folded_block_eig(U, sign) for sign in (1.0, -1.0)]
-    pairs = _folded_sector_pairs(U, 1.0, *even) + _folded_sector_pairs(U, -1.0, *odd)
-    z = np.array([p.z for p in pairs])
-    return Spectrum(N, tuple(pairs[i] for i in np.lexsort((np.angle(z), -np.abs(z)))))
+    return _merged(N, _folded_sector_pairs(U, 1.0, *even), _folded_sector_pairs(U, -1.0, *odd))
 
 
 @lru_cache(maxsize=6)
 def closed_spectrum(N: int, sector: str = "full") -> Spectrum:
+    """Spectrum of the closed map U_N in one parity sector, or both merged."""
     U = baker_unitary(N)
     if sector == "full":
-        return eigendecompose(U)
-    return _lifted_sector_spectrum(U, sector)
+        return _merged(N, _lifted_sector_pairs(U, "even"), _lifted_sector_pairs(U, "odd"))
+    return Spectrum(N, _lifted_sector_pairs(U, sector))
 
 
 @lru_cache(maxsize=8)
@@ -148,6 +137,13 @@ def sector_spectrum(N: int, sector: str) -> Spectrum:
         raise ValueError("sector must be 'even', 'odd' or 'full'")
     U, sign = baker_unitary(N), 1.0 if sector == "even" else -1.0
     return Spectrum(N, _folded_sector_pairs(U, sign, *_folded_block_eig(U, sign)))
+
+
+def _merged(N: int, *sectors) -> Spectrum:
+    """The pairs of every sector in one spectrum, in (-|z|, phase) order."""
+    pairs = sum(sectors, ())
+    z = np.array([p.z for p in pairs])
+    return Spectrum(N, tuple(pairs[i] for i in np.lexsort((np.angle(z), -np.abs(z)))))
 
 
 def _folded_block_eig(U: np.ndarray, sign: float) -> tuple:
@@ -180,19 +176,21 @@ def _folded_sector_pairs(U: np.ndarray, sign: float, z, Wl, Wr) -> tuple:
     return eigenpairs(U, z, V, L, keep=(slice(0, t), slice(2 * t, N)))
 
 
-def _lifted_sector_spectrum(U: np.ndarray, sector: str) -> Spectrum:
-    """Eigenvectors of the sector block, lifted to the full space by one
-    product per side; residuals are taken against the full matrix U."""
+def _lifted_sector_pairs(U: np.ndarray, sector: str) -> tuple:
+    """Eigenpairs of the closed map U in one parity sector: right vectors of
+    the sector block, lifted to the full space by one product. U is unitary,
+    hence normal, so each left eigenvector is the right one and LAPACK is
+    asked for right vectors only; both residuals are still taken against U."""
     A, B = sector_block(U, sector)
-    z, L, R = la.eig(A, left=True, right=True)
-    R, L = B @ R, B @ L
-    return Spectrum(U.shape[0], eigenpairs(U, z, R, L))
+    z, R = la.eig(A)
+    R = B @ R
+    return eigenpairs(U, z, R, R.copy())
 
 
-def weyl_scaled_count(count: int, N: int, N_ref: int = 729) -> int:
-    """Scale a reference state count across N by the fractal Weyl exponent,
+def weyl_scaled_count(count: int, N: int) -> int:
+    """Scale a state count at N = 729 across N by the fractal Weyl exponent,
     so selections at different N cover the same spectral fraction."""
-    return max(1, min(N, round(count * (N / N_ref) ** CANTOR_DIM)))
+    return max(1, min(N, round(count * (N / 729) ** CANTOR_DIM)))
 
 
 def _emit(cfg: RunConfig, stem: str, header, rows, extra=None) -> Path:
@@ -218,7 +216,7 @@ def run_spectrum(cfg: RunConfig) -> Path:
     return _emit(cfg, f"spectrum_{cfg.N}", rows[0], rows[1:])
 
 
-def run_weights_experiment(cfg: RunConfig, walsh: bool = False):
+def run_weights_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
     """Escape-region weights of every eigenstate against the semiclassical
     prediction |z|^(2m) (1 - |z|^2) (the Fig. 2 dataset for N = 3^6)."""
     k = cfg.n_exp
@@ -249,13 +247,10 @@ def run_weights_experiment(cfg: RunConfig, walsh: bool = False):
     path = _emit(cfg, f"weights_{tag}_{N}",
                  ["modulus", "m", "measured", "predicted", "residual"], rows,
                  {"median_rel_error_band_0.2_0.95": agg})
-    record = ExperimentRecord(
-        f"weights_{tag}", cfg.as_dict(),
-        {"m_max": m_max, "median_rel_error": agg, "path": str(path)})
-    return record
+    return {"m_max": m_max, "median_rel_error": agg, "path": str(path)}
 
 
-def run_weyl_experiment(cfg: RunConfig, N_list=None, walsh: bool = False) -> ExperimentRecord:
+def run_weyl_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
     """Fractal Weyl counting: log-log slope of #{|z| > r} against N."""
     if walsh:
         ks = list(range(2, cfg.n_exp + 1))
@@ -263,10 +258,8 @@ def run_weyl_experiment(cfg: RunConfig, N_list=None, walsh: bool = False) -> Exp
                 for k in ks]
         path = _emit(cfg, f"weyl_walsh_{3 ** cfg.n_exp}",
                      ["k", "N", "threshold", "count", "expected_2k"], rows)
-        return ExperimentRecord("weyl_walsh", cfg.as_dict(),
-                                {"counts": [int(r[3]) for r in rows], "path": str(path)})
-    if N_list is None:
-        N_list = [3**k for k in range(3, cfg.n_exp + 1)]
+        return {"counts": [int(r[3]) for r in rows], "path": str(path)}
+    N_list = [3**k for k in range(3, cfg.n_exp + 1)]
     if len(N_list) < 3:
         raise ValueError("need at least 3 N values for a slope")
     thresholds = sorted({0.3, 0.5, 0.7, cfg.threshold})
@@ -287,12 +280,11 @@ def run_weyl_experiment(cfg: RunConfig, N_list=None, walsh: bool = False) -> Exp
     path = _emit(cfg, f"weyl_{max(N_list)}", ["threshold", "N", "count"], rows,
                  {"slopes": {io_utils.fmt(k): v for k, v in slopes.items()},
                   "degenerate_fit": degenerate})
-    return ExperimentRecord("weyl", cfg.as_dict(),
-                            {"slopes": slopes, "degenerate_fit": degenerate,
-                             "target": CANTOR_DIM, "path": str(path)})
+    return {"slopes": slopes, "degenerate_fit": degenerate,
+            "target": CANTOR_DIM, "path": str(path)}
 
 
-def run_husimi_figure(cfg: RunConfig) -> ExperimentRecord:
+def run_husimi_figure(cfg: RunConfig) -> dict:
     """Averaged Husimi and Wigner distributions of the longest-lived states
     (Fig. 1 layout), with closed-map control and Cantor overlay masks."""
     N, G = cfg.N, cfg.grid
@@ -332,7 +324,7 @@ def run_husimi_figure(cfg: RunConfig) -> ExperimentRecord:
                "left_band_mass": left_mass, "closed_band_mass": closed_mass}
     _emit(cfg, f"husimi_masses_{N}", ["quantity", "value"],
           [[k, io_utils.fmt(v)] for k, v in results.items()])
-    return ExperimentRecord("husimi", cfgd, results)
+    return results
 
 
 def _modulus_bin(s: Spectrum, lo: float, hi: float):
@@ -351,10 +343,12 @@ def _density_rows(values, N: int):
     return [[str(i), io_utils.fmt((i + 0.5) / N), io_utils.fmt(v)] for i, v in enumerate(values)]
 
 
-def run_density_figures(cfg: RunConfig) -> ExperimentRecord:
-    """Momentum density of the longest-lived right states with a x3
+def run_density_figures(cfg: RunConfig) -> dict:
+    """Momentum density of the 20 longest-lived right states with a x3
     magnification (Fig. 3) and position densities for two decay-rate bins
     (Fig. 4), with self-similarity scores and a seeded noise baseline."""
+    if cfg.n_exp < 4:
+        raise ValueError("density figures need n_exp >= 4 (20 states in one sector)")
     N = cfg.N
     s = sector_spectrum(N, cfg.sector)
     results = {}
@@ -385,10 +379,10 @@ def run_density_figures(cfg: RunConfig) -> ExperimentRecord:
 
     _emit(cfg, f"density_scores_{N}", ["quantity", "value"],
           [[k, io_utils.fmt(v)] for k, v in results.items()])
-    return ExperimentRecord("density", cfg.as_dict(), results)
+    return results
 
 
-def run_walsh_report(cfg: RunConfig) -> ExperimentRecord:
+def run_walsh_report(cfg: RunConfig) -> dict:
     """Walsh exactness report: spectrum classification and the worst
     weight-formula residual over the long-lived states."""
     k = cfg.n_exp
@@ -400,16 +394,15 @@ def run_walsh_report(cfg: RunConfig) -> ExperimentRecord:
             for r in rows_dicts]
     path = _emit(cfg, f"walsh_report_{3 ** k}", header, rows)
     long_rows = [r for r in rows_dicts if r["long_lived"]]
-    results = {
+    return {
         "long_lived_count": len(long_rows),
         "kernel_dim": rows_dicts[0]["kernel_dim"],
         "max_weight_residual": max(r["max_weight_residual"] for r in long_rows),
         "path": str(path),
     }
-    return ExperimentRecord("walsh", cfg.as_dict(), results)
 
 
-def run_classical(cfg: RunConfig) -> ExperimentRecord:
+def run_classical(cfg: RunConfig) -> dict:
     """Exact classical tables: escape-region areas, escape rate, Ehrenfest
     time and the Cantor box dimension."""
     rows = []
@@ -426,4 +419,4 @@ def run_classical(cfg: RunConfig) -> ExperimentRecord:
     }
     _emit(cfg, "classical_summary", ["quantity", "value"],
           [[k, io_utils.fmt(v)] for k, v in results.items()])
-    return ExperimentRecord("classical", cfg.as_dict(), results)
+    return results

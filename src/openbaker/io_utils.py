@@ -56,8 +56,7 @@ def write_sidecar(artifact_path, config: dict, extra: dict | None = None) -> Pat
     return out
 
 
-def write_pgm(path, values: np.ndarray, config: dict, bits: int = 16,
-              extra: dict | None = None) -> Path:
+def write_pgm(path, values: np.ndarray, config: dict, bits: int = 16) -> Path:
     """Binary P5 graymap scaled to the full integer range, with the value
     range recorded in the sidecar."""
     path = Path(path)
@@ -76,7 +75,5 @@ def write_pgm(path, values: np.ndarray, config: dict, bits: int = 16,
         fh.write(scaled.tobytes())
     meta = {"value_min": lo, "value_max": hi, "bits": bits,
             "axis_mapping": "rows: first axis ascending, columns: second axis ascending"}
-    if extra:
-        meta.update(extra)
     write_sidecar(path, config, meta)
     return path

@@ -202,15 +202,15 @@ def band_mass(values: np.ndarray, support: IntervalUnion) -> float:
     return float(values[interval_mask(support, len(values))].sum() / values.sum())
 
 
-def self_similarity_score(values: np.ndarray, factor: int = 3) -> float:
-    """Pearson correlation of the first 1/factor of the density against the
-    block-averaged full density."""
+def self_similarity_score(values: np.ndarray) -> float:
+    """Pearson correlation of the first third of the density against the
+    density averaged over blocks of three."""
     vals = np.asarray(values, dtype=float)
     L = len(vals)
-    if L % factor != 0:
-        raise ValueError(f"length {L} not divisible by {factor}")
-    sub = vals[: L // factor]
-    coarse = vals.reshape(L // factor, factor).mean(axis=1)
+    if L % 3 != 0:
+        raise ValueError(f"length {L} not divisible by 3")
+    sub = vals[: L // 3]
+    coarse = vals.reshape(L // 3, 3).mean(axis=1)
     sub = sub / sub.sum()
     coarse = coarse / coarse.sum()
     # accumulation noise leaves a constant input with std ~ 1e-18, so the

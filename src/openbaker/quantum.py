@@ -99,21 +99,14 @@ def parity_sector_basis(N: int, sector: str) -> np.ndarray:
 
     For odd N the even sector has dimension (N+1)/2 and the odd sector
     (N-1)/2."""
-    half = N // 2
-    if sector == "even":
-        B = np.zeros((N, half + (N % 2)))
-        for n in range(half):
-            B[n, n] = B[N - 1 - n, n] = 1.0 / np.sqrt(2.0)
-        if N % 2:
-            B[half, half] = 1.0
-        return B
-    if sector == "odd":
-        B = np.zeros((N, half))
-        for n in range(half):
-            B[n, n] = 1.0 / np.sqrt(2.0)
-            B[N - 1 - n, n] = -1.0 / np.sqrt(2.0)
-        return B
-    raise ValueError("sector must be 'even' or 'odd'")
+    if sector not in ("even", "odd"):
+        raise ValueError("sector must be 'even' or 'odd'")
+    even = sector == "even"
+    half, n = N // 2, np.arange(N // 2)
+    B = np.zeros((N, half + N % 2 * even))
+    B[n, n], B[N - 1 - n, n] = 1.0 / np.sqrt(2.0), (1.0 if even else -1.0) / np.sqrt(2.0)
+    B[half, half:] = 1.0  # the middle index: a column only for odd N, even sector
+    return B
 
 
 def sector_block(U: np.ndarray, sector: str) -> tuple:

@@ -6,8 +6,8 @@ normalized to unit norm separately (they are not orthogonal to each other).
 
 Every spectrum is built by one function, `eigenpairs(A, z, V, U, keep)`,
 from eigenvalues with right and left eigenvector columns, whether they come
-from a dense eigensolve of the closed map (`eigendecompose` or a parity
-block), the folded blocks of the open map, or the Walsh trapped subspace.
+from the parity blocks of the closed map (whose left vectors are its right
+ones), the folded blocks of the open map, or the Walsh trapped subspace.
 It normalizes the columns and fixes their phase in place, takes the
 residuals against A restricted to the column blocks `keep` (so
 U (I - pi_0) is never formed), marks the columns read-only and sorts the
@@ -20,13 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 __all__ = [
     "ResonanceEigenpair",
     "Spectrum",
     "eigenpairs",
-    "eigendecompose",
     "select_long_lived",
     "weight",
     "weight_prediction",
@@ -41,7 +39,6 @@ class ResonanceEigenpair:
     left_vec: np.ndarray
     residual_right: float
     residual_left: float
-    matched: bool = True
 
     @property
     def modulus(self) -> float:
@@ -105,21 +102,6 @@ def eigenpairs(A: np.ndarray, z: np.ndarray, V: np.ndarray, U: np.ndarray,
                                     float(res_r[i]), float(res_l[i])) for i in order)
 
 
-def eigendecompose(U_tilde: np.ndarray) -> Spectrum:
-    """Full left/right eigendecomposition of a (generally non-normal) matrix.
-
-    scipy's LAPACK driver returns left eigenvectors already matched to the
-    right ones (both come from the same Schur form), so no separate
-    eigenvalue-matching pass is needed.
-    """
-    A = np.asarray(U_tilde, dtype=complex)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape[1] != n or n < 2:
-        raise ValueError("need a square matrix of dimension >= 2")
-    z, U, V = la.eig(A, left=True, right=True)
-    return Spectrum(n, eigenpairs(A, z, V, U))
-
-
 def select_long_lived(s: Spectrum, count: int):
     """The `count` pairs of largest modulus (spectrum is pre-sorted)."""
     if not 1 <= count <= len(s.pairs):
@@ -127,13 +109,12 @@ def select_long_lived(s: Spectrum, count: int):
     return list(s.pairs[:count])
 
 
-def weight(pair: ResonanceEigenpair, proj: np.ndarray, side: str = "right") -> float:
-    """Probability mass of one eigenvector on a projector given by its 0/1
-    diagonal."""
-    vec = pair.right_vec if side == "right" else pair.left_vec
-    if len(vec) != len(proj):
+def weight(pair: ResonanceEigenpair, proj: np.ndarray) -> float:
+    """Probability mass of one right eigenvector on a projector given by its
+    0/1 diagonal."""
+    if len(pair.right_vec) != len(proj):
         raise ValueError("projector dimension does not match eigenvector")
-    return float((proj * np.abs(vec) ** 2).sum())
+    return float((proj * np.abs(pair.right_vec) ** 2).sum())
 
 
 def weight_prediction(z: complex, m: int) -> float:
@@ -157,6 +138,6 @@ def spectrum_csv_rows(s: Spectrum):
             f"{p.modulus:.17g}",
             "inf" if math.isinf(g) else f"{g:.17g}",
             f"{p.residual_right:.17g}", f"{p.residual_left:.17g}",
-            "1" if p.matched else "0",
+            "1",  # matched_flag: every left vector comes paired with its right one
         ])
     return rows

@@ -16,7 +16,6 @@ from openbaker.classical import (
     cantor_approx,
     box_dimension,
     escape_rate_estimate,
-    opening,
     region_R_minus,
     region_R_plus,
 )
@@ -237,7 +236,7 @@ def test_criterion_10_classical_exactness():
         pre = IntervalUnion()
         for d in (0, 1, 2):
             pre = union(pre, scale_shift(s, d, 3))
-        rec_plus_ok &= (difference(pre, opening().support).intervals
+        rec_plus_ok &= (difference(pre, region_R_plus(0).support).intervals
                         == region_R_plus(m + 1).support.intervals)
     rec_minus_ok = all(
         union(scale_shift(region_R_minus(m).support, 0, 3),

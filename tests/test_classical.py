@@ -15,7 +15,6 @@ from openbaker.classical import (
     cantor_approx,
     ehrenfest_time,
     escape_rate_estimate,
-    opening,
     region_R_minus,
     region_R_plus,
 )
@@ -57,7 +56,7 @@ def test_torus_point_reduced(q, p):
 
 
 def test_opening():
-    o = opening()
+    o = region_R_plus(0)
     assert o.support.intervals == ((Fraction(1, 3), Fraction(2, 3)),)
     assert o.measure == Fraction(1, 3)
     assert o.contains(TorusPoint(0.5, 0.9))
@@ -121,7 +120,7 @@ def test_region_R_plus_preimage_recursion(m):
     pre = IntervalUnion()
     for d in (0, 1, 2):
         pre = union(pre, scale_shift(s, d, 3))
-    assert difference(pre, opening().support).intervals == \
+    assert difference(pre, region_R_plus(0).support).intervals == \
         region_R_plus(m + 1).support.intervals
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from openbaker import experiments
 from openbaker.cli import main
 from openbaker.experiments import (
     RunConfig,
@@ -118,10 +119,10 @@ def test_run_spectrum_deterministic(tmp_path):
 def test_run_weights(tmp_path):
     cfg = RunConfig(n_exp=4, out_dir=tmp_path)
     rec = run_weights_experiment(cfg)
-    assert rec.results["m_max"] == 2
-    med = rec.results["median_rel_error"]
+    assert rec["m_max"] == 2
+    med = rec["median_rel_error"]
     assert all(v < 0.5 for v in med.values())
-    assert Path(rec.results["path"]).exists()
+    assert Path(rec["path"]).exists()
     with pytest.raises(ValueError):
         run_weights_experiment(RunConfig(n_exp=3, out_dir=tmp_path))
 
@@ -129,29 +130,28 @@ def test_run_weights(tmp_path):
 def test_run_weights_walsh(tmp_path):
     cfg = RunConfig(n_exp=3, out_dir=tmp_path)
     rec = run_weights_experiment(cfg, walsh=True)
-    med = rec.results["median_rel_error"]
+    med = rec["median_rel_error"]
     assert all(v < 1e-10 for v in med.values())
 
 
 def test_run_weyl(tmp_path):
     cfg = RunConfig(n_exp=5, out_dir=tmp_path)
     rec = run_weyl_experiment(cfg)
-    assert not rec.results["degenerate_fit"]
-    assert 0.3 < rec.results["slopes"][0.5] < 1.0
-    with pytest.raises(ValueError):
-        run_weyl_experiment(cfg, N_list=[27, 81])
+    assert not rec["degenerate_fit"]
+    assert 0.3 < rec["slopes"][0.5] < 1.0
+    with pytest.raises(ValueError, match="at least 3 N values"):
+        run_weyl_experiment(RunConfig(n_exp=4, out_dir=tmp_path))
 
 
 def test_run_weyl_walsh(tmp_path):
     cfg = RunConfig(n_exp=4, out_dir=tmp_path)
     rec = run_weyl_experiment(cfg, walsh=True)
-    assert rec.results["counts"] == [4, 8, 16]
+    assert rec["counts"] == [4, 8, 16]
 
 
 def test_run_husimi(tmp_path):
     cfg = RunConfig(n_exp=4, out_dir=tmp_path, grid=27, count=20)
-    rec = run_husimi_figure(cfg)
-    r = rec.results
+    r = run_husimi_figure(cfg)
     assert 0 < r["closed_band_mass"] < r["right_band_mass"] <= 1
     for stem in ("husimi_right_81.pgm", "husimi_left_81.pgm", "wigner_pos_81.pgm",
                  "wigner_neg_81.pgm", "wigner_sign_81.pgm",
@@ -161,8 +161,7 @@ def test_run_husimi(tmp_path):
 
 def test_run_density(tmp_path):
     cfg = RunConfig(n_exp=5, out_dir=tmp_path, seed=1)
-    rec = run_density_figures(cfg)
-    r = rec.results
+    r = run_density_figures(cfg)
     assert r["fig3_self_similarity"] > 0.5
     assert r["fig3_cantor_mass_level2"] > 4 / 9  # above the flat baseline
     assert abs(r["noise_self_similarity"]) < 0.5
@@ -182,15 +181,14 @@ def test_modulus_bin_widens():
 def test_run_walsh_report(tmp_path):
     cfg = RunConfig(n_exp=3, out_dir=tmp_path)
     rec = run_walsh_report(cfg)
-    assert rec.results["long_lived_count"] == 8
-    assert rec.results["kernel_dim"] == 19
-    assert rec.results["max_weight_residual"] < 1e-12
+    assert rec["long_lived_count"] == 8
+    assert rec["kernel_dim"] == 19
+    assert rec["max_weight_residual"] < 1e-12
 
 
 def test_run_classical(tmp_path):
     cfg = RunConfig(n_exp=4, out_dir=tmp_path)
-    rec = run_classical(cfg)
-    r = rec.results
+    r = run_classical(cfg)
     assert r["escape_rate"] == pytest.approx(math.log(1.5), abs=1e-10)
     assert r["box_dimension"] == pytest.approx(math.log(2) / math.log(3), abs=1e-6)
     assert r["ehrenfest_time"] == pytest.approx(3.0)
@@ -228,6 +226,23 @@ def test_cli_invalid_args(tmp_path):
         main(["spectrum", "--grid", "5"])
     assert exc.value.code == 1
     assert main(["weights", "--n-exp", "2", "--out", str(tmp_path)]) == 1
+
+
+def test_cli_density_needs_n_exp_4(tmp_path, capsys, monkeypatch):
+    """A parity sector at N = 27 holds fewer than the 20 states that Fig. 3
+    averages, so `density --n-exp 3` fails before any solve and names n_exp;
+    at n_exp 4 both sectors write their tables."""
+    monkeypatch.setattr(experiments, "sector_spectrum",
+                        lambda *a: pytest.fail("solved before validating n_exp"))
+    assert main(["density", "--n-exp", "3", "--out", str(tmp_path)]) == 1
+    assert "need n_exp >= 4" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    monkeypatch.undo()
+    for sector in ("even", "odd"):
+        out = tmp_path / sector
+        assert main(["density", "--n-exp", "4", "--sector", sector, "--out", str(out)]) == 0
+        for stem in ("fig3_momentum_density", "fig4_high_position_density", "density_scores"):
+            assert (out / f"{stem}_81.csv").exists()
 
 
 def test_cli_weights_walsh(tmp_path, capsys):
