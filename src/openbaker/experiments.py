@@ -179,12 +179,11 @@ def _folded_sector_pairs(U: np.ndarray, sign: float, z, Wl, Wr) -> tuple:
 def _lifted_sector_pairs(U: np.ndarray, sector: str) -> tuple:
     """Eigenpairs of the closed map U in one parity sector: right vectors of
     the sector block, lifted to the full space by one product. U is unitary,
-    hence normal, so each left eigenvector is the right one and LAPACK is
-    asked for right vectors only; both residuals are still taken against U."""
+    hence normal, so each left eigenvector is the right one: LAPACK is
+    asked for right vectors only, and `eigenpairs` reports them as both."""
     A, B = sector_block(U, sector)
     z, R = la.eig(A)
-    R = B @ R
-    return eigenpairs(U, z, R, R.copy())
+    return eigenpairs(U, z, B @ R)
 
 
 def weyl_scaled_count(count: int, N: int) -> int:
@@ -261,7 +260,7 @@ def run_weyl_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
         return {"counts": [int(r[3]) for r in rows], "path": str(path)}
     N_list = [3**k for k in range(3, cfg.n_exp + 1)]
     if len(N_list) < 3:
-        raise ValueError("need at least 3 N values for a slope")
+        raise ValueError("weyl counts need n_exp >= 5 (at least 3 N values for a slope)")
     thresholds = sorted({0.3, 0.5, 0.7, cfg.threshold})
     rows = []
     slopes = {}
@@ -291,8 +290,11 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
     s = sector_spectrum(N, cfg.sector)
     count = min(cfg.count, len(s.pairs))
     sel = select_long_lived(s, count)
-    avg_r = average_density(husimi_grids([p.right_vec for p in sel], G))
-    avg_l = average_density(husimi_grids([p.left_vec for p in sel], G))
+    closed = select_long_lived(closed_spectrum(N, cfg.sector), count)
+    # one Husimi pass, so the coherent packets are built once for all three images
+    H = husimi_grids([p.right_vec for p in sel] + [p.left_vec for p in sel]
+                     + [p.right_vec for p in closed], G)
+    avg_r, avg_l, closed_r = (average_density(H[k * count:(k + 1) * count]) for k in range(3))
     band = interval_mask(cantor_approx(1), G)
     right_mass = float(avg_r[:, band].sum())   # horizontal Cantor band
     left_mass = float(avg_l[band, :].sum())    # vertical Cantor band
@@ -316,8 +318,6 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
         mask[:, interval_mask(cantor_approx(level), G)] = 1.0
         io_utils.write_pgm(out / f"cantor_band_level{level}_{G}.pgm", mask, cfgd, bits=8)
 
-    closed = select_long_lived(closed_spectrum(N, cfg.sector), count)
-    closed_r = average_density(husimi_grids([p.right_vec for p in closed], G))
     closed_mass = float(closed_r[:, band].sum())
 
     results = {"count": count, "right_band_mass": right_mass,

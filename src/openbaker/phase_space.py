@@ -11,16 +11,17 @@ FFT of the twiddled state psi_n e^{-i pi n/N}: of length N for momentum
 amplitudes, zero-padded to 2N for the half-grid amplitudes of the Wigner
 function. A Wigner average over S states needs one averaged density matrix
 (one GEMM of the 2N x S amplitudes), one signed gather from it, and one
-length-N FFT along the phase-point axis. Husimi images are one GEMM against
-a cached bank of conjugated coherent vectors, built block by block from
+length-N FFT along the phase-point axis. Husimi images are streamed: the
+coherent vectors of one momentum column of cell centres are built from
 separable factors (Gaussian per lattice image, plane wave, phase per
-centre) by the same formula as `coherent_vector`.
+centre) by the same formula as `coherent_vector`, applied to every state
+by one GEMM, and dropped. Nothing is cached; the transient is one (G, N)
+block, and the cost stays O(G^2 N) per state.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,27 +71,18 @@ def coherent_vector(center: TorusPoint, N: int) -> np.ndarray:
     return next(_packets(np.array([center.q]), [center.p], N))[0]
 
 
-@lru_cache(maxsize=4)
-def _coherent_bank(N: int, G: int) -> np.ndarray:
-    """Conjugated coherent vectors for every grid center; shape (G*G, N),
-    row index i*G + j for center ((i+1/2)/G, (j+1/2)/G). Filled one
-    momentum column of centres at a time, so the transient is one (G, N)
-    block."""
-    centres = (np.arange(G) + 0.5) / G
-    bank = np.empty((G * G, N), dtype=complex)
-    for j, rows in enumerate(_packets(centres, centres, N)):
-        bank[j::G] = np.conj(rows)
-    return bank
-
-
 def husimi_grids(states, G: int):
-    """G x G Husimi distributions of unit sum, one per state, from one shared
-    coherent bank: H[i, j] = |<x_ij | psi>|^2 at x_ij = ((i+1/2)/G,
-    (j+1/2)/G), i indexing position and j momentum."""
+    """G x G Husimi distributions of unit sum, one per state:
+    H[i, j] = |<x_ij | psi>|^2 at x_ij = ((i+1/2)/G, (j+1/2)/G), i indexing
+    position and j momentum. The coherent vectors are made one momentum
+    column of centres at a time and applied to all states at once."""
     if G < 8:
         raise ValueError("G must be >= 8")
     V = np.column_stack([np.asarray(s, dtype=complex) for s in states])
-    H = np.abs(_coherent_bank(V.shape[0], G) @ V) ** 2  # (G*G, n_states)
+    centres = (np.arange(G) + 0.5) / G
+    H = np.empty((G * G, V.shape[1]))  # row i*G + j: centre (i, j)
+    for j, rows in enumerate(_packets(centres, centres, V.shape[0])):
+        H[j::G] = np.abs(np.conj(rows) @ V) ** 2
     return [unit_sum(H[:, c].reshape(G, G)) for c in range(H.shape[1])]
 
 

@@ -6,8 +6,10 @@ normalized to unit norm separately (they are not orthogonal to each other).
 
 Every spectrum is built by one function, `eigenpairs(A, z, V, U, keep)`,
 from eigenvalues with right and left eigenvector columns, whether they come
-from the parity blocks of the closed map (whose left vectors are its right
-ones), the folded blocks of the open map, or the Walsh trapped subspace.
+from the folded blocks of the open map, the Walsh trapped subspace, or the
+parity blocks of the closed map. The closed map is unitary, hence normal,
+so its left eigenvectors are its right ones: it passes U = None, and each
+left vector and left residual is reported as the right one.
 It normalizes the columns and fixes their phase in place, takes the
 residuals against A restricted to the column blocks `keep` (so
 U (I - pi_0) is never formed), marks the columns read-only and sorts the
@@ -70,18 +72,19 @@ class Spectrum:
         return np.column_stack([p.left_vec for p in self.pairs])
 
 
-def eigenpairs(A: np.ndarray, z: np.ndarray, V: np.ndarray, U: np.ndarray,
+def eigenpairs(A: np.ndarray, z: np.ndarray, V: np.ndarray, U: np.ndarray | None = None,
                keep: tuple = (slice(None),)) -> tuple:
     """Eigenpairs of A~ (A with its columns outside the slices `keep` set to
     zero) from eigenvalues z with right (V) and left (U) eigenvector
-    columns, sorted by (-|z|, phase).
+    columns, sorted by (-|z|, phase). U = None declares A~ normal: each
+    left vector and left residual is then the right one.
 
     V and U are normalized in place, each column's largest-modulus component
     is made real positive (a reproducible phase), and both are then marked
     read-only. The residuals ||A~ v - z v|| and ||A~^H u - conj(z) u|| are
     reported, not checked; both sides share one buffer of V's size.
     """
-    for M in (V, U):
+    for M in (V,) if U is None else (V, U):
         M /= np.linalg.norm(M, axis=0)
         top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
         M /= top / np.abs(top)
@@ -90,13 +93,16 @@ def eigenpairs(A: np.ndarray, z: np.ndarray, V: np.ndarray, U: np.ndarray,
     for s in keep:
         R += A[:, s] @ V[s]
     res_r = np.linalg.norm(R, axis=0)
-    # ||A~^H u - conj(z) u|| = ||A~^T conj(u) - z conj(u)||; no copy of A
-    Uc = np.conjugate(U, out=R)
-    products = [A[:, s].T @ Uc for s in keep]
-    Uc *= -z
-    for s, P in zip(keep, products):
-        Uc[s] += P
-    res_l = np.linalg.norm(Uc, axis=0)
+    if U is None:
+        U, res_l = V, res_r
+    else:
+        # ||A~^H u - conj(z) u|| = ||A~^T conj(u) - z conj(u)||; no copy of A
+        Uc = np.conjugate(U, out=R)
+        products = [A[:, s].T @ Uc for s in keep]
+        Uc *= -z
+        for s, P in zip(keep, products):
+            Uc[s] += P
+        res_l = np.linalg.norm(Uc, axis=0)
     order = np.lexsort((np.angle(z), -np.abs(z)))
     return tuple(ResonanceEigenpair(complex(z[i]), V[:, i], U[:, i],
                                     float(res_r[i]), float(res_l[i])) for i in order)

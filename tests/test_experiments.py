@@ -22,6 +22,7 @@ from openbaker.experiments import (
     weyl_scaled_count,
 )
 from openbaker.io_utils import fmt, sha256_file, write_csv, write_pgm
+from openbaker.phase_space import husimi_grids
 from openbaker.quantum import open_propagator
 from openbaker.walsh import long_lived_spectrum
 
@@ -159,6 +160,17 @@ def test_run_husimi(tmp_path):
         assert (tmp_path / stem).exists()
 
 
+def test_husimi_image_independent_of_batch():
+    """The figure makes the right, left and closed-map images in one Husimi
+    pass; each state's image must be bitwise what its own call gives."""
+    sel = sector_spectrum(243, "even").pairs[:20]
+    sets = [[p.right_vec for p in sel], [p.left_vec for p in sel],
+            [p.right_vec for p in closed_spectrum(243, "even").pairs[:20]]]
+    joint = husimi_grids(sum(sets, []), 81)
+    alone = sum((husimi_grids(states, 81) for states in sets), [])
+    assert all(np.array_equal(a, b) for a, b in zip(joint, alone, strict=True))
+
+
 def test_run_density(tmp_path):
     cfg = RunConfig(n_exp=5, out_dir=tmp_path, seed=1)
     r = run_density_figures(cfg)
@@ -243,6 +255,15 @@ def test_cli_density_needs_n_exp_4(tmp_path, capsys, monkeypatch):
         assert main(["density", "--n-exp", "4", "--sector", sector, "--out", str(out)]) == 0
         for stem in ("fig3_momentum_density", "fig4_high_position_density", "density_scores"):
             assert (out / f"{stem}_81.csv").exists()
+
+
+def test_cli_weyl_needs_n_exp_5(tmp_path, capsys):
+    """The Weyl slope needs 3^3, 3^4 and 3^5, so `weyl --n-exp 4` fails
+    before writing anything and names the least n_exp."""
+    assert main(["weyl", "--n-exp", "4", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "need n_exp >= 5" in err and "at least 3 N values" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_weights_walsh(tmp_path, capsys):

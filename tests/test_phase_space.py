@@ -120,7 +120,7 @@ def test_husimi_grids_batch_matches_single():
 
 @pytest.mark.parametrize("N, G", [(81, 27), (81, 10)])
 def test_husimi_grids_match_coherent_overlaps(N, G):
-    """Every bank value equals |<x|psi>|^2 with |x> = coherent_vector at the
+    """Every image value equals |<x|psi>|^2 with |x> = coherent_vector at the
     cell centre, whether or not G divides N."""
     rng = np.random.default_rng(6)
     states = [rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(2)]
