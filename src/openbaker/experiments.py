@@ -15,8 +15,10 @@ seen after symmetry reduction, while the full spectrum's top modulus is
 Every baker spectrum is built per parity sector, and the full spectrum is
 both sectors merged once. An open sector is its folded N/3 kept block plus
 the exact kernel of the opening (z = 0), so the N x N propagator is never
-diagonalized. A closed sector is the dense block of U in that sector, solved
-for right vectors only: U is unitary, so its left vectors are its right ones.
+diagonalized; `open_spectrum` publishes both of its sectors, and
+`sector_spectrum` returns them without solving again. A closed sector is the
+dense block of U in that sector, solved for right vectors only: U is
+unitary, so its left vectors are its right ones.
 """
 
 from __future__ import annotations
@@ -107,15 +109,32 @@ class RunConfig:
         return d
 
 
+# Open parity sectors by (N, sector), oldest first: built by `sector_spectrum`,
+# and published by `open_spectrum`, which folds both from one U
+_SECTORS: dict = {}
+
+
+def _keep_sector(N: int, sector: str, s: Spectrum) -> Spectrum:
+    """Store one open sector; beyond eight, the oldest is dropped."""
+    _SECTORS[N, sector] = s
+    if len(_SECTORS) > 8:
+        del _SECTORS[next(iter(_SECTORS))]
+    return s
+
+
 @lru_cache(maxsize=6)
 def open_spectrum(N: int) -> Spectrum:
     """Full spectrum of the open propagator: the pairs of both parity
     sectors, folded from one U and merged in (-|z|, phase) order; their
-    vectors are views of the sector columns."""
+    vectors are views of the sector columns. Both sectors are published
+    for `sector_spectrum`, so a figure's sector is not solved again."""
     U = baker_unitary(N)
     # both LAPACK solves first: NumPy's BLAS threads spinning after a product slow them
     even, odd = [_folded_block_eig(U, sign) for sign in (1.0, -1.0)]
-    return _merged(N, _folded_sector_pairs(U, 1.0, *even), _folded_sector_pairs(U, -1.0, *odd))
+    sectors = _folded_sector_pairs(U, 1.0, *even), _folded_sector_pairs(U, -1.0, *odd)
+    for sector, pairs in zip(("even", "odd"), sectors):
+        _keep_sector(N, sector, Spectrum(N, pairs))
+    return _merged(N, *sectors)
 
 
 @lru_cache(maxsize=6)
@@ -127,16 +146,19 @@ def closed_spectrum(N: int, sector: str = "full") -> Spectrum:
     return Spectrum(N, _lifted_sector_pairs(U, sector))
 
 
-@lru_cache(maxsize=8)
 def sector_spectrum(N: int, sector: str) -> Spectrum:
     """Spectrum of the open propagator restricted to one parity sector,
-    with eigenvectors in the full N-dimensional space."""
+    with eigenvectors in the full N-dimensional space: the one `open_spectrum`
+    published, or else this sector alone, folded and kept."""
     if sector == "full":
         return open_spectrum(N)
     if sector not in ("even", "odd"):
         raise ValueError("sector must be 'even', 'odd' or 'full'")
+    if (N, sector) in _SECTORS:
+        return _SECTORS[N, sector]
     U, sign = baker_unitary(N), 1.0 if sector == "even" else -1.0
-    return Spectrum(N, _folded_sector_pairs(U, sign, *_folded_block_eig(U, sign)))
+    pairs = _folded_sector_pairs(U, sign, *_folded_block_eig(U, sign))
+    return _keep_sector(N, sector, Spectrum(N, pairs))
 
 
 def _merged(N: int, *sectors) -> Spectrum:
@@ -287,11 +309,16 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
     """Averaged Husimi and Wigner distributions of the longest-lived states
     (Fig. 1 layout), with closed-map control and Cantor overlay masks."""
     N, G = cfg.N, cfg.grid
+    if G < 8:
+        raise ValueError("husimi needs grid >= 8")
+    if cfg.count < 1:
+        raise ValueError("husimi needs count >= 1")
     s = sector_spectrum(N, cfg.sector)
-    count = min(cfg.count, len(s.pairs))
+    # at most the resonances: the opening's exact kernel (z = 0) is not long-lived
+    count = min(cfg.count, int(np.count_nonzero(s.eigenvalues())))
     sel = select_long_lived(s, count)
     closed = select_long_lived(closed_spectrum(N, cfg.sector), count)
-    # one Husimi pass, so the coherent packets are built once for all three images
+    # one Husimi pass for all three images, so the Gaussian fold weights are built once
     H = husimi_grids([p.right_vec for p in sel] + [p.left_vec for p in sel]
                      + [p.right_vec for p in closed], G)
     avg_r, avg_l, closed_r = (average_density(H[k * count:(k + 1) * count]) for k in range(3))

@@ -11,12 +11,13 @@ FFT of the twiddled state psi_n e^{-i pi n/N}: of length N for momentum
 amplitudes, zero-padded to 2N for the half-grid amplitudes of the Wigner
 function. A Wigner average over S states needs one averaged density matrix
 (one GEMM of the 2N x S amplitudes), one signed gather from it, and one
-length-N FFT along the phase-point axis. Husimi images are streamed: the
-coherent vectors of one momentum column of cell centres are built from
-separable factors (Gaussian per lattice image, plane wave, phase per
-centre) by the same formula as `coherent_vector`, applied to every state
-by one GEMM, and dropped. Nothing is cached; the transient is one (G, N)
-block, and the cost stays O(G^2 N) per state.
+length-N FFT along the phase-point axis. Husimi images form no coherent
+vector: each state, extended antiperiodically over three lattice images,
+is weighted by the real Gaussian of each position centre, twiddled and
+folded mod G (one batched real GEMM over the G residues), and one
+length-G FFT over the residues gives every momentum at once. The packet
+norms come from a 3 x 3 Gram matrix of lattice images per centre. Nothing
+is cached, and the cost is about 3GN + G^2 log G per state, not G^2 N.
 """
 
 from __future__ import annotations
@@ -45,45 +46,59 @@ __all__ = [
 ]
 
 
-def _packets(q0: np.ndarray, p0s, N: int):
-    """For each momentum p0 in p0s, yield the unit-norm Gaussian wave
-    packets centred at (q0[i], p0) as rows, with antiperiodic wrapping.
-
-    The phase factorizes: a Gaussian per lattice image nu (computed once)
-    weighted by (-1)^nu e^{2 pi i N p0 nu}, one plane wave e^{2 pi i N p0 q_n}
-    and one phase e^{-i pi N p0 q0} per centre. Three images suffice: the
-    neglected tails are O(exp(-pi N * 2))."""
-    qn = (np.arange(N) + 0.5) / N
-    nu = np.arange(-1, 2)
-    gauss = np.exp(-math.pi * N * (qn - q0[:, None] + nu[:, None, None]) ** 2)
-    for p0 in p0s:
-        rows = np.tensordot((-1.0) ** nu * np.exp(2j * math.pi * N * p0 * nu), gauss, 1)
-        rows *= np.exp(2j * math.pi * N * p0 * qn)
-        rows *= np.exp(-1j * math.pi * N * p0 * q0)[:, None]
-        rows /= np.linalg.norm(rows, axis=1)[:, None]
-        yield rows
-
-
 def coherent_vector(center: TorusPoint, N: int) -> np.ndarray:
-    """Unit-norm Gaussian wave packet at (q0, p0) with antiperiodic wrapping."""
+    """Unit-norm Gaussian wave packet at (q0, p0) with antiperiodic wrapping:
+    sum over three lattice images nu of
+    (-1)^nu exp(-pi N (q_n - q0 + nu)^2 + 2 pi i N p0 (q_n + nu - q0/2)).
+    The neglected images are O(exp(-pi N * 2))."""
     if N < 3:
         raise ValueError("N must be >= 3")
-    return next(_packets(np.array([center.q]), [center.p], N))[0]
+    q0, p0 = center.q, center.p
+    qn = (np.arange(N) + 0.5) / N
+    nu = np.arange(-1, 2)[:, None]
+    v = ((-1.0) ** nu * np.exp(-math.pi * N * (qn - q0 + nu) ** 2
+                               + 2j * math.pi * N * p0 * (qn + nu - q0 / 2))).sum(axis=0)
+    return v / np.linalg.norm(v)
 
 
 def husimi_grids(states, G: int):
     """G x G Husimi distributions of unit sum, one per state:
-    H[i, j] = |<x_ij | psi>|^2 at x_ij = ((i+1/2)/G, (j+1/2)/G), i indexing
-    position and j momentum. The coherent vectors are made one momentum
-    column of centres at a time and applied to all states at once."""
+    H[i, j] = |<x_ij | psi>|^2 with |x_ij> = `coherent_vector` at
+    ((i+1/2)/G, (j+1/2)/G), i indexing position and j momentum.
+
+    No packet is formed. On the antiperiodic extension psi_m of the state
+    over its three lattice images, m + N in [0, 3N), the overlap is, up to a
+    phase that |.|^2 drops, sum_m g_i(m) psi_m e^{-2 pi i (j+1/2)(m+1/2)/G}
+    divided by the packet's norm, with g_i the real Gaussian of position
+    centre i. Twiddled by e^{-i pi (m+1/2)/G} and folded mod G, that sum is
+    one real GEMM per residue and one length-G FFT over the residues. The
+    packet norm comes from the 3 x 3 Gram matrix of the Gaussian's lattice
+    images; it depends on j unless G divides N."""
     if G < 8:
         raise ValueError("G must be >= 8")
     V = np.column_stack([np.asarray(s, dtype=complex) for s in states])
+    N, S = V.shape
+    K = -(-3 * N // G)  # fold length: 3N zero-padded to K G
+    m = np.arange(-N, 2 * N)
+    X = np.zeros((K * G, S), dtype=complex)
+    X[:3 * N].reshape(3, N, S)[:] = V
+    X[:3 * N] *= ((-1.0) ** (m // N) * np.exp(-1j * math.pi * (m + 0.5) / G))[:, None]
     centres = (np.arange(G) + 0.5) / G
-    H = np.empty((G * G, V.shape[1]))  # row i*G + j: centre (i, j)
-    for j, rows in enumerate(_packets(centres, centres, V.shape[0])):
-        H[j::G] = np.abs(np.conj(rows) @ V) ** 2
-    return [unit_sum(H[:, c].reshape(G, G)) for c in range(H.shape[1])]
+    g = np.zeros((G, K * G))
+    g[:, :3 * N] = np.exp(-math.pi * N * ((m + 0.5) / N - centres[:, None]) ** 2)
+    # fold: sum_k g[i, kG + r] X[kG + r] for each residue r, the real Gaussian
+    # times the complex states as one real GEMM on interleaved (re, im) columns
+    folded = np.matmul(np.ascontiguousarray(g.reshape(G, K, G).transpose(2, 0, 1)),
+                       X.reshape(K, G, S).transpose(1, 0, 2).view(float))
+    H = np.abs(np.fft.fft(folded.view(complex), axis=0))  # [j, i, state]
+    H **= 2
+    # packet norm^2 = c^T M c*, c_nu = (-1)^nu e^{2 pi i N p_j nu}, M the images' Gram matrix
+    gi = g[:, :3 * N].reshape(G, 3, N)
+    nu = np.arange(-1, 2)
+    c = (-1.0) ** nu * np.exp(2j * math.pi * N * np.outer(centres, nu))
+    norm2 = np.einsum("ja,iab,jb->ji", c, gi @ gi.transpose(0, 2, 1), c.conj()).real
+    H /= norm2[:, :, None]
+    return [unit_sum(H[:, :, k].T) for k in range(S)]
 
 
 def _antiperiodic_fft(X: np.ndarray, n: int) -> np.ndarray:

@@ -160,6 +160,17 @@ def test_run_husimi(tmp_path):
         assert (tmp_path / stem).exists()
 
 
+def test_husimi_count_stops_at_resonances(tmp_path, monkeypatch):
+    """The even sector at N = 81 holds 27 resonances and 14 exact kernel
+    states (z = 0); the default count of 100 selects the 27 resonances."""
+    select, picked = experiments.select_long_lived, []
+    monkeypatch.setattr(experiments, "select_long_lived",
+                        lambda s, count: picked.append(select(s, count)) or picked[-1])
+    r = run_husimi_figure(RunConfig(n_exp=4, out_dir=tmp_path))
+    assert r["count"] == 27
+    assert len(picked[0]) == 27 and all(p.z != 0 for p in picked[0])
+
+
 def test_husimi_image_independent_of_batch():
     """The figure makes the right, left and closed-map images in one Husimi
     pass; each state's image must be bitwise what its own call gives."""
@@ -255,6 +266,19 @@ def test_cli_density_needs_n_exp_4(tmp_path, capsys, monkeypatch):
         assert main(["density", "--n-exp", "4", "--sector", sector, "--out", str(out)]) == 0
         for stem in ("fig3_momentum_density", "fig4_high_position_density", "density_scores"):
             assert (out / f"{stem}_81.csv").exists()
+
+
+@pytest.mark.parametrize("args, message", [(["--grid", "7"], "husimi needs grid >= 8"),
+                                           (["--count", "0"], "husimi needs count >= 1")],
+                         ids=["grid", "count"])
+def test_cli_husimi_validates_before_solving(tmp_path, capsys, monkeypatch, args, message):
+    """A Husimi grid below 8 or an empty selection fails before any solve,
+    with the reason, and writes nothing."""
+    monkeypatch.setattr(experiments, "sector_spectrum",
+                        lambda *a: pytest.fail("solved before validating the options"))
+    assert main(["husimi", "--n-exp", "4", *args, "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_weyl_needs_n_exp_5(tmp_path, capsys):

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
+from openbaker import experiments
 from openbaker.experiments import closed_spectrum, open_spectrum, sector_spectrum
 from openbaker.quantum import baker_unitary, dft_matrix, open_propagator
+from openbaker.spectral import Spectrum
 
 # Resonance tolerance by modulus band, as (lower bound, tolerance): the
 # values of SPECTRUM_TOLERANCE in bench/checks.py, measured there across the
@@ -63,6 +65,28 @@ def test_sector_sizes_and_exact_kernel(N):
         assert len(odd.pairs) == 1 and odd.pairs[0].z != 0.0
     with pytest.raises(ValueError):
         sector_spectrum(N, "sideways")
+
+
+@pytest.mark.parametrize("N", [81, 243])
+def test_open_spectrum_shares_its_sectors(N, monkeypatch):
+    """`open_spectrum` folds both parity sectors from one U and publishes
+    them: `sector_spectrum` then returns the same pair objects with no second
+    eigensolve, bitwise equal to a sector built alone."""
+    experiments._SECTORS.clear()
+    open_spectrum.cache_clear()
+    full = open_spectrum(N)
+    monkeypatch.setattr(la, "eig", lambda *a, **k: pytest.fail("sector solved again"))
+    shared = {sector: sector_spectrum(N, sector) for sector in ("even", "odd")}
+    monkeypatch.undo()
+    assert sorted(map(id, full.pairs)) == sorted(id(p) for s in shared.values() for p in s.pairs)
+    experiments._SECTORS.clear()
+    for sector, s in shared.items():
+        alone = sector_spectrum(N, sector)
+        assert alone is not s
+        for get in (Spectrum.eigenvalues, Spectrum.right_matrix, Spectrum.left_matrix):
+            assert get(alone).tobytes() == get(s).tobytes()
+        assert [(p.residual_right, p.residual_left) for p in alone.pairs] == \
+            [(p.residual_right, p.residual_left) for p in s.pairs]
 
 
 def test_reported_residuals_are_those_of_the_dense_propagator():

@@ -118,10 +118,12 @@ def test_husimi_grids_batch_matches_single():
         assert np.allclose(h, husimi_grids([s], G)[0], atol=1e-12)
 
 
-@pytest.mark.parametrize("N, G", [(81, 27), (81, 10)])
+@pytest.mark.parametrize("N, G", [(81, 27), (81, 10), (3, 81), (81, 11), (243, 100)])
 def test_husimi_grids_match_coherent_overlaps(N, G):
     """Every image value equals |<x|psi>|^2 with |x> = coherent_vector at the
-    cell centre, whether or not G divides N."""
+    cell centre, whether or not G divides N: G > 3N, G coprime to N and G
+    not dividing N take the zero-padded fold, and the packet norm then
+    depends on the momentum centre."""
     rng = np.random.default_rng(6)
     states = [rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(2)]
     for psi, h in zip(states, husimi_grids(states, G)):
