@@ -134,7 +134,7 @@ def weight_prediction(z: complex, m: int) -> float:
 def spectrum_csv_rows(s: Spectrum):
     """Rows for the spectrum CSV: one per eigenpair, 17 significant digits."""
     header = ["index", "re_z", "im_z", "modulus", "gamma",
-              "residual_right", "residual_left", "matched_flag"]
+              "residual_right", "residual_left"]
     rows = [header]
     for i, p in enumerate(s.pairs):
         g = p.gamma
@@ -144,6 +144,5 @@ def spectrum_csv_rows(s: Spectrum):
             f"{p.modulus:.17g}",
             "inf" if math.isinf(g) else f"{g:.17g}",
             f"{p.residual_right:.17g}", f"{p.residual_left:.17g}",
-            "1",  # matched_flag: every left vector comes paired with its right one
         ])
     return rows

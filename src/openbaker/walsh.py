@@ -2,125 +2,113 @@
 
 Replacing the shifted DFT by a tensor product of unshifted 3x3 Fourier
 matrices (composed with ternary digit reversal) turns the open baker into a
-weighted digit shift. U~^k then kills everything outside a 2^k-dimensional
-invariant subspace: range(U~^k) carries the 2^k nonzero eigenvalues
-(counted with multiplicity) and their right eigenvectors, range((U~^k)^H)
-their left ones, and U~ is nilpotent on the rest. The escape-region weights of
-the long-lived states obey weight(m) = |z|^(2m) (1 - |z|^2) to round-off,
-with no semiclassical error term.
+weighted digit shift (Nonnenmacher & Zworski, Commun. Math. Phys. 269
+(2007) 311), built from one digit matrix M = conj(F3) with its middle column
+zeroed: row n of U~ is row (n mod 3) N/3 + floor(n/3) of M (x) I_{N/3}, so
+U~ applies in O(N), and U~^k = M^(x)k. Hence the singular values of U~^k are
+k-fold products of M's column norms (1, 0, 1); range(U~^k) has the
+orthonormal basis Q1^(x)k, Q1 = conj(F3)[:, {0, 2}]; range((U~^k)^H) is
+spanned by the coordinates whose ternary digits are all 0 or 2 (the Cantor
+indices); and U~ is nilpotent on the rest, so its other N - 2^k eigenvalues
+are exactly 0 and are reported as such.
 
-The long-lived pairs are built from those two subspaces rather than from a
-dense eigensolve, whose eigenvectors in the degenerate clusters sit several
-orders above round-off: U~ is diagonalized on an orthonormal basis Q of
-range(U~^k), and the left vectors are the dual basis inside
-range((U~^k)^H), so <u_i|v_j> = 0 for i != j even within a degenerate cluster.
-The other N - 2^k eigenvalues are exactly 0 (U~ is nilpotent off range(U~^k));
-they are reported as such, not as the round-off fragments a dense eigensolve
-scatters them into.
-
-Digit-order convention: the digit-reversal permutation is applied to the
-rows of the tensor-product transform, at every dimension (outer and inner
-blocks alike). The convention without reversal was tried and rejected: it
-breaks the shift structure (weight residuals at the 1e-1 scale and 54
-instead of 16 nonzero eigenvalues at k = 4).
+The 2^k long-lived pairs come from those two subspaces, not from a dense
+eigensolve, whose eigenvectors in the degenerate clusters sit several orders
+above round-off. U~ is diagonalized on Q1^(x)k, and the left vectors are the
+dual basis among the Cantor coordinates, so <u_i|v_j> = 0 for i != j even
+within a cluster, and every left vector is exactly zero off the Cantor
+indices, the forward trapped set. The escape-region weights obey
+weight(m) = |z|^(2m) (1 - |z|^2) to round-off. The residuals are taken
+against the dense U~ (N^2 entries, 690 MB at k = 8), so the eigenpairs stop
+at k = MAX_K; the counts need only the singular values.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from functools import reduce
 
 import numpy as np
 
+from .quantum import escape_projector
 from .spectral import Spectrum, eigenpairs, weight, weight_prediction
-from .quantum import baker_form, escape_projector, opened
 
 __all__ = [
-    "walsh_transform",
-    "walsh_open_baker",
+    "walsh_matrix",
     "nonzero_count",
     "long_lived_spectrum",
     "walsh_spectrum_report",
 ]
 
 ZERO_THRESHOLD = 1e-6
+MAX_K = 7
+
+_M = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)  # conj(F3)
+_M[:, 1] = 0.0
 
 
-def _digit_reversal(k: int) -> np.ndarray:
-    """Permutation sending index with ternary digits (d0..d{k-1}) to the
-    index with digits reversed."""
-    idx = np.arange(3**k)
-    out = np.zeros_like(idx)
-    for _ in range(k):
-        out = out * 3 + idx % 3
-        idx //= 3
-    return out
+def _apply(V: np.ndarray) -> np.ndarray:
+    """U~ V for a vector or the columns of an N x r block, in O(N r)."""
+    N = V.shape[0]
+    return (_M @ V.reshape(3, -1)).reshape(3, N // 3, -1).swapaxes(0, 1).reshape(V.shape)
 
 
-@lru_cache(maxsize=8)
-def walsh_transform(k: int) -> np.ndarray:
-    """Walsh-Fourier transform on N = 3^k: digit reversal composed with a
-    k-fold tensor power of the unshifted 3x3 DFT."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    F3 = np.exp(-2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
-    W = F3
-    for _ in range(k - 1):
-        W = np.kron(W, F3)
-    return W[_digit_reversal(k), :]
+def walsh_matrix(k: int) -> np.ndarray:
+    """Open Walsh baker U~ on N = 3^k as a dense matrix: the entries of M
+    placed on the rows of M (x) I_{N/3}, with no matrix product."""
+    t = 3 ** (k - 1)
+    D = np.zeros((t, 3, 3, t), dtype=complex)
+    b = np.arange(t)
+    D[b, :, :, b] = _M
+    return D.reshape(3 * t, 3 * t)
 
 
-def walsh_open_baker(k: int) -> np.ndarray:
-    """Open Walsh baker: W_N^-1 diag(W_{N/3} x3) with the middle third of
-    the columns zeroed."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    return opened(baker_form(walsh_transform(k), walsh_transform(k - 1)))
+def _singular_values(k: int) -> list:
+    """Distinct singular values of U~^k = M^(x)k with their multiplicities:
+    the k-fold products of M's column norms."""
+    s = np.linalg.norm(_M, axis=0)
+    return [(s[0] ** a * s[1] ** b * s[2] ** (k - a - b), math.comb(k, a) * math.comb(k - a, b))
+            for a in range(k + 1) for b in range(k + 1 - a)]
 
 
-@lru_cache(maxsize=8)
 def _trapped_bases(k: int) -> tuple:
-    """One SVD of U~^k: its singular values, with orthonormal bases Q of
-    range(U~^k) and P of range((U~^k)^H), all read-only. Only the N x 2^k
-    bases are kept, not the full N x N singular-vector matrices."""
-    X, sv, Yh = np.linalg.svd(np.linalg.matrix_power(walsh_open_baker(k), k))
-    r = int((sv > ZERO_THRESHOLD).sum())
-    Q, P = X[:, :r].copy(), Yh[:r].conj().T
-    for a in (sv, Q, P):
-        a.flags.writeable = False
-    return sv, Q, P
+    """Orthonormal basis Q of range(U~^k), and the Cantor indices, whose
+    coordinate vectors span range((U~^k)^H)."""
+    Q = reduce(np.kron, [_M[:, ::2]] * k)
+    return Q, np.flatnonzero(reduce(np.kron, [[1, 0, 1]] * k))
 
 
 def nonzero_count(k: int, threshold: float = ZERO_THRESHOLD) -> int:
     """Number of nonzero eigenvalues of the open Walsh baker, via the
     numerical rank of U~^k (the nilpotent part dies after k steps)."""
-    return int((_trapped_bases(k)[0] > threshold).sum())
+    return sum(m for s, m in _singular_values(k) if s > threshold)
 
 
 def long_lived_spectrum(k: int) -> Spectrum:
     """The 2^k long-lived pairs, from the invariant subspaces.
 
-    The eigenpairs (z, w) of the small matrix Q^H U~ Q, with Q and P the
-    bases of `_trapped_bases`, give the right vectors V = Q w; the left
-    vectors are the dual basis U = P (P^H V)^-H inside range(P), so
-    U^H V = I before normalization. The remaining eigenvalues are exactly 0.
+    The eigenpairs (z, w) of the small matrix Q^H U~ Q give the right vectors
+    V = Q w; the left vectors are the dual basis U = P (P^H V)^-H inside the
+    span P of the Cantor coordinates, so U^H V = I before normalization and
+    U is zero off the Cantor indices. The remaining eigenvalues are exactly 0.
     """
-    _, Q, P = _trapped_bases(k)
-    Ut = walsh_open_baker(k)
-    z, w = np.linalg.eig(Q.conj().T @ Ut @ Q)
+    if not 2 <= k <= MAX_K:
+        raise ValueError(f"Walsh eigenpairs need 2 <= n_exp <= {MAX_K}: "
+                         "their residual check holds the dense N x N propagator")
+    Q, cantor = _trapped_bases(k)
+    z, w = np.linalg.eig(Q.conj().T @ _apply(Q))
     V = Q @ w
-    U = P @ np.linalg.inv(P.conj().T @ V).conj().T
-    return Spectrum(Ut.shape[0], eigenpairs(Ut, z, V, U))
+    U = np.zeros_like(V)
+    U[cantor] = np.linalg.inv(V[cantor]).conj().T
+    return Spectrum(3**k, eigenpairs(walsh_matrix(k), z, V, U))
 
 
 def walsh_spectrum_report(k: int):
     """Per-eigenvalue table: modulus, short/long flag, kernel dimension and
     the worst weight-formula residual over the resolvable depths. The
     N - 2^k kernel rows have z = 0 exactly."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    N = 3**k
     pairs = long_lived_spectrum(k).pairs
-    r = len(pairs)
+    N, r = 3**k, len(pairs)
     projs = [escape_projector(m, N) for m in range(min(5, k))]
     z = [p.z for p in pairs] + [0j] * (N - r)
     res = [max(abs(weight(p, proj) - weight_prediction(p.z, m)) for m, proj in enumerate(projs))

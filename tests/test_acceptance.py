@@ -49,7 +49,7 @@ from openbaker.spectral import (
     weight,
     weight_prediction,
 )
-from openbaker.walsh import long_lived_spectrum, nonzero_count, walsh_open_baker
+from openbaker.walsh import long_lived_spectrum, nonzero_count, walsh_matrix
 from interval_ops import difference, scale_shift, union
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
@@ -74,7 +74,7 @@ def test_criterion_01_exact_opening_identity():
         worst = max(worst, float(np.abs(Ut.conj().T @ Ut - target).max()))
     for k in (3, 5, 7):
         N = 3**k
-        Ut = walsh_open_baker(k)
+        Ut = walsh_matrix(k)
         target = np.eye(N) - np.diag(escape_projector(0, N))
         worst = max(worst, float(np.abs(Ut.conj().T @ Ut - target).max()))
     report(1, "exact opening identity", worst < 1e-12,

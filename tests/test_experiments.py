@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openbaker import experiments
+from openbaker import experiments, walsh
 from openbaker.cli import main
 from openbaker.experiments import (
     RunConfig,
@@ -294,3 +294,17 @@ def test_cli_weights_walsh(tmp_path, capsys):
     rc = main(["weights", "--walsh", "--n-exp", "3", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "weights_walsh_27.csv").exists()
+
+
+@pytest.mark.parametrize("args", [["walsh"], ["weights", "--walsh"]], ids=["walsh", "weights"])
+def test_cli_walsh_eigenpairs_limit_n_exp(tmp_path, capsys, monkeypatch, args):
+    """The Walsh eigenpairs check their residuals against the dense N x N
+    propagator, so n_exp 8 (690 MB) fails before any build, names the
+    limit and writes nothing; the Weyl counts need no eigenpair and take it."""
+    monkeypatch.setattr(walsh, "_trapped_bases",
+                        lambda *a: pytest.fail("built before validating n_exp"))
+    assert main([*args, "--n-exp", "8", "--out", str(tmp_path)]) == 1
+    assert "need 2 <= n_exp <= 7" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    assert main(["weyl", "--walsh", "--n-exp", "8", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "weyl_walsh_6561.csv").read_text().splitlines()[-1].endswith(",256,256")

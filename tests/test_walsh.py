@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,20 +7,24 @@ from openbaker.quantum import escape_projector
 from openbaker.spectral import weight, weight_prediction
 from openbaker.walsh import (
     ZERO_THRESHOLD,
-    _digit_reversal,
+    _apply,
+    _singular_values,
+    _trapped_bases,
     long_lived_spectrum,
     nonzero_count,
-    walsh_open_baker,
+    walsh_matrix,
     walsh_spectrum_report,
-    walsh_transform,
 )
+from walsh_dense import digit_reversal, trapped_svd, walsh_open_baker, walsh_transform
+
+F3 = np.exp(-2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
 
 
 def test_digit_reversal():
-    assert list(_digit_reversal(1)) == [0, 1, 2]
+    assert list(digit_reversal(1)) == [0, 1, 2]
     # two ternary digits: (d0 d1) -> (d1 d0)
-    assert list(_digit_reversal(2)) == [0, 3, 6, 1, 4, 7, 2, 5, 8]
-    r = _digit_reversal(4)
+    assert list(digit_reversal(2)) == [0, 3, 6, 1, 4, 7, 2, 5, 8]
+    r = digit_reversal(4)
     assert np.array_equal(r[r], np.arange(81))  # involution
 
 
@@ -32,7 +38,6 @@ def test_walsh_transform_unitary():
 def test_walsh_transform_tensor_oracle():
     """k = 2 transform from first principles: entry (n, m) couples the
     reversed ternary digits of n with those of m through 3x3 DFT factors."""
-    F3 = np.exp(-2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
     W = walsh_transform(2)
     for n in range(9):
         for m in range(9):
@@ -43,14 +48,51 @@ def test_walsh_transform_tensor_oracle():
 
 
 def test_walsh_open_subunitarity():
-    """The exact opening identity holds for the Walsh quantization too."""
+    """The exact opening identity holds for the Walsh quantization too, in
+    the structured build and in the dense reference."""
     for k in (2, 3, 4):
         N = 3**k
-        Ut = walsh_open_baker(k)
         pi0 = np.diag(escape_projector(0, N))
-        assert np.linalg.norm(Ut.conj().T @ Ut - (np.eye(N) - pi0)) < 1e-13
+        for Ut in (walsh_matrix(k), walsh_open_baker(k)):
+            assert np.linalg.norm(Ut.conj().T @ Ut - (np.eye(N) - pi0)) < 1e-13
     with pytest.raises(ValueError):
         walsh_open_baker(1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_digit_structure_matches_dense_reference(k):
+    """U~ placed from the 3x3 digit matrix, and the O(N) operator, equal the
+    dense W_N^-1 diag(W_{N/3} x3) (I - pi_0); U~^k is the Kronecker power
+    of the digit matrix."""
+    N = 3**k
+    Ut = walsh_matrix(k)
+    assert np.abs(Ut - walsh_open_baker(k)).max() < 1e-14
+    X = np.random.default_rng(k).standard_normal((N, 5)) + 0j
+    assert np.abs(_apply(X) - Ut @ X).max() < 1e-14
+    assert np.abs(_apply(X[:, 0]) - Ut @ X[:, 0]).max() < 1e-14
+    M = Ut[:3, ::N // 3]  # rows 0..2 of U~ hold M on columns 0, N/3, 2N/3
+    Mk = M
+    for _ in range(k - 1):
+        Mk = np.kron(Mk, M)
+    assert np.abs(np.linalg.matrix_power(Ut, k) - Mk).max() < 1e-14
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_trapped_bases_match_dense_svd(k):
+    """Q = Q1^(x)k spans the dense SVD's range of U~^k, the Cantor
+    coordinates span its co-range, and the singular-value products and the
+    count equal the dense SVD's."""
+    N = 3**k
+    sv, X, P = trapped_svd(k)
+    Q, cantor = _trapped_bases(k)
+    assert Q.shape == (N, 2**k) and len(cantor) == 2**k
+    assert np.abs(Q.conj().T @ Q - np.eye(2**k)).max() < 1e-13
+    assert np.abs(Q @ Q.conj().T - X @ X.conj().T).max() < 1e-12
+    assert np.abs(P @ P.conj().T - np.diag(np.isin(np.arange(N), cantor))).max() < 1e-12
+    assert all(set(np.base_repr(n, 3)) <= {"0", "2"} for n in cantor)
+    products = np.sort(np.repeat(*zip(*_singular_values(k))))[::-1]
+    assert np.abs(products - sv).max() < 1e-12
+    assert nonzero_count(k) == int((sv > ZERO_THRESHOLD).sum()) == 2**k
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -67,7 +109,7 @@ def test_nilpotent_remainder():
     """U~ restricted to the complement of the long-lived subspace is
     nilpotent: U~^k has rank exactly 2^k, and the next power keeps it."""
     k = 3
-    Ut = walsh_open_baker(k)
+    Ut = walsh_matrix(k)
     r1 = np.linalg.matrix_rank(np.linalg.matrix_power(Ut, k), tol=1e-10)
     r2 = np.linalg.matrix_rank(np.linalg.matrix_power(Ut, k + 1), tol=1e-10)
     assert r1 == r2 == 2**k
@@ -136,19 +178,59 @@ def test_weight_formula_exact(k):
             assert abs(weight(p, proj) - weight_prediction(p.z, m)) < 1e-12
 
 
+# eigenvalues of the digit matrix restricted to the trapped digits {0, 2}
+MU = np.linalg.eigvals(F3.conj()[np.ix_([0, 2], [0, 2])])
+
+
+def necklace_eigenvalues(k: int) -> np.ndarray:
+    """Closed-form Walsh spectrum: each binary necklace w of length k and
+    primitive period p gives (mu_{w_0} ... mu_{w_{p-1}})^(1/p) e^(2 pi i j/p),
+    j = 0..p-1 (Nonnenmacher & Zworski 2007)."""
+    out, seen = [], set()
+    for n in range(2**k):
+        w = [n >> i & 1 for i in range(k)]
+        orbit = {tuple(w[i:] + w[:i]) for i in range(k)}
+        rep, p = min(orbit), len(orbit)
+        if rep not in seen:
+            seen.add(rep)
+            root = np.prod(MU[list(rep[:p])]) ** (1 / p)
+            out += [root * np.exp(2j * np.pi * j / p) for j in range(p)]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_necklace_eigenvalues(k):
+    """The 2^k long-lived eigenvalues are the necklace multiset to 1e-14."""
+    z = list(long_lived_spectrum(k).eigenvalues())
+    expected = necklace_eigenvalues(k)
+    assert len(z) == len(expected) == 2**k
+    for e in expected:
+        j = int(np.argmin(np.abs(np.array(z) - e)))
+        assert abs(z.pop(j) - e) < 1e-14
+
+
 def test_moduli_structure():
-    """Long-lived Walsh moduli take the values sqrt((2 + 2 cos t)/3)-type
-    products; at any k the largest is sqrt(2/3 + ...) — check the invariant
-    that all 2^k nonzero moduli are <= the k = 1-step bound and > 0."""
-    s = long_lived_spectrum(4)
-    mods = [p.modulus for p in s.pairs]
-    assert all(0.0 < m <= 1.0 for m in mods)
-    # spectrum is closed under complex conjugation
-    zs = sorted((round(p.z.real, 9), round(abs(p.z.imag), 9))
-                for p in s.pairs)
-    conj = sorted((round(p.z.real, 9), round(abs(np.conj(p.z).imag), 9))
-                  for p in s.pairs)
-    assert zs == conj
+    """Long-lived Walsh moduli take exactly the values |mu_0|^(j/k)
+    |mu_1|^(1 - j/k), each C(k, j) times: a word with j zeros in its
+    period p contributes |mu_0|^(j/p) |mu_1|^(1 - j/p) for each of its
+    rotations."""
+    a0, a1 = np.abs(MU)
+    for k in (3, 4, 5):
+        expected = np.sort(np.repeat([a0 ** (j / k) * a1 ** (1 - j / k) for j in range(k + 1)],
+                                     [math.comb(k, j) for j in range(k + 1)]))
+        assert np.abs(np.sort(long_lived_spectrum(k).moduli()) - expected).max() < 1e-14
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+def test_left_vectors_vanish_off_cantor_digits(k):
+    """Every long-lived left vector is exactly zero on the indices with a
+    ternary digit 1 (the forward trapped set in exact form), while the
+    right vectors spread over all of them."""
+    N = 3**k
+    s = long_lived_spectrum(k)
+    digit_one = np.array(["1" in np.base_repr(n, 3) for n in range(N)])
+    assert (s.left_matrix()[digit_one] == 0).all()
+    assert (np.abs(s.right_matrix()[digit_one]) > 0).any(axis=0).all()
 
 
 def test_walsh_spectrum_report():

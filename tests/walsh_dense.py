@@ -1,0 +1,57 @@
+"""Dense reference for the Walsh quantization, the cross-check at k <= 6.
+
+This is the generic route the structured `openbaker.walsh` replaces: the
+Walsh-Fourier transform as a dense N x N matrix, the open propagator through
+the same `baker_form` and `opened` as the antiperiodic quantization, and one
+full SVD of its k-th matrix power.
+
+Digit-order convention: the digit-reversal permutation is applied to the
+rows of the tensor-product transform, at every dimension (outer and inner
+blocks alike). The convention without reversal was tried and rejected: it
+breaks the shift structure (weight residuals at the 1e-1 scale and 54
+instead of 16 nonzero eigenvalues at k = 4).
+"""
+
+import numpy as np
+
+from openbaker.quantum import baker_form, opened
+from openbaker.walsh import ZERO_THRESHOLD
+
+
+def digit_reversal(k: int) -> np.ndarray:
+    """Permutation sending index with ternary digits (d0..d{k-1}) to the
+    index with digits reversed."""
+    idx = np.arange(3**k)
+    out = np.zeros_like(idx)
+    for _ in range(k):
+        out = out * 3 + idx % 3
+        idx //= 3
+    return out
+
+
+def walsh_transform(k: int) -> np.ndarray:
+    """Walsh-Fourier transform on N = 3^k: digit reversal composed with a
+    k-fold tensor power of the unshifted 3x3 DFT."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    F3 = np.exp(-2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
+    W = F3
+    for _ in range(k - 1):
+        W = np.kron(W, F3)
+    return W[digit_reversal(k), :]
+
+
+def walsh_open_baker(k: int) -> np.ndarray:
+    """Open Walsh baker: W_N^-1 diag(W_{N/3} x3) with the middle third of
+    the columns zeroed."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    return opened(baker_form(walsh_transform(k), walsh_transform(k - 1)))
+
+
+def trapped_svd(k: int) -> tuple:
+    """One SVD of U~^k: its singular values, with orthonormal bases Q of
+    range(U~^k) and P of range((U~^k)^H)."""
+    X, sv, Yh = np.linalg.svd(np.linalg.matrix_power(walsh_open_baker(k), k))
+    r = int((sv > ZERO_THRESHOLD).sum())
+    return sv, X[:, :r], Yh[:r].conj().T
