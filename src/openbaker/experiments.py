@@ -12,13 +12,14 @@ the longest-lived states (top modulus about 0.89 at N = 3^7) is the one
 seen after symmetry reduction, while the full spectrum's top modulus is
 0.939.
 
-Every baker spectrum is built per parity sector, and the full spectrum is
-both sectors merged once. An open sector is its folded N/3 kept block plus
-the exact kernel of the opening (z = 0), so the N x N propagator is never
-diagonalized; `open_spectrum` publishes both of its sectors, and
-`sector_spectrum` returns them without solving again. A closed sector is the
-dense block of U in that sector, solved for right vectors only: U is
-unitary, so its left vectors are its right ones.
+Every baker spectrum is built per parity sector. An open sector is its
+folded N/3 kept block plus the exact kernel of the opening (z = 0), so the
+N x N propagator is never diagonalized. The open sectors are the one
+spectrum cache (`_SECTORS`): `open_spectrum` merges both, folded from one U,
+and `sector_spectrum` returns one, folding it alone if it is missing. The
+closed-map control is plain states, not a spectrum: `closed_states` solves
+the dense block of U in each sector for right vectors only (U is unitary,
+so its left vectors are its right ones) and caches nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,7 @@ __all__ = [
     "RunConfig",
     "open_spectrum",
     "sector_spectrum",
+    "closed_states",
     "weyl_scaled_count",
     "run_spectrum",
     "run_weights_experiment",
@@ -109,63 +110,64 @@ class RunConfig:
         return d
 
 
-# Open parity sectors by (N, sector), oldest first: built by `sector_spectrum`,
-# and published by `open_spectrum`, which folds both from one U
+# The one spectrum cache: open parity sectors by (N, sector), oldest first;
+# beyond eight, the oldest is dropped
 _SECTORS: dict = {}
 
 
-def _keep_sector(N: int, sector: str, s: Spectrum) -> Spectrum:
-    """Store one open sector; beyond eight, the oldest is dropped."""
-    _SECTORS[N, sector] = s
-    if len(_SECTORS) > 8:
-        del _SECTORS[next(iter(_SECTORS))]
-    return s
+def _open_sectors(N: int, sectors: tuple) -> list:
+    """The open parity sectors asked for, from `_SECTORS`, or else the
+    missing ones folded from one U and stored."""
+    found = {sector: _SECTORS[N, sector] for sector in sectors if (N, sector) in _SECTORS}
+    missing = [sector for sector in sectors if sector not in found]
+    if missing:
+        U = baker_unitary(N)
+        signs = [1.0 if sector == "even" else -1.0 for sector in missing]
+        # both LAPACK solves first: NumPy's BLAS threads spinning after a product slow them
+        solved = [_folded_block_eig(U, sign) for sign in signs]
+        for sector, sign, eig in zip(missing, signs, solved):
+            found[sector] = _SECTORS[N, sector] = Spectrum(N, _folded_sector_pairs(U, sign, *eig))
+            if len(_SECTORS) > 8:
+                del _SECTORS[next(iter(_SECTORS))]
+    return [found[sector] for sector in sectors]
 
 
-@lru_cache(maxsize=6)
 def open_spectrum(N: int) -> Spectrum:
     """Full spectrum of the open propagator: the pairs of both parity
-    sectors, folded from one U and merged in (-|z|, phase) order; their
-    vectors are views of the sector columns. Both sectors are published
-    for `sector_spectrum`, so a figure's sector is not solved again."""
-    U = baker_unitary(N)
-    # both LAPACK solves first: NumPy's BLAS threads spinning after a product slow them
-    even, odd = [_folded_block_eig(U, sign) for sign in (1.0, -1.0)]
-    sectors = _folded_sector_pairs(U, 1.0, *even), _folded_sector_pairs(U, -1.0, *odd)
-    for sector, pairs in zip(("even", "odd"), sectors):
-        _keep_sector(N, sector, Spectrum(N, pairs))
-    return _merged(N, *sectors)
-
-
-@lru_cache(maxsize=6)
-def closed_spectrum(N: int, sector: str = "full") -> Spectrum:
-    """Spectrum of the closed map U_N in one parity sector, or both merged."""
-    U = baker_unitary(N)
-    if sector == "full":
-        return _merged(N, _lifted_sector_pairs(U, "even"), _lifted_sector_pairs(U, "odd"))
-    return Spectrum(N, _lifted_sector_pairs(U, sector))
+    sectors, merged in (-|z|, phase) order; their vectors are views of the
+    sector columns, so a figure's sector is not solved again."""
+    pairs = sum((s.pairs for s in _open_sectors(N, ("even", "odd"))), ())
+    z = np.array([p.z for p in pairs])
+    return Spectrum(N, tuple(pairs[i] for i in np.lexsort((np.angle(z), -np.abs(z)))))
 
 
 def sector_spectrum(N: int, sector: str) -> Spectrum:
     """Spectrum of the open propagator restricted to one parity sector,
-    with eigenvectors in the full N-dimensional space: the one `open_spectrum`
-    published, or else this sector alone, folded and kept."""
+    with eigenvectors in the full N-dimensional space; a sector asked for
+    alone is folded alone."""
     if sector == "full":
         return open_spectrum(N)
     if sector not in ("even", "odd"):
         raise ValueError("sector must be 'even', 'odd' or 'full'")
-    if (N, sector) in _SECTORS:
-        return _SECTORS[N, sector]
-    U, sign = baker_unitary(N), 1.0 if sector == "even" else -1.0
-    pairs = _folded_sector_pairs(U, sign, *_folded_block_eig(U, sign))
-    return _keep_sector(N, sector, Spectrum(N, pairs))
+    return _open_sectors(N, (sector,))[0]
 
 
-def _merged(N: int, *sectors) -> Spectrum:
-    """The pairs of every sector in one spectrum, in (-|z|, phase) order."""
-    pairs = sum(sectors, ())
-    z = np.array([p.z for p in pairs])
-    return Spectrum(N, tuple(pairs[i] for i in np.lexsort((np.angle(z), -np.abs(z)))))
+def closed_states(N: int, sector: str) -> tuple:
+    """Eigenvalues z and eigenvector columns V of the closed map U_N in one
+    parity sector, or in both ("full"), in (-|z|, phase) order: the right
+    vectors of each sector block, lifted to the full space. U is unitary,
+    so these are its left vectors too; they are not normalized (LAPACK's
+    columns have unit norm to round-off), and no residual is taken."""
+    U = baker_unitary(N)
+    zs, Vs = [], []
+    for s in ("even", "odd") if sector == "full" else (sector,):
+        A, B = sector_block(U, s)
+        z, R = la.eig(A)
+        zs.append(z)
+        Vs.append(B @ R)
+    z = np.concatenate(zs)
+    order = np.lexsort((np.angle(z), -np.abs(z)))
+    return z[order], np.hstack(Vs)[:, order]
 
 
 def _folded_block_eig(U: np.ndarray, sign: float) -> tuple:
@@ -184,7 +186,10 @@ def _folded_sector_pairs(U: np.ndarray, sign: float, z, Wl, Wr) -> tuple:
     folded block, without forming U~ or a parity basis: right vectors
     U~ (w, +-w reversed), left vectors (w_l, 0, +-w_l reversed), and the exact
     kernel of the opening pairs (n, n'), z = 0 with right vector
-    (e_n +- e_n')/sqrt 2 (e_n at the middle) and left vector U times it."""
+    (e_n +- e_n')/sqrt 2 (e_n at the middle) and left vector U times it.
+    Residuals are taken through U's kept column blocks, the action of U~,
+    and the adjoint as conj(U^T conj X) on those blocks, so neither U~ nor
+    a copy of U^H is made."""
     N, t = U.shape[0], U.shape[0] // 3
     # opening indices n <= n' (n < n' when odd); column n holds n's kernel pair
     n = np.arange(t, (N + 1) // 2 if sign > 0 else N // 2)
@@ -195,17 +200,19 @@ def _folded_sector_pairs(U: np.ndarray, sign: float, z, Wl, Wr) -> tuple:
     V[n, n], V[N - 1 - n, n] = 2**-0.5, sign * 2**-0.5  # middle: e_n/sqrt 2, normalized below
     L[:, t:] = U[:, t:2 * t] @ V[t:2 * t, t:]
     z = np.concatenate([z, np.zeros(len(n))])
-    return eigenpairs(U, z, V, L, keep=(slice(0, t), slice(2 * t, N)))
 
+    def apply(X):
+        Y = U[:, :t] @ X[:t]
+        Y += U[:, 2 * t:] @ X[2 * t:]
+        return Y
 
-def _lifted_sector_pairs(U: np.ndarray, sector: str) -> tuple:
-    """Eigenpairs of the closed map U in one parity sector: right vectors of
-    the sector block, lifted to the full space by one product. U is unitary,
-    hence normal, so each left eigenvector is the right one: LAPACK is
-    asked for right vectors only, and `eigenpairs` reports them as both."""
-    A, B = sector_block(U, sector)
-    z, R = la.eig(A)
-    return eigenpairs(U, z, B @ R)
+    def apply_h(X):
+        Xc, Y = np.conjugate(X), np.zeros_like(X)
+        np.matmul(U[:, :t].T, Xc, out=Y[:t])
+        np.matmul(U[:, 2 * t:].T, Xc, out=Y[2 * t:])
+        return np.conjugate(Y, out=Y)
+
+    return eigenpairs(z, V, L, apply, apply_h)
 
 
 def weyl_scaled_count(count: int, N: int) -> int:
@@ -242,8 +249,6 @@ def run_weights_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
     prediction |z|^(2m) (1 - |z|^2) (the Fig. 2 dataset for N = 3^6)."""
     k = cfg.n_exp
     if walsh:
-        if k < 2:
-            raise ValueError("walsh weights need n_exp >= 2")
         pairs = long_lived_spectrum(k).pairs
         m_max = min(4, k - 1)
     else:
@@ -287,12 +292,11 @@ def run_weyl_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
     rows = []
     slopes = {}
     degenerate = False
+    # one spectrum per N, then every threshold: the sector cache holds only eight
+    moduli = [open_spectrum(N).moduli() for N in N_list]
     for r in thresholds:
-        counts = []
-        for N in N_list:
-            c = int((open_spectrum(N).moduli() > r).sum())
-            counts.append(c)
-            rows.append([io_utils.fmt(r), str(N), str(c)])
+        counts = [int((m > r).sum()) for m in moduli]
+        rows += [[io_utils.fmt(r), str(N), str(c)] for N, c in zip(N_list, counts)]
         if min(counts) == 0:
             slopes[r] = float("nan")
             degenerate = True
@@ -313,14 +317,16 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
         raise ValueError("husimi needs grid >= 8")
     if cfg.count < 1:
         raise ValueError("husimi needs count >= 1")
+    if cfg.n_exp > 7:
+        raise ValueError("husimi needs n_exp <= 7: its Wigner average holds a 2N x 2N "
+                         "complex density matrix (2.8 GB at n_exp 8)")
     s = sector_spectrum(N, cfg.sector)
     # at most the resonances: the opening's exact kernel (z = 0) is not long-lived
     count = min(cfg.count, int(np.count_nonzero(s.eigenvalues())))
     sel = select_long_lived(s, count)
-    closed = select_long_lived(closed_spectrum(N, cfg.sector), count)
+    closed = closed_states(N, cfg.sector)[1][:, :count]
     # one Husimi pass for all three images, so the Gaussian fold weights are built once
-    H = husimi_grids([p.right_vec for p in sel] + [p.left_vec for p in sel]
-                     + [p.right_vec for p in closed], G)
+    H = husimi_grids([p.right_vec for p in sel] + [p.left_vec for p in sel] + list(closed.T), G)
     avg_r, avg_l, closed_r = (average_density(H[k * count:(k + 1) * count]) for k in range(3))
     band = interval_mask(cantor_approx(1), G)
     right_mass = float(avg_r[:, band].sum())   # horizontal Cantor band
@@ -413,8 +419,6 @@ def run_walsh_report(cfg: RunConfig) -> dict:
     """Walsh exactness report: spectrum classification and the worst
     weight-formula residual over the long-lived states."""
     k = cfg.n_exp
-    if k < 2:
-        raise ValueError("walsh report needs n_exp >= 2")
     rows_dicts = walsh_spectrum_report(k)
     header = list(rows_dicts[0].keys())
     rows = [[io_utils.fmt(r[h]) if isinstance(r[h], float) else str(r[h]) for h in header]

@@ -4,16 +4,16 @@ Resonances of the open propagator are eigenvalues inside the unit disk;
 the decay rate is Gamma = -ln|z|^2. Left and right eigenvectors are
 normalized to unit norm separately (they are not orthogonal to each other).
 
-Every spectrum is built by one function, `eigenpairs(A, z, V, U, keep)`,
-from eigenvalues with right and left eigenvector columns, whether they come
-from the folded blocks of the open map, the Walsh trapped subspace, or the
-parity blocks of the closed map. The closed map is unitary, hence normal,
-so its left eigenvectors are its right ones: it passes U = None, and each
-left vector and left residual is reported as the right one.
-It normalizes the columns and fixes their phase in place, takes the
-residuals against A restricted to the column blocks `keep` (so
-U (I - pi_0) is never formed), marks the columns read-only and sorts the
-pairs by (-|z|, phase); the vectors of each pair are views of those columns.
+Every spectrum is built by one function, `eigenpairs(z, V, U, apply,
+apply_h)`, from eigenvalues with right and left eigenvector columns, whether
+they come from the folded blocks of the open map or the Walsh trapped
+subspace. It sees the propagator only through its action on a block of
+columns, `apply(X)` = A X and `apply_h(X)` = A^H X, so a map whose matrix is
+never formed (the open map through U's kept column blocks, the Walsh map in
+O(N) per column) is checked the same way as a dense one. It normalizes the
+columns and fixes their phase in place, takes the residuals through those
+two actions, marks the columns read-only and sorts the pairs by
+(-|z|, phase); the vectors of each pair are views of those columns.
 """
 
 from __future__ import annotations
@@ -72,37 +72,29 @@ class Spectrum:
         return np.column_stack([p.left_vec for p in self.pairs])
 
 
-def eigenpairs(A: np.ndarray, z: np.ndarray, V: np.ndarray, U: np.ndarray | None = None,
-               keep: tuple = (slice(None),)) -> tuple:
-    """Eigenpairs of A~ (A with its columns outside the slices `keep` set to
-    zero) from eigenvalues z with right (V) and left (U) eigenvector
-    columns, sorted by (-|z|, phase). U = None declares A~ normal: each
-    left vector and left residual is then the right one.
+def eigenpairs(z: np.ndarray, V: np.ndarray, U: np.ndarray, apply, apply_h) -> tuple:
+    """Eigenpairs of an operator A from eigenvalues z with right (V) and
+    left (U) eigenvector columns, sorted by (-|z|, phase); `apply(X)` and
+    `apply_h(X)` return A X and A^H X for an N x r block X.
 
     V and U are normalized in place, each column's largest-modulus component
     is made real positive (a reproducible phase), and both are then marked
-    read-only. The residuals ||A~ v - z v|| and ||A~^H u - conj(z) u|| are
-    reported, not checked; both sides share one buffer of V's size.
+    read-only. The residuals ||A v - z v|| and ||A^H u - conj(z) u|| are
+    reported, not checked; the first buffer is freed before the second is
+    made.
     """
-    for M in (V,) if U is None else (V, U):
+    for M in (V, U):
         M /= np.linalg.norm(M, axis=0)
         top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
         M /= top / np.abs(top)
         M.flags.writeable = False
-    R = V * -z
-    for s in keep:
-        R += A[:, s] @ V[s]
+    R = apply(V)
+    R -= V * z
     res_r = np.linalg.norm(R, axis=0)
-    if U is None:
-        U, res_l = V, res_r
-    else:
-        # ||A~^H u - conj(z) u|| = ||A~^T conj(u) - z conj(u)||; no copy of A
-        Uc = np.conjugate(U, out=R)
-        products = [A[:, s].T @ Uc for s in keep]
-        Uc *= -z
-        for s, P in zip(keep, products):
-            Uc[s] += P
-        res_l = np.linalg.norm(Uc, axis=0)
+    del R
+    R = apply_h(U)
+    R -= U * z.conj()
+    res_l = np.linalg.norm(R, axis=0)
     order = np.lexsort((np.angle(z), -np.abs(z)))
     return tuple(ResonanceEigenpair(complex(z[i]), V[:, i], U[:, i],
                                     float(res_r[i]), float(res_l[i])) for i in order)

@@ -18,9 +18,10 @@ above round-off. U~ is diagonalized on Q1^(x)k, and the left vectors are the
 dual basis among the Cantor coordinates, so <u_i|v_j> = 0 for i != j even
 within a cluster, and every left vector is exactly zero off the Cantor
 indices, the forward trapped set. The escape-region weights obey
-weight(m) = |z|^(2m) (1 - |z|^2) to round-off. The residuals are taken
-against the dense U~ (N^2 entries, 690 MB at k = 8), so the eigenpairs stop
-at k = MAX_K; the counts need only the singular values.
+weight(m) = |z|^(2m) (1 - |z|^2) to round-off. No N x N matrix is formed:
+the residuals are taken through the O(N) action of U~ and of its adjoint.
+The eigenpairs stop at k = MAX_K because they hold N x 2^k bases (161 MB
+each at k = 9); the counts need only the singular values.
 """
 
 from __future__ import annotations
@@ -34,14 +35,13 @@ from .quantum import escape_projector
 from .spectral import Spectrum, eigenpairs, weight, weight_prediction
 
 __all__ = [
-    "walsh_matrix",
     "nonzero_count",
     "long_lived_spectrum",
     "walsh_spectrum_report",
 ]
 
 ZERO_THRESHOLD = 1e-6
-MAX_K = 7
+MAX_K = 8
 
 _M = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)  # conj(F3)
 _M[:, 1] = 0.0
@@ -53,14 +53,10 @@ def _apply(V: np.ndarray) -> np.ndarray:
     return (_M @ V.reshape(3, -1)).reshape(3, N // 3, -1).swapaxes(0, 1).reshape(V.shape)
 
 
-def walsh_matrix(k: int) -> np.ndarray:
-    """Open Walsh baker U~ on N = 3^k as a dense matrix: the entries of M
-    placed on the rows of M (x) I_{N/3}, with no matrix product."""
-    t = 3 ** (k - 1)
-    D = np.zeros((t, 3, 3, t), dtype=complex)
-    b = np.arange(t)
-    D[b, :, :, b] = _M
-    return D.reshape(3 * t, 3 * t)
+def _apply_h(X: np.ndarray) -> np.ndarray:
+    """U~^H X, the adjoint of `_apply`, in O(N r)."""
+    N = X.shape[0]
+    return (_M.conj().T @ X.reshape(N // 3, 3, -1).swapaxes(0, 1).reshape(3, -1)).reshape(X.shape)
 
 
 def _singular_values(k: int) -> list:
@@ -94,13 +90,13 @@ def long_lived_spectrum(k: int) -> Spectrum:
     """
     if not 2 <= k <= MAX_K:
         raise ValueError(f"Walsh eigenpairs need 2 <= n_exp <= {MAX_K}: "
-                         "their residual check holds the dense N x N propagator")
+                         "they hold N x 2^n_exp bases (161 MB each at n_exp 9)")
     Q, cantor = _trapped_bases(k)
     z, w = np.linalg.eig(Q.conj().T @ _apply(Q))
     V = Q @ w
     U = np.zeros_like(V)
     U[cantor] = np.linalg.inv(V[cantor]).conj().T
-    return Spectrum(3**k, eigenpairs(walsh_matrix(k), z, V, U))
+    return Spectrum(3**k, eigenpairs(z, V, U, _apply, _apply_h))
 
 
 def walsh_spectrum_report(k: int):

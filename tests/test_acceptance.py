@@ -21,7 +21,7 @@ from openbaker.classical import (
 )
 from openbaker.experiments import (
     RunConfig,
-    closed_spectrum,
+    closed_states,
     open_spectrum,
     run_spectrum,
     sector_spectrum,
@@ -49,7 +49,7 @@ from openbaker.spectral import (
     weight,
     weight_prediction,
 )
-from openbaker.walsh import long_lived_spectrum, nonzero_count, walsh_matrix
+from openbaker.walsh import _apply, long_lived_spectrum, nonzero_count
 from interval_ops import difference, scale_shift, union
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
@@ -74,7 +74,7 @@ def test_criterion_01_exact_opening_identity():
         worst = max(worst, float(np.abs(Ut.conj().T @ Ut - target).max()))
     for k in (3, 5, 7):
         N = 3**k
-        Ut = walsh_matrix(k)
+        Ut = _apply(np.eye(N, dtype=complex))
         target = np.eye(N) - np.diag(escape_projector(0, N))
         worst = max(worst, float(np.abs(Ut.conj().T @ Ut - target).max()))
     report(1, "exact opening identity", worst < 1e-12,
@@ -166,10 +166,13 @@ def test_criterion_06_fractal_weyl(even_2187):
 
 
 def _band_masses(N: int, count: int, G: int = 27, closed: bool = False):
-    s = closed_spectrum(N) if closed else open_spectrum(N)
-    sel = select_long_lived(s, count)
-    avg_r = average_density(husimi_grids([p.right_vec for p in sel], G))
-    avg_l = average_density(husimi_grids([p.left_vec for p in sel], G))
+    if closed:
+        right = left = list(closed_states(N, "full")[1][:, :count].T)
+    else:
+        sel = select_long_lived(open_spectrum(N), count)
+        right, left = [p.right_vec for p in sel], [p.left_vec for p in sel]
+    avg_r = average_density(husimi_grids(right, G))
+    avg_l = average_density(husimi_grids(left, G))
     pgrid = (np.arange(G) + 0.5) / G
     band = (pgrid < 1 / 3) | (pgrid >= 2 / 3)
     return float(avg_r[:, band].sum()), float(avg_l[band, :].sum())

@@ -9,7 +9,7 @@ from openbaker import experiments, walsh
 from openbaker.cli import main
 from openbaker.experiments import (
     RunConfig,
-    closed_spectrum,
+    closed_states,
     open_spectrum,
     run_classical,
     run_density_figures,
@@ -83,10 +83,8 @@ def test_sector_spectra_partition():
 @pytest.mark.parametrize("build", [
     lambda: open_spectrum(27),
     lambda: sector_spectrum(27, "even"),
-    lambda: closed_spectrum(27),
-    lambda: closed_spectrum(27, "odd"),
     lambda: long_lived_spectrum(3),
-], ids=["open", "sector", "closed", "closed_sector", "walsh_long_lived"])
+], ids=["open", "sector", "walsh_long_lived"])
 def test_cached_spectra_read_only(build):
     s = build()
     for p in (s.pairs[0], s.pairs[-1]):
@@ -144,6 +142,17 @@ def test_run_weyl(tmp_path):
         run_weyl_experiment(RunConfig(n_exp=4, out_dir=tmp_path))
 
 
+def test_weyl_builds_each_propagator_once(tmp_path, monkeypatch):
+    """`weyl` takes each N's spectrum once and counts every threshold from
+    it, so each U_N is built once however few sectors the cache holds."""
+    experiments._SECTORS.clear()
+    build, spectrum, built, spectra = experiments.baker_unitary, experiments.open_spectrum, [], []
+    monkeypatch.setattr(experiments, "baker_unitary", lambda N: built.append(N) or build(N))
+    monkeypatch.setattr(experiments, "open_spectrum", lambda N: spectra.append(N) or spectrum(N))
+    assert main(["weyl", "--n-exp", "5", "--out", str(tmp_path)]) == 0
+    assert built == spectra == [27, 81, 243]
+
+
 def test_run_weyl_walsh(tmp_path):
     cfg = RunConfig(n_exp=4, out_dir=tmp_path)
     rec = run_weyl_experiment(cfg, walsh=True)
@@ -176,7 +185,7 @@ def test_husimi_image_independent_of_batch():
     pass; each state's image must be bitwise what its own call gives."""
     sel = sector_spectrum(243, "even").pairs[:20]
     sets = [[p.right_vec for p in sel], [p.left_vec for p in sel],
-            [p.right_vec for p in closed_spectrum(243, "even").pairs[:20]]]
+            list(closed_states(243, "even")[1][:, :20].T)]
     joint = husimi_grids(sum(sets, []), 81)
     alone = sum((husimi_grids(states, 81) for states in sets), [])
     assert all(np.array_equal(a, b) for a, b in zip(joint, alone, strict=True))
@@ -298,13 +307,35 @@ def test_cli_weights_walsh(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [["walsh"], ["weights", "--walsh"]], ids=["walsh", "weights"])
 def test_cli_walsh_eigenpairs_limit_n_exp(tmp_path, capsys, monkeypatch, args):
-    """The Walsh eigenpairs check their residuals against the dense N x N
-    propagator, so n_exp 8 (690 MB) fails before any build, names the
-    limit and writes nothing; the Weyl counts need no eigenpair and take it."""
+    """The Walsh eigenpairs hold N x 2^n_exp bases, so n_exp 9 (161 MB
+    each) fails before any build, names the limit and writes nothing; the
+    Weyl counts need no eigenpair and take it."""
     monkeypatch.setattr(walsh, "_trapped_bases",
                         lambda *a: pytest.fail("built before validating n_exp"))
-    assert main([*args, "--n-exp", "8", "--out", str(tmp_path)]) == 1
-    assert "need 2 <= n_exp <= 7" in capsys.readouterr().err
+    assert main([*args, "--n-exp", "9", "--out", str(tmp_path)]) == 1
+    assert "need 2 <= n_exp <= 8" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
-    assert main(["weyl", "--walsh", "--n-exp", "8", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "weyl_walsh_6561.csv").read_text().splitlines()[-1].endswith(",256,256")
+    assert main(["weyl", "--walsh", "--n-exp", "9", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "weyl_walsh_19683.csv").read_text().splitlines()[-1].endswith(",512,512")
+
+
+@pytest.mark.parametrize("args", [["walsh"], ["weights", "--walsh"]], ids=["walsh", "weights"])
+def test_cli_walsh_rejects_n_exp_1(tmp_path, capsys, args):
+    """Below the range, both Walsh subcommands fail with the one range
+    message of `long_lived_spectrum` and write nothing."""
+    with pytest.raises(ValueError) as exc:
+        long_lived_spectrum(1)
+    assert main([*args, "--n-exp", "1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_husimi_limit_n_exp(tmp_path, capsys, monkeypatch):
+    """The Wigner average holds a 2N x 2N complex density matrix, 2.8 GB at
+    n_exp 8, so `husimi --n-exp 8` fails before any build, names the limit
+    and writes nothing."""
+    monkeypatch.setattr(experiments, "baker_unitary",
+                        lambda *a: pytest.fail("built before validating n_exp"))
+    assert main(["husimi", "--n-exp", "8", "--out", str(tmp_path)]) == 1
+    assert "husimi needs n_exp <= 7" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

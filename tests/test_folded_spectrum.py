@@ -2,7 +2,7 @@
 opening kernel, checked against routes that share none of its code: the
 dense eigensolve of U~ = U_N (I - pi_0), the dense propagator itself, and
 the time-reversal symmetry that maps right vectors to left ones. The closed
-spectrum, merged from the two parity blocks of U_N, is checked against the
+states, merged from the two parity blocks of U_N, are checked against the
 dense eigensolve of U_N."""
 
 import math
@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg as la
 
 from openbaker import experiments
-from openbaker.experiments import closed_spectrum, open_spectrum, sector_spectrum
+from openbaker.experiments import closed_states, open_spectrum, sector_spectrum
 from openbaker.quantum import baker_unitary, dft_matrix, open_propagator
 from openbaker.spectral import Spectrum
 
@@ -73,7 +73,6 @@ def test_open_spectrum_shares_its_sectors(N, monkeypatch):
     them: `sector_spectrum` then returns the same pair objects with no second
     eigensolve, bitwise equal to a sector built alone."""
     experiments._SECTORS.clear()
-    open_spectrum.cache_clear()
     full = open_spectrum(N)
     monkeypatch.setattr(la, "eig", lambda *a, **k: pytest.fail("sector solved again"))
     shared = {sector: sector_spectrum(N, sector) for sector in ("even", "odd")}
@@ -124,23 +123,24 @@ CLOSED_TOLERANCE = 1e-13
 
 @pytest.mark.parametrize("N", [81, 243])
 def test_closed_spectrum_matches_dense_eigensolve(N):
-    """The merged closed spectrum is the spectrum of the unitary U_N: each
-    eigenvalue matches one of LAPACK's on the dense matrix and lies on the
-    unit circle, each right vector lies in one parity sector, and each left
-    vector is its right vector (U_N is normal)."""
-    s = closed_spectrum(N)
-    got = s.eigenvalues()
-    assert len(got) == N
+    """The merged closed states are the eigenvectors of the unitary U_N:
+    each eigenvalue matches one of LAPACK's on the dense matrix and lies on
+    the unit circle, the eigenvalues come in (-|z|, phase) order, and each
+    column is an eigenvector of U_N lying in one parity sector."""
+    z, V = closed_states(N, "full")
+    assert len(z) == N and V.shape == (N, N)
     used = np.zeros(N, dtype=bool)
     for a in la.eigvals(baker_unitary(N)):
-        d = np.where(used, np.inf, np.abs(got - a))
+        d = np.where(used, np.inf, np.abs(z - a))
         j = int(np.argmin(d))
         assert d[j] <= CLOSED_TOLERANCE, f"eigenvalue {a} unmatched ({d[j]:.3g})"
         used[j] = True
-    assert np.abs(np.abs(got) - 1).max() < 1e-12
-    V = s.right_matrix()
+    assert np.abs(np.abs(z) - 1).max() < 1e-12
+    assert np.array_equal(np.lexsort((np.angle(z), -np.abs(z))), np.arange(N))
+    assert np.linalg.norm(baker_unitary(N) @ V - V * z, axis=0).max() < 1e-12
     even = np.abs(V[::-1] - V).max(axis=0) < 1e-14
     odd = np.abs(V[::-1] + V).max(axis=0) < 1e-14
     assert np.all(even ^ odd) and even.sum() == math.ceil(N / 2)
-    for p in s.pairs:
-        assert np.array_equal(p.left_vec, p.right_vec)
+    for sector, parity in (("even", even), ("odd", odd)):
+        zs, Vs = closed_states(N, sector)
+        assert np.array_equal(zs, z[parity]) and np.array_equal(Vs, V[:, parity])

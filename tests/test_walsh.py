@@ -8,11 +8,11 @@ from openbaker.spectral import weight, weight_prediction
 from openbaker.walsh import (
     ZERO_THRESHOLD,
     _apply,
+    _apply_h,
     _singular_values,
     _trapped_bases,
     long_lived_spectrum,
     nonzero_count,
-    walsh_matrix,
     walsh_spectrum_report,
 )
 from walsh_dense import digit_reversal, trapped_svd, walsh_open_baker, walsh_transform
@@ -48,12 +48,12 @@ def test_walsh_transform_tensor_oracle():
 
 
 def test_walsh_open_subunitarity():
-    """The exact opening identity holds for the Walsh quantization too, in
-    the structured build and in the dense reference."""
+    """The exact opening identity holds for the Walsh quantization too, for
+    the O(N) operator and for the dense reference."""
     for k in (2, 3, 4):
         N = 3**k
         pi0 = np.diag(escape_projector(0, N))
-        for Ut in (walsh_matrix(k), walsh_open_baker(k)):
+        for Ut in (_apply(np.eye(N, dtype=complex)), walsh_open_baker(k)):
             assert np.linalg.norm(Ut.conj().T @ Ut - (np.eye(N) - pi0)) < 1e-13
     with pytest.raises(ValueError):
         walsh_open_baker(1)
@@ -61,15 +61,19 @@ def test_walsh_open_subunitarity():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_digit_structure_matches_dense_reference(k):
-    """U~ placed from the 3x3 digit matrix, and the O(N) operator, equal the
-    dense W_N^-1 diag(W_{N/3} x3) (I - pi_0); U~^k is the Kronecker power
-    of the digit matrix."""
+    """The O(N) operator and its adjoint equal the dense
+    W_N^-1 diag(W_{N/3} x3) (I - pi_0) and its conjugate transpose, on
+    blocks and on single vectors; U~^k is the Kronecker power of the digit
+    matrix."""
     N = 3**k
-    Ut = walsh_matrix(k)
+    Ut = _apply(np.eye(N, dtype=complex))
     assert np.abs(Ut - walsh_open_baker(k)).max() < 1e-14
+    assert np.abs(_apply_h(np.eye(N, dtype=complex)) - walsh_open_baker(k).conj().T).max() < 1e-14
     X = np.random.default_rng(k).standard_normal((N, 5)) + 0j
     assert np.abs(_apply(X) - Ut @ X).max() < 1e-14
     assert np.abs(_apply(X[:, 0]) - Ut @ X[:, 0]).max() < 1e-14
+    assert np.abs(_apply_h(X) - Ut.conj().T @ X).max() < 1e-14
+    assert np.abs(_apply_h(X[:, 0]) - Ut.conj().T @ X[:, 0]).max() < 1e-14
     M = Ut[:3, ::N // 3]  # rows 0..2 of U~ hold M on columns 0, N/3, 2N/3
     Mk = M
     for _ in range(k - 1):
@@ -109,7 +113,7 @@ def test_nilpotent_remainder():
     """U~ restricted to the complement of the long-lived subspace is
     nilpotent: U~^k has rank exactly 2^k, and the next power keeps it."""
     k = 3
-    Ut = walsh_matrix(k)
+    Ut = walsh_open_baker(k)
     r1 = np.linalg.matrix_rank(np.linalg.matrix_power(Ut, k), tol=1e-10)
     r2 = np.linalg.matrix_rank(np.linalg.matrix_power(Ut, k + 1), tol=1e-10)
     assert r1 == r2 == 2**k
@@ -122,6 +126,19 @@ def test_long_lived_spectrum_refined():
         assert p.residual_right < 1e-12
         assert p.residual_left < 1e-12
         assert p.modulus > 0.1
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_reported_residuals_are_those_of_the_dense_propagator(k):
+    """The residuals taken through the O(N) operator and its adjoint equal
+    those of the dense reference U~ applied to the same vectors."""
+    Ut = walsh_open_baker(k)
+    for p in long_lived_spectrum(k).pairs:
+        r = np.linalg.norm(Ut @ p.right_vec - p.z * p.right_vec)
+        l = np.linalg.norm(Ut.conj().T @ p.left_vec - np.conj(p.z) * p.left_vec)
+        assert abs(p.residual_right - r) < 1e-14
+        assert abs(p.residual_left - l) < 1e-14
+        assert max(r, l) < 1e-13
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -221,7 +238,7 @@ def test_moduli_structure():
         assert np.abs(np.sort(long_lived_spectrum(k).moduli()) - expected).max() < 1e-14
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
 def test_left_vectors_vanish_off_cantor_digits(k):
     """Every long-lived left vector is exactly zero on the indices with a
     ternary digit 1 (the forward trapped set in exact form), while the
