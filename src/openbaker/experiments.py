@@ -14,12 +14,15 @@ seen after symmetry reduction, while the full spectrum's top modulus is
 
 Every baker spectrum is built per parity sector. An open sector is its
 folded N/3 kept block plus the exact kernel of the opening (z = 0), so the
-N x N propagator is never diagonalized. The open sectors are the one
-spectrum cache (`_SECTORS`): `open_spectrum` merges both, folded from one U,
-and `sector_spectrum` returns one, folding it alone if it is missing. The
-closed-map control is plain states, not a spectrum: `closed_states` solves
-the dense block of U in each sector for right vectors only (U is unitary,
-so its left vectors are its right ones) and caches nothing.
+N x N propagator is never diagonalized, nor even formed: the blocks are
+folded from U's kept corners (`baker_corners`), and the vectors are lifted
+and their residuals taken through U's FFT action (`baker_apply`). The open
+sectors are the one spectrum cache (`_SECTORS`): `open_spectrum` merges
+both, folded from one set of corners, and `sector_spectrum` returns one,
+folding it alone if it is missing. The closed-map control is plain states,
+not a spectrum: `closed_states` solves the dense block of U in each sector
+for right vectors only (U is unitary, so its left vectors are its right
+ones) and caches nothing.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .phase_space import (
     unit_sum,
     wigner_grid_average,
 )
-from .quantum import baker_unitary, escape_projector, sector_block
+from .quantum import baker_apply, baker_corners, baker_unitary, escape_projector, sector_block
 from .spectral import (
     Spectrum,
     eigenpairs,
@@ -117,16 +120,17 @@ _SECTORS: dict = {}
 
 def _open_sectors(N: int, sectors: tuple) -> list:
     """The open parity sectors asked for, from `_SECTORS`, or else the
-    missing ones folded from one U and stored."""
+    missing ones folded from one set of U's kept corners and stored."""
     found = {sector: _SECTORS[N, sector] for sector in sectors if (N, sector) in _SECTORS}
     missing = [sector for sector in sectors if sector not in found]
     if missing:
-        U = baker_unitary(N)
+        C = baker_corners(N)
         signs = [1.0 if sector == "even" else -1.0 for sector in missing]
         # both LAPACK solves first: NumPy's BLAS threads spinning after a product slow them
-        solved = [_folded_block_eig(U, sign) for sign in signs]
+        solved = [_folded_block_eig(C, sign) for sign in signs]
+        del C  # freed before the N x N/2 vector blocks are made
         for sector, sign, eig in zip(missing, signs, solved):
-            found[sector] = _SECTORS[N, sector] = Spectrum(N, _folded_sector_pairs(U, sign, *eig))
+            found[sector] = _SECTORS[N, sector] = Spectrum(N, _folded_sector_pairs(N, sign, *eig))
             if len(_SECTORS) > 8:
                 del _SECTORS[next(iter(_SECTORS))]
     return [found[sector] for sector in sectors]
@@ -170,49 +174,54 @@ def closed_states(N: int, sector: str) -> tuple:
     return z[order], np.hstack(Vs)[:, order]
 
 
-def _folded_block_eig(U: np.ndarray, sign: float) -> tuple:
+def _folded_block_eig(C: np.ndarray, sign: float) -> tuple:
     """Eigenvalues with left and right eigenvectors of the folded kept block
-    of the even (sign 1) or odd (-1) sector, for i, j < t = N/3, i' = N-1-i:
+    of the even (sign 1) or odd (-1) sector, from U's kept corners C
+    (`baker_corners`), for i, j < t = N/3 and i' = N-1-i:
         A[i, j] = (U[i, j] + U[i', j']) / 2 +- (U[i, j'] + U[i', j]) / 2,
     which averages both parity images (U commutes with parity only to
-    round-off)."""
-    t = U.shape[0] // 3
-    A = (U[:t, :t] + U[::-1, ::-1][:t, :t] + sign * (U[:t, ::-1][:, :t] + U[::-1][:t, :t])) / 2
+    round-off); reversing C's axes is parity."""
+    t = C.shape[0] // 2
+    A = (C[:t, :t] + C[::-1, ::-1][:t, :t] + sign * (C[:t, ::-1][:, :t] + C[::-1][:t, :t])) / 2
     return la.eig(A, left=True, right=True)
 
 
-def _folded_sector_pairs(U: np.ndarray, sign: float, z, Wl, Wr) -> tuple:
+def _open_apply(X: np.ndarray) -> np.ndarray:
+    """U~ X = U (I - pi_0) X through the FFT action of U."""
+    t = X.shape[0] // 3
+    X = X.copy()
+    X[t:2 * t] = 0.0
+    return baker_apply(X)
+
+
+def _open_apply_h(X: np.ndarray) -> np.ndarray:
+    """U~^H X = (I - pi_0) U^H X through the FFT action of U^H."""
+    t = X.shape[0] // 3
+    Y = baker_apply(X, adjoint=True)
+    Y[t:2 * t] = 0.0
+    return Y
+
+
+def _folded_sector_pairs(N: int, sign: float, z, Wl, Wr) -> tuple:
     """Eigenpairs of U~ = U (I - pi_0) in one parity sector from those of its
-    folded block, without forming U~ or a parity basis: right vectors
-    U~ (w, +-w reversed), left vectors (w_l, 0, +-w_l reversed), and the exact
-    kernel of the opening pairs (n, n'), z = 0 with right vector
+    folded block, without forming U, U~ or a parity basis: right vectors
+    U (w, 0, +-w reversed), left vectors (w_l, 0, +-w_l reversed), and the
+    exact kernel of the opening pairs (n, n'), z = 0 with right vector
     (e_n +- e_n')/sqrt 2 (e_n at the middle) and left vector U times it.
-    Residuals are taken through U's kept column blocks, the action of U~,
-    and the adjoint as conj(U^T conj X) on those blocks, so neither U~ nor
-    a copy of U^H is made."""
-    N, t = U.shape[0], U.shape[0] // 3
+    Both products with U are one `baker_apply` of the unlifted columns, and
+    the residuals are taken through the FFT actions of U~ and U~^H."""
+    t = N // 3
     # opening indices n <= n' (n < n' when odd); column n holds n's kernel pair
     n = np.arange(t, (N + 1) // 2 if sign > 0 else N // 2)
-    V, L = np.zeros((2, N, t + len(n)), dtype=complex)
-    V[:, :t] = U[:, :t] @ Wr
-    V[:, :t] += U[:, 2 * t:] @ (sign * Wr[::-1])
-    L[:t, :t], L[2 * t:, :t] = Wl, sign * Wl[::-1]
+    V = np.zeros((N, t + len(n)), dtype=complex)
+    V[:t, :t], V[2 * t:, :t] = Wr, sign * Wr[::-1]
     V[n, n], V[N - 1 - n, n] = 2**-0.5, sign * 2**-0.5  # middle: e_n/sqrt 2, normalized below
-    L[:, t:] = U[:, t:2 * t] @ V[t:2 * t, t:]
+    L = baker_apply(V)
+    V[:, :t] = L[:, :t]
+    L[:, :t] = 0.0
+    L[:t, :t], L[2 * t:, :t] = Wl, sign * Wl[::-1]
     z = np.concatenate([z, np.zeros(len(n))])
-
-    def apply(X):
-        Y = U[:, :t] @ X[:t]
-        Y += U[:, 2 * t:] @ X[2 * t:]
-        return Y
-
-    def apply_h(X):
-        Xc, Y = np.conjugate(X), np.zeros_like(X)
-        np.matmul(U[:, :t].T, Xc, out=Y[:t])
-        np.matmul(U[:, 2 * t:].T, Xc, out=Y[2 * t:])
-        return np.conjugate(Y, out=Y)
-
-    return eigenpairs(z, V, L, apply, apply_h)
+    return eigenpairs(z, V, L, _open_apply, _open_apply_h)
 
 
 def weyl_scaled_count(count: int, N: int) -> int:

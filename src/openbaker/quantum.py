@@ -4,6 +4,11 @@ The Hilbert space has dimension N (effective hbar = 1/(2 pi N)); position
 grid points sit at q_n = (n + 1/2)/N, matching the half-integer offsets of
 the antiperiodic discrete Fourier transform. A projector onto a vertical
 strip is diagonal in this basis and is held as its 0/1 diagonal.
+
+The propagator U_N = F_N^-1 diag(F_{N/3}, F_{N/3}, F_{N/3}) acts on a block
+of columns by two FFTs (`baker_apply`), and the open spectra need of U only
+its restriction to the kept first and last thirds (`baker_corners`); the
+dense `baker_unitary` serves the closed-map control.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ __all__ = [
     "UnresolvedRegionError",
     "dft_matrix",
     "baker_form",
-    "opened",
     "baker_unitary",
+    "baker_apply",
+    "baker_corners",
     "projector_for_region",
     "escape_projector",
-    "open_propagator",
 ]
 
 
@@ -32,8 +37,12 @@ def dft_matrix(N: int) -> np.ndarray:
     """Antiperiodic DFT: F[n,m] = exp(-2 pi i (n+1/2)(m+1/2) / N) / sqrt(N)."""
     if N <= 0:
         raise ValueError("N must be positive")
-    n = np.arange(N) + 0.5
-    return np.exp(-2j * np.pi * np.outer(n, n) / N) / np.sqrt(N)
+    return _dft_entries(np.arange(N), np.arange(N), N)
+
+
+def _dft_entries(rows: np.ndarray, cols: np.ndarray, N: int) -> np.ndarray:
+    """The entries F[rows][:, cols] of dft_matrix(N), bit for bit."""
+    return np.exp(-2j * np.pi * np.outer(rows + 0.5, cols + 0.5) / N) / np.sqrt(N)
 
 
 def baker_form(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -46,20 +55,66 @@ def baker_form(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return outer.conj().T @ D
 
 
-def opened(U: np.ndarray) -> np.ndarray:
-    """U (I - pi_0): a copy of U with the middle third of the columns set to
-    zero."""
-    N = U.shape[0]
-    Ut = U.copy()
-    Ut[:, N // 3: 2 * N // 3] = 0.0
-    return Ut
-
-
 def baker_unitary(N: int) -> np.ndarray:
     """Closed baker propagator U_N = F_N^-1 diag(F_{N/3}, F_{N/3}, F_{N/3})."""
     if N % 3 != 0:
         raise ValueError("N must be divisible by 3")
     return baker_form(dft_matrix(N), dft_matrix(N // 3))
+
+
+def _twiddles(N: int) -> tuple:
+    """Phases (a, b, c) with U_N X = c * IFFT_N(b * FFT_t(a * X)), t = N/3,
+    both FFTs unitary, the length-t one over each third: a[m] (length t),
+    then b[bt + k] (length N) joining the output phase of the antiperiodic
+    F_t to the input phase of F_N^-1, then c[n]. Each phase is
+    exp(i pi j / (2N)) with its integer j reduced mod 4N before rounding."""
+    t = N // 3
+    m, n = np.arange(t), np.arange(N)
+    unit = np.exp(0.5j * np.pi * np.arange(4 * N) / N)
+    return (unit[-6 * m % (4 * N)],
+            unit[(2 * t * (n // t) - 4 * (n % t) - 3) % (4 * N)],
+            unit[2 * n + 1])
+
+
+def baker_apply(X: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """U_N X, or U_N^H X when `adjoint`, for an N x r block X (or a vector):
+    one antiperiodic length-N/3 FFT over the three thirds and one
+    antiperiodic length-N FFT per column, O(N log N), with no N x N array.
+    Returns a new array; X is not changed."""
+    N = X.shape[0]
+    if N % 3 != 0:
+        raise ValueError("N must be divisible by 3")
+    t = N // 3
+    a, b, c = (w[:, None] for w in _twiddles(N))
+    if adjoint:
+        Y = np.fft.fft(X.reshape(N, -1) * c.conj(), axis=0, norm="ortho")
+        Y *= b.conj()
+        Y = np.fft.ifft(Y.reshape(3, t, -1), axis=1, norm="ortho")
+        Y *= a.conj()
+    else:
+        Y = np.fft.fft(X.reshape(3, t, -1) * a, axis=1, norm="ortho").reshape(N, -1)
+        Y *= b
+        Y = np.fft.ifft(Y, axis=0, norm="ortho")
+        Y *= c
+    return Y.reshape(X.shape)
+
+
+def baker_corners(N: int) -> np.ndarray:
+    """The 2t x 2t restriction of U_N to its kept first and last thirds
+    (t = N/3), rows and columns in the order [0, t) then [2t, N). The
+    columns of kept third b are F_N^-1 on the kept rows and the columns of
+    third b, times F_t: two (2t x t)(t x t) products of `dft_matrix`
+    entries. Reversing both axes is parity, as for U itself."""
+    if N % 3 != 0:
+        raise ValueError("N must be divisible by 3")
+    t = N // 3
+    kept = np.r_[0:t, 2 * t:N]
+    Ft = dft_matrix(t)
+    C = np.empty((2 * t, 2 * t), dtype=complex)
+    for half, start in enumerate((0, 2 * t)):
+        F = _dft_entries(kept, np.arange(start, start + t), N)
+        np.matmul(np.conjugate(F, out=F), Ft, out=C[:, half * t:(half + 1) * t])
+    return C
 
 
 def projector_for_region(region: StripRegion, N: int) -> np.ndarray:
@@ -87,11 +142,6 @@ def escape_projector(m: int, N: int) -> np.ndarray:
     """pi_m: diagonal of the projector onto the escape region R_+^m (m = 0 is
     the opening pi_0)."""
     return projector_for_region(region_R_plus(m), N)
-
-
-def open_propagator(N: int) -> np.ndarray:
-    """Open propagator U_tilde = U_N (I - pi_0)."""
-    return opened(baker_unitary(N))
 
 
 def parity_sector_basis(N: int, sector: str) -> np.ndarray:

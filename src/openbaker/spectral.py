@@ -9,8 +9,8 @@ apply_h)`, from eigenvalues with right and left eigenvector columns, whether
 they come from the folded blocks of the open map or the Walsh trapped
 subspace. It sees the propagator only through its action on a block of
 columns, `apply(X)` = A X and `apply_h(X)` = A^H X, so a map whose matrix is
-never formed (the open map through U's kept column blocks, the Walsh map in
-O(N) per column) is checked the same way as a dense one. It normalizes the
+never formed (the open map by two FFTs per column, the Walsh map in O(N)
+per column) is checked the same way as a dense one. It normalizes the
 columns and fixes their phase in place, takes the residuals through those
 two actions, marks the columns read-only and sorts the pairs by
 (-|z|, phase); the vectors of each pair are views of those columns.

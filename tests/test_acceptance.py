@@ -42,7 +42,6 @@ from openbaker.phase_space import (
 from openbaker.quantum import (
     dft_matrix,
     escape_projector,
-    open_propagator,
 )
 from openbaker.spectral import (
     select_long_lived,
@@ -51,6 +50,7 @@ from openbaker.spectral import (
 )
 from openbaker.walsh import _apply, long_lived_spectrum, nonzero_count
 from interval_ops import difference, scale_shift, union
+from open_dense import open_propagator
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
 

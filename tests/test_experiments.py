@@ -23,8 +23,8 @@ from openbaker.experiments import (
 )
 from openbaker.io_utils import fmt, sha256_file, write_csv, write_pgm
 from openbaker.phase_space import husimi_grids
-from openbaker.quantum import open_propagator
 from openbaker.walsh import long_lived_spectrum
+from open_dense import open_propagator
 
 
 def test_run_config_validation(tmp_path):
@@ -144,13 +144,21 @@ def test_run_weyl(tmp_path):
 
 def test_weyl_builds_each_propagator_once(tmp_path, monkeypatch):
     """`weyl` takes each N's spectrum once and counts every threshold from
-    it, so each U_N is built once however few sectors the cache holds."""
+    it, so U_N's kept corners are built once per N however few sectors the
+    cache holds; `spectrum`, `weyl` and `density` never build the dense
+    U_N."""
     experiments._SECTORS.clear()
-    build, spectrum, built, spectra = experiments.baker_unitary, experiments.open_spectrum, [], []
-    monkeypatch.setattr(experiments, "baker_unitary", lambda N: built.append(N) or build(N))
+    build, spectrum, built, spectra = experiments.baker_corners, experiments.open_spectrum, [], []
+    monkeypatch.setattr(experiments, "baker_corners", lambda N: built.append(N) or build(N))
     monkeypatch.setattr(experiments, "open_spectrum", lambda N: spectra.append(N) or spectrum(N))
+    monkeypatch.setattr(experiments, "baker_unitary",
+                        lambda N: pytest.fail(f"dense U_{N} built for an open spectrum"))
     assert main(["weyl", "--n-exp", "5", "--out", str(tmp_path)]) == 0
     assert built == spectra == [27, 81, 243]
+    experiments._SECTORS.clear()
+    for sub in ("density", "spectrum"):  # the even sector alone, then the odd one
+        assert main([sub, "--n-exp", "4", "--out", str(tmp_path)]) == 0
+    assert built == [27, 81, 243, 81, 81]
 
 
 def test_run_weyl_walsh(tmp_path):
@@ -334,8 +342,9 @@ def test_cli_husimi_limit_n_exp(tmp_path, capsys, monkeypatch):
     """The Wigner average holds a 2N x 2N complex density matrix, 2.8 GB at
     n_exp 8, so `husimi --n-exp 8` fails before any build, names the limit
     and writes nothing."""
-    monkeypatch.setattr(experiments, "baker_unitary",
-                        lambda *a: pytest.fail("built before validating n_exp"))
+    for name in ("baker_unitary", "baker_corners"):
+        monkeypatch.setattr(experiments, name,
+                            lambda *a: pytest.fail("built before validating n_exp"))
     assert main(["husimi", "--n-exp", "8", "--out", str(tmp_path)]) == 1
     assert "husimi needs n_exp <= 7" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())

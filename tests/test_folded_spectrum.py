@@ -13,8 +13,9 @@ import scipy.linalg as la
 
 from openbaker import experiments
 from openbaker.experiments import closed_states, open_spectrum, sector_spectrum
-from openbaker.quantum import baker_unitary, dft_matrix, open_propagator
+from openbaker.quantum import baker_unitary, dft_matrix
 from openbaker.spectral import Spectrum
+from open_dense import extended_unitary, open_propagator, opened
 
 # Resonance tolerance by modulus band, as (lower bound, tolerance): the
 # values of SPECTRUM_TOLERANCE in bench/checks.py, measured there across the
@@ -89,13 +90,15 @@ def test_open_spectrum_shares_its_sectors(N, monkeypatch):
 
 
 def test_reported_residuals_are_those_of_the_dense_propagator():
-    """The residuals taken through U's kept column blocks equal those of
-    the dense U~ applied to the same vectors."""
+    """The residuals taken through the FFT action of U~ and U~^H equal
+    those of the dense U~, built in extended precision, applied to the
+    same vectors."""
     N = 81
-    Ut = open_propagator(N)
+    Ut = opened(extended_unitary(N))
     for p in open_spectrum(N).pairs:
-        r = np.linalg.norm(Ut @ p.right_vec - p.z * p.right_vec)
-        l = np.linalg.norm(Ut.conj().T @ p.left_vec - np.conj(p.z) * p.left_vec)
+        v, u = p.right_vec.astype(np.clongdouble), p.left_vec.astype(np.clongdouble)
+        r = float(np.linalg.norm((Ut @ v - p.z * v).astype(complex)))
+        l = float(np.linalg.norm((Ut.conj().T @ u - np.conj(p.z) * u).astype(complex)))
         assert abs(p.residual_right - r) < 1e-14
         assert abs(p.residual_left - l) < 1e-14
         assert max(r, l) < 1e-13

@@ -18,7 +18,8 @@ from openbaker.phase_space import (
     wigner_momentum_marginal,
     wigner_position_marginal,
 )
-from openbaker.quantum import dft_matrix, open_propagator
+from openbaker.quantum import dft_matrix
+from open_dense import open_propagator
 
 
 def _brute_phase_point_operator(N, j, l):

@@ -4,14 +4,16 @@ import pytest
 from openbaker.classical import Axis, StripRegion, IntervalUnion, region_R_minus
 from openbaker.quantum import (
     UnresolvedRegionError,
+    baker_apply,
+    baker_corners,
     baker_unitary,
     dft_matrix,
     escape_projector,
-    open_propagator,
     parity_sector_basis,
     projector_for_region,
     sector_block,
 )
+from open_dense import extended_unitary, open_propagator
 
 
 def parity_matrix(N):
@@ -53,6 +55,55 @@ def test_baker_commutes_with_parity():
         U = baker_unitary(N)
         P = parity_matrix(N)
         assert np.linalg.norm(U @ P - P @ U) < 1e-12
+
+
+def _unit_columns(N, seed):
+    """N random unit columns followed by the N basis vectors."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    return np.hstack([X / np.linalg.norm(X, axis=0), np.eye(N)])
+
+
+@pytest.mark.parametrize("N", [3, 6, 9, 12, 27, 81, 243])
+def test_baker_apply_matches_dense_unitary(N):
+    """The FFT action of U_N and of U_N^H agrees with the dense matrix on
+    every column, to the dense matrix's own phase round-off (at most
+    4.8e-16 N measured), for a block and for a single vector."""
+    U, X = baker_unitary(N), _unit_columns(N, N)
+    for adjoint, dense in ((False, U), (True, U.conj().T)):
+        Y = baker_apply(X, adjoint=adjoint)
+        assert Y.shape == X.shape
+        assert np.linalg.norm(Y - dense @ X, axis=0).max() < 1e-15 * N
+        assert np.array_equal(baker_apply(X[:, 0], adjoint=adjoint), Y[:, 0])
+    with pytest.raises(ValueError):
+        baker_apply(np.ones(10))
+
+
+def test_baker_apply_matches_extended_precision():
+    """Against U_81 built in extended precision, the FFT action is off by
+    at most 1.8e-15 per unit column (measured) in both directions, ten times
+    closer than the dense `baker_unitary` (4.0e-14)."""
+    N = 81
+    Ul, X = extended_unitary(N), _unit_columns(N, 0)
+    Xl = X.astype(np.clongdouble)
+    for adjoint, exact in ((False, Ul @ Xl), (True, Ul.conj().T @ Xl)):
+        err = (baker_apply(X, adjoint=adjoint) - exact).astype(complex)
+        assert np.linalg.norm(err, axis=0).max() < 4e-15
+
+
+@pytest.mark.parametrize("N", [27, 81, 243, 729])
+def test_baker_corners_match_dense_unitary(N):
+    """The kept corners are U_N's rows and columns [0, t) and [2t, N) to
+    1e-15 (4.5e-16 measured at N = 243 and 729): they share the entries of
+    `dft_matrix`, and the open spectra's reference values hold to that
+    bound."""
+    t = N // 3
+    kept = np.r_[0:t, 2 * t:N]
+    C = baker_corners(N)
+    assert C.shape == (2 * t, 2 * t)
+    assert np.abs(C - baker_unitary(N)[np.ix_(kept, kept)]).max() < 1e-15
+    with pytest.raises(ValueError):
+        baker_corners(10)
 
 
 def test_baker_transports_coherent_state():

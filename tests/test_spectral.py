@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from openbaker.experiments import sector_spectrum
-from openbaker.quantum import escape_projector, open_propagator
+from openbaker.quantum import escape_projector
 from openbaker.spectral import (
     Spectrum,
     eigenpairs,
@@ -17,6 +17,7 @@ from openbaker.spectral import (
     weight,
     weight_prediction,
 )
+from open_dense import open_propagator
 
 
 def _dense_spectrum(A):

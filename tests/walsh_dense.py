@@ -2,8 +2,8 @@
 
 This is the generic route the structured `openbaker.walsh` replaces: the
 Walsh-Fourier transform as a dense N x N matrix, the open propagator through
-the same `baker_form` and `opened` as the antiperiodic quantization, and one
-full SVD of its k-th matrix power.
+the same `baker_form` as the antiperiodic quantization, opened as in
+`open_dense.py`, and one full SVD of its k-th matrix power.
 
 Digit-order convention: the digit-reversal permutation is applied to the
 rows of the tensor-product transform, at every dimension (outer and inner
@@ -14,8 +14,9 @@ instead of 16 nonzero eigenvalues at k = 4).
 
 import numpy as np
 
-from openbaker.quantum import baker_form, opened
+from openbaker.quantum import baker_form
 from openbaker.walsh import ZERO_THRESHOLD
+from open_dense import opened
 
 
 def digit_reversal(k: int) -> np.ndarray:
