@@ -12,17 +12,17 @@ the longest-lived states (top modulus about 0.89 at N = 3^7) is the one
 seen after symmetry reduction, while the full spectrum's top modulus is
 0.939.
 
-Every baker spectrum is built per parity sector. An open sector is its
-folded N/3 kept block plus the exact kernel of the opening (z = 0), so the
-N x N propagator is never diagonalized, nor even formed: the blocks are
-folded from U's kept corners (`baker_corners`), and the vectors are lifted
-and their residuals taken through U's FFT action (`baker_apply`). The open
-sectors are the one spectrum cache (`_SECTORS`): `open_spectrum` merges
-both, folded from one set of corners, and `sector_spectrum` returns one,
-folding it alone if it is missing. The closed-map control is plain states,
-not a spectrum: `closed_states` solves the dense block of U in each sector
-for right vectors only (U is unitary, so its left vectors are its right
-ones) and caches nothing.
+Every baker spectrum is built per parity sector: the N/3 pairs of its
+folded kept block, with the opening's exact kernel (z = 0) counted, not
+built. The N x N propagator is never diagonalized, nor even formed: the
+blocks are folded from U's kept corners (`baker_corners`), and the vectors
+are lifted and their residuals taken through U's FFT action (`baker_apply`).
+The open sectors are the one spectrum cache (`_SECTORS`): `open_spectrum`
+merges both, folded from one set of corners, and `sector_spectrum` returns
+one, folding it alone if it is missing. The closed-map control is plain
+states, not a spectrum: `closed_states` solves the dense block of U in each
+sector for right vectors only (U is unitary, so its left vectors are its
+right ones) and caches nothing.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ class RunConfig:
             raise ValueError("n_exp must be >= 1")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
+        if not 0 < self.threshold < 1:  # false for nan too
+            raise ValueError(f"threshold must be a finite number in (0, 1), not {self.threshold}")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
     @property
@@ -128,7 +130,7 @@ def _open_sectors(N: int, sectors: tuple) -> list:
         signs = [1.0 if sector == "even" else -1.0 for sector in missing]
         # both LAPACK solves first: NumPy's BLAS threads spinning after a product slow them
         solved = [_folded_block_eig(C, sign) for sign in signs]
-        del C  # freed before the N x N/2 vector blocks are made
+        del C  # freed before the N x N/3 vector blocks are made
         for sector, sign, eig in zip(missing, signs, solved):
             found[sector] = _SECTORS[N, sector] = Spectrum(N, _folded_sector_pairs(N, sign, *eig))
             if len(_SECTORS) > 8:
@@ -146,9 +148,9 @@ def open_spectrum(N: int) -> Spectrum:
 
 
 def sector_spectrum(N: int, sector: str) -> Spectrum:
-    """Spectrum of the open propagator restricted to one parity sector,
-    with eigenvectors in the full N-dimensional space; a sector asked for
-    alone is folded alone."""
+    """Spectrum of the open propagator restricted to one parity sector:
+    its N/3 eigenpairs, with eigenvectors in the full N-dimensional space;
+    a sector asked for alone is folded alone."""
     if sector == "full":
         return open_spectrum(N)
     if sector not in ("even", "odd"):
@@ -203,25 +205,17 @@ def _open_apply_h(X: np.ndarray) -> np.ndarray:
 
 
 def _folded_sector_pairs(N: int, sign: float, z, Wl, Wr) -> tuple:
-    """Eigenpairs of U~ = U (I - pi_0) in one parity sector from those of its
-    folded block, without forming U, U~ or a parity basis: right vectors
-    U (w, 0, +-w reversed), left vectors (w_l, 0, +-w_l reversed), and the
-    exact kernel of the opening pairs (n, n'), z = 0 with right vector
-    (e_n +- e_n')/sqrt 2 (e_n at the middle) and left vector U times it.
-    Both products with U are one `baker_apply` of the unlifted columns, and
-    the residuals are taken through the FFT actions of U~ and U~^H."""
+    """The N/3 eigenpairs of U~ = U (I - pi_0) in one parity sector from those
+    of its folded block, with no U, U~ or parity basis: right vectors
+    U (w, 0, +-w reversed) by one `baker_apply`, left vectors
+    (w_l, 0, +-w_l reversed), residuals by the FFT actions of U~ and U~^H.
+    The sector's opening kernel, z = 0 with right vectors (e_n +- e_n')/sqrt 2
+    (n' = N-1-n in the middle third) and left vectors U times those, is not built."""
     t = N // 3
-    # opening indices n <= n' (n < n' when odd); column n holds n's kernel pair
-    n = np.arange(t, (N + 1) // 2 if sign > 0 else N // 2)
-    V = np.zeros((N, t + len(n)), dtype=complex)
-    V[:t, :t], V[2 * t:, :t] = Wr, sign * Wr[::-1]
-    V[n, n], V[N - 1 - n, n] = 2**-0.5, sign * 2**-0.5  # middle: e_n/sqrt 2, normalized below
-    L = baker_apply(V)
-    V[:, :t] = L[:, :t]
-    L[:, :t] = 0.0
-    L[:t, :t], L[2 * t:, :t] = Wl, sign * Wl[::-1]
-    z = np.concatenate([z, np.zeros(len(n))])
-    return eigenpairs(z, V, L, _open_apply, _open_apply_h)
+    V, L = np.zeros((N, t), dtype=complex), np.zeros((N, t), dtype=complex)
+    V[:t], V[2 * t:] = Wr, sign * Wr[::-1]
+    L[:t], L[2 * t:] = Wl, sign * Wl[::-1]
+    return eigenpairs(z, baker_apply(V), L, _open_apply, _open_apply_h)
 
 
 def weyl_scaled_count(count: int, N: int) -> int:
@@ -254,8 +248,8 @@ def run_spectrum(cfg: RunConfig) -> Path:
 
 
 def run_weights_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
-    """Escape-region weights of every eigenstate against the semiclassical
-    prediction |z|^(2m) (1 - |z|^2) (the Fig. 2 dataset for N = 3^6)."""
+    """Escape-region weights of every resonance (not of the opening's kernel, 1 on
+    the opening) against |z|^(2m) (1 - |z|^2) (the Fig. 2 dataset for N = 3^6)."""
     k = cfg.n_exp
     if walsh:
         pairs = long_lived_spectrum(k).pairs
@@ -330,8 +324,8 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
         raise ValueError("husimi needs n_exp <= 7: its Wigner average holds a 2N x 2N "
                          "complex density matrix (2.8 GB at n_exp 8)")
     s = sector_spectrum(N, cfg.sector)
-    # at most the resonances: the opening's exact kernel (z = 0) is not long-lived
-    count = min(cfg.count, int(np.count_nonzero(s.eigenvalues())))
+    # at most the resonances: the opening's exact kernel (z = 0) holds no pairs
+    count = min(cfg.count, len(s.pairs))
     sel = select_long_lived(s, count)
     closed = closed_states(N, cfg.sector)[1][:, :count]
     # one Husimi pass for all three images, so the Gaussian fold weights are built once

@@ -48,7 +48,7 @@ class ResonanceEigenpair:
 
     @property
     def gamma(self) -> float:
-        """Decay rate -ln|z|^2; infinite for an exact kernel state."""
+        """Decay rate -ln|z|^2; infinite at z = 0, an exact zero."""
         if abs(self.z) == 0.0:
             return math.inf
         return -2.0 * math.log(abs(self.z))
@@ -56,6 +56,11 @@ class ResonanceEigenpair:
 
 @dataclass(frozen=True)
 class Spectrum:
+    """Eigenpairs of an operator on C^N in (-|z|, phase) order, only those
+    computed: its other N - len(pairs) eigenvalues are exact zeros (the open
+    map's opening kernel, the Walsh map's nilpotent part). A parity sector's
+    operator is zero on the other sector, which counts among its zeros."""
+
     N: int
     pairs: tuple
 
@@ -124,17 +129,17 @@ def weight_prediction(z: complex, m: int) -> float:
 
 
 def spectrum_csv_rows(s: Spectrum):
-    """Rows for the spectrum CSV: one per eigenpair, 17 significant digits."""
+    """Rows for the spectrum CSV, 17 significant digits: one per eigenpair,
+    then `i,0,0,0,inf,0,0` for each exact zero, so that the table has N rows."""
     header = ["index", "re_z", "im_z", "modulus", "gamma",
               "residual_right", "residual_left"]
     rows = [header]
     for i, p in enumerate(s.pairs):
-        g = p.gamma
         rows.append([
             str(i),
             f"{p.z.real:.17g}", f"{p.z.imag:.17g}",
-            f"{p.modulus:.17g}",
-            "inf" if math.isinf(g) else f"{g:.17g}",
+            f"{p.modulus:.17g}", f"{p.gamma:.17g}",
             f"{p.residual_right:.17g}", f"{p.residual_left:.17g}",
         ])
+    rows += [[str(i), "0", "0", "0", "inf", "0", "0"] for i in range(len(s.pairs), s.N)]
     return rows

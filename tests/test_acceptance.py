@@ -261,7 +261,7 @@ def test_criterion_11_property_suite(tmp_path):
     s = open_spectrum(81)
     M = np.abs(s.left_matrix().conj().T @ s.right_matrix())
     Z = s.eigenvalues()
-    distinct = (np.abs(Z[:, None] - Z[None, :]) > 1e-8) & ~np.eye(81, dtype=bool)
+    distinct = (np.abs(Z[:, None] - Z[None, :]) > 1e-8) & ~np.eye(len(Z), dtype=bool)
     bio = float(M[distinct].max())
 
     rng = np.random.default_rng(3)

@@ -66,7 +66,7 @@ def test_sector_spectra_partition():
     both = np.sort(np.concatenate([
         sector_spectrum(N, "even").moduli(),
         sector_spectrum(N, "odd").moduli()]))
-    assert len(both) == N
+    assert len(both) == len(full) == 2 * N // 3
     assert np.allclose(full, both, atol=1e-9)
     # every lifted right and left vector is an eigenvector of the full
     # propagator and lies in its parity sector
@@ -126,6 +126,16 @@ def test_run_weights(tmp_path):
         run_weights_experiment(RunConfig(n_exp=3, out_dir=tmp_path))
 
 
+def test_weights_list_resonances_only(tmp_path):
+    """The weights table lists the 2N/3 resonances at every depth m and no
+    state of the opening's exact kernel (modulus 0)."""
+    rec = run_weights_experiment(RunConfig(n_exp=4, out_dir=tmp_path))
+    rows = Path(rec["path"]).read_text().splitlines()[1:]
+    moduli = [float(row.split(",")[0]) for row in rows]
+    assert len(moduli) == 54 * (rec["m_max"] + 1)
+    assert min(moduli) > 0
+
+
 def test_run_weights_walsh(tmp_path):
     cfg = RunConfig(n_exp=3, out_dir=tmp_path)
     rec = run_weights_experiment(cfg, walsh=True)
@@ -178,8 +188,9 @@ def test_run_husimi(tmp_path):
 
 
 def test_husimi_count_stops_at_resonances(tmp_path, monkeypatch):
-    """The even sector at N = 81 holds 27 resonances and 14 exact kernel
-    states (z = 0); the default count of 100 selects the 27 resonances."""
+    """The even sector at N = 81 holds its 27 resonances as pairs (its 14
+    exact zeros are counted, not carried); the default count of 100 selects
+    the 27."""
     select, picked = experiments.select_long_lived, []
     monkeypatch.setattr(experiments, "select_long_lived",
                         lambda s, count: picked.append(select(s, count)) or picked[-1])
@@ -233,6 +244,20 @@ def test_run_classical(tmp_path):
     assert r["box_dimension"] == pytest.approx(math.log(2) / math.log(3), abs=1e-6)
     assert r["ehrenfest_time"] == pytest.approx(3.0)
     assert (tmp_path / "classical_escape_areas.csv").exists()
+
+
+@pytest.mark.parametrize("n_exp", [1, 4])
+def test_spectrum_csv_counts_the_kernel(tmp_path, n_exp):
+    """`spectrum_<N>.csv` still has N rows: the resonances, then exactly N/3
+    rows of the opening's exact kernel, which no pair carries. At N = 3 the
+    kernel is the middle basis state of the even sector alone."""
+    N = 3**n_exp
+    path = run_spectrum(RunConfig(n_exp=n_exp, out_dir=tmp_path))
+    rows = path.read_text().splitlines()[1:]
+    zeros = [i for i, row in enumerate(rows) if row.endswith(",0,0,0,inf,0,0")]
+    assert len(rows) == N and len(open_spectrum(N).pairs) == 2 * N // 3
+    assert zeros == list(range(2 * N // 3, N))
+    assert rows[-1] == f"{N - 1},0,0,0,inf,0,0"
 
 
 def test_json_format(tmp_path):
@@ -295,6 +320,18 @@ def test_cli_husimi_validates_before_solving(tmp_path, capsys, monkeypatch, args
                         lambda *a: pytest.fail("solved before validating the options"))
     assert main(["husimi", "--n-exp", "4", *args, "--out", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "0", "1", "inf"])
+def test_cli_weyl_rejects_threshold(tmp_path, capsys, monkeypatch, threshold):
+    """A Weyl threshold that is not a finite number in (0, 1) fails before
+    any solve, with the reason, and writes nothing: nan used to write nan
+    rows, and -1 counted every eigenvalue."""
+    monkeypatch.setattr(experiments, "open_spectrum",
+                        lambda *a: pytest.fail("solved before validating the threshold"))
+    assert main(["weyl", "--n-exp", "5", "--threshold", threshold, "--out", str(tmp_path)]) == 1
+    assert "threshold must be a finite number in (0, 1)" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

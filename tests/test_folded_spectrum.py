@@ -1,9 +1,9 @@
-"""The open spectrum built from the two index-folded N/3 blocks and the exact
-opening kernel, checked against routes that share none of its code: the
-dense eigensolve of U~ = U_N (I - pi_0), the dense propagator itself, and
-the time-reversal symmetry that maps right vectors to left ones. The closed
-states, merged from the two parity blocks of U_N, are checked against the
-dense eigensolve of U_N."""
+"""The open spectrum built from the two index-folded N/3 blocks, with the
+opening's exact kernel counted, checked against routes that share none of
+its code: the dense eigensolve of U~ = U_N (I - pi_0), the dense propagator
+itself, and the time-reversal symmetry that maps right vectors to left
+ones. The closed states, merged from the two parity blocks of U_N, are
+checked against the dense eigensolve of U_N."""
 
 import math
 
@@ -48,22 +48,23 @@ def test_resonances_match_dense_eigensolve(N):
 
 @pytest.mark.parametrize("N", [3, 6, 9, 12, 81])
 def test_sector_sizes_and_exact_kernel(N):
+    """Each open parity sector carries the t = N/3 pairs of its folded block
+    and no z = 0. The exact zeros a spectrum counts, N - len(pairs), are the
+    rank deficiency of the dense U~ (times the sector's projector): N/3 for
+    the full spectrum, and within each sector ceil(t/2) even and floor(t/2)
+    odd, so none in the odd sector at N = 3."""
     t = N // 3
-    even, odd = sector_spectrum(N, "even"), sector_spectrum(N, "odd")
-    assert len(even.pairs) == math.ceil(N / 2) and len(odd.pairs) == N // 2
-    assert len(open_spectrum(N).pairs) == N
-    Ut = open_propagator(N)
-    outside = np.r_[0:t, 2 * t:N]
-    for s, kernel_dim in ((even, math.ceil(t / 2)), (odd, t // 2)):
-        kernel = [p for p in s.pairs if p.z == 0.0]
-        assert len(kernel) == kernel_dim
-        for p in kernel:
-            assert p.residual_right == 0.0 and math.isinf(p.gamma)
-            assert np.all(p.right_vec[outside] == 0)
-            assert np.all(Ut @ p.right_vec == 0)
-            assert np.linalg.norm(Ut.conj().T @ p.left_vec) < 1e-13
-    if N == 3:
-        assert len(odd.pairs) == 1 and odd.pairs[0].z != 0.0
+    Ut, parity = open_propagator(N), np.eye(N)[::-1]
+    full = open_spectrum(N)
+    assert len(full.pairs) == 2 * t
+    assert N - len(full.pairs) == N - np.linalg.matrix_rank(Ut) == t
+    for sector, sign, dim, kernel_dim in (("even", 1, math.ceil(N / 2), math.ceil(t / 2)),
+                                          ("odd", -1, N // 2, t // 2)):
+        s = sector_spectrum(N, sector)
+        assert len(s.pairs) == t and all(p.z != 0 for p in s.pairs)
+        projected = Ut @ (np.eye(N) + sign * parity) / 2
+        assert N - len(s.pairs) == N - np.linalg.matrix_rank(projected)
+        assert dim - len(s.pairs) == kernel_dim
     with pytest.raises(ValueError):
         sector_spectrum(N, "sideways")
 

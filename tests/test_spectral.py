@@ -190,8 +190,8 @@ def test_select_long_lived(spec27):
     # a parity sector holds fewer pairs than N: asking for more fails
     # instead of returning fewer
     even = sector_spectrum(27, "even")
-    assert len(even.pairs) == 14
-    assert len(select_long_lived(even, 14)) == 14
+    assert len(even.pairs) == 9
+    assert len(select_long_lived(even, 9)) == 9
     with pytest.raises(ValueError, match="number of pairs"):
         select_long_lived(even, 20)
 
