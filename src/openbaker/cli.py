@@ -21,6 +21,7 @@ from .experiments import (
     run_weights_experiment,
     run_weyl_experiment,
 )
+from .walsh import ZERO_THRESHOLD
 
 # Subcommand -> (default k for N = 3^k, runner, options it reads beyond the
 # ones every subcommand takes). Runners are named, and looked up when called,
@@ -38,8 +39,9 @@ SUBCOMMANDS = {
 OPTIONS = {
     "--grid": dict(type=int, default=81, help="Husimi grid size"),
     "--count": dict(type=int, default=100, help="number of long-lived states to select"),
-    "--threshold": dict(type=float, default=0.5,
-                        help="long-lived modulus cutoff for Weyl counting"),
+    # absent unless given, so that `weyl --walsh` can refuse it
+    "--threshold": dict(type=float, default=argparse.SUPPRESS,
+                        help="long-lived modulus cutoff for Weyl counting (default 0.5)"),
     "--sector": dict(choices=["even", "odd", "full"], default="even",
                      help="parity sector for figure-level state selection"),
     "--walsh": dict(action="store_true", help="use the Walsh quantization"),
@@ -75,6 +77,9 @@ def main(argv=None) -> int:
     run = globals()[SUBCOMMANDS[args.pop("command")][1]]
     walsh = {"walsh": args.pop("walsh")} if "walsh" in args else {}
     try:
+        if walsh.get("walsh") and "threshold" in args:
+            raise ValueError("--threshold does not apply with --walsh: the Walsh count uses "
+                             f"the exact kernel (ZERO_THRESHOLD = {ZERO_THRESHOLD:g})")
         result = run(RunConfig(**args), **walsh)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,10 +19,12 @@ blocks are folded from U's kept corners (`baker_corners`), and the vectors
 are lifted and their residuals taken through U's FFT action (`baker_apply`).
 The open sectors are the one spectrum cache (`_SECTORS`): `open_spectrum`
 merges both, folded from one set of corners, and `sector_spectrum` returns
-one, folding it alone if it is missing. The closed-map control is plain
-states, not a spectrum: `closed_states` solves the dense block of U in each
-sector for right vectors only (U is unitary, so its left vectors are its
-right ones) and caches nothing.
+one, folding it alone if it is missing. One BLAS beside LAPACK: the corners
+are SciPy BLAS products, and the fold, lifts and residuals are elementwise
+or FFTs, so no NumPy OpenBLAS thread spins through `la.eig`. The closed-map
+control is plain states, not a spectrum: `closed_states` solves the dense
+block of U in each sector for right vectors only (U is unitary, so its left
+vectors are its right ones) and caches nothing.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ __all__ = [
     "open_spectrum",
     "sector_spectrum",
     "closed_states",
-    "weyl_scaled_count",
     "run_spectrum",
     "run_weights_experiment",
     "run_weyl_experiment",
@@ -128,7 +129,8 @@ def _open_sectors(N: int, sectors: tuple) -> list:
     if missing:
         C = baker_corners(N)
         signs = [1.0 if sector == "even" else -1.0 for sector in missing]
-        # both LAPACK solves first: NumPy's BLAS threads spinning after a product slow them
+        # one BLAS beside LAPACK: the corners came from SciPy's, so no NumPy
+        # OpenBLAS thread spins through these solves and halves their speed
         solved = [_folded_block_eig(C, sign) for sign in signs]
         del C  # freed before the N x N/3 vector blocks are made
         for sector, sign, eig in zip(missing, signs, solved):
@@ -216,12 +218,6 @@ def _folded_sector_pairs(N: int, sign: float, z, Wl, Wr) -> tuple:
     V[:t], V[2 * t:] = Wr, sign * Wr[::-1]
     L[:t], L[2 * t:] = Wl, sign * Wl[::-1]
     return eigenpairs(z, baker_apply(V), L, _open_apply, _open_apply_h)
-
-
-def weyl_scaled_count(count: int, N: int) -> int:
-    """Scale a state count at N = 729 across N by the fractal Weyl exponent,
-    so selections at different N cover the same spectral fraction."""
-    return max(1, min(N, round(count * (N / 729) ** CANTOR_DIM)))
 
 
 def _emit(cfg: RunConfig, stem: str, header, rows, extra=None) -> Path:

@@ -42,7 +42,6 @@ __all__ = [
     "cantor_mass",
     "band_mass",
     "self_similarity_score",
-    "kill_property_check",
 ]
 
 
@@ -226,12 +225,3 @@ def self_similarity_score(values: np.ndarray) -> float:
         raise ValueError("zero-variance density")
     return float(np.corrcoef(sub, coarse)[0, 1])
 
-
-def kill_property_check(U_tilde: np.ndarray, m: int, centers) -> float:
-    """Max over coherent states centered in the m-step backward escape region
-    of ||(U~^dag)^m |x>||; decays as N grows."""
-    A_dag = np.asarray(U_tilde, dtype=complex).conj().T
-    V = np.column_stack([coherent_vector(c, A_dag.shape[0]) for c in centers])
-    for _ in range(m):
-        V = A_dag @ V
-    return float(np.linalg.norm(V, axis=0).max())

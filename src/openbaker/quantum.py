@@ -7,13 +7,16 @@ strip is diagonal in this basis and is held as its 0/1 diagonal.
 
 The propagator U_N = F_N^-1 diag(F_{N/3}, F_{N/3}, F_{N/3}) acts on a block
 of columns by two FFTs (`baker_apply`), and the open spectra need of U only
-its restriction to the kept first and last thirds (`baker_corners`); the
-dense `baker_unitary` serves the closed-map control.
+its restriction to the kept first and last thirds (`baker_corners`), made
+on SciPy's BLAS: one BLAS beside LAPACK on the open route, as NumPy's own
+OpenBLAS threads spin after a product and halve the speed of a LAPACK call
+that follows. The dense `baker_unitary` serves the closed-map control.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 
 from .classical import Axis, StripRegion, region_R_plus
 
@@ -104,16 +107,18 @@ def baker_corners(N: int) -> np.ndarray:
     (t = N/3), rows and columns in the order [0, t) then [2t, N). The
     columns of kept third b are F_N^-1 on the kept rows and the columns of
     third b, times F_t: two (2t x t)(t x t) products of `dft_matrix`
-    entries. Reversing both axes is parity, as for U itself."""
+    entries by SciPy's `zgemm`, the BLAS of the LAPACK that solves C next,
+    from transposed views and into C's Fortran-ordered column blocks, with
+    no copy. Reversing both axes is parity, as for U itself."""
     if N % 3 != 0:
         raise ValueError("N must be divisible by 3")
     t = N // 3
     kept = np.r_[0:t, 2 * t:N]
     Ft = dft_matrix(t)
-    C = np.empty((2 * t, 2 * t), dtype=complex)
-    for half, start in enumerate((0, 2 * t)):
+    C = np.empty((2 * t, 2 * t), dtype=complex, order="F")
+    for col, start in ((0, 0), (t, 2 * t)):
         F = _dft_entries(kept, np.arange(start, start + t), N)
-        np.matmul(np.conjugate(F, out=F), Ft, out=C[:, half * t:(half + 1) * t])
+        zgemm(1.0, F.T, Ft.T, c=C[:, col:col + t], trans_a=2, trans_b=1, overwrite_c=True)
     return C
 
 

@@ -25,7 +25,6 @@ from openbaker.experiments import (
     open_spectrum,
     run_spectrum,
     sector_spectrum,
-    weyl_scaled_count,
 )
 from openbaker.io_utils import sha256_file
 from openbaker.phase_space import (
@@ -53,6 +52,12 @@ from interval_ops import difference, scale_shift, union
 from open_dense import open_propagator
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
+
+
+def weyl_scaled_count(count: int, N: int) -> int:
+    """Scale a state count at N = 729 across N by the fractal Weyl exponent,
+    so selections at different N cover the same spectral fraction."""
+    return max(1, min(N, round(count * (N / 729) ** CANTOR_DIM)))
 
 
 def report(number: int, label: str, ok: bool, detail: str) -> None:

@@ -19,12 +19,12 @@ from openbaker.experiments import (
     run_weights_experiment,
     run_weyl_experiment,
     sector_spectrum,
-    weyl_scaled_count,
 )
 from openbaker.io_utils import fmt, sha256_file, write_csv, write_pgm
 from openbaker.phase_space import husimi_grids
 from openbaker.walsh import long_lived_spectrum
 from open_dense import open_propagator
+from test_acceptance import weyl_scaled_count
 
 
 def test_run_config_validation(tmp_path):
@@ -332,6 +332,22 @@ def test_cli_weyl_rejects_threshold(tmp_path, capsys, monkeypatch, threshold):
                         lambda *a: pytest.fail("solved before validating the threshold"))
     assert main(["weyl", "--n-exp", "5", "--threshold", threshold, "--out", str(tmp_path)]) == 1
     assert "threshold must be a finite number in (0, 1)" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("threshold", ["0.9", "0.5"])
+def test_cli_weyl_walsh_rejects_threshold(tmp_path, capsys, monkeypatch, threshold):
+    """The Walsh count takes no threshold: given with --walsh, even at its
+    default value, --threshold fails before any count, names the exact
+    kernel, and writes nothing. It used to be ignored, so 0.9 wrote the
+    default run's bytes."""
+    monkeypatch.setattr(experiments, "nonzero_count",
+                        lambda *a: pytest.fail("counted before rejecting the threshold"))
+    assert main(["weyl", "--walsh", "--n-exp", "4", "--threshold", threshold,
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "--threshold does not apply with --walsh" in err
+    assert "exact kernel (ZERO_THRESHOLD = 1e-06)" in err
     assert not any(tmp_path.iterdir())
 
 

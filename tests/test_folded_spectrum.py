@@ -90,6 +90,19 @@ def test_open_spectrum_shares_its_sectors(N, monkeypatch):
             [(p.residual_right, p.residual_left) for p in s.pairs]
 
 
+@pytest.mark.parametrize("sector", ["even", "odd"])
+def test_open_sector_makes_no_numpy_product(sector, monkeypatch):
+    """A sector folded from an empty cache makes its dense products on
+    SciPy's BLAS, the one its LAPACK uses, never with `numpy.matmul`:
+    NumPy's own OpenBLAS threads spin after a product and would halve the
+    speed of the `la.eig` that follows."""
+    monkeypatch.setattr(experiments, "_SECTORS", {})
+    monkeypatch.setattr(np, "matmul", lambda *a, **k: pytest.fail("numpy.matmul on the open route"))
+    s = sector_spectrum(81, sector)
+    assert len(s.pairs) == 27
+    assert list(experiments._SECTORS) == [(81, sector)]
+
+
 def test_reported_residuals_are_those_of_the_dense_propagator():
     """The residuals taken through the FFT action of U~ and U~^H equal
     those of the dense U~, built in extended precision, applied to the

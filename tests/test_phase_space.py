@@ -9,7 +9,6 @@ from openbaker.phase_space import (
     coherent_vector,
     husimi_grids,
     interval_mask,
-    kill_property_check,
     momentum_density,
     position_density,
     self_similarity_score,
@@ -236,6 +235,16 @@ def test_self_similarity():
         self_similarity_score(flat)  # zero variance
     with pytest.raises(ValueError):
         self_similarity_score(np.ones(80))
+
+
+def kill_property_check(U_tilde: np.ndarray, m: int, centers) -> float:
+    """Max over coherent states centered in the m-step backward escape region
+    of ||(U~^dag)^m |x>||; decays as N grows."""
+    A_dag = np.asarray(U_tilde, dtype=complex).conj().T
+    V = np.column_stack([coherent_vector(c, A_dag.shape[0]) for c in centers])
+    for _ in range(m):
+        V = A_dag @ V
+    return float(np.linalg.norm(V, axis=0).max())
 
 
 def test_kill_property_small_N():
