@@ -10,7 +10,10 @@ Figure pipelines select eigenstates in the even parity sector: the
 propagator commutes with parity, and the published eigenvalue window for
 the longest-lived states (top modulus about 0.89 at N = 3^7) is the one
 seen after symmetry reduction, while the full spectrum's top modulus is
-0.939.
+0.939. The pipelines read a spectrum's columns: the weights table is
+`escape_weights` for both maps, the longest-lived states are the leading
+columns, the decay-rate bins of Fig. 4 are masks on the moduli, and the
+phase-space transforms take the selected states as one N x S block.
 
 Every baker spectrum is built per parity sector: the N/3 pairs of its
 folded kept block, with the opening's exact kernel (z = 0) counted, not
@@ -57,15 +60,8 @@ from .phase_space import (
     unit_sum,
     wigner_grid_average,
 )
-from .quantum import baker_apply, baker_corners, baker_unitary, escape_projector, sector_block
-from .spectral import (
-    Spectrum,
-    eigenpairs,
-    select_long_lived,
-    spectrum_csv_rows,
-    weight,
-    weight_prediction,
-)
+from .quantum import baker_apply, baker_corners, baker_unitary, sector_block
+from .spectral import Spectrum, eigenpairs, escape_weights, spectrum_csv_rows
 from .walsh import ZERO_THRESHOLD, long_lived_spectrum, nonzero_count, walsh_spectrum_report
 
 __all__ = [
@@ -248,26 +244,26 @@ def run_weights_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
     the opening) against |z|^(2m) (1 - |z|^2) (the Fig. 2 dataset for N = 3^6)."""
     k = cfg.n_exp
     if walsh:
-        pairs = long_lived_spectrum(k).pairs
+        s = long_lived_spectrum(k)
         m_max = min(4, k - 1)
     else:
         if k < 4:
             raise ValueError("weights experiment needs n_exp >= 4")
-        pairs = open_spectrum(cfg.N).pairs
+        s = open_spectrum(cfg.N)
         m_max = min(4, k - 2)
     N = 3**k
-    rows = []
-    per_m = {m: [] for m in range(m_max + 1)}
-    projs = {m: escape_projector(m, N) for m in range(m_max + 1)}
-    for p in pairs:
-        for m in range(m_max + 1):
-            measured = weight(p, projs[m])
-            predicted = weight_prediction(p.z, m)
-            rows.append([io_utils.fmt(p.modulus), str(m), io_utils.fmt(measured),
-                         io_utils.fmt(predicted), io_utils.fmt(measured - predicted)])
-            if 0.2 <= p.modulus <= 0.95 and predicted > 0:
-                per_m[m].append(abs(measured - predicted) / predicted)
-    agg = {m: float(np.median(v)) if v else float("nan") for m, v in per_m.items()}
+    measured, predicted = escape_weights(s, m_max)
+    residual = measured - predicted
+    mod = s.moduli()
+    rows = [[io_utils.fmt(mod[i]), str(m), io_utils.fmt(measured[i, m]),
+             io_utils.fmt(predicted[i, m]), io_utils.fmt(residual[i, m])]
+            for i in range(len(mod)) for m in range(m_max + 1)]
+    band = (0.2 <= mod) & (mod <= 0.95)
+    agg = {}
+    for m in range(m_max + 1):
+        keep = band & (predicted[:, m] > 0)
+        rel = np.abs(residual[keep, m]) / predicted[keep, m]
+        agg[m] = float(np.median(rel)) if keep.any() else float("nan")
     tag = "walsh" if walsh else "baker"
     path = _emit(cfg, f"weights_{tag}_{N}",
                  ["modulus", "m", "measured", "predicted", "residual"], rows,
@@ -322,10 +318,13 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
     s = sector_spectrum(N, cfg.sector)
     # at most the resonances: the opening's exact kernel (z = 0) holds no pairs
     count = min(cfg.count, len(s.pairs))
-    sel = select_long_lived(s, count)
-    closed = closed_states(N, cfg.sector)[1][:, :count]
-    # one Husimi pass for all three images, so the Gaussian fold weights are built once
-    H = husimi_grids([p.right_vec for p in sel] + [p.left_vec for p in sel] + list(closed.T), G)
+    sel = s.pairs[:count]
+    # one block of the right, left and closed-map states, stacked once: one
+    # Husimi pass for all three images (the Gaussian fold weights are built
+    # once), and its first `count` columns feed the Wigner average
+    X = np.column_stack([p.right_vec for p in sel] + [p.left_vec for p in sel]
+                        + [closed_states(N, cfg.sector)[1][:, :count]])
+    H = husimi_grids(X, G)
     avg_r, avg_l, closed_r = (average_density(H[k * count:(k + 1) * count]) for k in range(3))
     band = interval_mask(cantor_approx(1), G)
     right_mass = float(avg_r[:, band].sum())   # horizontal Cantor band
@@ -340,7 +339,7 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
             for i in range(G) for j in range(G)]
     _emit(cfg, f"husimi_right_{N}", ["q_index", "p_index", "value"], rows)
 
-    W = wigner_grid_average([p.right_vec for p in sel])
+    W = wigner_grid_average(X[:, :count])
     io_utils.write_pgm(out / f"wigner_pos_{N}.pgm", np.maximum(W, 0.0), cfgd)
     io_utils.write_pgm(out / f"wigner_neg_{N}.pgm", np.maximum(-W, 0.0), cfgd)
     io_utils.write_pgm(out / f"wigner_sign_{N}.pgm", (W >= 0).astype(float), cfgd, bits=8)
@@ -359,13 +358,13 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
     return results
 
 
-def _modulus_bin(s: Spectrum, lo: float, hi: float):
-    """Pairs with modulus in [lo, hi]; widened by 0.05 steps if empty."""
+def _modulus_bin(mod: np.ndarray, lo: float, hi: float):
+    """Mask of the moduli in [lo, hi]; widened by 0.05 steps if empty."""
     widened = 0
     while True:
-        sel = [p for p in s.pairs if lo <= p.modulus <= hi]
-        if sel or lo <= 0 and hi >= 1:
-            return sel, widened
+        keep = (lo <= mod) & (mod <= hi)
+        if keep.any() or lo <= 0 and hi >= 1:
+            return keep, widened
         lo, hi = max(0.0, lo - 0.05), min(1.0, hi + 0.05)
         widened += 1
 
@@ -383,12 +382,13 @@ def run_density_figures(cfg: RunConfig) -> dict:
         raise ValueError("density figures need n_exp >= 4 (20 states in one sector)")
     N = cfg.N
     s = sector_spectrum(N, cfg.sector)
+    mod, R = s.moduli(), s.right_matrix()
     results = {}
 
-    sel = select_long_lived(s, 20)
-    results["fig3_modulus_max"] = max(p.modulus for p in sel)
-    results["fig3_modulus_min"] = min(p.modulus for p in sel)
-    mdens = average_density([momentum_density(p.right_vec) for p in sel])
+    results["fig3_modulus_max"] = float(mod[:20].max())
+    results["fig3_modulus_min"] = float(mod[:20].min())
+    # one density per column; `average_density` takes them as rows
+    mdens = average_density(momentum_density(R[:, :20]).T)
     _emit(cfg, f"fig3_momentum_density_{N}", ["index", "p", "value"], _density_rows(mdens, N))
     _emit(cfg, f"fig3_magnification_{N}", ["index", "p_unmagnified", "value"],
           _density_rows(unit_sum(mdens[: N // 3]), N))
@@ -396,13 +396,13 @@ def run_density_figures(cfg: RunConfig) -> dict:
     results["fig3_self_similarity"] = self_similarity_score(mdens)
 
     for tag, (lo, hi) in {"low": (0.35, 0.45), "high": (0.65, 0.75)}.items():
-        bin_pairs, widened = _modulus_bin(s, lo, hi)
-        pdens = average_density([position_density(p.right_vec) for p in bin_pairs])
+        keep, widened = _modulus_bin(mod, lo, hi)
+        pdens = average_density(position_density(R[:, keep]).T)
         _emit(cfg, f"fig4_{tag}_position_density_{N}", ["index", "q", "value"],
               _density_rows(pdens, N))
         _emit(cfg, f"fig4_{tag}_magnification_{N}", ["index", "q_unmagnified", "value"],
               _density_rows(unit_sum(pdens[: N // 3]), N))
-        results[f"fig4_{tag}_count"] = len(bin_pairs)
+        results[f"fig4_{tag}_count"] = int(keep.sum())
         results[f"fig4_{tag}_widened_steps"] = widened
         results[f"fig4_{tag}_self_similarity"] = self_similarity_score(pdens)
 

@@ -4,7 +4,9 @@ Conventions: position grid q_n = (n+1/2)/N, antiperiodic wavefunctions
 (psi(q+1) = -psi(q)), Gaussian coherent states of width sigma_q =
 1/sqrt(2 pi N). The Wigner function lives on the doubled 2N x 2N grid of
 half-integer phase-space points. Every distribution is a plain real array:
-densities of length N, Husimi images (G, G), Wigner grids (2N, 2N).
+densities of length N, Husimi images (G, G), Wigner grids (2N, 2N). The
+transforms take the states as the columns of an N x S block: the densities
+of S states are an N x S block, their Husimi images a list of S images.
 
 Every transform here is an FFT or a GEMM. The antiperiodic DFT is a plain
 FFT of the twiddled state psi_n e^{-i pi n/N}: of length N for momentum
@@ -60,9 +62,9 @@ def coherent_vector(center: TorusPoint, N: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def husimi_grids(states, G: int):
-    """G x G Husimi distributions of unit sum, one per state:
-    H[i, j] = |<x_ij | psi>|^2 with |x_ij> = `coherent_vector` at
+def husimi_grids(V: np.ndarray, G: int):
+    """G x G Husimi distributions of unit sum, one per column of the N x S
+    block V: H[i, j] = |<x_ij | psi>|^2 with |x_ij> = `coherent_vector` at
     ((i+1/2)/G, (j+1/2)/G), i indexing position and j momentum.
 
     No packet is formed. On the antiperiodic extension psi_m of the state
@@ -75,7 +77,6 @@ def husimi_grids(states, G: int):
     images; it depends on j unless G divides N."""
     if G < 8:
         raise ValueError("G must be >= 8")
-    V = np.column_stack([np.asarray(s, dtype=complex) for s in states])
     N, S = V.shape
     K = -(-3 * N // G)  # fold length: 3N zero-padded to K G
     m = np.arange(-N, 2 * N)
@@ -108,9 +109,9 @@ def _antiperiodic_fft(X: np.ndarray, n: int) -> np.ndarray:
     return np.fft.fft(X * np.exp(-1j * np.pi * np.arange(N) / N)[:, None], n=n, axis=0)
 
 
-def wigner_grid_average(states) -> np.ndarray:
-    """Mean discrete Wigner function of several states, from displaced-parity
-    phase-point operators, as a real (2N, 2N) array.
+def wigner_grid_average(X: np.ndarray) -> np.ndarray:
+    """Mean discrete Wigner function of the columns of an N x S block X, from
+    displaced-parity phase-point operators, as a real (2N, 2N) array.
 
     W[j, l] sits at (q, p) = (j/(2N), l-dependent momentum); the total over
     the doubled grid is 1 and the marginals reproduce the position and
@@ -121,11 +122,9 @@ def wigner_grid_average(states) -> np.ndarray:
     it is linear in their averaged density matrix rho = conj(Y) Y^T / S.
     W[j, l] = Re sum_m e^{i pi j (1 - (2m+1)/N)} Z[m, l] / 4N, with Z a
     signed gather from rho; the sum over m is a length-N FFT."""
-    states = [np.asarray(s, dtype=complex) for s in states]
-    if not states:
-        raise ValueError("need at least one state")
-    X = np.column_stack(states)
     N, S = X.shape
+    if S == 0:
+        raise ValueError("need at least one state")
     s = np.arange(2 * N)
     Y = _antiperiodic_fft(X, 2 * N) * (np.exp(-1j * np.pi * (s + 1) / (2 * N))
                                       / math.sqrt(N))[:, None]
@@ -156,16 +155,16 @@ def wigner_momentum_marginal(W: np.ndarray) -> np.ndarray:
     return 2.0 * cols[l]
 
 
-def position_density(state: np.ndarray) -> np.ndarray:
-    """|psi_n|^2: of unit sum for a unit-norm state."""
-    return np.abs(np.asarray(state, dtype=complex)) ** 2
+def position_density(X: np.ndarray) -> np.ndarray:
+    """|X|^2 of an N x S block: one density per column, of unit sum for a
+    unit-norm column."""
+    return np.abs(X) ** 2
 
 
-def momentum_density(state: np.ndarray) -> np.ndarray:
-    """Squared antiperiodic-DFT amplitudes: of unit sum for a unit-norm state."""
-    psi = np.asarray(state, dtype=complex)
-    y = _antiperiodic_fft(psi[:, None], len(psi))[:, 0]
-    return np.abs(y) ** 2 / len(psi)
+def momentum_density(X: np.ndarray) -> np.ndarray:
+    """Squared antiperiodic-DFT amplitudes of an N x S block: one density per
+    column, of unit sum for a unit-norm column."""
+    return np.abs(_antiperiodic_fft(X, len(X))) ** 2 / len(X)
 
 
 def unit_sum(values: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.blas import zgemm
 
-from .classical import Axis, StripRegion, region_R_plus
+from .classical import region_R_plus
 
 __all__ = [
     "UnresolvedRegionError",
@@ -27,7 +27,6 @@ __all__ = [
     "baker_unitary",
     "baker_apply",
     "baker_corners",
-    "projector_for_region",
     "escape_projector",
 ]
 
@@ -122,17 +121,16 @@ def baker_corners(N: int) -> np.ndarray:
     return C
 
 
-def projector_for_region(region: StripRegion, N: int) -> np.ndarray:
-    """Read-only 0/1 diagonal (length N, float) of the projector onto the grid
-    points (n+1/2)/N lying in a vertical strip.
+def escape_projector(m: int, N: int) -> np.ndarray:
+    """pi_m: read-only 0/1 diagonal (length N, float) of the projector onto
+    the grid points (n+1/2)/N in the escape region R_+^m (m = 0 is the
+    opening pi_0).
 
     Raises UnresolvedRegionError when an interval of the region only
     partially covers some grid cell [n/N, (n+1)/N).
     """
-    if region.axis is not Axis.POSITION:
-        raise ValueError("only vertical (position) strips quantize to diagonal projectors")
     d = np.zeros(N)
-    for a, b in region.support.intervals:
+    for a, b in region_R_plus(m).support.intervals:
         lo, hi = a * N, b * N
         if lo.denominator != 1 or hi.denominator != 1:
             raise UnresolvedRegionError(
@@ -141,12 +139,6 @@ def projector_for_region(region: StripRegion, N: int) -> np.ndarray:
         d[int(lo):int(hi)] = 1.0
     d.flags.writeable = False
     return d
-
-
-def escape_projector(m: int, N: int) -> np.ndarray:
-    """pi_m: diagonal of the projector onto the escape region R_+^m (m = 0 is
-    the opening pi_0)."""
-    return projector_for_region(region_R_plus(m), N)
 
 
 def parity_sector_basis(N: int, sector: str) -> np.ndarray:

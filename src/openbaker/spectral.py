@@ -14,6 +14,11 @@ per column) is checked the same way as a dense one. It normalizes the
 columns and fixes their phase in place, takes the residuals through those
 two actions, marks the columns read-only and sorts the pairs by
 (-|z|, phase); the vectors of each pair are views of those columns.
+
+Figures read a spectrum's columns: the `count` longest-lived states are its
+first `count` columns, a decay-rate bin is a mask on `moduli()`, and
+`escape_weights` gives every pair's escape-region weights, measured and
+predicted, as two (pairs x depths) arrays.
 """
 
 from __future__ import annotations
@@ -23,13 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quantum import escape_projector
+
 __all__ = [
     "ResonanceEigenpair",
     "Spectrum",
     "eigenpairs",
-    "select_long_lived",
-    "weight",
-    "weight_prediction",
+    "escape_weights",
     "spectrum_csv_rows",
 ]
 
@@ -105,27 +110,19 @@ def eigenpairs(z: np.ndarray, V: np.ndarray, U: np.ndarray, apply, apply_h) -> t
                                     float(res_r[i]), float(res_l[i])) for i in order)
 
 
-def select_long_lived(s: Spectrum, count: int):
-    """The `count` pairs of largest modulus (spectrum is pre-sorted)."""
-    if not 1 <= count <= len(s.pairs):
-        raise ValueError(f"count must be in [1, {len(s.pairs)}], the number of pairs")
-    return list(s.pairs[:count])
-
-
-def weight(pair: ResonanceEigenpair, proj: np.ndarray) -> float:
-    """Probability mass of one right eigenvector on a projector given by its
-    0/1 diagonal."""
-    if len(pair.right_vec) != len(proj):
-        raise ValueError("projector dimension does not match eigenvector")
-    return float((proj * np.abs(pair.right_vec) ** 2).sum())
-
-
-def weight_prediction(z: complex, m: int) -> float:
-    """Semiclassical weight |z|^(2m) (1 - |z|^2) on the m-th escape region."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    r2 = abs(z) ** 2
-    return r2**m * (1.0 - r2)
+def escape_weights(s: Spectrum, m_max: int) -> tuple:
+    """Weights of every right vector on the escape regions R_+^0 ... R_+^m_max,
+    as two (pairs x depths) arrays: the measured masses (|R|^2)^T P, where P
+    stacks the 0/1 diagonals pi_0 ... pi_m_max, and the semiclassical
+    prediction |z|^(2m) (1 - |z|^2)."""
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    P = np.column_stack([escape_projector(m, s.N) for m in range(m_max + 1)])
+    # an einsum, not a BLAS product: NumPy's OpenBLAS threads would spin
+    # through the LAPACK call that follows and halve its speed
+    measured = np.einsum("np,nm->pm", np.abs(s.right_matrix()) ** 2, P)
+    r2 = s.moduli() ** 2
+    return measured, np.power.outer(r2, np.arange(m_max + 1)) * (1.0 - r2)[:, None]
 
 
 def spectrum_csv_rows(s: Spectrum):

@@ -17,8 +17,8 @@ eigensolve, whose eigenvectors in the degenerate clusters sit several orders
 above round-off. U~ is diagonalized on Q1^(x)k, and the left vectors are the
 dual basis among the Cantor coordinates, so <u_i|v_j> = 0 for i != j even
 within a cluster, and every left vector is exactly zero off the Cantor
-indices, the forward trapped set. The escape-region weights obey
-weight(m) = |z|^(2m) (1 - |z|^2) to round-off. No N x N matrix is formed:
+indices, the forward trapped set. The escape-region weights
+(`escape_weights`) obey |z|^(2m) (1 - |z|^2) to round-off. No N x N matrix is formed:
 the residuals are taken through the O(N) action of U~ and of its adjoint.
 The eigenpairs stop at k = MAX_K because they hold N x 2^k bases (161 MB
 each at k = 9); the counts need only the singular values.
@@ -31,8 +31,7 @@ from functools import reduce
 
 import numpy as np
 
-from .quantum import escape_projector
-from .spectral import Spectrum, eigenpairs, weight, weight_prediction
+from .spectral import Spectrum, eigenpairs, escape_weights
 
 __all__ = [
     "nonzero_count",
@@ -74,10 +73,11 @@ def _trapped_bases(k: int) -> tuple:
     return Q, np.flatnonzero(reduce(np.kron, [[1, 0, 1]] * k))
 
 
-def nonzero_count(k: int, threshold: float = ZERO_THRESHOLD) -> int:
+def nonzero_count(k: int) -> int:
     """Number of nonzero eigenvalues of the open Walsh baker, via the
-    numerical rank of U~^k (the nilpotent part dies after k steps)."""
-    return sum(m for s, m in _singular_values(k) if s > threshold)
+    numerical rank of U~^k above ZERO_THRESHOLD (the nilpotent part dies
+    after k steps)."""
+    return sum(m for s, m in _singular_values(k) if s > ZERO_THRESHOLD)
 
 
 def long_lived_spectrum(k: int) -> Spectrum:
@@ -103,12 +103,13 @@ def walsh_spectrum_report(k: int):
     """Per-eigenvalue table: modulus, short/long flag, kernel dimension and
     the worst weight-formula residual over the resolvable depths. The
     N - 2^k kernel rows have z = 0 exactly."""
-    pairs = long_lived_spectrum(k).pairs
-    N, r = 3**k, len(pairs)
-    projs = [escape_projector(m, N) for m in range(min(5, k))]
-    z = [p.z for p in pairs] + [0j] * (N - r)
-    res = [max(abs(weight(p, proj) - weight_prediction(p.z, m)) for m, proj in enumerate(projs))
-           for p in pairs] + [0.0] * (N - r)
-    return [{"index": i, "re_z": z[i].real, "im_z": z[i].imag, "modulus": abs(z[i]),
+    s = long_lived_spectrum(k)
+    N, r = s.N, len(s.pairs)
+    measured, predicted = escape_weights(s, min(4, k - 1))
+    kernel = np.zeros(N - r)
+    z = np.r_[s.eigenvalues(), kernel].tolist()
+    mod = np.r_[s.moduli(), kernel].tolist()
+    res = np.r_[np.abs(measured - predicted).max(axis=1), kernel].tolist()
+    return [{"index": i, "re_z": z[i].real, "im_z": z[i].imag, "modulus": mod[i],
              "long_lived": i < r, "kernel_dim": N - r, "max_weight_residual": res[i]}
             for i in range(N)]

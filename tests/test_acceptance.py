@@ -42,11 +42,7 @@ from openbaker.quantum import (
     dft_matrix,
     escape_projector,
 )
-from openbaker.spectral import (
-    select_long_lived,
-    weight,
-    weight_prediction,
-)
+from openbaker.spectral import escape_weights
 from openbaker.walsh import _apply, long_lived_spectrum, nonzero_count
 from interval_ops import difference, scale_shift, union
 from open_dense import open_propagator
@@ -90,23 +86,23 @@ def test_criterion_02_opening_weight_identity():
     """Every eigenstate's opening weight equals 1 - |z|^2 exactly."""
     worst = 0.0
     for N in (243, 729):
-        pi0 = escape_projector(0, N)
-        for p in open_spectrum(N).pairs:
-            worst = max(worst, abs(weight(p, pi0) - (1 - p.modulus**2)))
+        s = open_spectrum(N)
+        measured, _ = escape_weights(s, 0)
+        worst = max(worst, float(np.abs(measured[:, 0] - (1 - s.moduli() ** 2)).max()))
     report(2, "opening weight = 1 - |z|^2", worst < 1e-9,
            f"max deviation {worst:.3e} over all pairs at N = 243, 729 (< 1e-9)")
 
 
 def _median_weight_errors(N: int, ms):
-    projs = {m: escape_projector(m, N) for m in ms}
-    errs = {m: [] for m in ms}
-    for p in open_spectrum(N).pairs:
-        if 0.3 <= p.modulus <= 0.9:
-            for m in ms:
-                pred = weight_prediction(p.z, m)
-                if pred > 0:
-                    errs[m].append(abs(weight(p, projs[m]) - pred) / pred)
-    return {m: float(np.median(v)) for m, v in errs.items()}
+    s = open_spectrum(N)
+    measured, predicted = escape_weights(s, max(ms))
+    mod = s.moduli()
+    errs = {}
+    for m in ms:
+        keep = (0.3 <= mod) & (mod <= 0.9) & (predicted[:, m] > 0)
+        errs[m] = float(np.median(np.abs(measured[keep, m] - predicted[keep, m])
+                                  / predicted[keep, m]))
+    return errs
 
 
 def test_criterion_03_semiclassical_weights():
@@ -139,13 +135,9 @@ def test_criterion_05_walsh_exactness():
     worst = 0.0
     counts_ok = True
     for k in (4, 5):
-        N = 3**k
         counts_ok &= nonzero_count(k) == 2**k
-        s = long_lived_spectrum(k)
-        projs = [escape_projector(m, N) for m in range(min(4, k - 1) + 1)]
-        for p in s.pairs:
-            for m, proj in enumerate(projs):
-                worst = max(worst, abs(weight(p, proj) - weight_prediction(p.z, m)))
+        measured, predicted = escape_weights(long_lived_spectrum(k), min(4, k - 1))
+        worst = max(worst, float(np.abs(measured - predicted).max()))
     ok = counts_ok and worst < 1e-8
     report(5, "Walsh exactness at k = 4, 5", ok,
            f"counts = 2^k: {counts_ok}, max weight residual {worst:.3e} (< 1e-8)")
@@ -172,10 +164,10 @@ def test_criterion_06_fractal_weyl(even_2187):
 
 def _band_masses(N: int, count: int, G: int = 27, closed: bool = False):
     if closed:
-        right = left = list(closed_states(N, "full")[1][:, :count].T)
+        right = left = closed_states(N, "full")[1][:, :count]
     else:
-        sel = select_long_lived(open_spectrum(N), count)
-        right, left = [p.right_vec for p in sel], [p.left_vec for p in sel]
+        s = open_spectrum(N)
+        right, left = s.right_matrix()[:, :count], s.left_matrix()[:, :count]
     avg_r = average_density(husimi_grids(right, G))
     avg_l = average_density(husimi_grids(left, G))
     pgrid = (np.arange(G) + 0.5) / G
@@ -218,13 +210,13 @@ def test_criterion_09_self_similarity(even_2187):
     """Eigenstate position densities repeat their own structure under a x3
     magnification; white noise does not."""
     scores = {}
+    mod, R = even_2187.moduli(), even_2187.right_matrix()
     for tag, (lo, hi) in {"low": (0.35, 0.45), "high": (0.65, 0.75)}.items():
-        sel = [p for p in even_2187.pairs if lo <= p.modulus <= hi]
-        dens = average_density([position_density(p.right_vec) for p in sel])
+        dens = average_density(position_density(R[:, (lo <= mod) & (mod <= hi)]).T)
         scores[tag] = self_similarity_score(dens)
     rng = np.random.default_rng(0)
     noise = self_similarity_score(
-        average_density([momentum_density(rng.normal(size=2187) + 0j)]))
+        average_density(momentum_density(rng.normal(size=(2187, 1)) + 0j).T))
     ok = scores["low"] > 0.8 and scores["high"] > 0.8 and abs(noise) < 0.3
     report(9, "density self-similarity at N = 2187", ok,
            f"bin scores low {scores['low']:.3f}, high {scores['high']:.3f} "
@@ -273,9 +265,9 @@ def test_criterion_11_property_suite(tmp_path):
     psi = rng.normal(size=81) + 1j * rng.normal(size=81)
     psi /= np.linalg.norm(psi)
     sums = [abs(position_density(psi).sum() - 1),
-            abs(momentum_density(psi).sum() - 1),
-            abs(husimi_grids([psi], 27)[0].sum() - 1)]
-    W = wigner_grid_average([psi])
+            abs(momentum_density(psi[:, None]).sum() - 1),
+            abs(husimi_grids(psi[:, None], 27)[0].sum() - 1)]
+    W = wigner_grid_average(psi[:, None])
     marg = max(float(np.abs(wigner_position_marginal(W) - np.abs(psi) ** 2).max()),
                float(np.abs(wigner_momentum_marginal(W)
                             - np.abs(dft_matrix(81) @ psi) ** 2).max()))

@@ -190,23 +190,26 @@ def test_run_husimi(tmp_path):
 def test_husimi_count_stops_at_resonances(tmp_path, monkeypatch):
     """The even sector at N = 81 holds its 27 resonances as pairs (its 14
     exact zeros are counted, not carried); the default count of 100 selects
-    the 27."""
-    select, picked = experiments.select_long_lived, []
-    monkeypatch.setattr(experiments, "select_long_lived",
-                        lambda s, count: picked.append(select(s, count)) or picked[-1])
+    the 27, whose right and left vectors lead the one Husimi block."""
+    husimi, blocks = experiments.husimi_grids, []
+    monkeypatch.setattr(experiments, "husimi_grids",
+                        lambda V, G: blocks.append(V) or husimi(V, G))
     r = run_husimi_figure(RunConfig(n_exp=4, out_dir=tmp_path))
     assert r["count"] == 27
-    assert len(picked[0]) == 27 and all(p.z != 0 for p in picked[0])
+    s = sector_spectrum(81, "even")
+    assert blocks[0].shape == (81, 3 * 27) and (s.eigenvalues()[:27] != 0).all()
+    assert np.array_equal(blocks[0][:, :27], s.right_matrix()[:, :27])
+    assert np.array_equal(blocks[0][:, 27:54], s.left_matrix()[:, :27])
 
 
 def test_husimi_image_independent_of_batch():
     """The figure makes the right, left and closed-map images in one Husimi
     pass; each state's image must be bitwise what its own call gives."""
-    sel = sector_spectrum(243, "even").pairs[:20]
-    sets = [[p.right_vec for p in sel], [p.left_vec for p in sel],
-            list(closed_states(243, "even")[1][:, :20].T)]
-    joint = husimi_grids(sum(sets, []), 81)
-    alone = sum((husimi_grids(states, 81) for states in sets), [])
+    s = sector_spectrum(243, "even")
+    sets = [s.right_matrix()[:, :20], s.left_matrix()[:, :20],
+            closed_states(243, "even")[1][:, :20]]
+    joint = husimi_grids(np.hstack(sets), 81)
+    alone = sum((husimi_grids(X, 81) for X in sets), [])
     assert all(np.array_equal(a, b) for a, b in zip(joint, alone, strict=True))
 
 
@@ -223,10 +226,10 @@ def test_run_density(tmp_path):
 
 def test_modulus_bin_widens():
     from openbaker.experiments import _modulus_bin
-    s = open_spectrum(27)
-    sel, widened = _modulus_bin(s, 1.5, 1.6)  # empty band above the disk
+    mod = open_spectrum(27).moduli()
+    keep, widened = _modulus_bin(mod, 1.5, 1.6)  # empty band above the disk
     assert widened > 0
-    assert sel
+    assert keep.any()
 
 
 def test_run_walsh_report(tmp_path):

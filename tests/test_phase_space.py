@@ -41,7 +41,7 @@ def test_wigner_matches_brute_force_operator():
     rng = np.random.default_rng(5)
     psi = rng.normal(size=N) + 1j * rng.normal(size=N)
     psi /= np.linalg.norm(psi)
-    W = wigner_grid_average([psi])
+    W = wigner_grid_average(psi[:, None])
     for j in range(0, 2 * N, 3):
         for l in range(0, 2 * N, 5):
             A = _brute_phase_point_operator(N, j, l)
@@ -99,23 +99,26 @@ def test_coherent_antiperiodic_images():
 def test_husimi_grid_peak_and_norm():
     N, G = 81, 27
     v = coherent_vector(TorusPoint(0.25, 0.6), N)
-    [H] = husimi_grids([v], G)
+    [H] = husimi_grids(v[:, None], G)
     assert H.shape == (G, G)
     assert H.sum() == pytest.approx(1.0)
     i, j = np.unravel_index(np.argmax(H), H.shape)
     assert abs((i + 0.5) / G - 0.25) < 2 / G
     assert abs((j + 0.5) / G - 0.6) < 2 / G
     with pytest.raises(ValueError):
-        husimi_grids([v], 4)
+        husimi_grids(v[:, None], 4)
 
 
 def test_husimi_grids_batch_matches_single():
+    """An N x S block is S states, one per column: one image per column,
+    each that of the column alone."""
     N, G = 27, 9
     rng = np.random.default_rng(0)
-    states = [rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(3)]
-    batch = husimi_grids(states, G)
-    for s, h in zip(states, batch):
-        assert np.allclose(h, husimi_grids([s], G)[0], atol=1e-12)
+    X = np.column_stack([rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(3)])
+    batch = husimi_grids(X, G)
+    assert len(batch) == 3
+    for k, h in enumerate(batch):
+        assert np.allclose(h, husimi_grids(X[:, k:k + 1], G)[0], atol=1e-12)
 
 
 @pytest.mark.parametrize("N, G", [(81, 27), (81, 10), (3, 81), (81, 11), (243, 100)])
@@ -125,8 +128,10 @@ def test_husimi_grids_match_coherent_overlaps(N, G):
     not dividing N take the zero-padded fold, and the packet norm then
     depends on the momentum centre."""
     rng = np.random.default_rng(6)
-    states = [rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(2)]
-    for psi, h in zip(states, husimi_grids(states, G)):
+    X = np.column_stack([rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(2)])
+    images = husimi_grids(X, G)
+    assert len(images) == 2
+    for psi, h in zip(X.T, images):
         ref = np.array([[abs(np.vdot(coherent_vector(TorusPoint((i + 0.5) / G, (j + 0.5) / G), N),
                                      psi)) ** 2 for j in range(G)] for i in range(G)])
         assert np.abs(h - ref / ref.sum()).max() < 1e-12
@@ -137,7 +142,7 @@ def test_wigner_total_and_marginals():
     rng = np.random.default_rng(1)
     psi = rng.normal(size=N) + 1j * rng.normal(size=N)
     psi /= np.linalg.norm(psi)
-    W = wigner_grid_average([psi])
+    W = wigner_grid_average(psi[:, None])
     assert W.shape == (2 * N, 2 * N)
     assert W.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(wigner_position_marginal(W), np.abs(psi) ** 2, atol=1e-12)
@@ -153,7 +158,7 @@ def test_wigner_near_positive_at_packet_center():
     N = 81
     q0, p0 = 0.25, 0.7
     v = coherent_vector(TorusPoint(q0, p0), N)
-    W = wigner_grid_average([v])
+    W = wigner_grid_average(v[:, None])
     # doubled-grid coordinates of the center: position rows sit at j = 2n+1,
     # momentum columns at l = (2n - N + 1) mod 2N
     nq = round(q0 * N - 0.5)
@@ -166,14 +171,17 @@ def test_wigner_near_positive_at_packet_center():
 
 
 def test_wigner_average_is_mean():
+    """The Wigner average of an N x S block is the mean of its columns'
+    Wigner functions; an empty block has none."""
     N = 27
     rng = np.random.default_rng(2)
-    states = [rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(3)]
-    avg = wigner_grid_average(states)
-    mean = np.mean([wigner_grid_average([s]) for s in states], axis=0)
+    X = np.column_stack([rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(3)])
+    avg = wigner_grid_average(X)
+    assert avg.shape == (2 * N, 2 * N)
+    mean = np.mean([wigner_grid_average(X[:, k:k + 1]) for k in range(3)], axis=0)
     assert np.allclose(avg, mean, atol=1e-13)
     with pytest.raises(ValueError):
-        wigner_grid_average([])
+        wigner_grid_average(np.empty((N, 0), dtype=complex))
 
 
 def test_densities():
@@ -182,11 +190,15 @@ def test_densities():
     psi = rng.normal(size=N) + 1j * rng.normal(size=N)
     psi /= np.linalg.norm(psi)
     pd = position_density(psi)
-    md = momentum_density(psi)
+    md = momentum_density(psi[:, None])
     assert pd.sum() == pytest.approx(1.0)
-    assert md.sum() == pytest.approx(1.0)
+    assert md.shape == (N, 1) and md.sum() == pytest.approx(1.0)
     avg = average_density([pd, pd])
     assert np.allclose(avg, pd)
+    # a block's densities are its columns'
+    X = np.column_stack([psi, psi[::-1]])
+    assert np.array_equal(position_density(X)[:, 1], pd[::-1])
+    assert np.allclose(momentum_density(X)[:, 0], md[:, 0], atol=1e-15)
     with pytest.raises(ValueError):
         average_density([])
     assert np.array_equal(unit_sum(np.array([1.0, 3.0])), [0.25, 0.75])
@@ -200,7 +212,7 @@ def test_momentum_density_matches_dense_dft(N):
     psi = rng.normal(size=N) + 1j * rng.normal(size=N)
     psi /= np.linalg.norm(psi)
     ref = np.abs(dft_matrix(N) @ psi) ** 2
-    assert np.abs(momentum_density(psi) - ref).max() < 1e-13
+    assert np.abs(momentum_density(psi[:, None])[:, 0] - ref).max() < 1e-13
 
 
 def test_cantor_and_band_mass():

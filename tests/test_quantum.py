@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from openbaker.classical import Axis, StripRegion, IntervalUnion, region_R_minus
 from openbaker.quantum import (
     UnresolvedRegionError,
     baker_apply,
@@ -10,7 +9,6 @@ from openbaker.quantum import (
     dft_matrix,
     escape_projector,
     parity_sector_basis,
-    projector_for_region,
     sector_block,
 )
 from open_dense import extended_unitary, open_propagator
@@ -140,9 +138,6 @@ def test_projector_exact_and_unresolved():
     assert pi0.sum() == 3
     with pytest.raises(UnresolvedRegionError):
         escape_projector(2, 9)  # needs N divisible by 27
-    horizontal = StripRegion(Axis.MOMENTUM, region_R_minus(1).support)
-    with pytest.raises(ValueError):
-        projector_for_region(horizontal, 9)
 
 
 def test_projector_matrix_and_apply():

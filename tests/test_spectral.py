@@ -7,16 +7,22 @@ import scipy.linalg as la
 from hypothesis import given
 from hypothesis import strategies as st
 
-from openbaker.experiments import sector_spectrum
+from openbaker.experiments import (
+    RunConfig,
+    open_spectrum,
+    run_density_figures,
+    run_husimi_figure,
+    sector_spectrum,
+)
 from openbaker.quantum import escape_projector
 from openbaker.spectral import (
+    ResonanceEigenpair,
     Spectrum,
     eigenpairs,
-    select_long_lived,
+    escape_weights,
     spectrum_csv_rows,
-    weight,
-    weight_prediction,
 )
+from openbaker.walsh import long_lived_spectrum
 from open_dense import open_propagator
 
 
@@ -140,37 +146,68 @@ def test_propagation_identity(spec27):
 def test_opening_weight_identity(spec27):
     """weight on the opening equals 1 - |z|^2 exactly (operator identity)."""
     _, s = spec27
-    pi0 = escape_projector(0, 27)
-    for p in s.pairs:
-        assert weight(p, pi0) == pytest.approx(1 - p.modulus**2, abs=1e-12)
+    measured, _ = escape_weights(s, 0)
+    assert np.abs(measured[:, 0] - (1 - s.moduli() ** 2)).max() <= 1e-12
 
 
 def test_weight_validation(spec27):
     _, s = spec27
     with pytest.raises(ValueError):
-        weight(s.pairs[0], escape_projector(0, 9))
-    with pytest.raises(ValueError):
-        weight_prediction(0.5, -1)
+        escape_weights(s, -1)
+
+
+def _uniform_spectrum(N: int, zs) -> Spectrum:
+    """Pairs with the given eigenvalues, each carrying the flat unit vector."""
+    v = np.full(N, N**-0.5, dtype=complex)
+    return Spectrum(N, tuple(ResonanceEigenpair(complex(z), v, v, 0.0, 0.0) for z in zs))
 
 
 @given(st.floats(0, 1), st.integers(0, 10))
-def test_weight_prediction_bounds(r, m):
-    w = weight_prediction(r, m)
-    assert 0.0 <= w <= 1.0
-    # summing over all m telescopes to 1 for |z| < 1
-    if r < 1:
-        total = sum(weight_prediction(r, j) for j in range(200))
-        assert total <= 1.0 + 1e-12
+def test_weight_prediction_bounds(r, m_max):
+    """Each predicted weight lies in [0, 1], and over the depths m <= M they
+    telescope to 1 - |z|^(2(M+1)), so their sum never exceeds 1; a flat
+    state's measured weights are the region areas (1/3)(2/3)^m."""
+    measured, predicted = escape_weights(_uniform_spectrum(3 ** (m_max + 1), [r]), m_max)
+    assert ((0.0 <= predicted) & (predicted <= 1.0)).all()
+    assert predicted.sum() == pytest.approx(1.0 - (r * r) ** (m_max + 1), abs=1e-12)
+    assert np.abs(measured[0] - (2 / 3) ** np.arange(m_max + 1) / 3).max() < 1e-12
 
 
 def test_weight_prediction_values():
-    assert weight_prediction(0.0, 0) == 1.0
-    assert weight_prediction(1.0, 3) == 0.0
-    assert weight_prediction(0.5, 1) == pytest.approx(0.25 * 0.75)
+    _, predicted = escape_weights(_uniform_spectrum(81, [0.0, 1.0, 0.5]), 3)
+    assert predicted[0, 0] == 1.0
+    assert predicted[1, 3] == 0.0
+    assert predicted[2, 1] == pytest.approx(0.25 * 0.75)
+
+
+def _per_pair_weights(s: Spectrum, m_max: int):
+    """Reference for `escape_weights`: each pair's mass on each escape
+    projector, summed vector by vector, and |z|^(2m) (1 - |z|^2) in Python
+    floats."""
+    projs = [escape_projector(m, s.N) for m in range(m_max + 1)]
+    measured = [[float((d * np.abs(p.right_vec) ** 2).sum()) for d in projs] for p in s.pairs]
+    predicted = [[(abs(p.z) ** 2) ** m * (1.0 - abs(p.z) ** 2) for m in range(m_max + 1)]
+                 for p in s.pairs]
+    return np.array(measured), np.array(predicted)
+
+
+@pytest.mark.parametrize("make, m_max", [(lambda: open_spectrum(81), 2),
+                                         (lambda: long_lived_spectrum(4), 3)],
+                         ids=["open_81", "walsh_81"])
+def test_escape_weights_match_per_pair_formula(make, m_max):
+    """The (pairs x depths) tables equal the per-pair sums to round-off: the
+    masses differ only in summation order (measured at most 4.4e-16 on
+    open_spectrum(81) and 1.1e-16 on long_lived_spectrum(4)), the
+    predictions by pow's last bit (2.8e-17 on both)."""
+    s = make()
+    measured, predicted = escape_weights(s, m_max)
+    ref_measured, ref_predicted = _per_pair_weights(s, m_max)
+    assert measured.shape == predicted.shape == (len(s.pairs), m_max + 1)
+    assert np.abs(measured - ref_measured).max() < 1e-15
+    assert np.abs(predicted - ref_predicted).max() < 1e-16
 
 
 def test_gamma():
-    from openbaker.spectral import ResonanceEigenpair
     v = np.array([1.0, 0.0], dtype=complex)
     p = ResonanceEigenpair(0.5, v, v, 0.0, 0.0)
     assert p.gamma == pytest.approx(-2 * math.log(0.5))
@@ -178,22 +215,21 @@ def test_gamma():
     assert math.isinf(p0.gamma)
 
 
-def test_select_long_lived(spec27):
+def test_select_long_lived(spec27, tmp_path):
+    """Pairs are sorted by decreasing modulus, so the `count` longest-lived
+    states are the first `count` columns. An empty selection fails, and so
+    does one larger than a sector: at N = 27 a parity sector holds 9 pairs,
+    fewer than the 20 that the density figure averages, so `density` refuses
+    n_exp 3 instead of averaging fewer (a sector at N = 81 holds 27)."""
     _, s = spec27
-    top = select_long_lived(s, 5)
-    assert len(top) == 5
-    assert top[0].modulus == s.moduli()[0]
-    with pytest.raises(ValueError):
-        select_long_lived(s, 0)
-    with pytest.raises(ValueError):
-        select_long_lived(s, 28)
-    # a parity sector holds fewer pairs than N: asking for more fails
-    # instead of returning fewer
-    even = sector_spectrum(27, "even")
-    assert len(even.pairs) == 9
-    assert len(select_long_lived(even, 9)) == 9
-    with pytest.raises(ValueError, match="number of pairs"):
-        select_long_lived(even, 20)
+    mod = s.moduli()
+    assert mod[0] == mod.max() and mod[:5].min() >= mod[5:].max()
+    with pytest.raises(ValueError, match="count >= 1"):
+        run_husimi_figure(RunConfig(n_exp=3, count=0, out_dir=tmp_path))
+    assert len(sector_spectrum(27, "even").pairs) == 9
+    assert len(sector_spectrum(81, "even").pairs) == 27
+    with pytest.raises(ValueError, match="n_exp >= 4"):
+        run_density_figures(RunConfig(n_exp=3, out_dir=tmp_path))
 
 
 def test_csv_rows(spec27):
@@ -210,7 +246,7 @@ def test_weight_sum_over_escape_depths(spec27):
     """Measured weights over all resolvable depths plus the trapped remainder
     account for the whole state."""
     _, s = spec27
-    p = s.pairs[0]
-    total = sum(weight(p, escape_projector(m, 27)) for m in range(2))
-    assert total <= 1.0 + 1e-12
-    assert total >= weight(p, escape_projector(0, 27)) - 1e-12
+    measured, _ = escape_weights(s, 1)
+    total = measured.sum(axis=1)
+    assert (total <= 1.0 + 1e-12).all()
+    assert (total >= measured[:, 0] - 1e-12).all()

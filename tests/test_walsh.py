@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from openbaker.quantum import escape_projector
-from openbaker.spectral import weight, weight_prediction
+from openbaker.spectral import escape_weights
 from openbaker.walsh import (
     ZERO_THRESHOLD,
     _apply,
@@ -105,8 +105,12 @@ def test_nonzero_count_is_power_of_two(k):
 
 
 def test_nonzero_count_threshold_stable():
+    """The count is the same for any threshold between round-off and
+    ZERO_THRESHOLD: the singular values of U~^3 are 1 or exactly 0."""
+    sv = _singular_values(3)
     for t in (1e-12, 1e-10, 1e-8, ZERO_THRESHOLD):
-        assert nonzero_count(3, threshold=t) == 8
+        assert sum(m for s, m in sv if s > t) == 8
+    assert nonzero_count(3) == 8
 
 
 def test_nilpotent_remainder():
@@ -161,9 +165,10 @@ def test_long_lived_subspace_cross_check(k):
     """The 2^k invariant-subspace pairs against an independent dense
     eigensolve: same eigenvalues, round-off residuals on both sides,
     biorthogonality inside the degenerate clusters and the exact weights."""
-    N, r = 3**k, 2**k
+    r = 2**k
     Ut = walsh_open_baker(k)
-    top = long_lived_spectrum(k).pairs
+    s = long_lived_spectrum(k)
+    top = s.pairs
     assert len(top) == r
     z = np.array([p.z for p in top])
     ev = np.linalg.eigvals(Ut)
@@ -177,22 +182,17 @@ def test_long_lived_subspace_cross_check(k):
     U = np.column_stack([p.left_vec for p in top])
     G = np.abs(U.conj().T @ V)
     assert (G - np.diag(np.diag(G))).max() < 1e-12
-    projs = [escape_projector(m, N) for m in range(min(5, k))]
-    for p in top:
-        for m, proj in enumerate(projs):
-            assert abs(weight(p, proj) - weight_prediction(p.z, m)) < 1e-12
+    measured, predicted = escape_weights(s, min(5, k) - 1)
+    assert np.abs(measured - predicted).max() < 1e-12
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_weight_formula_exact(k):
     """For the Walsh map the semiclassical weight formula has no error term:
     weight(m) = |z|^(2m) (1 - |z|^2) at round-off for every long-lived state."""
-    N = 3**k
-    s = long_lived_spectrum(k)
-    projs = [escape_projector(m, N) for m in range(k)]
-    for p in s.pairs:
-        for m, proj in enumerate(projs):
-            assert abs(weight(p, proj) - weight_prediction(p.z, m)) < 1e-12
+    measured, predicted = escape_weights(long_lived_spectrum(k), k - 1)
+    assert measured.shape == (2**k, k)
+    assert np.abs(measured - predicted).max() < 1e-12
 
 
 # eigenvalues of the digit matrix restricted to the trapped digits {0, 2}
