@@ -15,13 +15,13 @@ seen after symmetry reduction, while the full spectrum's top modulus is
 columns, the decay-rate bins of Fig. 4 are masks on the moduli, and the
 phase-space transforms take the selected states as one N x S block.
 
-Every baker spectrum is built per parity sector: the N/3 pairs of its
-folded kept block, with the opening's exact kernel (z = 0) counted, not
-built. The N x N propagator is never diagonalized, nor even formed: the
-blocks are folded from U's kept corners (`baker_corners`), and the vectors
-are lifted and their residuals taken through U's FFT action (`baker_apply`).
-The open sectors are the one spectrum cache (`_SECTORS`): `open_spectrum`
-merges both, folded from one set of corners, and `sector_spectrum` returns
+Every baker spectrum is built per parity sector, as the arrays of the N/3
+eigenpairs of its folded kept block; the opening's exact kernel (z = 0) is
+counted, not built. The N x N propagator is never diagonalized, nor even
+formed: the blocks are folded from U's kept corners (`baker_corners`), and
+the vectors are lifted and their residuals taken through U's FFT action
+(`baker_apply`). The open sectors are the one spectrum cache (`_SECTORS`):
+`open_spectrum` merges both into new arrays, and `sector_spectrum` returns
 one, folding it alone if it is missing. One BLAS beside LAPACK: the corners
 are SciPy BLAS products, and the fold, lifts and residuals are elementwise
 or FFTs, so no NumPy OpenBLAS thread spins through `la.eig`. The closed-map
@@ -61,7 +61,7 @@ from .phase_space import (
     wigner_grid_average,
 )
 from .quantum import baker_apply, baker_corners, baker_unitary, sector_block
-from .spectral import Spectrum, eigenpairs, escape_weights, spectrum_csv_rows
+from .spectral import Spectrum, decay_order, eigenpairs, escape_weights, merged, spectrum_csv_rows
 from .walsh import ZERO_THRESHOLD, long_lived_spectrum, nonzero_count, walsh_spectrum_report
 
 __all__ = [
@@ -130,19 +130,16 @@ def _open_sectors(N: int, sectors: tuple) -> list:
         solved = [_folded_block_eig(C, sign) for sign in signs]
         del C  # freed before the N x N/3 vector blocks are made
         for sector, sign, eig in zip(missing, signs, solved):
-            found[sector] = _SECTORS[N, sector] = Spectrum(N, _folded_sector_pairs(N, sign, *eig))
+            found[sector] = _SECTORS[N, sector] = _folded_sector(N, sign, *eig)
             if len(_SECTORS) > 8:
                 del _SECTORS[next(iter(_SECTORS))]
     return [found[sector] for sector in sectors]
 
 
 def open_spectrum(N: int) -> Spectrum:
-    """Full spectrum of the open propagator: the pairs of both parity
-    sectors, merged in (-|z|, phase) order; their vectors are views of the
-    sector columns, so a figure's sector is not solved again."""
-    pairs = sum((s.pairs for s in _open_sectors(N, ("even", "odd"))), ())
-    z = np.array([p.z for p in pairs])
-    return Spectrum(N, tuple(pairs[i] for i in np.lexsort((np.angle(z), -np.abs(z)))))
+    """Full spectrum of the open propagator: both parity sectors from the
+    cache, folded into it if missing, merged into new arrays."""
+    return merged(*_open_sectors(N, ("even", "odd")))
 
 
 def sector_spectrum(N: int, sector: str) -> Spectrum:
@@ -170,7 +167,7 @@ def closed_states(N: int, sector: str) -> tuple:
         zs.append(z)
         Vs.append(B @ R)
     z = np.concatenate(zs)
-    order = np.lexsort((np.angle(z), -np.abs(z)))
+    order = decay_order(z)
     return z[order], np.hstack(Vs)[:, order]
 
 
@@ -202,7 +199,7 @@ def _open_apply_h(X: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _folded_sector_pairs(N: int, sign: float, z, Wl, Wr) -> tuple:
+def _folded_sector(N: int, sign: float, z, Wl, Wr) -> Spectrum:
     """The N/3 eigenpairs of U~ = U (I - pi_0) in one parity sector from those
     of its folded block, with no U, U~ or parity basis: right vectors
     U (w, 0, +-w reversed) by one `baker_apply`, left vectors
@@ -316,14 +313,12 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
         raise ValueError("husimi needs n_exp <= 7: its Wigner average holds a 2N x 2N "
                          "complex density matrix (2.8 GB at n_exp 8)")
     s = sector_spectrum(N, cfg.sector)
-    # at most the resonances: the opening's exact kernel (z = 0) holds no pairs
-    count = min(cfg.count, len(s.pairs))
-    sel = s.pairs[:count]
+    # at most the resonances: the opening's exact kernel (z = 0) holds no columns
+    count = min(cfg.count, len(s.z))
     # one block of the right, left and closed-map states, stacked once: one
     # Husimi pass for all three images (the Gaussian fold weights are built
     # once), and its first `count` columns feed the Wigner average
-    X = np.column_stack([p.right_vec for p in sel] + [p.left_vec for p in sel]
-                        + [closed_states(N, cfg.sector)[1][:, :count]])
+    X = np.hstack([s.R[:, :count], s.L[:, :count], closed_states(N, cfg.sector)[1][:, :count]])
     H = husimi_grids(X, G)
     avg_r, avg_l, closed_r = (average_density(H[k * count:(k + 1) * count]) for k in range(3))
     band = interval_mask(cantor_approx(1), G)
@@ -382,7 +377,7 @@ def run_density_figures(cfg: RunConfig) -> dict:
         raise ValueError("density figures need n_exp >= 4 (20 states in one sector)")
     N = cfg.N
     s = sector_spectrum(N, cfg.sector)
-    mod, R = s.moduli(), s.right_matrix()
+    mod, R = s.moduli(), s.R
     results = {}
 
     results["fig3_modulus_max"] = float(mod[:20].max())

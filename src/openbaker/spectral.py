@@ -1,113 +1,121 @@
-"""Non-Hermitian eigenpairs with matched left/right vectors.
+"""Non-Hermitian eigenpairs with matched left/right vectors, as arrays.
 
 Resonances of the open propagator are eigenvalues inside the unit disk;
 the decay rate is Gamma = -ln|z|^2. Left and right eigenvectors are
 normalized to unit norm separately (they are not orthogonal to each other).
 
-Every spectrum is built by one function, `eigenpairs(z, V, U, apply,
-apply_h)`, from eigenvalues with right and left eigenvector columns, whether
-they come from the folded blocks of the open map or the Walsh trapped
-subspace. It sees the propagator only through its action on a block of
-columns, `apply(X)` = A X and `apply_h(X)` = A^H X, so a map whose matrix is
-never formed (the open map by two FFTs per column, the Walsh map in O(N)
-per column) is checked the same way as a dense one. It normalizes the
-columns and fixes their phase in place, takes the residuals through those
-two actions, marks the columns read-only and sorts the pairs by
-(-|z|, phase); the vectors of each pair are views of those columns.
+A `Spectrum` is the read-only arrays (N, z, R, L, res_r, res_l) in one
+(-|z|, phase) order, `decay_order`. Every spectrum is built by `eigenpairs`,
+whether its columns come from the folded blocks of the open map or the Walsh
+trapped subspace. It sees the propagator only through its action on a block
+of columns, so a map whose matrix is never formed (the open map by two FFTs
+per column, the Walsh map in O(N) per column) is checked the same way as a
+dense one. `merged` joins two spectra, the open map's parity sectors, into
+new arrays.
 
-Figures read a spectrum's columns: the `count` longest-lived states are its
-first `count` columns, a decay-rate bin is a mask on `moduli()`, and
+Figures read a spectrum's columns: the `count` longest-lived states are the
+first `count` columns of R, a decay-rate bin is a mask on `moduli()`, and
 `escape_weights` gives every pair's escape-region weights, measured and
 predicted, as two (pairs x depths) arrays.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .quantum import escape_projector
 
 __all__ = [
-    "ResonanceEigenpair",
     "Spectrum",
+    "decay_order",
     "eigenpairs",
     "escape_weights",
+    "merged",
     "spectrum_csv_rows",
 ]
 
-
-@dataclass(frozen=True)
-class ResonanceEigenpair:
-    z: complex
-    right_vec: np.ndarray
-    left_vec: np.ndarray
-    residual_right: float
-    residual_left: float
-
-    @property
-    def modulus(self) -> float:
-        return abs(self.z)
-
-    @property
-    def gamma(self) -> float:
-        """Decay rate -ln|z|^2; infinite at z = 0, an exact zero."""
-        if abs(self.z) == 0.0:
-            return math.inf
-        return -2.0 * math.log(abs(self.z))
+_Pair = namedtuple("_Pair", "residual_right residual_left")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenpairs of an operator on C^N in (-|z|, phase) order, only those
-    computed: its other N - len(pairs) eigenvalues are exact zeros (the open
-    map's opening kernel, the Walsh map's nilpotent part). A parity sector's
+    """Eigenpairs of an operator on C^N, only those computed: eigenvalues z,
+    right and left vectors as the columns of R and L (N x len(z)), and the
+    residuals res_r = ||A v - z v|| and res_l = ||A^H u - conj(z) u||, all
+    read-only. Its other N - len(z) eigenvalues are exact zeros (the open
+    map's opening kernel, the Walsh map's nilpotent part); a parity sector's
     operator is zero on the other sector, which counts among its zeros."""
 
     N: int
-    pairs: tuple
+    z: np.ndarray
+    R: np.ndarray
+    L: np.ndarray
+    res_r: np.ndarray
+    res_l: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self)[1:]:
+            getattr(self, f.name).flags.writeable = False
 
     def moduli(self) -> np.ndarray:
-        return np.array([p.modulus for p in self.pairs])
+        return np.abs(self.z)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([p.z for p in self.pairs])
-
-    def right_matrix(self) -> np.ndarray:
-        return np.column_stack([p.right_vec for p in self.pairs])
-
-    def left_matrix(self) -> np.ndarray:
-        return np.column_stack([p.left_vec for p in self.pairs])
+    # Only the benchmark's health check (bench/checks.spectrum_health) reads
+    # these; they go with the benchmark change of ROADMAP item 1.
+    pairs = property(lambda self: list(map(_Pair, self.res_r.tolist(), self.res_l.tolist())))
+    def eigenvalues(self): return self.z
+    def right_matrix(self): return self.R
+    def left_matrix(self): return self.L
 
 
-def eigenpairs(z: np.ndarray, V: np.ndarray, U: np.ndarray, apply, apply_h) -> tuple:
-    """Eigenpairs of an operator A from eigenvalues z with right (V) and
-    left (U) eigenvector columns, sorted by (-|z|, phase); `apply(X)` and
-    `apply_h(X)` return A X and A^H X for an N x r block X.
+def decay_order(z: np.ndarray) -> np.ndarray:
+    """Indices that put z in (-|z|, phase) order, longest-lived first."""
+    return np.lexsort((np.angle(z), -np.abs(z)))
 
-    V and U are normalized in place, each column's largest-modulus component
-    is made real positive (a reproducible phase), and both are then marked
-    read-only. The residuals ||A v - z v|| and ||A^H u - conj(z) u|| are
-    reported, not checked; the first buffer is freed before the second is
-    made.
+
+def eigenpairs(z: np.ndarray, V: np.ndarray, U: np.ndarray, apply, apply_h) -> Spectrum:
+    """The spectrum of an operator A from eigenvalues z with right (V) and
+    left (U) eigenvector columns; `apply(X)` and `apply_h(X)` return A X and
+    A^H X for an N x r block X.
+
+    V and U are handed over: in place, their columns are put in (-|z|, phase)
+    order and normalized, and each column's largest-modulus component is
+    made real positive (a reproducible phase); the spectrum then holds them
+    read-only. The residuals are reported, not checked; the first buffer is
+    freed before the second is made.
     """
+    o = decay_order(z)
+    z = z[o]
     for M in (V, U):
+        np.take(M, o, axis=1, out=M)  # buffered: safe in place
         M /= np.linalg.norm(M, axis=0)
         top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
         M /= top / np.abs(top)
-        M.flags.writeable = False
-    R = apply(V)
-    R -= V * z
-    res_r = np.linalg.norm(R, axis=0)
-    del R
-    R = apply_h(U)
-    R -= U * z.conj()
-    res_l = np.linalg.norm(R, axis=0)
-    order = np.lexsort((np.angle(z), -np.abs(z)))
-    return tuple(ResonanceEigenpair(complex(z[i]), V[:, i], U[:, i],
-                                    float(res_r[i]), float(res_l[i])) for i in order)
+    B = apply(V)
+    B -= V * z
+    res_r = np.linalg.norm(B, axis=0)
+    del B
+    B = apply_h(U)
+    B -= U * z.conj()
+    return Spectrum(V.shape[0], z, V, U, res_r, np.linalg.norm(B, axis=0))
+
+
+def merged(a: Spectrum, b: Spectrum) -> Spectrum:
+    """The pairs of two spectra on C^N in (-|z|, phase) order, each column
+    scattered once into new arrays at its place in that order."""
+    z = np.concatenate([a.z, b.z])
+    o = decay_order(z)
+    at = np.argsort(o)  # the place of each column in that order
+    # R and L are F-ordered, so each column lands in one contiguous write;
+    # into C-ordered arrays the scatter took four times as long
+    R, L = np.empty((len(z), a.N), dtype=complex), np.empty((len(z), a.N), dtype=complex)
+    for s, rows in ((a, at[:len(a.z)]), (b, at[len(a.z):])):
+        R[rows], L[rows] = s.R.T, s.L.T
+    return Spectrum(a.N, z[o], R.T, L.T, np.concatenate([a.res_r, b.res_r])[o],
+                    np.concatenate([a.res_l, b.res_l])[o])
 
 
 def escape_weights(s: Spectrum, m_max: int) -> tuple:
@@ -120,23 +128,19 @@ def escape_weights(s: Spectrum, m_max: int) -> tuple:
     P = np.column_stack([escape_projector(m, s.N) for m in range(m_max + 1)])
     # an einsum, not a BLAS product: NumPy's OpenBLAS threads would spin
     # through the LAPACK call that follows and halve its speed
-    measured = np.einsum("np,nm->pm", np.abs(s.right_matrix()) ** 2, P)
+    measured = np.einsum("np,nm->pm", np.abs(s.R) ** 2, P)
     r2 = s.moduli() ** 2
     return measured, np.power.outer(r2, np.arange(m_max + 1)) * (1.0 - r2)[:, None]
 
 
 def spectrum_csv_rows(s: Spectrum):
     """Rows for the spectrum CSV, 17 significant digits: one per eigenpair,
-    then `i,0,0,0,inf,0,0` for each exact zero, so that the table has N rows."""
-    header = ["index", "re_z", "im_z", "modulus", "gamma",
-              "residual_right", "residual_left"]
-    rows = [header]
-    for i, p in enumerate(s.pairs):
-        rows.append([
-            str(i),
-            f"{p.z.real:.17g}", f"{p.z.imag:.17g}",
-            f"{p.modulus:.17g}", f"{p.gamma:.17g}",
-            f"{p.residual_right:.17g}", f"{p.residual_left:.17g}",
-        ])
-    rows += [[str(i), "0", "0", "0", "inf", "0", "0"] for i in range(len(s.pairs), s.N)]
-    return rows
+    then `i,0,0,0,inf,0,0` for each exact zero, so that the table has N rows.
+    The decay rate -ln|z|^2 of a computed z = 0 is inf too."""
+    mod = s.moduli()
+    with np.errstate(divide="ignore"):
+        cols = (s.z.real, s.z.imag, mod, -2.0 * np.log(mod), s.res_r, s.res_l)
+    rows = [["index", "re_z", "im_z", "modulus", "gamma", "residual_right", "residual_left"]]
+    rows += [[str(i)] + [f"{x:.17g}" for x in row]
+             for i, row in enumerate(zip(*(c.tolist() for c in cols)))]
+    return rows + [[str(i), "0", "0", "0", "inf", "0", "0"] for i in range(len(s.z), s.N)]

@@ -96,7 +96,7 @@ def long_lived_spectrum(k: int) -> Spectrum:
     V = Q @ w
     U = np.zeros_like(V)
     U[cantor] = np.linalg.inv(V[cantor]).conj().T
-    return Spectrum(3**k, eigenpairs(z, V, U, _apply, _apply_h))
+    return eigenpairs(z, V, U, _apply, _apply_h)
 
 
 def walsh_spectrum_report(k: int):
@@ -104,10 +104,10 @@ def walsh_spectrum_report(k: int):
     the worst weight-formula residual over the resolvable depths. The
     N - 2^k kernel rows have z = 0 exactly."""
     s = long_lived_spectrum(k)
-    N, r = s.N, len(s.pairs)
+    N, r = s.N, len(s.z)
     measured, predicted = escape_weights(s, min(4, k - 1))
     kernel = np.zeros(N - r)
-    z = np.r_[s.eigenvalues(), kernel].tolist()
+    z = np.r_[s.z, kernel].tolist()
     mod = np.r_[s.moduli(), kernel].tolist()
     res = np.r_[np.abs(measured - predicted).max(axis=1), kernel].tolist()
     return [{"index": i, "re_z": z[i].real, "im_z": z[i].imag, "modulus": mod[i],

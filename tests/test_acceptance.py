@@ -167,7 +167,7 @@ def _band_masses(N: int, count: int, G: int = 27, closed: bool = False):
         right = left = closed_states(N, "full")[1][:, :count]
     else:
         s = open_spectrum(N)
-        right, left = s.right_matrix()[:, :count], s.left_matrix()[:, :count]
+        right, left = s.R[:, :count], s.L[:, :count]
     avg_r = average_density(husimi_grids(right, G))
     avg_l = average_density(husimi_grids(left, G))
     pgrid = (np.arange(G) + 0.5) / G
@@ -210,7 +210,7 @@ def test_criterion_09_self_similarity(even_2187):
     """Eigenstate position densities repeat their own structure under a x3
     magnification; white noise does not."""
     scores = {}
-    mod, R = even_2187.moduli(), even_2187.right_matrix()
+    mod, R = even_2187.moduli(), even_2187.R
     for tag, (lo, hi) in {"low": (0.35, 0.45), "high": (0.65, 0.75)}.items():
         dens = average_density(position_density(R[:, (lo <= mod) & (mod <= hi)]).T)
         scores[tag] = self_similarity_score(dens)
@@ -256,8 +256,8 @@ def test_criterion_11_property_suite(tmp_path):
     """Structural invariants: biorthogonality, unit-sum densities, Wigner
     marginals, and byte-identical reruns."""
     s = open_spectrum(81)
-    M = np.abs(s.left_matrix().conj().T @ s.right_matrix())
-    Z = s.eigenvalues()
+    M = np.abs(s.L.conj().T @ s.R)
+    Z = s.z
     distinct = (np.abs(Z[:, None] - Z[None, :]) > 1e-8) & ~np.eye(len(Z), dtype=bool)
     bio = float(M[distinct].max())
 

@@ -73,7 +73,7 @@ def test_sector_spectra_partition():
     Ut = open_propagator(N)
     for sector, sign in (("even", 1), ("odd", -1)):
         s = sector_spectrum(N, sector)
-        z, V, U = s.eigenvalues(), s.right_matrix(), s.left_matrix()
+        z, V, U = s.z, s.R, s.L
         assert np.linalg.norm(Ut @ V - V * z, axis=0).max() < 1e-9
         assert np.linalg.norm(Ut.conj().T @ U - U * z.conj(), axis=0).max() < 1e-9
         assert np.abs(V[::-1] - sign * V).max() < 1e-12
@@ -86,11 +86,22 @@ def test_sector_spectra_partition():
     lambda: long_lived_spectrum(3),
 ], ids=["open", "sector", "walsh_long_lived"])
 def test_cached_spectra_read_only(build):
+    """A write to any array of a spectrum fails: a cached sector, the
+    merged full spectrum and the Walsh spectrum."""
     s = build()
-    for p in (s.pairs[0], s.pairs[-1]):
-        for vec in (p.right_vec, p.left_vec):
-            with pytest.raises(ValueError):
-                vec[0] = 0.0
+    for name in ("z", "R", "L", "res_r", "res_l"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, name)[0] = 0.0
+
+
+def test_merged_spectrum_shares_no_memory_with_its_sectors():
+    """The full spectrum holds new arrays: a cached sector is never a view
+    of it, nor it of a sector."""
+    full = open_spectrum(27)
+    for sector in ("even", "odd"):
+        s = sector_spectrum(27, sector)
+        for name in ("z", "R", "L", "res_r", "res_l"):
+            assert not np.shares_memory(getattr(full, name), getattr(s, name))
 
 
 def test_weyl_scaled_count():
@@ -188,7 +199,7 @@ def test_run_husimi(tmp_path):
 
 
 def test_husimi_count_stops_at_resonances(tmp_path, monkeypatch):
-    """The even sector at N = 81 holds its 27 resonances as pairs (its 14
+    """The even sector at N = 81 holds its 27 resonances as columns (its 14
     exact zeros are counted, not carried); the default count of 100 selects
     the 27, whose right and left vectors lead the one Husimi block."""
     husimi, blocks = experiments.husimi_grids, []
@@ -197,16 +208,16 @@ def test_husimi_count_stops_at_resonances(tmp_path, monkeypatch):
     r = run_husimi_figure(RunConfig(n_exp=4, out_dir=tmp_path))
     assert r["count"] == 27
     s = sector_spectrum(81, "even")
-    assert blocks[0].shape == (81, 3 * 27) and (s.eigenvalues()[:27] != 0).all()
-    assert np.array_equal(blocks[0][:, :27], s.right_matrix()[:, :27])
-    assert np.array_equal(blocks[0][:, 27:54], s.left_matrix()[:, :27])
+    assert blocks[0].shape == (81, 3 * 27) and s.z.shape == (27,) and (s.z != 0).all()
+    assert np.array_equal(blocks[0][:, :27], s.R)
+    assert np.array_equal(blocks[0][:, 27:54], s.L)
 
 
 def test_husimi_image_independent_of_batch():
     """The figure makes the right, left and closed-map images in one Husimi
     pass; each state's image must be bitwise what its own call gives."""
     s = sector_spectrum(243, "even")
-    sets = [s.right_matrix()[:, :20], s.left_matrix()[:, :20],
+    sets = [s.R[:, :20], s.L[:, :20],
             closed_states(243, "even")[1][:, :20]]
     joint = husimi_grids(np.hstack(sets), 81)
     alone = sum((husimi_grids(X, 81) for X in sets), [])
@@ -258,7 +269,7 @@ def test_spectrum_csv_counts_the_kernel(tmp_path, n_exp):
     path = run_spectrum(RunConfig(n_exp=n_exp, out_dir=tmp_path))
     rows = path.read_text().splitlines()[1:]
     zeros = [i for i, row in enumerate(rows) if row.endswith(",0,0,0,inf,0,0")]
-    assert len(rows) == N and len(open_spectrum(N).pairs) == 2 * N // 3
+    assert len(rows) == N and len(open_spectrum(N).z) == 2 * N // 3
     assert zeros == list(range(2 * N // 3, N))
     assert rows[-1] == f"{N - 1},0,0,0,inf,0,0"
 

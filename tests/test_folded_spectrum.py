@@ -14,7 +14,7 @@ import scipy.linalg as la
 from openbaker import experiments
 from openbaker.experiments import closed_states, open_spectrum, sector_spectrum
 from openbaker.quantum import baker_unitary, dft_matrix
-from openbaker.spectral import Spectrum
+from openbaker.spectral import decay_order
 from open_dense import extended_unitary, open_propagator, opened
 
 # Resonance tolerance by modulus band, as (lower bound, tolerance): the
@@ -23,6 +23,10 @@ from open_dense import extended_unitary, open_propagator, opened
 # eigenvalues are round-off fragments of the nilpotent zero cluster.
 BAND_TOLERANCE = ((0.03, 1e-10), (0.01, 2e-9), (0.003, 5e-6), (0.0, 1e-3))
 RESONANCE_FLOOR = 1e-3
+
+
+# the arrays of a `Spectrum`
+FIELDS = ("z", "R", "L", "res_r", "res_l")
 
 
 def _tolerance(modulus: float) -> float:
@@ -35,7 +39,7 @@ def test_resonances_match_dense_eigensolve(N):
     dense N x N propagator, matched one to one, largest modulus first."""
     ref = la.eigvals(open_propagator(N))
     ref = ref[np.abs(ref) > RESONANCE_FLOOR]
-    got = open_spectrum(N).eigenvalues()
+    got = open_spectrum(N).z
     got = got[np.abs(got) > RESONANCE_FLOOR]
     assert len(got) == len(ref)
     used = np.zeros(len(got), dtype=bool)
@@ -49,22 +53,22 @@ def test_resonances_match_dense_eigensolve(N):
 @pytest.mark.parametrize("N", [3, 6, 9, 12, 81])
 def test_sector_sizes_and_exact_kernel(N):
     """Each open parity sector carries the t = N/3 pairs of its folded block
-    and no z = 0. The exact zeros a spectrum counts, N - len(pairs), are the
+    and no z = 0. The exact zeros a spectrum counts, N - len(z), are the
     rank deficiency of the dense U~ (times the sector's projector): N/3 for
     the full spectrum, and within each sector ceil(t/2) even and floor(t/2)
     odd, so none in the odd sector at N = 3."""
     t = N // 3
     Ut, parity = open_propagator(N), np.eye(N)[::-1]
     full = open_spectrum(N)
-    assert len(full.pairs) == 2 * t
-    assert N - len(full.pairs) == N - np.linalg.matrix_rank(Ut) == t
+    assert full.z.shape == (2 * t,) and full.R.shape == full.L.shape == (N, 2 * t)
+    assert N - len(full.z) == N - np.linalg.matrix_rank(Ut) == t
     for sector, sign, dim, kernel_dim in (("even", 1, math.ceil(N / 2), math.ceil(t / 2)),
                                           ("odd", -1, N // 2, t // 2)):
         s = sector_spectrum(N, sector)
-        assert len(s.pairs) == t and all(p.z != 0 for p in s.pairs)
+        assert len(s.z) == t and (s.z != 0).all()
         projected = Ut @ (np.eye(N) + sign * parity) / 2
-        assert N - len(s.pairs) == N - np.linalg.matrix_rank(projected)
-        assert dim - len(s.pairs) == kernel_dim
+        assert N - len(s.z) == N - np.linalg.matrix_rank(projected)
+        assert dim - len(s.z) == kernel_dim
     with pytest.raises(ValueError):
         sector_spectrum(N, "sideways")
 
@@ -72,22 +76,24 @@ def test_sector_sizes_and_exact_kernel(N):
 @pytest.mark.parametrize("N", [81, 243])
 def test_open_spectrum_shares_its_sectors(N, monkeypatch):
     """`open_spectrum` folds both parity sectors from one U and publishes
-    them: `sector_spectrum` then returns the same pair objects with no second
-    eigensolve, bitwise equal to a sector built alone."""
+    them: `sector_spectrum` then returns them with no second eigensolve, and
+    the full spectrum's columns are theirs, bitwise, in (-|z|, phase) order.
+    A sector built alone is bitwise equal to the shared one."""
     experiments._SECTORS.clear()
     full = open_spectrum(N)
     monkeypatch.setattr(la, "eig", lambda *a, **k: pytest.fail("sector solved again"))
     shared = {sector: sector_spectrum(N, sector) for sector in ("even", "odd")}
     monkeypatch.undo()
-    assert sorted(map(id, full.pairs)) == sorted(id(p) for s in shared.values() for p in s.pairs)
+    order = decay_order(np.concatenate([s.z for s in shared.values()]))
+    for name in FIELDS:
+        both = np.concatenate([getattr(s, name) for s in shared.values()], axis=-1)
+        assert both[..., order].tobytes() == getattr(full, name).tobytes()
     experiments._SECTORS.clear()
     for sector, s in shared.items():
         alone = sector_spectrum(N, sector)
         assert alone is not s
-        for get in (Spectrum.eigenvalues, Spectrum.right_matrix, Spectrum.left_matrix):
-            assert get(alone).tobytes() == get(s).tobytes()
-        assert [(p.residual_right, p.residual_left) for p in alone.pairs] == \
-            [(p.residual_right, p.residual_left) for p in s.pairs]
+        for name in FIELDS:
+            assert getattr(alone, name).tobytes() == getattr(s, name).tobytes()
 
 
 @pytest.mark.parametrize("sector", ["even", "odd"])
@@ -99,7 +105,7 @@ def test_open_sector_makes_no_numpy_product(sector, monkeypatch):
     monkeypatch.setattr(experiments, "_SECTORS", {})
     monkeypatch.setattr(np, "matmul", lambda *a, **k: pytest.fail("numpy.matmul on the open route"))
     s = sector_spectrum(81, sector)
-    assert len(s.pairs) == 27
+    assert len(s.z) == 27
     assert list(experiments._SECTORS) == [(81, sector)]
 
 
@@ -109,13 +115,13 @@ def test_reported_residuals_are_those_of_the_dense_propagator():
     same vectors."""
     N = 81
     Ut = opened(extended_unitary(N))
-    for p in open_spectrum(N).pairs:
-        v, u = p.right_vec.astype(np.clongdouble), p.left_vec.astype(np.clongdouble)
-        r = float(np.linalg.norm((Ut @ v - p.z * v).astype(complex)))
-        l = float(np.linalg.norm((Ut.conj().T @ u - np.conj(p.z) * u).astype(complex)))
-        assert abs(p.residual_right - r) < 1e-14
-        assert abs(p.residual_left - l) < 1e-14
-        assert max(r, l) < 1e-13
+    s = open_spectrum(N)
+    V, U = s.R.astype(np.clongdouble), s.L.astype(np.clongdouble)
+    r = np.linalg.norm((Ut @ V - V * s.z).astype(complex), axis=0)
+    l = np.linalg.norm((Ut.conj().T @ U - U * s.z.conj()).astype(complex), axis=0)
+    assert np.abs(s.res_r - r).max() < 1e-14
+    assert np.abs(s.res_l - l).max() < 1e-14
+    assert max(r.max(), l.max()) < 1e-13
 
 
 @pytest.mark.parametrize("N", [27, 81, 243])
@@ -125,11 +131,11 @@ def test_time_reversal_maps_right_to_left_vectors(N):
     solver."""
     F, Ut = dft_matrix(N), open_propagator(N)
     assert np.abs(Ut.T - F @ Ut @ F.conj().T).max() < 1e-13
-    for p in open_spectrum(N).pairs:
-        if p.modulus > 0.1:
-            w = np.conj(F @ p.right_vec)
-            w /= np.linalg.norm(w)
-            assert 1 - abs(np.vdot(w, p.left_vec)) < 1e-12
+    s = open_spectrum(N)
+    keep = s.moduli() > 0.1
+    W = np.conj(F @ s.R[:, keep])
+    W /= np.linalg.norm(W, axis=0)
+    assert (1 - np.abs((W.conj() * s.L[:, keep]).sum(axis=0))).max() < 1e-12
 
 
 # Closed eigenvalues from the parity blocks against LAPACK on the dense U_N.

@@ -1,5 +1,8 @@
 import cmath
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,6 @@ from openbaker.experiments import (
 )
 from openbaker.quantum import escape_projector
 from openbaker.spectral import (
-    ResonanceEigenpair,
     Spectrum,
     eigenpairs,
     escape_weights,
@@ -29,7 +31,7 @@ from open_dense import open_propagator
 def _dense_spectrum(A):
     """Spectrum of a square matrix from one two-sided LAPACK eigensolve."""
     z, U, V = la.eig(A, left=True, right=True)
-    return Spectrum(A.shape[0], eigenpairs(z, V, U, *_actions(A)))
+    return eigenpairs(z, V, U, *_actions(A))
 
 
 def _actions(A):
@@ -44,12 +46,43 @@ def spec27():
 
 def test_eigendecompose_residuals(spec27):
     Ut, s = spec27
-    assert s.N == 27 and len(s.pairs) == 27
-    for p in s.pairs:
-        assert p.residual_right < 1e-12
-        assert p.residual_left < 1e-12
-        assert abs(np.linalg.norm(p.right_vec) - 1) < 1e-12
-        assert abs(np.linalg.norm(p.left_vec) - 1) < 1e-12
+    assert s.N == 27 and s.z.shape == s.res_r.shape == s.res_l.shape == (27,)
+    assert s.R.shape == s.L.shape == (27, 27)
+    assert s.res_r.max() < 1e-12
+    assert s.res_l.max() < 1e-12
+    assert np.abs(np.linalg.norm(s.R, axis=0) - 1).max() < 1e-12
+    assert np.abs(np.linalg.norm(s.L, axis=0) - 1).max() < 1e-12
+
+
+@pytest.mark.parametrize("make", [lambda: open_spectrum(243), lambda: sector_spectrum(243, "even")]
+                         + [lambda k=k: long_lived_spectrum(k) for k in range(2, 9)],
+                         ids=["open_243", "even_243"] + [f"walsh_{k}" for k in range(2, 9)])
+def test_moduli_follow_the_sort_order(make):
+    """`moduli()` is |z| by the rule the (-|z|, phase) order sorts by, bit
+    for bit, so the moduli of a spectrum never rise along its columns."""
+    s = make()
+    mod = s.moduli()
+    assert mod.tobytes() == np.abs(s.z).tobytes()
+    assert (np.diff(mod) <= 0).all()
+
+
+def test_benchmark_health_reads_the_arrays():
+    """The benchmark's health check reads a spectrum through `pairs`,
+    `eigenvalues()`, `right_matrix()` and `left_matrix()`; each of its four
+    values equals the one taken from the arrays."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from checks import RESONANCE_FLOOR, spectrum_health
+    finally:
+        sys.path.pop(0)
+    for s in (open_spectrum(81), sector_spectrum(81, "even"), long_lived_spectrum(4)):
+        mod = s.moduli()
+        assert spectrum_health(s) == {
+            "zero_cluster_count": int(((mod > 1e-12) & (mod < RESONANCE_FLOOR)).sum()),
+            "max_residual_right": s.res_r.max(),
+            "max_residual_left": s.res_l.max(),
+            "min_abs_biorth": np.abs(np.einsum("ij,ij->j", s.L.conj(), s.R)).min(),
+        }
 
 
 def test_spectrum_sorted_and_subunit(spec27):
@@ -63,11 +96,9 @@ def test_eigenvalue_oracle_diagonal():
     """Known-answer check on a hand-built non-normal matrix."""
     A = np.array([[0.5, 1.0], [0.0, -0.25]], dtype=complex)
     s = _dense_spectrum(A)
-    assert s.eigenvalues() == pytest.approx([0.5, -0.25])
-    for p in s.pairs:
-        assert np.linalg.norm(A @ p.right_vec - p.z * p.right_vec) < 1e-14
-        assert np.linalg.norm(A.conj().T @ p.left_vec
-                              - np.conj(p.z) * p.left_vec) < 1e-14
+    assert s.z == pytest.approx([0.5, -0.25])
+    assert np.linalg.norm(A @ s.R - s.R * s.z, axis=0).max() < 1e-14
+    assert np.linalg.norm(A.conj().T @ s.L - s.L * s.z.conj(), axis=0).max() < 1e-14
 
 
 def _reference_pairs(A, z, V, U):
@@ -81,7 +112,7 @@ def _reference_pairs(A, z, V, U):
         pairs.append((complex(z[i]), v, u,
                       np.linalg.norm(A @ v - z[i] * v),
                       np.linalg.norm(A.conj().T @ u - np.conj(z[i]) * u)))
-    pairs.sort(key=lambda p: (-abs(p[0]), cmath.phase(p[0])))
+    pairs.sort(key=lambda p: (-np.abs(p[0]), cmath.phase(p[0])))
     return pairs
 
 
@@ -92,17 +123,17 @@ def _reference_pairs(A, z, V, U):
 def test_eigenpairs_matches_per_pair_reference(A):
     z, U, V = la.eig(A, left=True, right=True)
     ref = _reference_pairs(A, z, V.copy(), U.copy())
-    pairs = eigenpairs(z, V, U, *_actions(A))
-    assert [p.z for p in pairs] == [r[0] for r in ref]
-    for p, (_, v, u, res_r, res_l) in zip(pairs, ref):
-        for got, want in ((p.right_vec, v), (p.left_vec, u)):
+    s = eigenpairs(z, V, U, *_actions(A))
+    assert s.z.tolist() == [r[0] for r in ref]
+    for i, (_, v, u, res_r, res_l) in enumerate(ref):
+        for got, want in ((s.R[:, i], v), (s.L[:, i], u)):
             assert abs(np.linalg.norm(got) - 1) < 1e-14
             top = got[np.argmax(np.abs(got))]
             assert top.real > 0 and abs(top.imag) < 1e-14
             assert np.abs(got - want).max() < 1e-14
-        assert abs(p.residual_right - res_r) < 1e-14
-        assert abs(p.residual_left - res_l) < 1e-14
-    assert not V.flags.writeable and not U.flags.writeable
+        assert abs(s.res_r[i] - res_r) < 1e-14
+        assert abs(s.res_l[i] - res_l) < 1e-14
+    assert not s.R.flags.writeable and not s.L.flags.writeable
 
 
 def test_left_vectors_vanish_on_opening(spec27):
@@ -110,15 +141,13 @@ def test_left_vectors_vanish_on_opening(spec27):
     set, so their opening components are exactly zero (the opening columns
     of U~ vanish)."""
     _, s = spec27
-    for p in s.pairs:
-        if p.modulus > 1e-8:
-            assert np.abs(p.left_vec[9:18]).max() < 1e-12
+    assert np.abs(s.L[9:18, s.moduli() > 1e-8]).max() < 1e-12
 
 
 def test_biorthogonality(spec27):
     _, s = spec27
-    M = np.abs(s.left_matrix().conj().T @ s.right_matrix())
-    Z = s.eigenvalues()
+    M = np.abs(s.L.conj().T @ s.R)
+    Z = s.z
     distinct = np.abs(Z[:, None] - Z[None, :]) > 1e-8
     off = M[distinct & ~np.eye(27, dtype=bool)]
     assert off.max() < 1e-10
@@ -129,8 +158,8 @@ def propagation_identity_check(s, U_tilde, m: int) -> float:
     if m < 0:
         raise ValueError("m must be >= 0")
     A = np.linalg.matrix_power(np.asarray(U_tilde, dtype=complex), m)
-    V = s.right_matrix()
-    Z = s.eigenvalues() ** m
+    V = s.R
+    Z = s.z ** m
     return float(np.linalg.norm(A @ V - V * Z[None, :], axis=0).max())
 
 
@@ -157,9 +186,10 @@ def test_weight_validation(spec27):
 
 
 def _uniform_spectrum(N: int, zs) -> Spectrum:
-    """Pairs with the given eigenvalues, each carrying the flat unit vector."""
-    v = np.full(N, N**-0.5, dtype=complex)
-    return Spectrum(N, tuple(ResonanceEigenpair(complex(z), v, v, 0.0, 0.0) for z in zs))
+    """A hand-built spectrum with the given eigenvalues, each carrying the
+    flat unit vector."""
+    V = np.full((N, len(zs)), N**-0.5, dtype=complex)
+    return Spectrum(N, np.array(zs, dtype=complex), V, V.copy(), np.zeros(len(zs)), np.zeros(len(zs)))
 
 
 @given(st.floats(0, 1), st.integers(0, 10))
@@ -185,9 +215,9 @@ def _per_pair_weights(s: Spectrum, m_max: int):
     projector, summed vector by vector, and |z|^(2m) (1 - |z|^2) in Python
     floats."""
     projs = [escape_projector(m, s.N) for m in range(m_max + 1)]
-    measured = [[float((d * np.abs(p.right_vec) ** 2).sum()) for d in projs] for p in s.pairs]
-    predicted = [[(abs(p.z) ** 2) ** m * (1.0 - abs(p.z) ** 2) for m in range(m_max + 1)]
-                 for p in s.pairs]
+    measured = [[float((d * np.abs(v) ** 2).sum()) for d in projs] for v in s.R.T]
+    predicted = [[(r ** 2) ** m * (1.0 - r ** 2) for m in range(m_max + 1)]
+                 for r in s.moduli().tolist()]
     return np.array(measured), np.array(predicted)
 
 
@@ -202,17 +232,21 @@ def test_escape_weights_match_per_pair_formula(make, m_max):
     s = make()
     measured, predicted = escape_weights(s, m_max)
     ref_measured, ref_predicted = _per_pair_weights(s, m_max)
-    assert measured.shape == predicted.shape == (len(s.pairs), m_max + 1)
+    assert measured.shape == predicted.shape == (len(s.z), m_max + 1)
     assert np.abs(measured - ref_measured).max() < 1e-15
     assert np.abs(predicted - ref_predicted).max() < 1e-16
 
 
 def test_gamma():
-    v = np.array([1.0, 0.0], dtype=complex)
-    p = ResonanceEigenpair(0.5, v, v, 0.0, 0.0)
-    assert p.gamma == pytest.approx(-2 * math.log(0.5))
-    p0 = ResonanceEigenpair(0.0, v, v, 0.0, 0.0)
-    assert math.isinf(p0.gamma)
+    """The gamma column is -ln|z|^2, and inf at an exact z = 0 computed
+    (here a hand-built pair), with no divide-by-zero warning."""
+    s = _uniform_spectrum(2, [0.5, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = spectrum_csv_rows(s)
+    gamma = [float(row[4]) for row in rows[1:]]
+    assert gamma[0] == pytest.approx(-2 * math.log(0.5))
+    assert math.isinf(gamma[1]) and gamma[1] > 0
 
 
 def test_select_long_lived(spec27, tmp_path):
@@ -226,8 +260,8 @@ def test_select_long_lived(spec27, tmp_path):
     assert mod[0] == mod.max() and mod[:5].min() >= mod[5:].max()
     with pytest.raises(ValueError, match="count >= 1"):
         run_husimi_figure(RunConfig(n_exp=3, count=0, out_dir=tmp_path))
-    assert len(sector_spectrum(27, "even").pairs) == 9
-    assert len(sector_spectrum(81, "even").pairs) == 27
+    assert len(sector_spectrum(27, "even").z) == 9
+    assert len(sector_spectrum(81, "even").z) == 27
     with pytest.raises(ValueError, match="n_exp >= 4"):
         run_density_figures(RunConfig(n_exp=3, out_dir=tmp_path))
 
@@ -239,7 +273,7 @@ def test_csv_rows(spec27):
     assert len(rows) == 28
     # round-trip safety of the 17-digit rendering
     z = complex(float(rows[1][1]), float(rows[1][2]))
-    assert z == s.pairs[0].z
+    assert z == s.z[0]
 
 
 def test_weight_sum_over_escape_depths(spec27):

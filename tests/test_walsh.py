@@ -125,11 +125,10 @@ def test_nilpotent_remainder():
 
 def test_long_lived_spectrum_refined():
     s = long_lived_spectrum(3)
-    assert len(s.pairs) == nonzero_count(3) == 8
-    for p in s.pairs:
-        assert p.residual_right < 1e-12
-        assert p.residual_left < 1e-12
-        assert p.modulus > 0.1
+    assert len(s.z) == nonzero_count(3) == 8
+    assert s.res_r.max() < 1e-12
+    assert s.res_l.max() < 1e-12
+    assert s.moduli().min() > 0.1
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -137,12 +136,12 @@ def test_reported_residuals_are_those_of_the_dense_propagator(k):
     """The residuals taken through the O(N) operator and its adjoint equal
     those of the dense reference U~ applied to the same vectors."""
     Ut = walsh_open_baker(k)
-    for p in long_lived_spectrum(k).pairs:
-        r = np.linalg.norm(Ut @ p.right_vec - p.z * p.right_vec)
-        l = np.linalg.norm(Ut.conj().T @ p.left_vec - np.conj(p.z) * p.left_vec)
-        assert abs(p.residual_right - r) < 1e-14
-        assert abs(p.residual_left - l) < 1e-14
-        assert max(r, l) < 1e-13
+    s = long_lived_spectrum(k)
+    r = np.linalg.norm(Ut @ s.R - s.R * s.z, axis=0)
+    l = np.linalg.norm(Ut.conj().T @ s.L - s.L * s.z.conj(), axis=0)
+    assert np.abs(s.res_r - r).max() < 1e-14
+    assert np.abs(s.res_l - l).max() < 1e-14
+    assert max(r.max(), l.max()) < 1e-13
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -150,7 +149,7 @@ def test_kernel_reported_as_exact_zeros(k):
     """Only the 2^k trapped-subspace pairs are resonances; the report gives
     the N - 2^k kernel rows z = 0 exactly and no round-off fragment."""
     N, r = 3**k, 2**k
-    assert len(long_lived_spectrum(k).pairs) == r
+    assert len(long_lived_spectrum(k).z) == r
     rows = walsh_spectrum_report(k)
     assert len(rows) == N
     assert all(row["long_lived"] for row in rows[:r])
@@ -168,19 +167,16 @@ def test_long_lived_subspace_cross_check(k):
     r = 2**k
     Ut = walsh_open_baker(k)
     s = long_lived_spectrum(k)
-    top = s.pairs
-    assert len(top) == r
-    z = np.array([p.z for p in top])
+    z = s.z
+    assert len(z) == r
     ev = np.linalg.eigvals(Ut)
     dense = list(ev[np.argsort(-np.abs(ev))][:r])
     for zi in z:
         j = int(np.argmin(np.abs(np.array(dense) - zi)))
         assert abs(dense.pop(j) - zi) < 1e-12
-    assert max(p.residual_right for p in top) < 1e-13
-    assert max(p.residual_left for p in top) < 1e-13
-    V = np.column_stack([p.right_vec for p in top])
-    U = np.column_stack([p.left_vec for p in top])
-    G = np.abs(U.conj().T @ V)
+    assert s.res_r.max() < 1e-13
+    assert s.res_l.max() < 1e-13
+    G = np.abs(s.L.conj().T @ s.R)
     assert (G - np.diag(np.diag(G))).max() < 1e-12
     measured, predicted = escape_weights(s, min(5, k) - 1)
     assert np.abs(measured - predicted).max() < 1e-12
@@ -218,7 +214,7 @@ def necklace_eigenvalues(k: int) -> np.ndarray:
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_necklace_eigenvalues(k):
     """The 2^k long-lived eigenvalues are the necklace multiset to 1e-14."""
-    z = list(long_lived_spectrum(k).eigenvalues())
+    z = list(long_lived_spectrum(k).z)
     expected = necklace_eigenvalues(k)
     assert len(z) == len(expected) == 2**k
     for e in expected:
@@ -246,8 +242,8 @@ def test_left_vectors_vanish_off_cantor_digits(k):
     N = 3**k
     s = long_lived_spectrum(k)
     digit_one = np.array(["1" in np.base_repr(n, 3) for n in range(N)])
-    assert (s.left_matrix()[digit_one] == 0).all()
-    assert (np.abs(s.right_matrix()[digit_one]) > 0).any(axis=0).all()
+    assert (s.L[digit_one] == 0).all()
+    assert (np.abs(s.R[digit_one]) > 0).any(axis=0).all()
 
 
 def test_walsh_spectrum_report():
