@@ -20,14 +20,14 @@ eigenpairs of its folded kept block; the opening's exact kernel (z = 0) is
 counted, not built. The N x N propagator is never diagonalized, nor even
 formed: the blocks are folded from U's kept corners (`baker_corners`), and
 the vectors are lifted and their residuals taken through U's FFT action
-(`baker_apply`). The open sectors are the one spectrum cache (`_SECTORS`):
-`open_spectrum` merges both into new arrays, and `sector_spectrum` returns
-one, folding it alone if it is missing. One BLAS beside LAPACK: the corners
-are SciPy BLAS products, and the fold, lifts and residuals are elementwise
-or FFTs, so no NumPy OpenBLAS thread spins through `la.eig`. The closed-map
-control is plain states, not a spectrum: `closed_states` solves the dense
-block of U in each sector for right vectors only (U is unitary, so its left
-vectors are its right ones) and caches nothing.
+(`baker_apply`); a block gives right vectors only, and the left ones follow
+by time reversal (U~^T = F U~ F^-1). The open sectors are the one spectrum
+cache (`_SECTORS`): `open_spectrum` merges both into new arrays, and
+`sector_spectrum` returns one, folding it alone if it is missing. The open
+route runs on NumPy alone. The closed-map control, the one user of SciPy, is
+plain states: `closed_states` solves the dense block of U in each sector for
+right vectors only (U is unitary, so its left vectors are its right ones)
+and caches nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg as la
 
 from . import io_utils
 from .classical import (
@@ -60,7 +59,7 @@ from .phase_space import (
     unit_sum,
     wigner_grid_average,
 )
-from .quantum import baker_apply, baker_corners, baker_unitary, sector_block
+from .quantum import baker_apply, baker_corners, baker_unitary, dft_apply, sector_block
 from .spectral import Spectrum, decay_order, eigenpairs, escape_weights, merged, spectrum_csv_rows
 from .walsh import ZERO_THRESHOLD, long_lived_spectrum, nonzero_count, walsh_spectrum_report
 
@@ -125,8 +124,6 @@ def _open_sectors(N: int, sectors: tuple) -> list:
     if missing:
         C = baker_corners(N)
         signs = [1.0 if sector == "even" else -1.0 for sector in missing]
-        # one BLAS beside LAPACK: the corners came from SciPy's, so no NumPy
-        # OpenBLAS thread spins through these solves and halves their speed
         solved = [_folded_block_eig(C, sign) for sign in signs]
         del C  # freed before the N x N/3 vector blocks are made
         for sector, sign, eig in zip(missing, signs, solved):
@@ -159,6 +156,7 @@ def closed_states(N: int, sector: str) -> tuple:
     vectors of each sector block, lifted to the full space. U is unitary,
     so these are its left vectors too; they are not normalized (LAPACK's
     columns have unit norm to round-off), and no residual is taken."""
+    import scipy.linalg as la  # here alone: the open route never loads SciPy
     U = baker_unitary(N)
     zs, Vs = [], []
     for s in ("even", "odd") if sector == "full" else (sector,):
@@ -172,15 +170,15 @@ def closed_states(N: int, sector: str) -> tuple:
 
 
 def _folded_block_eig(C: np.ndarray, sign: float) -> tuple:
-    """Eigenvalues with left and right eigenvectors of the folded kept block
-    of the even (sign 1) or odd (-1) sector, from U's kept corners C
-    (`baker_corners`), for i, j < t = N/3 and i' = N-1-i:
+    """Eigenvalues and right eigenvectors of the folded kept block of the even
+    (sign 1) or odd (-1) sector, from U's kept corners C (`baker_corners`),
+    for i, j < t = N/3 and i' = N-1-i:
         A[i, j] = (U[i, j] + U[i', j']) / 2 +- (U[i, j'] + U[i', j]) / 2,
     which averages both parity images (U commutes with parity only to
     round-off); reversing C's axes is parity."""
     t = C.shape[0] // 2
     A = (C[:t, :t] + C[::-1, ::-1][:t, :t] + sign * (C[:t, ::-1][:, :t] + C[::-1][:t, :t])) / 2
-    return la.eig(A, left=True, right=True)
+    return np.linalg.eig(A)
 
 
 def _open_apply(X: np.ndarray) -> np.ndarray:
@@ -199,17 +197,20 @@ def _open_apply_h(X: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _folded_sector(N: int, sign: float, z, Wl, Wr) -> Spectrum:
+def _folded_sector(N: int, sign: float, z, W) -> Spectrum:
     """The N/3 eigenpairs of U~ = U (I - pi_0) in one parity sector from those
     of its folded block, with no U, U~ or parity basis: right vectors
-    U (w, 0, +-w reversed) by one `baker_apply`, left vectors
-    (w_l, 0, +-w_l reversed), residuals by the FFT actions of U~ and U~^H.
-    The sector's opening kernel, z = 0 with right vectors (e_n +- e_n')/sqrt 2
-    (n' = N-1-n in the middle third) and left vectors U times those, is not built."""
+    v = U x, x = (w, 0, +-w reversed), by `baker_apply`; left vectors by time
+    reversal (U~^T = F U~ F^-1), u = conj(F v) = conj(F_t x) by thirds, as
+    F_N U = diag(F_t, F_t, F_t): one length-N/3 `dft_apply`, exactly 0 on the
+    opening; residuals by the FFT actions of U~ and U~^H. The sector's opening
+    kernel, z = 0 with right vectors (e_n +- e_n')/sqrt 2 (n' = N-1-n in the
+    middle third) and left vectors U times those, is not built."""
     t = N // 3
     V, L = np.zeros((N, t), dtype=complex), np.zeros((N, t), dtype=complex)
-    V[:t], V[2 * t:] = Wr, sign * Wr[::-1]
-    L[:t], L[2 * t:] = Wl, sign * Wl[::-1]
+    u = dft_apply(W).conj()
+    V[:t], V[2 * t:] = W, sign * W[::-1]
+    L[:t], L[2 * t:] = u, sign * u[::-1]
     return eigenpairs(z, baker_apply(V), L, _open_apply, _open_apply_h)
 
 
@@ -284,8 +285,8 @@ def run_weyl_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
     rows = []
     slopes = {}
     degenerate = False
-    # one spectrum per N, then every threshold: the sector cache holds only eight
-    moduli = [open_spectrum(N).moduli() for N in N_list]
+    # each N's sectors once (the cache holds eight), unmerged, then every threshold
+    moduli = [np.hstack([s.moduli() for s in _open_sectors(N, ("even", "odd"))]) for N in N_list]
     for r in thresholds:
         counts = [int((m > r).sum()) for m in moduli]
         rows += [[io_utils.fmt(r), str(N), str(c)] for N, c in zip(N_list, counts)]

@@ -8,8 +8,8 @@ densities of length N, Husimi images (G, G), Wigner grids (2N, 2N). The
 transforms take the states as the columns of an N x S block: the densities
 of S states are an N x S block, their Husimi images a list of S images.
 
-Every transform here is an FFT or a GEMM. The antiperiodic DFT is a plain
-FFT of the twiddled state psi_n e^{-i pi n/N}: of length N for momentum
+Every transform here is an FFT or a GEMM. The antiperiodic DFT is one FFT
+of the twiddled state (`quantum.dft_apply`): of length N for momentum
 amplitudes, zero-padded to 2N for the half-grid amplitudes of the Wigner
 function. A Wigner average over S states needs one averaged density matrix
 (one GEMM of the 2N x S amplitudes), one signed gather from it, and one
@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 from .classical import IntervalUnion, TorusPoint, cantor_approx
+from .quantum import dft_apply
 
 __all__ = [
     "coherent_vector",
@@ -101,14 +102,6 @@ def husimi_grids(V: np.ndarray, G: int):
     return [unit_sum(H[:, :, k].T) for k in range(S)]
 
 
-def _antiperiodic_fft(X: np.ndarray, n: int) -> np.ndarray:
-    """Length-n FFT down the columns of X (N x S), twiddled by e^{-i pi k/N}
-    and zero-padded: the antiperiodic DFT up to its output half-shift and
-    1/sqrt(N)."""
-    N = X.shape[0]
-    return np.fft.fft(X * np.exp(-1j * np.pi * np.arange(N) / N)[:, None], n=n, axis=0)
-
-
 def wigner_grid_average(X: np.ndarray) -> np.ndarray:
     """Mean discrete Wigner function of the columns of an N x S block X, from
     displaced-parity phase-point operators, as a real (2N, 2N) array.
@@ -126,8 +119,7 @@ def wigner_grid_average(X: np.ndarray) -> np.ndarray:
     if S == 0:
         raise ValueError("need at least one state")
     s = np.arange(2 * N)
-    Y = _antiperiodic_fft(X, 2 * N) * (np.exp(-1j * np.pi * (s + 1) / (2 * N))
-                                      / math.sqrt(N))[:, None]
+    Y = dft_apply(X, 2 * N)
     rho = np.conj(Y) @ Y.T / S
     m = np.arange(N)[:, None]
     a = 2 * m + s
@@ -164,7 +156,7 @@ def position_density(X: np.ndarray) -> np.ndarray:
 def momentum_density(X: np.ndarray) -> np.ndarray:
     """Squared antiperiodic-DFT amplitudes of an N x S block: one density per
     column, of unit sum for a unit-norm column."""
-    return np.abs(_antiperiodic_fft(X, len(X))) ** 2 / len(X)
+    return np.abs(dft_apply(X)) ** 2
 
 
 def unit_sum(values: np.ndarray) -> np.ndarray:

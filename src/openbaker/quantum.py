@@ -6,23 +6,22 @@ the antiperiodic discrete Fourier transform. A projector onto a vertical
 strip is diagonal in this basis and is held as its 0/1 diagonal.
 
 The propagator U_N = F_N^-1 diag(F_{N/3}, F_{N/3}, F_{N/3}) acts on a block
-of columns by two FFTs (`baker_apply`), and the open spectra need of U only
-its restriction to the kept first and last thirds (`baker_corners`), made
-on SciPy's BLAS: one BLAS beside LAPACK on the open route, as NumPy's own
-OpenBLAS threads spin after a product and halve the speed of a LAPACK call
-that follows. The dense `baker_unitary` serves the closed-map control.
+of columns by two FFTs (`baker_apply`), the antiperiodic DFT F_N by one
+(`dft_apply`), and the open spectra need of U only its restriction to the
+kept first and last thirds (`baker_corners`). Everything here runs on
+NumPy alone. The dense `baker_unitary` serves the closed-map control.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import zgemm
 
 from .classical import region_R_plus
 
 __all__ = [
     "UnresolvedRegionError",
     "dft_matrix",
+    "dft_apply",
     "baker_form",
     "baker_unitary",
     "baker_apply",
@@ -45,6 +44,16 @@ def dft_matrix(N: int) -> np.ndarray:
 def _dft_entries(rows: np.ndarray, cols: np.ndarray, N: int) -> np.ndarray:
     """The entries F[rows][:, cols] of dft_matrix(N), bit for bit."""
     return np.exp(-2j * np.pi * np.outer(rows + 0.5, cols + 0.5) / N) / np.sqrt(N)
+
+
+def dft_apply(X: np.ndarray, n: int | None = None) -> np.ndarray:
+    """F X for F = dft_matrix(N) and an N x S block X: one FFT of the columns
+    twiddled by e^{-i pi m/N}, then the output half-shift. Zero-padded to
+    n >= N, row s is N^{-1/2} sum_m X[m] e^{-2 pi i (m+1/2)(s N/n+1/2)/N}."""
+    N = X.shape[0]
+    Y = np.fft.fft(X * np.exp(-1j * np.pi * np.arange(N) / N)[:, None], n=n, axis=0)
+    s = np.arange(len(Y))
+    return Y * (np.exp(-1j * np.pi * (2 * s * N / len(Y) + 1) / (2 * N)) / np.sqrt(N))[:, None]
 
 
 def baker_form(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -106,9 +115,8 @@ def baker_corners(N: int) -> np.ndarray:
     (t = N/3), rows and columns in the order [0, t) then [2t, N). The
     columns of kept third b are F_N^-1 on the kept rows and the columns of
     third b, times F_t: two (2t x t)(t x t) products of `dft_matrix`
-    entries by SciPy's `zgemm`, the BLAS of the LAPACK that solves C next,
-    from transposed views and into C's Fortran-ordered column blocks, with
-    no copy. Reversing both axes is parity, as for U itself."""
+    entries, each written into its column block of C. Reversing both axes
+    is parity, as for U itself."""
     if N % 3 != 0:
         raise ValueError("N must be divisible by 3")
     t = N // 3
@@ -117,7 +125,7 @@ def baker_corners(N: int) -> np.ndarray:
     C = np.empty((2 * t, 2 * t), dtype=complex, order="F")
     for col, start in ((0, 0), (t, 2 * t)):
         F = _dft_entries(kept, np.arange(start, start + t), N)
-        zgemm(1.0, F.T, Ft.T, c=C[:, col:col + t], trans_a=2, trans_b=1, overwrite_c=True)
+        np.matmul(np.conj(F, out=F), Ft, out=C[:, col:col + t])
     return C
 
 

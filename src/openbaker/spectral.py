@@ -126,8 +126,7 @@ def escape_weights(s: Spectrum, m_max: int) -> tuple:
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     P = np.column_stack([escape_projector(m, s.N) for m in range(m_max + 1)])
-    # an einsum, not a BLAS product: NumPy's OpenBLAS threads would spin
-    # through the LAPACK call that follows and halve its speed
+    # an einsum: a GEMM sums in another order and moves the tables' last digits
     measured = np.einsum("np,nm->pm", np.abs(s.R) ** 2, P)
     r2 = s.moduli() ** 2
     return measured, np.power.outer(r2, np.arange(m_max + 1)) * (1.0 - r2)[:, None]

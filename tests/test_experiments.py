@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -164,18 +167,22 @@ def test_run_weyl(tmp_path):
 
 
 def test_weyl_builds_each_propagator_once(tmp_path, monkeypatch):
-    """`weyl` takes each N's spectrum once and counts every threshold from
-    it, so U_N's kept corners are built once per N however few sectors the
-    cache holds; `spectrum`, `weyl` and `density` never build the dense
-    U_N."""
+    """`weyl` takes each N's two sectors once and counts every threshold
+    from them, with no merged spectrum, so U_N's kept corners are built once
+    per N however few sectors the cache holds; `spectrum`, `weyl` and
+    `density` never build the dense U_N."""
     experiments._SECTORS.clear()
-    build, spectrum, built, spectra = experiments.baker_corners, experiments.open_spectrum, [], []
+    build, built, spectra, merges = experiments.baker_corners, [], [], []
+    sectors, merge = experiments._open_sectors, experiments.merged
     monkeypatch.setattr(experiments, "baker_corners", lambda N: built.append(N) or build(N))
-    monkeypatch.setattr(experiments, "open_spectrum", lambda N: spectra.append(N) or spectrum(N))
+    monkeypatch.setattr(experiments, "_open_sectors",
+                        lambda N, names: spectra.append((N, names)) or sectors(N, names))
+    monkeypatch.setattr(experiments, "merged", lambda *a: merges.append(a) or merge(*a))
     monkeypatch.setattr(experiments, "baker_unitary",
                         lambda N: pytest.fail(f"dense U_{N} built for an open spectrum"))
     assert main(["weyl", "--n-exp", "5", "--out", str(tmp_path)]) == 0
-    assert built == spectra == [27, 81, 243]
+    assert built == [27, 81, 243] and not merges
+    assert spectra == [(N, ("even", "odd")) for N in built]
     experiments._SECTORS.clear()
     for sub in ("density", "spectrum"):  # the even sector alone, then the odd one
         assert main([sub, "--n-exp", "4", "--out", str(tmp_path)]) == 0
@@ -296,6 +303,37 @@ def test_cli_classical_and_walsh(tmp_path, capsys):
     assert "long_lived_count" in out
 
 
+# Runs the subcommands named in argv[2] (JSON) in turn, at n_exp 4 unless
+# given, in one fresh interpreter, and prints as its last line whether any
+# `scipy` module, and whether `scipy.linalg`, was loaded after each one.
+SCIPY_PROBE = """
+import json, sys
+from openbaker.cli import main
+loaded = []
+for args in json.loads(sys.argv[2]):
+    n_exp = [] if "--n-exp" in args else ["--n-exp", "4"]
+    assert main([*args, *n_exp, "--out", sys.argv[1]]) == 0, args
+    loaded.append([any(m.split(".")[0] == "scipy" for m in sys.modules),
+                   "scipy.linalg" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+@pytest.mark.parametrize("subcommands, scipy_loaded", [
+    ([["spectrum"], ["weights"], ["weyl", "--n-exp", "5"], ["density"], ["walsh"], ["classical"]],
+     False),
+    ([["husimi"]], True),
+], ids=["open_route", "closed_control"])
+def test_cli_loads_scipy_only_for_the_closed_control(tmp_path, subcommands, scipy_loaded):
+    """The open route runs on NumPy alone: in a fresh interpreter, every
+    subcommand but `husimi` runs without loading any `scipy` module, and
+    `husimi` loads `scipy.linalg` for its closed-map control."""
+    env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-c", SCIPY_PROBE, str(tmp_path), json.dumps(subcommands)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [[scipy_loaded] * 2] * len(subcommands)
+
+
 def test_cli_invalid_args(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--format", "xml"])
@@ -342,7 +380,7 @@ def test_cli_weyl_rejects_threshold(tmp_path, capsys, monkeypatch, threshold):
     """A Weyl threshold that is not a finite number in (0, 1) fails before
     any solve, with the reason, and writes nothing: nan used to write nan
     rows, and -1 counted every eigenvalue."""
-    monkeypatch.setattr(experiments, "open_spectrum",
+    monkeypatch.setattr(experiments, "_open_sectors",
                         lambda *a: pytest.fail("solved before validating the threshold"))
     assert main(["weyl", "--n-exp", "5", "--threshold", threshold, "--out", str(tmp_path)]) == 1
     assert "threshold must be a finite number in (0, 1)" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from openbaker.quantum import (
     baker_apply,
     baker_corners,
     baker_unitary,
+    dft_apply,
     dft_matrix,
     escape_projector,
     parity_sector_basis,
@@ -87,6 +88,23 @@ def test_baker_apply_matches_extended_precision():
     for adjoint, exact in ((False, Ul @ Xl), (True, Ul.conj().T @ Xl)):
         err = (baker_apply(X, adjoint=adjoint) - exact).astype(complex)
         assert np.linalg.norm(err, axis=0).max() < 4e-15
+
+
+@pytest.mark.parametrize("N, n", [(27, 27), (81, 81), (81, 162), (81, 100), (243, 243)])
+def test_dft_apply_matches_extended_precision(N, n):
+    """`dft_apply` zero-padded to n samples the antiperiodic DFT at the
+    momenta s N/n: row s is N^{-1/2} sum_m X[m] e^{-2 pi i (m+1/2)(s N/n+1/2)/N},
+    built here in extended precision with each phase's integer numerator
+    (2m+1)(2sN+n) reduced mod 4nN before rounding. n = N is F X, n = 2N the
+    Wigner half grid, and n = 100 a length N does not divide. Measured: at
+    most 1.3e-15 per unit column."""
+    X = _unit_columns(N, 1)
+    j = np.outer(2 * np.arange(n) * N + n, 2 * np.arange(N) + 1) % (4 * n * N)
+    pi = 4 * np.arctan(np.longdouble(1))
+    K = np.exp(np.clongdouble(-0.5j) * pi * j.astype(np.longdouble) / (n * N))
+    K /= np.sqrt(np.longdouble(N))
+    err = (dft_apply(X, None if n == N else n) - K @ X.astype(np.clongdouble)).astype(complex)
+    assert np.linalg.norm(err, axis=0).max() < 3e-15
 
 
 @pytest.mark.parametrize("N", [27, 81, 243, 729])
