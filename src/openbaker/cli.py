@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: spectrum, weights, weyl, husimi, density, walsh, classical.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 validation error, 2 numerical or out-of-memory failure.
 """
 
 from __future__ import annotations
@@ -86,6 +86,9 @@ def main(argv=None) -> int:
         return 1
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if isinstance(result, dict):
         print(result)

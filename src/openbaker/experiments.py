@@ -2,9 +2,11 @@
 
 Each experiment consumes a RunConfig, writes CSV (or JSON) tables plus PGM
 images under the configured output directory, and returns a dict of the
-emitted aggregates (`run_spectrum` returns its table's path). CSV bytes are
-deterministic for a fixed configuration; timestamps live only in the JSON
-sidecars.
+emitted aggregates (`run_spectrum` returns its table's path). A table is
+handed to `_emit` as columns, header -> 1-D sequence of numbers or strings,
+and every cell of a CSV or JSON table is rendered by the one rule of
+`io_utils.fmt`. CSV bytes are deterministic for a fixed configuration;
+timestamps live only in the JSON sidecars.
 
 Figure pipelines select eigenstates in the even parity sector: the
 propagator commutes with parity, and the published eigenvalue window for
@@ -60,7 +62,7 @@ from .phase_space import (
     wigner_grid_average,
 )
 from .quantum import baker_apply, baker_corners, baker_unitary, dft_apply, sector_block
-from .spectral import Spectrum, decay_order, eigenpairs, escape_weights, merged, spectrum_csv_rows
+from .spectral import Spectrum, decay_order, eigenpairs, escape_weights, merged, spectrum_table
 from .walsh import ZERO_THRESHOLD, long_lived_spectrum, nonzero_count, walsh_spectrum_report
 
 __all__ = [
@@ -214,7 +216,11 @@ def _folded_sector(N: int, sign: float, z, W) -> Spectrum:
     return eigenpairs(z, baker_apply(V), L, _open_apply, _open_apply_h)
 
 
-def _emit(cfg: RunConfig, stem: str, header, rows, extra=None) -> Path:
+def _emit(cfg: RunConfig, stem: str, table: dict, extra=None) -> Path:
+    """Write a table given as columns, header -> 1-D sequence, each cell
+    rendered by `io_utils.fmt`, as CSV with a sidecar or as one JSON file."""
+    header = list(table)
+    rows = list(zip(*([io_utils.fmt(x) for x in c] for c in table.values())))
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     if cfg.fmt == "json":
@@ -225,16 +231,14 @@ def _emit(cfg: RunConfig, stem: str, header, rows, extra=None) -> Path:
             payload.update(extra)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
         return path
-    path = io_utils.write_csv(out / f"{stem}.csv", [header] + list(rows))
+    path = io_utils.write_csv(out / f"{stem}.csv", [header] + rows)
     io_utils.write_sidecar(path, cfg.as_dict(), extra)
     return path
 
 
 def run_spectrum(cfg: RunConfig) -> Path:
     """Full spectrum table of the open baker at N = 3^n_exp."""
-    s = open_spectrum(cfg.N)
-    rows = spectrum_csv_rows(s)
-    return _emit(cfg, f"spectrum_{cfg.N}", rows[0], rows[1:])
+    return _emit(cfg, f"spectrum_{cfg.N}", spectrum_table(open_spectrum(cfg.N)))
 
 
 def run_weights_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
@@ -253,9 +257,6 @@ def run_weights_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
     measured, predicted = escape_weights(s, m_max)
     residual = measured - predicted
     mod = s.moduli()
-    rows = [[io_utils.fmt(mod[i]), str(m), io_utils.fmt(measured[i, m]),
-             io_utils.fmt(predicted[i, m]), io_utils.fmt(residual[i, m])]
-            for i in range(len(mod)) for m in range(m_max + 1)]
     band = (0.2 <= mod) & (mod <= 0.95)
     agg = {}
     for m in range(m_max + 1):
@@ -264,7 +265,9 @@ def run_weights_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
         agg[m] = float(np.median(rel)) if keep.any() else float("nan")
     tag = "walsh" if walsh else "baker"
     path = _emit(cfg, f"weights_{tag}_{N}",
-                 ["modulus", "m", "measured", "predicted", "residual"], rows,
+                 {"modulus": np.repeat(mod, m_max + 1),
+                  "m": np.tile(np.arange(m_max + 1), len(mod)), "measured": measured.ravel(),
+                  "predicted": predicted.ravel(), "residual": residual.ravel()},
                  {"median_rel_error_band_0.2_0.95": agg})
     return {"m_max": m_max, "median_rel_error": agg, "path": str(path)}
 
@@ -272,30 +275,27 @@ def run_weights_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
 def run_weyl_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
     """Fractal Weyl counting: log-log slope of #{|z| > r} against N."""
     if walsh:
-        ks = list(range(2, cfg.n_exp + 1))
-        rows = [[str(k), str(3**k), io_utils.fmt(ZERO_THRESHOLD), str(nonzero_count(k)), str(2**k)]
-                for k in ks]
+        if cfg.n_exp < 2:
+            raise ValueError("Walsh counts need n_exp >= 2: they start at k = 2")
+        ks = range(2, cfg.n_exp + 1)
+        counts = [nonzero_count(k) for k in ks]
         path = _emit(cfg, f"weyl_walsh_{3 ** cfg.n_exp}",
-                     ["k", "N", "threshold", "count", "expected_2k"], rows)
-        return {"counts": [int(r[3]) for r in rows], "path": str(path)}
+                     {"k": ks, "N": [3**k for k in ks], "threshold": [ZERO_THRESHOLD] * len(ks),
+                      "count": counts, "expected_2k": [2**k for k in ks]})
+        return {"counts": counts, "path": str(path)}
     N_list = [3**k for k in range(3, cfg.n_exp + 1)]
     if len(N_list) < 3:
         raise ValueError("weyl counts need n_exp >= 5 (at least 3 N values for a slope)")
     thresholds = sorted({0.3, 0.5, 0.7, cfg.threshold})
-    rows = []
-    slopes = {}
-    degenerate = False
     # each N's sectors once (the cache holds eight), unmerged, then every threshold
     moduli = [np.hstack([s.moduli() for s in _open_sectors(N, ("even", "odd"))]) for N in N_list]
-    for r in thresholds:
-        counts = [int((m > r).sum()) for m in moduli]
-        rows += [[io_utils.fmt(r), str(N), str(c)] for N, c in zip(N_list, counts)]
-        if min(counts) == 0:
-            slopes[r] = float("nan")
-            degenerate = True
-        else:
-            slopes[r] = float(np.polyfit(np.log(N_list), np.log(counts), 1)[0])
-    path = _emit(cfg, f"weyl_{max(N_list)}", ["threshold", "N", "count"], rows,
+    counts = np.array([[(m > r).sum() for m in moduli] for r in thresholds])
+    slopes = {r: float(np.polyfit(np.log(N_list), np.log(c), 1)[0]) if c.min() > 0 else float("nan")
+              for r, c in zip(thresholds, counts)}
+    degenerate = bool((counts == 0).any())
+    path = _emit(cfg, f"weyl_{max(N_list)}",
+                 {"threshold": np.repeat(thresholds, len(N_list)),
+                  "N": np.tile(N_list, len(thresholds)), "count": counts.ravel()},
                  {"slopes": {io_utils.fmt(k): v for k, v in slopes.items()},
                   "degenerate_fit": degenerate})
     return {"slopes": slopes, "degenerate_fit": degenerate,
@@ -331,9 +331,8 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
     cfgd = cfg.as_dict()
     io_utils.write_pgm(out / f"husimi_right_{N}.pgm", avg_r, cfgd)
     io_utils.write_pgm(out / f"husimi_left_{N}.pgm", avg_l, cfgd)
-    rows = [[str(i), str(j), io_utils.fmt(avg_r[i, j])]
-            for i in range(G) for j in range(G)]
-    _emit(cfg, f"husimi_right_{N}", ["q_index", "p_index", "value"], rows)
+    q, p = np.indices((G, G)).reshape(2, -1)
+    _emit(cfg, f"husimi_right_{N}", {"q_index": q, "p_index": p, "value": avg_r.ravel()})
 
     W = wigner_grid_average(X[:, :count])
     io_utils.write_pgm(out / f"wigner_pos_{N}.pgm", np.maximum(W, 0.0), cfgd)
@@ -349,8 +348,7 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
 
     results = {"count": count, "right_band_mass": right_mass,
                "left_band_mass": left_mass, "closed_band_mass": closed_mass}
-    _emit(cfg, f"husimi_masses_{N}", ["quantity", "value"],
-          [[k, io_utils.fmt(v)] for k, v in results.items()])
+    _emit(cfg, f"husimi_masses_{N}", _quantities(results))
     return results
 
 
@@ -365,9 +363,16 @@ def _modulus_bin(mod: np.ndarray, lo: float, hi: float):
         widened += 1
 
 
-def _density_rows(values, N: int):
-    """CSV rows (index, grid point (i + 1/2)/N, value) of a 1D density."""
-    return [[str(i), io_utils.fmt((i + 0.5) / N), io_utils.fmt(v)] for i, v in enumerate(values)]
+def _density(values: np.ndarray, point: str, N: int) -> dict:
+    """Table of a 1D density: index i, the grid point (i + 1/2)/N under the
+    header `point`, and the value; a magnification keeps the full N."""
+    i = np.arange(len(values))
+    return {"index": i, point: (i + 0.5) / N, "value": values}
+
+
+def _quantities(results: dict) -> dict:
+    """Table of named results: one (quantity, value) row each."""
+    return {"quantity": list(results), "value": list(results.values())}
 
 
 def run_density_figures(cfg: RunConfig) -> dict:
@@ -385,19 +390,17 @@ def run_density_figures(cfg: RunConfig) -> dict:
     results["fig3_modulus_min"] = float(mod[:20].min())
     # one density per column; `average_density` takes them as rows
     mdens = average_density(momentum_density(R[:, :20]).T)
-    _emit(cfg, f"fig3_momentum_density_{N}", ["index", "p", "value"], _density_rows(mdens, N))
-    _emit(cfg, f"fig3_magnification_{N}", ["index", "p_unmagnified", "value"],
-          _density_rows(unit_sum(mdens[: N // 3]), N))
+    _emit(cfg, f"fig3_momentum_density_{N}", _density(mdens, "p", N))
+    _emit(cfg, f"fig3_magnification_{N}", _density(unit_sum(mdens[: N // 3]), "p_unmagnified", N))
     results["fig3_cantor_mass_level2"] = cantor_mass(mdens, 2)
     results["fig3_self_similarity"] = self_similarity_score(mdens)
 
     for tag, (lo, hi) in {"low": (0.35, 0.45), "high": (0.65, 0.75)}.items():
         keep, widened = _modulus_bin(mod, lo, hi)
         pdens = average_density(position_density(R[:, keep]).T)
-        _emit(cfg, f"fig4_{tag}_position_density_{N}", ["index", "q", "value"],
-              _density_rows(pdens, N))
-        _emit(cfg, f"fig4_{tag}_magnification_{N}", ["index", "q_unmagnified", "value"],
-              _density_rows(unit_sum(pdens[: N // 3]), N))
+        _emit(cfg, f"fig4_{tag}_position_density_{N}", _density(pdens, "q", N))
+        _emit(cfg, f"fig4_{tag}_magnification_{N}",
+              _density(unit_sum(pdens[: N // 3]), "q_unmagnified", N))
         results[f"fig4_{tag}_count"] = int(keep.sum())
         results[f"fig4_{tag}_widened_steps"] = widened
         results[f"fig4_{tag}_self_similarity"] = self_similarity_score(pdens)
@@ -405,37 +408,27 @@ def run_density_figures(cfg: RunConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     results["noise_self_similarity"] = self_similarity_score(rng.random(N))
 
-    _emit(cfg, f"density_scores_{N}", ["quantity", "value"],
-          [[k, io_utils.fmt(v)] for k, v in results.items()])
+    _emit(cfg, f"density_scores_{N}", _quantities(results))
     return results
 
 
 def run_walsh_report(cfg: RunConfig) -> dict:
     """Walsh exactness report: spectrum classification and the worst
     weight-formula residual over the long-lived states."""
-    k = cfg.n_exp
-    rows_dicts = walsh_spectrum_report(k)
-    header = list(rows_dicts[0].keys())
-    rows = [[io_utils.fmt(r[h]) if isinstance(r[h], float) else str(r[h]) for h in header]
-            for r in rows_dicts]
-    path = _emit(cfg, f"walsh_report_{3 ** k}", header, rows)
-    long_rows = [r for r in rows_dicts if r["long_lived"]]
-    return {
-        "long_lived_count": len(long_rows),
-        "kernel_dim": rows_dicts[0]["kernel_dim"],
-        "max_weight_residual": max(r["max_weight_residual"] for r in long_rows),
-        "path": str(path),
-    }
+    table = walsh_spectrum_report(cfg.n_exp)
+    path = _emit(cfg, f"walsh_report_{3 ** cfg.n_exp}", table)
+    long = table["long_lived"]
+    return {"long_lived_count": int(long.sum()), "kernel_dim": int(table["kernel_dim"][0]),
+            "max_weight_residual": float(table["max_weight_residual"][long].max()),
+            "path": str(path)}
 
 
 def run_classical(cfg: RunConfig) -> dict:
     """Exact classical tables: escape-region areas, escape rate, Ehrenfest
     time and the Cantor box dimension."""
-    rows = []
-    for m in range(9):
-        a = region_R_plus(m).measure
-        rows.append([str(m), f"{a.numerator}/{a.denominator}", io_utils.fmt(float(a))])
-    _emit(cfg, "classical_escape_areas", ["m", "area_exact", "area_float"], rows)
+    areas = [region_R_plus(m).measure for m in range(9)]  # Fractions; `str` gives a/b
+    _emit(cfg, "classical_escape_areas",
+          {"m": range(9), "area_exact": areas, "area_float": [float(a) for a in areas]})
     results = {
         "escape_rate": escape_rate_estimate(8),
         "escape_rate_exact": ESCAPE_RATE,
@@ -443,6 +436,5 @@ def run_classical(cfg: RunConfig) -> dict:
         "box_dimension_target": CANTOR_DIM,
         "ehrenfest_time": ehrenfest_time(cfg.N),
     }
-    _emit(cfg, "classical_summary", ["quantity", "value"],
-          [[k, io_utils.fmt(v)] for k, v in results.items()])
+    _emit(cfg, "classical_summary", _quantities(results))
     return results

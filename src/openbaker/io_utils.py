@@ -1,5 +1,6 @@
 """Flat-file output helpers: CSV, JSON sidecars and P5 graymaps.
 
+`fmt` is the one rule that makes a value a table cell, in CSV and JSON alike.
 All CSV content is deterministic for a fixed configuration; wall-clock
 provenance and checksums live in the JSON sidecars only.
 """
@@ -18,10 +19,10 @@ __all__ = ["fmt", "write_csv", "write_sidecar", "write_pgm", "sha256_file"]
 
 
 def fmt(x) -> str:
-    """Decimal rendering with 17 significant digits (round-trip safe)."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+    """One table cell: a float to 17 significant digits (round-trip safe;
+    0.0 is "0", inf "inf"), anything else by `str`, so ints print plain,
+    bools as True/False and strings as they are."""
+    return f"{float(x):.17g}" if isinstance(x, (float, np.floating)) else str(x)
 
 
 def write_csv(path, rows) -> Path:

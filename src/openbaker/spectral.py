@@ -16,7 +16,8 @@ new arrays.
 Figures read a spectrum's columns: the `count` longest-lived states are the
 first `count` columns of R, a decay-rate bin is a mask on `moduli()`, and
 `escape_weights` gives every pair's escape-region weights, measured and
-predicted, as two (pairs x depths) arrays.
+predicted, as two (pairs x depths) arrays, and `spectrum_table` the spectrum
+table as columns of numbers, exact zeros included (`io_utils.fmt` renders it).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
     "eigenpairs",
     "escape_weights",
     "merged",
-    "spectrum_csv_rows",
+    "spectrum_table",
 ]
 
 _Pair = namedtuple("_Pair", "residual_right residual_left")
@@ -132,14 +133,13 @@ def escape_weights(s: Spectrum, m_max: int) -> tuple:
     return measured, np.power.outer(r2, np.arange(m_max + 1)) * (1.0 - r2)[:, None]
 
 
-def spectrum_csv_rows(s: Spectrum):
-    """Rows for the spectrum CSV, 17 significant digits: one per eigenpair,
-    then `i,0,0,0,inf,0,0` for each exact zero, so that the table has N rows.
-    The decay rate -ln|z|^2 of a computed z = 0 is inf too."""
-    mod = s.moduli()
+def spectrum_table(s: Spectrum) -> dict:
+    """The spectrum table as columns of numbers, N rows: one per eigenpair,
+    then one per exact zero, with z and the residuals padded by zeros. The
+    decay rate -ln|z|^2 of an exact zero, or of a computed z = 0, is inf."""
+    z, res_r, res_l = (np.pad(c, (0, s.N - len(s.z))) for c in (s.z, s.res_r, s.res_l))
+    mod = np.abs(z)
     with np.errstate(divide="ignore"):
-        cols = (s.z.real, s.z.imag, mod, -2.0 * np.log(mod), s.res_r, s.res_l)
-    rows = [["index", "re_z", "im_z", "modulus", "gamma", "residual_right", "residual_left"]]
-    rows += [[str(i)] + [f"{x:.17g}" for x in row]
-             for i, row in enumerate(zip(*(c.tolist() for c in cols)))]
-    return rows + [[str(i), "0", "0", "0", "inf", "0", "0"] for i in range(len(s.z), s.N)]
+        gamma = -2.0 * np.log(mod)
+    return {"index": np.arange(s.N), "re_z": z.real, "im_z": z.imag, "modulus": mod,
+            "gamma": gamma, "residual_right": res_r, "residual_left": res_l}

@@ -99,17 +99,14 @@ def long_lived_spectrum(k: int) -> Spectrum:
     return eigenpairs(z, V, U, _apply, _apply_h)
 
 
-def walsh_spectrum_report(k: int):
-    """Per-eigenvalue table: modulus, short/long flag, kernel dimension and
-    the worst weight-formula residual over the resolvable depths. The
-    N - 2^k kernel rows have z = 0 exactly."""
+def walsh_spectrum_report(k: int) -> dict:
+    """Per-eigenvalue table as columns: modulus, short/long flag, kernel
+    dimension and the worst weight-formula residual over the resolvable
+    depths. The N - 2^k kernel rows have z = 0 exactly."""
     s = long_lived_spectrum(k)
     N, r = s.N, len(s.z)
     measured, predicted = escape_weights(s, min(4, k - 1))
-    kernel = np.zeros(N - r)
-    z = np.r_[s.z, kernel].tolist()
-    mod = np.r_[s.moduli(), kernel].tolist()
-    res = np.r_[np.abs(measured - predicted).max(axis=1), kernel].tolist()
-    return [{"index": i, "re_z": z[i].real, "im_z": z[i].imag, "modulus": mod[i],
-             "long_lived": i < r, "kernel_dim": N - r, "max_weight_residual": res[i]}
-            for i in range(N)]
+    z = np.pad(s.z, (0, N - r))
+    return {"index": np.arange(N), "re_z": z.real, "im_z": z.imag, "modulus": np.abs(z),
+            "long_lived": np.arange(N) < r, "kernel_dim": np.full(N, N - r),
+            "max_weight_residual": np.pad(np.abs(measured - predicted).max(axis=1), (0, N - r))}

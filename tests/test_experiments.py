@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openbaker import experiments, walsh
+from openbaker import cli, experiments, walsh
 from openbaker.cli import main
 from openbaker.experiments import (
     RunConfig,
@@ -45,6 +45,25 @@ def test_fmt_roundtrip():
     x = 1.0 / 3.0
     assert float(fmt(x)) == x
     assert fmt(np.float64(0.25)) == "0.25"
+
+
+@pytest.mark.parametrize("fmt_", ["csv", "json"])
+def test_emit_renders_every_cell_by_one_rule(tmp_path, fmt_):
+    """`_emit` renders each cell by `fmt`, the same in CSV and JSON: a float
+    (Python or NumPy) to 17 significant digits, anything else by `str`, so
+    ints print plain, a bool as True and a string as it is."""
+    cells = {"int": 3, "numpy_int": np.int64(-4), "third": 1 / 3, "zero": 0.0,
+             "inf": np.inf, "numpy_float": np.float64(0.25), "bool": True, "string": "1/3"}
+    rendered = ["3", "-4", "0.33333333333333331", "0", "inf", "0.25", "True", "1/3"]
+    cfg = RunConfig(n_exp=3, out_dir=tmp_path, fmt=fmt_)
+    path = experiments._emit(cfg, "cells", {"name": list(cells), "value": list(cells.values())})
+    if fmt_ == "csv":
+        assert path.read_bytes() == b"name,value\r\n" + b"".join(
+            f"{name},{cell}\r\n".encode() for name, cell in zip(cells, rendered))
+    else:
+        rows = [{"name": name, "value": cell} for name, cell in zip(cells, rendered)]
+        expected = {"config": cfg.as_dict(), "rows": rows}
+        assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_write_csv_crlf(tmp_path):
@@ -432,15 +451,35 @@ def test_cli_walsh_eigenpairs_limit_n_exp(tmp_path, capsys, monkeypatch, args):
     assert (tmp_path / "weyl_walsh_19683.csv").read_text().splitlines()[-1].endswith(",512,512")
 
 
-@pytest.mark.parametrize("args", [["walsh"], ["weights", "--walsh"]], ids=["walsh", "weights"])
-def test_cli_walsh_rejects_n_exp_1(tmp_path, capsys, args):
-    """Below the range, both Walsh subcommands fail with the one range
-    message of `long_lived_spectrum` and write nothing."""
-    with pytest.raises(ValueError) as exc:
-        long_lived_spectrum(1)
+@pytest.mark.parametrize("args, message", [
+    (["walsh"], None), (["weights", "--walsh"], None),
+    (["weyl", "--walsh"], "Walsh counts need n_exp >= 2: they start at k = 2"),
+], ids=["walsh", "weights", "weyl"])
+def test_cli_walsh_rejects_n_exp_1(tmp_path, capsys, args, message):
+    """Below the range, the Walsh subcommands fail and write nothing: those
+    that need eigenpairs with the one range message of `long_lived_spectrum`,
+    the counts with their own, whose range has no upper end."""
+    if message is None:
+        with pytest.raises(ValueError) as exc:
+            long_lived_spectrum(1)
+        message = str(exc.value)
     assert main([*args, "--n-exp", "1", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    """A run whose arrays do not fit in memory exits 2 with one line, not a
+    traceback; the runner here raises as NumPy does, allocating nothing."""
+    message = ("Unable to allocate 26.0 GiB for an array with shape (59049, 59049) "
+               "and data type complex128")
+
+    def run_spectrum(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_spectrum", run_spectrum)
+    assert main(["spectrum", "--n-exp", "11", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"out of memory: {message}\n"
 
 
 def test_cli_husimi_limit_n_exp(tmp_path, capsys, monkeypatch):

@@ -144,7 +144,7 @@ CLOSED_TOLERANCE = 1e-13
 
 
 @pytest.mark.parametrize("N", [81, 243])
-def test_closed_spectrum_matches_dense_eigensolve(N):
+def test_closed_states_match_dense_eigensolve(N):
     """The merged closed states are the eigenvectors of the unitary U_N:
     each eigenvalue matches one of LAPACK's on the dense matrix and lies on
     the unit circle, the eigenvalues come in (-|z|, phase) order, and each

@@ -22,8 +22,9 @@ from openbaker.spectral import (
     Spectrum,
     eigenpairs,
     escape_weights,
-    spectrum_csv_rows,
+    spectrum_table,
 )
+from openbaker.io_utils import fmt
 from openbaker.walsh import long_lived_spectrum
 from open_dense import open_propagator
 
@@ -44,7 +45,7 @@ def spec27():
     return open_propagator(27), _dense_spectrum(open_propagator(27))
 
 
-def test_eigendecompose_residuals(spec27):
+def test_dense_spectrum_residuals_and_norms(spec27):
     Ut, s = spec27
     assert s.N == 27 and s.z.shape == s.res_r.shape == s.res_l.shape == (27,)
     assert s.R.shape == s.L.shape == (27, 27)
@@ -193,7 +194,7 @@ def _uniform_spectrum(N: int, zs) -> Spectrum:
 
 
 @given(st.floats(0, 1), st.integers(0, 10))
-def test_weight_prediction_bounds(r, m_max):
+def test_escape_weights_bounds_and_flat_state(r, m_max):
     """Each predicted weight lies in [0, 1], and over the depths m <= M they
     telescope to 1 - |z|^(2(M+1)), so their sum never exceeds 1; a flat
     state's measured weights are the region areas (1/3)(2/3)^m."""
@@ -203,7 +204,7 @@ def test_weight_prediction_bounds(r, m_max):
     assert np.abs(measured[0] - (2 / 3) ** np.arange(m_max + 1) / 3).max() < 1e-12
 
 
-def test_weight_prediction_values():
+def test_predicted_escape_weights_values():
     _, predicted = escape_weights(_uniform_spectrum(81, [0.0, 1.0, 0.5]), 3)
     assert predicted[0, 0] == 1.0
     assert predicted[1, 3] == 0.0
@@ -243,13 +244,13 @@ def test_gamma():
     s = _uniform_spectrum(2, [0.5, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = spectrum_csv_rows(s)
-    gamma = [float(row[4]) for row in rows[1:]]
+        gamma = spectrum_table(s)["gamma"]
+    assert len(gamma) == 2
     assert gamma[0] == pytest.approx(-2 * math.log(0.5))
     assert math.isinf(gamma[1]) and gamma[1] > 0
 
 
-def test_select_long_lived(spec27, tmp_path):
+def test_longest_lived_lead_and_selection_limits(spec27, tmp_path):
     """Pairs are sorted by decreasing modulus, so the `count` longest-lived
     states are the first `count` columns. An empty selection fails, and so
     does one larger than a sector: at N = 27 a parity sector holds 9 pairs,
@@ -268,11 +269,11 @@ def test_select_long_lived(spec27, tmp_path):
 
 def test_csv_rows(spec27):
     _, s = spec27
-    rows = spectrum_csv_rows(s)
-    assert rows[0][:4] == ["index", "re_z", "im_z", "modulus"]
-    assert len(rows) == 28
+    table = spectrum_table(s)
+    assert list(table)[:4] == ["index", "re_z", "im_z", "modulus"]
+    assert all(len(column) == 27 for column in table.values())
     # round-trip safety of the 17-digit rendering
-    z = complex(float(rows[1][1]), float(rows[1][2]))
+    z = complex(float(fmt(table["re_z"][0])), float(fmt(table["im_z"][0])))
     assert z == s.z[0]
 
 

@@ -150,13 +150,13 @@ def test_kernel_reported_as_exact_zeros(k):
     the N - 2^k kernel rows z = 0 exactly and no round-off fragment."""
     N, r = 3**k, 2**k
     assert len(long_lived_spectrum(k).z) == r
-    rows = walsh_spectrum_report(k)
-    assert len(rows) == N
-    assert all(row["long_lived"] for row in rows[:r])
-    for row in rows[r:]:
-        assert row["re_z"] == row["im_z"] == row["modulus"] == 0.0
-        assert not row["long_lived"] and row["kernel_dim"] == N - r
-    assert not any(0.0 < row["modulus"] < 1e-3 for row in rows)
+    table = walsh_spectrum_report(k)
+    assert all(len(column) == N for column in table.values())
+    assert table["long_lived"][:r].all()
+    for name in ("re_z", "im_z", "modulus"):
+        assert (table[name][r:] == 0.0).all()
+    assert not table["long_lived"][r:].any() and (table["kernel_dim"][r:] == N - r).all()
+    assert not ((0.0 < table["modulus"]) & (table["modulus"] < 1e-3)).any()
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
@@ -247,11 +247,11 @@ def test_left_vectors_vanish_off_cantor_digits(k):
 
 
 def test_walsh_spectrum_report():
-    rows = walsh_spectrum_report(3)
-    assert len(rows) == 27
-    long_rows = [r for r in rows if r["long_lived"]]
-    assert len(long_rows) == 8
-    assert all(r["kernel_dim"] == 27 - 8 for r in rows)
-    assert max(r["max_weight_residual"] for r in long_rows) < 1e-12
+    table = walsh_spectrum_report(3)
+    assert all(len(column) == 27 for column in table.values())
+    long = table["long_lived"]
+    assert long.sum() == 8
+    assert (table["kernel_dim"] == 27 - 8).all()
+    assert table["max_weight_residual"][long].max() < 1e-12
     with pytest.raises(ValueError):
         walsh_spectrum_report(1)
