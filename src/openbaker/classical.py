@@ -187,7 +187,7 @@ def escape_rate_estimate(max_m: int) -> float:
     ms = np.arange(max_m + 1, dtype=float)
     areas = np.array([float(region_R_plus(m).measure) for m in range(max_m + 1)])
     slope = np.polyfit(ms, np.log(areas), 1)[0]
-    return -slope
+    return float(-slope)
 
 
 def box_dimension(u: IntervalUnion, levels: Sequence[int]) -> float:
@@ -209,7 +209,7 @@ def box_dimension(u: IntervalUnion, levels: Sequence[int]) -> float:
     xs = np.array(levels, dtype=float) * math.log(3.0)
     ys = np.log(np.array(counts, dtype=float))
     if len(levels) == 1:
-        return ys[0] / xs[0]
+        return float(ys[0] / xs[0])
     return float(np.polyfit(xs, ys, 1)[0])
 
 

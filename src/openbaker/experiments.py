@@ -296,7 +296,7 @@ def run_weyl_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
     path = _emit(cfg, f"weyl_{max(N_list)}",
                  {"threshold": np.repeat(thresholds, len(N_list)),
                   "N": np.tile(N_list, len(thresholds)), "count": counts.ravel()},
-                 {"slopes": {io_utils.fmt(k): v for k, v in slopes.items()},
+                 {"slopes": {repr(float(k)): v for k, v in slopes.items()},
                   "degenerate_fit": degenerate})
     return {"slopes": slopes, "degenerate_fit": degenerate,
             "target": CANTOR_DIM, "path": str(path)}
@@ -311,8 +311,8 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
     if cfg.count < 1:
         raise ValueError("husimi needs count >= 1")
     if cfg.n_exp > 7:
-        raise ValueError("husimi needs n_exp <= 7: its Wigner average holds a 2N x 2N "
-                         "complex density matrix (2.8 GB at n_exp 8)")
+        raise ValueError("husimi needs n_exp <= 7: its Wigner average holds a real "
+                         "(2N)^2 grid and an N x 2N complex one (2.8 GB at n_exp 8)")
     s = sector_spectrum(N, cfg.sector)
     # at most the resonances: the opening's exact kernel (z = 0) holds no columns
     count = min(cfg.count, len(s.z))
@@ -322,6 +322,7 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
     X = np.hstack([s.R[:, :count], s.L[:, :count], closed_states(N, cfg.sector)[1][:, :count]])
     H = husimi_grids(X, G)
     avg_r, avg_l, closed_r = (average_density(H[k * count:(k + 1) * count]) for k in range(3))
+    del H  # the 3 x count images go before the Wigner grid is made
     band = interval_mask(cantor_approx(1), G)
     right_mass = float(avg_r[:, band].sum())   # horizontal Cantor band
     left_mass = float(avg_l[band, :].sum())    # vertical Cantor band

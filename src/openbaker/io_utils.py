@@ -66,7 +66,10 @@ def write_pgm(path, values: np.ndarray, config: dict, bits: int = 16) -> Path:
     lo, hi = float(vals.min()), float(vals.max())
     maxval = (1 << bits) - 1
     if hi > lo:
-        scaled = np.round((vals - lo) / (hi - lo) * maxval)
+        scaled = vals - lo  # then in place: one full-size temporary
+        scaled /= hi - lo
+        scaled *= maxval
+        np.round(scaled, out=scaled)
     else:
         scaled = np.zeros_like(vals)
     scaled = scaled.astype(">u2" if bits == 16 else np.uint8)

@@ -11,15 +11,16 @@ of S states are an N x S block, their Husimi images a list of S images.
 Every transform here is an FFT or a GEMM. The antiperiodic DFT is one FFT
 of the twiddled state (`quantum.dft_apply`): of length N for momentum
 amplitudes, zero-padded to 2N for the half-grid amplitudes of the Wigner
-function. A Wigner average over S states needs one averaged density matrix
-(one GEMM of the 2N x S amplitudes), one signed gather from it, and one
-length-N FFT along the phase-point axis. Husimi images form no coherent
-vector: each state, extended antiperiodically over three lattice images,
-is weighted by the real Gaussian of each position centre, twiddled and
-folded mod G (one batched real GEMM over the G residues), and one
-length-G FFT over the residues gives every momentum at once. The packet
-norms come from a 3 x 3 Gram matrix of lattice images per centre. Nothing
-is cached, and the cost is about 3GN + G^2 log G per state, not G^2 N.
+function. A Wigner average over S states gathers, with signs, from their
+averaged density matrix made a row block at a time (one GEMM each, never
+the whole 2N x 2N matrix), then takes one length-N FFT over phase points.
+Husimi images form no coherent vector: each state, extended
+antiperiodically over three lattice images, is weighted by the real
+Gaussian of each position centre, twiddled and folded mod G (one batched
+real GEMM over the G residues), and one length-G FFT over the residues
+gives every momentum at once. The packet norms come from a 3 x 3 Gram
+matrix of lattice images per centre. Nothing is cached, transients come in
+bounded blocks, and the cost is about 3GN + G^2 log G per state, not G^2 N.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ __all__ = [
     "band_mass",
     "self_similarity_score",
 ]
+
+# bytes per Wigner row or FFT block; states per Husimi block, whole BLAS column
+# panels (8 real columns hold 4 states), so each image has the bits of one call
+_WIGNER_BLOCK_BYTES, _HUSIMI_BLOCK = 1 << 21, 32
 
 
 def coherent_vector(center: TorusPoint, N: int) -> np.ndarray:
@@ -75,31 +80,34 @@ def husimi_grids(V: np.ndarray, G: int):
     centre i. Twiddled by e^{-i pi (m+1/2)/G} and folded mod G, that sum is
     one real GEMM per residue and one length-G FFT over the residues. The
     packet norm comes from the 3 x 3 Gram matrix of the Gaussian's lattice
-    images; it depends on j unless G divides N."""
+    images; it depends on j unless G divides N. Blocks of `_HUSIMI_BLOCK`
+    states keep the transient arrays from growing with S."""
     if G < 8:
         raise ValueError("G must be >= 8")
     N, S = V.shape
     K = -(-3 * N // G)  # fold length: 3N zero-padded to K G
     m = np.arange(-N, 2 * N)
-    X = np.zeros((K * G, S), dtype=complex)
-    X[:3 * N].reshape(3, N, S)[:] = V
-    X[:3 * N] *= ((-1.0) ** (m // N) * np.exp(-1j * math.pi * (m + 0.5) / G))[:, None]
+    twiddle = ((-1.0) ** (m // N) * np.exp(-1j * math.pi * (m + 0.5) / G))[:, None]
     centres = (np.arange(G) + 0.5) / G
     g = np.zeros((G, K * G))
     g[:, :3 * N] = np.exp(-math.pi * N * ((m + 0.5) / N - centres[:, None]) ** 2)
-    # fold: sum_k g[i, kG + r] X[kG + r] for each residue r, the real Gaussian
-    # times the complex states as one real GEMM on interleaved (re, im) columns
-    folded = np.matmul(np.ascontiguousarray(g.reshape(G, K, G).transpose(2, 0, 1)),
-                       X.reshape(K, G, S).transpose(1, 0, 2).view(float))
-    H = np.abs(np.fft.fft(folded.view(complex), axis=0))  # [j, i, state]
-    H **= 2
+    g_fold = np.ascontiguousarray(g.reshape(G, K, G).transpose(2, 0, 1))
     # packet norm^2 = c^T M c*, c_nu = (-1)^nu e^{2 pi i N p_j nu}, M the images' Gram matrix
     gi = g[:, :3 * N].reshape(G, 3, N)
     nu = np.arange(-1, 2)
     c = (-1.0) ** nu * np.exp(2j * math.pi * N * np.outer(centres, nu))
-    norm2 = np.einsum("ja,iab,jb->ji", c, gi @ gi.transpose(0, 2, 1), c.conj()).real
-    H /= norm2[:, :, None]
-    return [unit_sum(H[:, :, k].T) for k in range(S)]
+    norm2 = np.einsum("ja,iab,jb->ji", c, gi @ gi.transpose(0, 2, 1), c.conj()).real[:, :, None]
+    images = []
+    for first in range(0, S, _HUSIMI_BLOCK):
+        X = np.zeros((K * G, min(_HUSIMI_BLOCK, S - first)), dtype=complex)
+        X[:3 * N].reshape(3, N, -1)[:] = V[:, first:first + _HUSIMI_BLOCK]
+        X[:3 * N] *= twiddle
+        # fold: sum_k g[i, kG + r] X[kG + r] for each residue r, the real Gaussian
+        # times the complex states as one real GEMM on interleaved (re, im) columns
+        folded = np.matmul(g_fold, X.reshape(K, G, -1).transpose(1, 0, 2).view(float))
+        H = np.abs(np.fft.fft(folded.view(complex), axis=0)) ** 2 / norm2  # [j, i, state]
+        images += [unit_sum(H[:, :, j].T) for j in range(H.shape[2])]
+    return images
 
 
 def wigner_grid_average(X: np.ndarray) -> np.ndarray:
@@ -113,23 +121,32 @@ def wigner_grid_average(X: np.ndarray) -> np.ndarray:
     The transform is bilinear in the half-grid amplitudes
     Y_s = N^{-1/2} sum_n psi_n exp(-2 pi i (n+1/2)(s/2+1/2)/N), s < 2N, so
     it is linear in their averaged density matrix rho = conj(Y) Y^T / S.
-    W[j, l] = Re sum_m e^{i pi j (1 - (2m+1)/N)} Z[m, l] / 4N, with Z a
-    signed gather from rho; the sum over m is a length-N FFT."""
+    W[j, l] = Re sum_m e^{i pi j (1 - (2m+1)/N)} Z[m, l] / 4N, with Z an
+    N x 2N signed gather from rho, which is made a row block at a time and
+    never whole; the sum over m is a length-N FFT, also taken in blocks."""
     N, S = X.shape
     if S == 0:
         raise ValueError("need at least one state")
-    s = np.arange(2 * N)
-    Y = dft_apply(X, 2 * N)
-    rho = np.conj(Y) @ Y.T / S
-    m = np.arange(N)[:, None]
-    a = 2 * m + s
-    b = 2 * (N - 1 - m) + s
-    # antiperiodicity: an index wrapped past 2N flips the amplitude's sign
-    Z = rho[a % (2 * N), b % (2 * N)]
-    Z[(a >= 2 * N) != (b >= 2 * N)] *= -1.0
-    phase = np.exp(1j * np.pi * s * (1.0 - 1.0 / N)).reshape(2, N, 1)
-    W = (phase * np.fft.fft(Z, axis=0)).real.reshape(2 * N, 2 * N)
-    return W / (4.0 * N)
+    M = 2 * N
+    Y = dft_apply(X, M)
+    m = np.arange(N)
+    # Z[m, s] = +-rho[2m + s, 2N - 2 - 2m + s] (indices mod 2N): row p of rho
+    # fills Z[m, p - 2m] from its column p - 4m - 2
+    Z = np.empty((N, M), dtype=complex)
+    step = max(1, _WIGNER_BLOCK_BYTES // (32 * N))
+    for p0 in range(0, M, step):
+        rows = np.conj(Y[p0:p0 + step]) @ Y.T / S
+        p = np.arange(p0, p0 + len(rows))[:, None]
+        s = (p - 2 * m) % M
+        # antiperiodicity: 2m + s wraps past 2N iff p < 2m, 2N - 2 - 2m + s
+        # iff s >= 2m + 2, and exactly one wrap flips the amplitude's sign
+        flip = (p < 2 * m) != (s >= 2 * m + 2)
+        Z[m, s] = np.where(flip, -1.0, 1.0) * rows[p - p0, (p - 4 * m - 2) % M]
+    phase = np.exp(1j * np.pi * np.arange(M) * (1.0 - 1.0 / N)).reshape(2, N, 1)
+    W = np.empty((2, N, M))
+    for c in range(0, M, step):
+        W[:, :, c:c + step] = (phase * np.fft.fft(Z[:, c:c + step], axis=0)).real / (4.0 * N)
+    return W.reshape(M, M)
 
 
 def wigner_position_marginal(W: np.ndarray) -> np.ndarray:

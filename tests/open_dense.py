@@ -1,5 +1,6 @@
-"""Dense references for the open propagator, which the package never forms:
-U~ = U_N (I - pi_0) as an N x N matrix, and U_N in extended precision.
+"""Dense references for what the package never forms: the open propagator
+U~ = U_N (I - pi_0) as an N x N matrix, U_N in extended precision, and the
+Wigner average through its whole 2N x 2N density matrix.
 
 `baker_unitary` rounds each phase 2 pi (n+1/2)(m+1/2)/N of its transforms
 after the product, so its entries are off by up to 2.7e-13 at N = 729.
@@ -9,7 +10,7 @@ measured against instead.
 
 import numpy as np
 
-from openbaker.quantum import baker_unitary
+from openbaker.quantum import baker_unitary, dft_apply
 
 
 def opened(U: np.ndarray) -> np.ndarray:
@@ -41,3 +42,23 @@ def extended_unitary(N: int) -> np.ndarray:
     t = N // 3
     FN, Ft = _extended_dft(N), _extended_dft(t)
     return np.hstack([FN[s:s + t].conj().T @ Ft for s in range(0, N, t)])
+
+
+def wigner_dense(X: np.ndarray) -> np.ndarray:
+    """Mean Wigner grid of the columns of X from the whole averaged density
+    matrix rho = conj(Y) Y^T / S of the half-grid amplitudes Y: one GEMM,
+    one signed gather of Z[m, s] = +-rho[2m + s, 2N - 2 - 2m + s] with
+    int64 index grids, one FFT over m."""
+    N, S = X.shape
+    s = np.arange(2 * N)
+    Y = dft_apply(X, 2 * N)
+    rho = np.conj(Y) @ Y.T / S
+    m = np.arange(N)[:, None]
+    a = 2 * m + s
+    b = 2 * (N - 1 - m) + s
+    # antiperiodicity: an index wrapped past 2N flips the amplitude's sign
+    Z = rho[a % (2 * N), b % (2 * N)]
+    Z[(a >= 2 * N) != (b >= 2 * N)] *= -1.0
+    phase = np.exp(1j * np.pi * s * (1.0 - 1.0 / N)).reshape(2, N, 1)
+    W = (phase * np.fft.fft(Z, axis=0)).real.reshape(2 * N, 2 * N)
+    return W / (4.0 * N)

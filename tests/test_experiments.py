@@ -28,6 +28,7 @@ from openbaker.phase_space import husimi_grids
 from openbaker.walsh import long_lived_spectrum
 from open_dense import open_propagator
 from test_acceptance import weyl_scaled_count
+from test_phase_space import _traced_peak
 
 
 def test_run_config_validation(tmp_path):
@@ -80,6 +81,23 @@ def test_write_pgm(tmp_path):
     meta = json.loads(p.with_suffix(".pgm.json").read_text())
     assert meta["value_min"] == 0.0 and meta["value_max"] == 1.0
     assert meta["sha256"] == sha256_file(p)
+
+
+@pytest.mark.parametrize("bits", [16, 8])
+@pytest.mark.parametrize("constant", [False, True])
+def test_write_pgm_bytes_of_the_one_expression(tmp_path, bits, constant):
+    """`write_pgm` scales a copy in place; its pixels are the bytes of
+    np.round((vals - lo) / (hi - lo) * maxval), or zeros when hi == lo, and
+    the caller's array is left as it was."""
+    rng = np.random.default_rng(3)
+    vals = np.full((37, 53), 2.5e-4) if constant else rng.normal(size=(37, 53)) * 3e-4
+    before = vals.copy()
+    p = write_pgm(tmp_path / "t.pgm", vals, {"n_exp": 3}, bits=bits)
+    lo, hi, maxval = vals.min(), vals.max(), (1 << bits) - 1
+    scaled = np.round((vals - lo) / (hi - lo) * maxval) if hi > lo else np.zeros_like(vals)
+    pixels = scaled.astype(">u2" if bits == 16 else np.uint8).tobytes()
+    assert p.read_bytes() == f"P5\n53 37\n{maxval}\n".encode() + pixels
+    assert np.array_equal(vals, before)
 
 
 def test_sector_spectra_partition():
@@ -185,6 +203,16 @@ def test_run_weyl(tmp_path):
         run_weyl_experiment(RunConfig(n_exp=4, out_dir=tmp_path))
 
 
+@pytest.mark.parametrize("fmt_, name", [("csv", "weyl_243.csv.json"), ("json", "weyl_243.json")])
+def test_weyl_slopes_keyed_by_shortest_text(tmp_path, fmt_, name):
+    """The sidecar's and the JSON table's slopes are keyed by each
+    threshold's shortest round-trip text, "0.3", not by the 17-digit table
+    cell "0.29999999999999999"."""
+    run_weyl_experiment(RunConfig(n_exp=5, out_dir=tmp_path, threshold=0.45, fmt=fmt_))
+    slopes = json.loads((tmp_path / name).read_text())["slopes"]
+    assert list(slopes) == ["0.3", "0.45", "0.5", "0.7"]
+
+
 def test_weyl_builds_each_propagator_once(tmp_path, monkeypatch):
     """`weyl` takes each N's two sectors once and counts every threshold
     from them, with no merged spectrum, so U_N's kept corners are built once
@@ -239,6 +267,15 @@ def test_husimi_count_stops_at_resonances(tmp_path, monkeypatch):
     assert np.array_equal(blocks[0][:, 27:54], s.L)
 
 
+def test_husimi_figure_peak_memory(tmp_path):
+    """Traced peak of the n_exp 5 figure, its spectrum cached and SciPy
+    loaded beforehand: measured 21.5 MiB, where the dense-rho Wigner and one
+    unblocked Husimi pass reached 64.9 MiB; the bound is 32 MiB."""
+    sector_spectrum(243, "even")
+    closed_states(243, "even")
+    assert _traced_peak(run_husimi_figure, RunConfig(n_exp=5, out_dir=tmp_path)) <= 32 * 2**20
+
+
 def test_husimi_image_independent_of_batch():
     """The figure makes the right, left and closed-map images in one Husimi
     pass; each state's image must be bitwise what its own call gives."""
@@ -284,6 +321,8 @@ def test_run_classical(tmp_path):
     assert r["box_dimension"] == pytest.approx(math.log(2) / math.log(3), abs=1e-6)
     assert r["ehrenfest_time"] == pytest.approx(3.0)
     assert (tmp_path / "classical_escape_areas.csv").exists()
+    # plain Python numbers, so the CLI's result line shows no np.float64(...)
+    assert all(type(v) in (int, float) for v in r.values()), r
 
 
 @pytest.mark.parametrize("n_exp", [1, 4])
@@ -483,9 +522,9 @@ def test_cli_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_husimi_limit_n_exp(tmp_path, capsys, monkeypatch):
-    """The Wigner average holds a 2N x 2N complex density matrix, 2.8 GB at
-    n_exp 8, so `husimi --n-exp 8` fails before any build, names the limit
-    and writes nothing."""
+    """The Wigner average holds a real (2N)^2 grid and an N x 2N complex
+    array, 1.4 GB each (2.8 GB) at n_exp 8, so `husimi --n-exp 8` fails
+    before any build, names the limit and writes nothing."""
     for name in ("baker_unitary", "baker_corners"):
         monkeypatch.setattr(experiments, name,
                             lambda *a: pytest.fail("built before validating n_exp"))
