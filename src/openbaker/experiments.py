@@ -312,7 +312,7 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
         raise ValueError("husimi needs count >= 1")
     if cfg.n_exp > 7:
         raise ValueError("husimi needs n_exp <= 7: its Wigner average holds a real "
-                         "(2N)^2 grid and an N x 2N complex one (2.8 GB at n_exp 8)")
+                         "(2N)^2 grid and an N x N complex one (2.1 GB at n_exp 8)")
     s = sector_spectrum(N, cfg.sector)
     # at most the resonances: the opening's exact kernel (z = 0) holds no columns
     count = min(cfg.count, len(s.z))

@@ -8,12 +8,11 @@ densities of length N, Husimi images (G, G), Wigner grids (2N, 2N). The
 transforms take the states as the columns of an N x S block: the densities
 of S states are an N x S block, their Husimi images a list of S images.
 
-Every transform here is an FFT or a GEMM. The antiperiodic DFT is one FFT
-of the twiddled state (`quantum.dft_apply`): of length N for momentum
-amplitudes, zero-padded to 2N for the half-grid amplitudes of the Wigner
-function. A Wigner average over S states gathers, with signs, from their
-averaged density matrix made a row block at a time (one GEMM each, never
-the whole 2N x 2N matrix), then takes one length-N FFT over phase points.
+Every transform here is an FFT or a GEMM. The antiperiodic DFT is one
+length-N FFT of the twiddled state (`quantum.dft_apply`). A Wigner average
+over S states reads its N x N position density matrix rho = X X^H / S (one
+GEMM) along the wrapped anti-diagonals a + b = j - 1 (mod N), one row of the
+grid each, and takes one length-2N inverse FFT per row over a - b.
 Husimi images form no coherent vector: each state, extended
 antiperiodically over three lattice images, is weighted by the real
 Gaussian of each position centre, twiddled and folded mod G (one batched
@@ -36,8 +35,6 @@ __all__ = [
     "coherent_vector",
     "husimi_grids",
     "wigner_grid_average",
-    "wigner_position_marginal",
-    "wigner_momentum_marginal",
     "position_density",
     "momentum_density",
     "unit_sum",
@@ -48,7 +45,7 @@ __all__ = [
     "self_similarity_score",
 ]
 
-# bytes per Wigner row or FFT block; states per Husimi block, whole BLAS column
+# bytes per block of Wigner rows; states per Husimi block, whole BLAS column
 # panels (8 real columns hold 4 states), so each image has the bits of one call
 _WIGNER_BLOCK_BYTES, _HUSIMI_BLOCK = 1 << 21, 32
 
@@ -116,52 +113,34 @@ def wigner_grid_average(X: np.ndarray) -> np.ndarray:
 
     W[j, l] sits at (q, p) = (j/(2N), l-dependent momentum); the total over
     the doubled grid is 1 and the marginals reproduce the position and
-    momentum densities (see the marginal helpers for the index bookkeeping).
+    momentum densities: rows j = 2n+1 sum to half the density at q_n,
+    columns l = (2n - N + 1) mod 2N to half that at p_n.
 
-    The transform is bilinear in the half-grid amplitudes
-    Y_s = N^{-1/2} sum_n psi_n exp(-2 pi i (n+1/2)(s/2+1/2)/N), s < 2N, so
-    it is linear in their averaged density matrix rho = conj(Y) Y^T / S.
-    W[j, l] = Re sum_m e^{i pi j (1 - (2m+1)/N)} Z[m, l] / 4N, with Z an
-    N x 2N signed gather from rho, which is made a row block at a time and
-    never whole; the sum over m is a length-N FFT, also taken in blocks."""
+    The phase-point operator A(j, l) is a signed anti-diagonal in the
+    position basis: A(j, 0)[a, b] = (-1)^(j+1+k) where a + b = j - 1 + kN,
+    k in {0, 1}, and A(j, l)[a, b] = e^{i pi l (a-b)/N} A(j, 0)[a, b]. So
+    with rho = X X^H / S and b = (j - 1 - a) mod N, for j < N
+    W[j, l] = Re sum_a rho[b, a] (-1)^(j+1+k) e^{i pi l (a-b)/N} / 4N,
+    and a - b lies in (-N, N): each row is one length-2N inverse FFT of a
+    row holding N signed entries (for even N two of them share a - b and
+    add), taken a block of rows at a time. A(j + N, l) = (-1)^(N+1) A(j, l),
+    so rows j + N are copies of rows j, negated for even N."""
     N, S = X.shape
     if S == 0:
         raise ValueError("need at least one state")
-    M = 2 * N
-    Y = dft_apply(X, M)
-    m = np.arange(N)
-    # Z[m, s] = +-rho[2m + s, 2N - 2 - 2m + s] (indices mod 2N): row p of rho
-    # fills Z[m, p - 2m] from its column p - 4m - 2
-    Z = np.empty((N, M), dtype=complex)
-    step = max(1, _WIGNER_BLOCK_BYTES // (32 * N))
-    for p0 in range(0, M, step):
-        rows = np.conj(Y[p0:p0 + step]) @ Y.T / S
-        p = np.arange(p0, p0 + len(rows))[:, None]
-        s = (p - 2 * m) % M
-        # antiperiodicity: 2m + s wraps past 2N iff p < 2m, 2N - 2 - 2m + s
-        # iff s >= 2m + 2, and exactly one wrap flips the amplitude's sign
-        flip = (p < 2 * m) != (s >= 2 * m + 2)
-        Z[m, s] = np.where(flip, -1.0, 1.0) * rows[p - p0, (p - 4 * m - 2) % M]
-    phase = np.exp(1j * np.pi * np.arange(M) * (1.0 - 1.0 / N)).reshape(2, N, 1)
+    M, a = 2 * N, np.arange(N)
+    rho = X @ X.conj().T / S
     W = np.empty((2, N, M))
-    for c in range(0, M, step):
-        W[:, :, c:c + step] = (phase * np.fft.fft(Z[:, c:c + step], axis=0)).real / (4.0 * N)
+    step = max(1, _WIGNER_BLOCK_BYTES // (32 * N))
+    for j0 in range(0, N, step):
+        j = np.arange(j0, min(j0 + step, N))[:, None]
+        k = a >= j  # a + b = j - 1 + kN
+        Z = np.zeros((len(j), M), dtype=complex)
+        np.add.at(Z.reshape(-1), (j - j0) * M + (2 * a - j + 1 - k * N) % M,
+                  np.where(k == j % 2, -1.0, 1.0) * rho[(j - 1 - a) % N, a])
+        W[0, j0:j0 + len(j)] = np.fft.ifft(Z, axis=1, out=Z).real / 2
+    np.multiply(W[0], (-1.0) ** (N + 1), out=W[1])
     return W.reshape(M, M)
-
-
-def wigner_position_marginal(W: np.ndarray) -> np.ndarray:
-    """Position density recovered from a Wigner grid (rows j = 2n+1)."""
-    N = W.shape[0] // 2
-    rows = W.sum(axis=1)
-    return 2.0 * rows[2 * np.arange(N) + 1]
-
-
-def wigner_momentum_marginal(W: np.ndarray) -> np.ndarray:
-    """Momentum density recovered from a Wigner grid."""
-    N = W.shape[0] // 2
-    cols = W.sum(axis=0)
-    l = (2 * np.arange(N) - N + 1) % (2 * N)
-    return 2.0 * cols[l]
 
 
 def position_density(X: np.ndarray) -> np.ndarray:

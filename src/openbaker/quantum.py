@@ -46,14 +46,12 @@ def _dft_entries(rows: np.ndarray, cols: np.ndarray, N: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(rows + 0.5, cols + 0.5) / N) / np.sqrt(N)
 
 
-def dft_apply(X: np.ndarray, n: int | None = None) -> np.ndarray:
+def dft_apply(X: np.ndarray) -> np.ndarray:
     """F X for F = dft_matrix(N) and an N x S block X: one FFT of the columns
-    twiddled by e^{-i pi m/N}, then the output half-shift. Zero-padded to
-    n >= N, row s is N^{-1/2} sum_m X[m] e^{-2 pi i (m+1/2)(s N/n+1/2)/N}."""
+    twiddled by e^{-i pi m/N}, then the output half-shift."""
     N = X.shape[0]
-    Y = np.fft.fft(X * np.exp(-1j * np.pi * np.arange(N) / N)[:, None], n=n, axis=0)
-    s = np.arange(len(Y))
-    return Y * (np.exp(-1j * np.pi * (2 * s * N / len(Y) + 1) / (2 * N)) / np.sqrt(N))[:, None]
+    Y = np.fft.fft(X * np.exp(-1j * np.pi * np.arange(N) / N)[:, None], axis=0)
+    return Y * (np.exp(-1j * np.pi * (2 * np.arange(N) + 1) / (2 * N)) / np.sqrt(N))[:, None]
 
 
 def baker_form(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Dense references for what the package never forms: the open propagator
 U~ = U_N (I - pi_0) as an N x N matrix, U_N in extended precision, and the
-Wigner average through its whole 2N x 2N density matrix.
+Wigner average through the whole 2N x 2N density matrix of its half-grid
+amplitudes, with the marginals that read densities back from a Wigner grid.
 
 `baker_unitary` rounds each phase 2 pi (n+1/2)(m+1/2)/N of its transforms
 after the product, so its entries are off by up to 2.7e-13 at N = 729.
@@ -10,7 +11,7 @@ measured against instead.
 
 import numpy as np
 
-from openbaker.quantum import baker_unitary, dft_apply
+from openbaker.quantum import baker_unitary
 
 
 def opened(U: np.ndarray) -> np.ndarray:
@@ -46,12 +47,16 @@ def extended_unitary(N: int) -> np.ndarray:
 
 def wigner_dense(X: np.ndarray) -> np.ndarray:
     """Mean Wigner grid of the columns of X from the whole averaged density
-    matrix rho = conj(Y) Y^T / S of the half-grid amplitudes Y: one GEMM,
-    one signed gather of Z[m, s] = +-rho[2m + s, 2N - 2 - 2m + s] with
-    int64 index grids, one FFT over m."""
+    matrix rho = conj(Y) Y^T / S of the half-grid amplitudes
+    Y_s = N^{-1/2} sum_n psi_n exp(-2 pi i (n+1/2)(s/2+1/2)/N), s < 2N, made
+    by a dense 2N x N matrix: one GEMM, one signed gather of
+    Z[m, s] = +-rho[2m + s, 2N - 2 - 2m + s] with int64 index grids, one FFT
+    over m. It shares no code with the package's position-basis route."""
     N, S = X.shape
     s = np.arange(2 * N)
-    Y = dft_apply(X, 2 * N)
+    # phase pi j / (2N) with the integer j = (2n+1)(s+1) reduced mod 4N
+    j = np.outer(s + 1, 2 * np.arange(N) + 1) % (4 * N)
+    Y = np.exp(-0.5j * np.pi * j / N) / np.sqrt(N) @ X
     rho = np.conj(Y) @ Y.T / S
     m = np.arange(N)[:, None]
     a = 2 * m + s
@@ -62,3 +67,18 @@ def wigner_dense(X: np.ndarray) -> np.ndarray:
     phase = np.exp(1j * np.pi * s * (1.0 - 1.0 / N)).reshape(2, N, 1)
     W = (phase * np.fft.fft(Z, axis=0)).real.reshape(2 * N, 2 * N)
     return W / (4.0 * N)
+
+
+def wigner_position_marginal(W: np.ndarray) -> np.ndarray:
+    """Position density recovered from a Wigner grid (rows j = 2n+1)."""
+    N = W.shape[0] // 2
+    rows = W.sum(axis=1)
+    return 2.0 * rows[2 * np.arange(N) + 1]
+
+
+def wigner_momentum_marginal(W: np.ndarray) -> np.ndarray:
+    """Momentum density recovered from a Wigner grid."""
+    N = W.shape[0] // 2
+    cols = W.sum(axis=0)
+    l = (2 * np.arange(N) - N + 1) % (2 * N)
+    return 2.0 * cols[l]

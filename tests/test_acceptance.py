@@ -35,8 +35,6 @@ from openbaker.phase_space import (
     position_density,
     self_similarity_score,
     wigner_grid_average,
-    wigner_momentum_marginal,
-    wigner_position_marginal,
 )
 from openbaker.quantum import (
     dft_matrix,
@@ -45,7 +43,7 @@ from openbaker.quantum import (
 from openbaker.spectral import escape_weights
 from openbaker.walsh import _apply, long_lived_spectrum, nonzero_count
 from interval_ops import difference, scale_shift, union
-from open_dense import open_propagator
+from open_dense import open_propagator, wigner_momentum_marginal, wigner_position_marginal
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
 

@@ -522,9 +522,10 @@ def test_cli_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_husimi_limit_n_exp(tmp_path, capsys, monkeypatch):
-    """The Wigner average holds a real (2N)^2 grid and an N x 2N complex
-    array, 1.4 GB each (2.8 GB) at n_exp 8, so `husimi --n-exp 8` fails
-    before any build, names the limit and writes nothing."""
+    """The Wigner average holds a real (2N)^2 grid (1.38 GB) and an N x N
+    complex density matrix (0.69 GB), 2.1 GB at n_exp 8, so
+    `husimi --n-exp 8` fails before any build, names the limit and writes
+    nothing."""
     for name in ("baker_unitary", "baker_corners"):
         monkeypatch.setattr(experiments, name,
                             lambda *a: pytest.fail("built before validating n_exp"))

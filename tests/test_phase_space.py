@@ -17,11 +17,10 @@ from openbaker.phase_space import (
     self_similarity_score,
     unit_sum,
     wigner_grid_average,
-    wigner_momentum_marginal,
-    wigner_position_marginal,
 )
 from openbaker.quantum import dft_matrix
-from open_dense import open_propagator, wigner_dense
+from open_dense import (open_propagator, wigner_dense, wigner_momentum_marginal,
+                        wigner_position_marginal)
 
 
 def _brute_phase_point_operator(N, j, l):
@@ -207,28 +206,49 @@ def _traced_peak(f, *args) -> int:
 @pytest.mark.parametrize("S", [1, 5, 40])
 @pytest.mark.parametrize("N", [27, 81])
 def test_wigner_matches_dense_reference(monkeypatch, N, S, rows):
-    """The blocked Wigner average equals the dense-rho reference. `rows` sets
-    the rows of rho per GEMM and the columns per FFT block (1, or 7, which
-    leaves a short last block); None keeps the default budget, one block
-    at these N. Measured max|dW| on x86-64 OpenBLAS: 0 with the default
-    budget and at most 4.6e-16 max|W| with the small blocks, where a
-    one-row GEMM rounds differently; the bound is 1e-14 max|W|."""
+    """The blocked Wigner average equals the dense half-grid reference. `rows`
+    sets the rows of W per block (1, or 7, which leaves a short last block);
+    None keeps the default budget, one block at these N. Measured max|dW|
+    on x86-64 OpenBLAS: at most 1.4e-15 max|W|; the bound is 1e-14 max|W|.
+    The package copies rows j < N to rows j + N; the reference computes both
+    halves, which agree to the same bound (2.7e-16 max|W| measured)."""
     if rows:
         monkeypatch.setattr(phase_space, "_WIGNER_BLOCK_BYTES", 32 * N * rows)
     X = _random_states(N, S, seed=N + S)
     W, ref = wigner_grid_average(X), wigner_dense(X)
     assert W.shape == ref.shape == (2 * N, 2 * N)
     assert np.abs(W - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(W[N:], W[:N])
+    assert np.abs(ref[N:] - ref[:N]).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("N", [8, 10])
+def test_wigner_even_n(N):
+    """For even N two entries of a row share one a - b and add, and rows
+    j + N are rows j negated: the grid still equals <psi|A(j,l)|psi>/(4N)
+    at every doubled-grid point (1.4e-16 and 1.2e-16 measured at N = 8
+    and 10) and the dense reference (4.9e-16 and 5.3e-16 max|W|)."""
+    X = _random_states(N, 3, seed=N)
+    W = wigner_grid_average(X)
+    assert np.array_equal(W[N:], -W[:N])
+    assert np.abs(W - wigner_dense(X)).max() <= 1e-14 * np.abs(W).max()
+    psi = X[:, 0]
+    W = wigner_grid_average(psi[:, None])
+    for j in range(2 * N):
+        for l in range(2 * N):
+            A = _brute_phase_point_operator(N, j, l)
+            assert W[j, l] == pytest.approx((psi.conj() @ A @ psi).real / (4 * N), abs=1e-12)
 
 
 def test_wigner_peak_memory_is_a_few_grids():
-    """No full 2N x 2N complex density matrix or N x 2N index grid: at
-    N = 729, S = 100 the traced peak was 2.40 times the (2N)^2 real output
-    (the grid, the N x 2N complex Z of the same size, and 2 MiB blocks),
-    where the dense route reached 7.15 times it; the bound is 3."""
+    """No 2N x 2N density matrix and no half-grid amplitudes: at N = 729,
+    S = 100 the traced peak was 1.78 times the (2N)^2 real output (the
+    grid, the N x N complex rho of half its size, and 2 MiB row blocks),
+    where the half-grid route in row blocks reached 2.40 times it and the
+    dense route 7.15; the bound is 2."""
     N = 729
     X = _random_states(N, 100)
-    assert _traced_peak(wigner_grid_average, X) <= 3.0 * (2 * N) ** 2 * 8
+    assert _traced_peak(wigner_grid_average, X) <= 2.0 * (2 * N) ** 2 * 8
 
 
 def test_husimi_peak_memory_grows_only_by_the_images():
