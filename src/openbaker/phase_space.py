@@ -138,7 +138,7 @@ def wigner_grid_average(X: np.ndarray) -> np.ndarray:
         Z = np.zeros((len(j), M), dtype=complex)
         np.add.at(Z.reshape(-1), (j - j0) * M + (2 * a - j + 1 - k * N) % M,
                   np.where(k == j % 2, -1.0, 1.0) * rho[(j - 1 - a) % N, a])
-        W[0, j0:j0 + len(j)] = np.fft.ifft(Z, axis=1, out=Z).real / 2
+        W[0, j0:j0 + len(j)] = np.fft.ifft(Z, axis=1).real / 2
     np.multiply(W[0], (-1.0) ** (N + 1), out=W[1])
     return W.reshape(M, M)
 

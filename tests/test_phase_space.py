@@ -242,7 +242,7 @@ def test_wigner_even_n(N):
 
 def test_wigner_peak_memory_is_a_few_grids():
     """No 2N x 2N density matrix and no half-grid amplitudes: at N = 729,
-    S = 100 the traced peak was 1.78 times the (2N)^2 real output (the
+    S = 100 the traced peak was 1.81 times the (2N)^2 real output (the
     grid, the N x N complex rho of half its size, and 2 MiB row blocks),
     where the half-grid route in row blocks reached 2.40 times it and the
     dense route 7.15; the bound is 2."""

@@ -90,14 +90,14 @@ def test_baker_apply_matches_extended_precision():
         assert np.linalg.norm(err, axis=0).max() < 4e-15
 
 
-@pytest.mark.parametrize("N, n", [(27, 27), (81, 81), (243, 243)])
-def test_dft_apply_matches_extended_precision(N, n):
-    """`dft_apply` is F X, n = N rows: row s is
+@pytest.mark.parametrize("N", [27, 81, 243], ids=lambda N: f"{N}-{N}")
+def test_dft_apply_matches_extended_precision(N):
+    """`dft_apply` is F X (ids: the N x N shape of F): row s is
     N^{-1/2} sum_m X[m] e^{-2 pi i (m+1/2)(s+1/2)/N}, built here in extended
     precision with each phase's integer numerator (2m+1)(2s+1) reduced mod
     4N before rounding. Measured: at most 1.3e-15 per unit column."""
     X = _unit_columns(N, 1)
-    j = np.outer(2 * np.arange(n) + 1, 2 * np.arange(N) + 1) % (4 * N)
+    j = np.outer(2 * np.arange(N) + 1, 2 * np.arange(N) + 1) % (4 * N)
     pi = 4 * np.arctan(np.longdouble(1))
     K = np.exp(np.clongdouble(-0.5j) * pi * j.astype(np.longdouble) / N)
     K /= np.sqrt(np.longdouble(N))
