@@ -21,10 +21,7 @@ __all__ = [
     "IntervalUnion",
     "Axis",
     "StripRegion",
-    "baker_forward",
-    "baker_inverse",
     "region_R_plus",
-    "region_R_minus",
     "cantor_approx",
     "escape_rate_estimate",
     "box_dimension",
@@ -124,18 +121,6 @@ class StripRegion:
         return self.support.contains(coord)
 
 
-def baker_forward(x: TorusPoint) -> TorusPoint:
-    """One step of the triadic baker map: stretch q by 3, squeeze p by 3."""
-    d = min(int(3.0 * x.q), 2)
-    return TorusPoint(3.0 * x.q - d, (x.p + d) / 3.0)
-
-
-def baker_inverse(x: TorusPoint) -> TorusPoint:
-    """Inverse baker step; the branch is selected by the leading digit of p."""
-    d = min(int(3.0 * x.p), 2)
-    return TorusPoint((x.q + d) / 3.0, 3.0 * x.p - d)
-
-
 def _cantor_words(length: int) -> list:
     """Ascending integers whose `length` ternary digits are all 0 or 2."""
     words = [0]
@@ -156,14 +141,6 @@ def region_R_plus(m: int) -> StripRegion:
     den = 3 ** (m + 1)
     return StripRegion(Axis.POSITION, IntervalUnion.from_pairs(
         [(Fraction(3 * a + 1, den), Fraction(3 * a + 2, den)) for a in _cantor_words(m)]))
-
-
-def region_R_minus(m: int) -> StripRegion:
-    """Points that left through the opening exactly m steps ago: the
-    horizontal strip whose momentum support is that of R_+^(m-1)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return StripRegion(Axis.MOMENTUM, region_R_plus(m - 1).support)
 
 
 def cantor_approx(level: int) -> IntervalUnion:

@@ -316,29 +316,27 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
     s = sector_spectrum(N, cfg.sector)
     # at most the resonances: the opening's exact kernel (z = 0) holds no columns
     count = min(cfg.count, len(s.z))
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    cfgd = cfg.as_dict()
+    W = wigner_grid_average(s.R[:, :count])
+    _write_wigner_images(out, W, cfgd)
+    del W  # gone before the closed-map control loads SciPy and builds U
+
     # one block of the right, left and closed-map states, stacked once: one
-    # Husimi pass for all three images (the Gaussian fold weights are built
-    # once), and its first `count` columns feed the Wigner average
+    # Husimi pass for all three images (the Gaussian fold weights are built once)
     X = np.hstack([s.R[:, :count], s.L[:, :count], closed_states(N, cfg.sector)[1][:, :count]])
     H = husimi_grids(X, G)
     avg_r, avg_l, closed_r = (average_density(H[k * count:(k + 1) * count]) for k in range(3))
-    del H  # the 3 x count images go before the Wigner grid is made
+    del H  # the 3 x count images go before the PGMs and tables are written
     band = interval_mask(cantor_approx(1), G)
     right_mass = float(avg_r[:, band].sum())   # horizontal Cantor band
     left_mass = float(avg_l[band, :].sum())    # vertical Cantor band
 
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    cfgd = cfg.as_dict()
     io_utils.write_pgm(out / f"husimi_right_{N}.pgm", avg_r, cfgd)
     io_utils.write_pgm(out / f"husimi_left_{N}.pgm", avg_l, cfgd)
     q, p = np.indices((G, G)).reshape(2, -1)
     _emit(cfg, f"husimi_right_{N}", {"q_index": q, "p_index": p, "value": avg_r.ravel()})
-
-    W = wigner_grid_average(X[:, :count])
-    io_utils.write_pgm(out / f"wigner_pos_{N}.pgm", np.maximum(W, 0.0), cfgd)
-    io_utils.write_pgm(out / f"wigner_neg_{N}.pgm", np.maximum(-W, 0.0), cfgd)
-    io_utils.write_pgm(out / f"wigner_sign_{N}.pgm", (W >= 0).astype(float), cfgd, bits=8)
 
     for level in (1, 2, 3):
         mask = np.zeros((G, G))
@@ -351,6 +349,17 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
                "left_band_mass": left_mass, "closed_band_mass": closed_mass}
     _emit(cfg, f"husimi_masses_{N}", _quantities(results))
     return results
+
+
+def _write_wigner_images(out: Path, W: np.ndarray, cfgd: dict) -> None:
+    """The sign, positive and negative parts of a (2N, 2N) Wigner grid W as
+    PGMs, with at most one more grid alive: the negative part is made in W
+    itself, which is left holding max(-W, 0)."""
+    N = W.shape[0] // 2
+    io_utils.write_pgm(out / f"wigner_sign_{N}.pgm", W >= 0, cfgd, bits=8)
+    io_utils.write_pgm(out / f"wigner_pos_{N}.pgm", np.maximum(W, 0.0), cfgd)
+    np.maximum(np.negative(W, out=W), 0.0, out=W)
+    io_utils.write_pgm(out / f"wigner_neg_{N}.pgm", W, cfgd)
 
 
 def _modulus_bin(mod: np.ndarray, lo: float, hi: float):

@@ -17,6 +17,9 @@ import numpy as np
 
 __all__ = ["fmt", "write_csv", "write_sidecar", "write_pgm", "sha256_file"]
 
+# bytes of float64 per strip of graymap rows
+_PGM_STRIP_BYTES = 1 << 16
+
 
 def fmt(x) -> str:
     """One table cell: a float to 17 significant digits (round-trip safe;
@@ -34,7 +37,11 @@ def write_csv(path, rows) -> Path:
 
 
 def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 14):  # in chunks: a caller's grid may still be live
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def write_sidecar(artifact_path, config: dict, extra: dict | None = None) -> Path:
@@ -59,24 +66,28 @@ def write_sidecar(artifact_path, config: dict, extra: dict | None = None) -> Pat
 
 def write_pgm(path, values: np.ndarray, config: dict, bits: int = 16) -> Path:
     """Binary P5 graymap scaled to the full integer range, with the value
-    range recorded in the sidecar."""
+    range recorded in the sidecar. `values` (float or bool) is read, never
+    copied whole: each strip of rows becomes
+    round((v - lo) / (hi - lo) * maxval) in float64, or zeros if hi == lo,
+    cast to the pixel type and written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    vals = np.asarray(values, dtype=float)
+    vals = np.asarray(values)
     lo, hi = float(vals.min()), float(vals.max())
     maxval = (1 << bits) - 1
-    if hi > lo:
-        scaled = vals - lo  # then in place: one full-size temporary
-        scaled /= hi - lo
-        scaled *= maxval
-        np.round(scaled, out=scaled)
-    else:
-        scaled = np.zeros_like(vals)
-    scaled = scaled.astype(">u2" if bits == 16 else np.uint8)
     h, w = vals.shape
+    step = max(1, _PGM_STRIP_BYTES // (8 * w))
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n{maxval}\n".encode())
-        fh.write(scaled.tobytes())
+        for r in range(0, h, step):
+            scaled = np.subtract(vals[r:r + step], lo, dtype=float)  # scaled in place
+            if hi > lo:
+                scaled /= hi - lo
+                scaled *= maxval
+                np.round(scaled, out=scaled)
+            else:
+                scaled[:] = 0.0
+            fh.write(scaled.astype(">u2" if bits == 16 else np.uint8))
     meta = {"value_min": lo, "value_max": hi, "bits": bits,
             "axis_mapping": "rows: first axis ascending, columns: second axis ascending"}
     write_sidecar(path, config, meta)

@@ -1,4 +1,4 @@
-"""Coherent states, Husimi / Wigner distributions and density diagnostics.
+"""Husimi and Wigner distributions of coherent states, and density diagnostics.
 
 Conventions: position grid q_n = (n+1/2)/N, antiperiodic wavefunctions
 (psi(q+1) = -psi(q)), Gaussian coherent states of width sigma_q =
@@ -28,11 +28,10 @@ import math
 
 import numpy as np
 
-from .classical import IntervalUnion, TorusPoint, cantor_approx
+from .classical import IntervalUnion, cantor_approx
 from .quantum import dft_apply
 
 __all__ = [
-    "coherent_vector",
     "husimi_grids",
     "wigner_grid_average",
     "position_density",
@@ -50,25 +49,13 @@ __all__ = [
 _WIGNER_BLOCK_BYTES, _HUSIMI_BLOCK = 1 << 21, 32
 
 
-def coherent_vector(center: TorusPoint, N: int) -> np.ndarray:
-    """Unit-norm Gaussian wave packet at (q0, p0) with antiperiodic wrapping:
-    sum over three lattice images nu of
-    (-1)^nu exp(-pi N (q_n - q0 + nu)^2 + 2 pi i N p0 (q_n + nu - q0/2)).
-    The neglected images are O(exp(-pi N * 2))."""
-    if N < 3:
-        raise ValueError("N must be >= 3")
-    q0, p0 = center.q, center.p
-    qn = (np.arange(N) + 0.5) / N
-    nu = np.arange(-1, 2)[:, None]
-    v = ((-1.0) ** nu * np.exp(-math.pi * N * (qn - q0 + nu) ** 2
-                               + 2j * math.pi * N * p0 * (qn + nu - q0 / 2))).sum(axis=0)
-    return v / np.linalg.norm(v)
-
-
 def husimi_grids(V: np.ndarray, G: int):
     """G x G Husimi distributions of unit sum, one per column of the N x S
-    block V: H[i, j] = |<x_ij | psi>|^2 with |x_ij> = `coherent_vector` at
-    ((i+1/2)/G, (j+1/2)/G), i indexing position and j momentum.
+    block V: H[i, j] = |<x_ij | psi>|^2 with |x_ij> the unit-norm coherent
+    state at (q0, p0) = ((i+1/2)/G, (j+1/2)/G), i indexing position and j
+    momentum: the sum over three lattice images nu of
+    (-1)^nu exp(-pi N (q_n - q0 + nu)^2 + 2 pi i N p0 (q_n + nu - q0/2)),
+    normalized (the neglected images are O(exp(-2 pi N))).
 
     No packet is formed. On the antiperiodic extension psi_m of the state
     over its three lattice images, m + N in [0, 3N), the overlap is, up to a
@@ -96,14 +83,17 @@ def husimi_grids(V: np.ndarray, G: int):
     norm2 = np.einsum("ja,iab,jb->ji", c, gi @ gi.transpose(0, 2, 1), c.conj()).real[:, :, None]
     images = []
     for first in range(0, S, _HUSIMI_BLOCK):
-        X = np.zeros((K * G, min(_HUSIMI_BLOCK, S - first)), dtype=complex)
-        X[:3 * N].reshape(3, N, -1)[:] = V[:, first:first + _HUSIMI_BLOCK]
+        # every block is whole, the last one padded with zero states whose
+        # images are dropped: a partial BLAS panel would move a state's bits
+        n = min(_HUSIMI_BLOCK, S - first)
+        X = np.zeros((K * G, _HUSIMI_BLOCK), dtype=complex)
+        X[:3 * N].reshape(3, N, -1)[:, :, :n] = V[:, first:first + n]
         X[:3 * N] *= twiddle
         # fold: sum_k g[i, kG + r] X[kG + r] for each residue r, the real Gaussian
         # times the complex states as one real GEMM on interleaved (re, im) columns
         folded = np.matmul(g_fold, X.reshape(K, G, -1).transpose(1, 0, 2).view(float))
         H = np.abs(np.fft.fft(folded.view(complex), axis=0)) ** 2 / norm2  # [j, i, state]
-        images += [unit_sum(H[:, :, j].T) for j in range(H.shape[2])]
+        images += [unit_sum(H[:, :, j].T) for j in range(n)]
     return images
 
 

@@ -57,18 +57,28 @@ def dft_apply(X: np.ndarray) -> np.ndarray:
 def baker_form(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Closed baker propagator outer^-1 diag(inner, inner, inner) of a
     quantization with unitary transforms `outer` on N and `inner` on N/3."""
-    N, M = outer.shape[0], inner.shape[0]
+    return _times_blocks(outer.conj().T, inner)
+
+
+def _times_blocks(A: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """A diag(inner, inner, inner), as one product with the dense block
+    diagonal."""
+    N, M = A.shape[0], inner.shape[0]
     D = np.zeros((N, N), dtype=complex)
     for s in range(0, N, M):
         D[s:s + M, s:s + M] = inner
-    return outer.conj().T @ D
+    return A @ D
 
 
 def baker_unitary(N: int) -> np.ndarray:
-    """Closed baker propagator U_N = F_N^-1 diag(F_{N/3}, F_{N/3}, F_{N/3})."""
+    """Closed baker propagator U_N = F_N^-1 diag(F_{N/3}, F_{N/3}, F_{N/3}),
+    bit for bit `baker_form(dft_matrix(N), dft_matrix(N // 3))`: F_N is
+    conjugated in place, so the product gets the same operands with no
+    conjugated copy."""
     if N % 3 != 0:
         raise ValueError("N must be divisible by 3")
-    return baker_form(dft_matrix(N), dft_matrix(N // 3))
+    F = dft_matrix(N)
+    return _times_blocks(np.conj(F, out=F).T, dft_matrix(N // 3))
 
 
 def _twiddles(N: int) -> tuple:

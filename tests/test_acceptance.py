@@ -16,7 +16,6 @@ from openbaker.classical import (
     cantor_approx,
     box_dimension,
     escape_rate_estimate,
-    region_R_minus,
     region_R_plus,
 )
 from openbaker.experiments import (
@@ -29,7 +28,6 @@ from openbaker.experiments import (
 from openbaker.io_utils import sha256_file
 from openbaker.phase_space import (
     average_density,
-    coherent_vector,
     husimi_grids,
     momentum_density,
     position_density,
@@ -44,6 +42,7 @@ from openbaker.spectral import escape_weights
 from openbaker.walsh import _apply, long_lived_spectrum, nonzero_count
 from interval_ops import difference, scale_shift, union
 from open_dense import open_propagator, wigner_momentum_marginal, wigner_position_marginal
+from torus_reference import coherent_vector, region_R_minus
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
 

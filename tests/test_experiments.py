@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openbaker import cli, experiments, walsh
+from openbaker import cli, experiments, io_utils, walsh
 from openbaker.cli import main
 from openbaker.experiments import (
     RunConfig,
@@ -24,7 +24,7 @@ from openbaker.experiments import (
     sector_spectrum,
 )
 from openbaker.io_utils import fmt, sha256_file, write_csv, write_pgm
-from openbaker.phase_space import husimi_grids
+from openbaker.phase_space import husimi_grids, wigner_grid_average
 from openbaker.walsh import long_lived_spectrum
 from open_dense import open_propagator
 from test_acceptance import weyl_scaled_count
@@ -83,21 +83,34 @@ def test_write_pgm(tmp_path):
     assert meta["sha256"] == sha256_file(p)
 
 
+def _pgm_of_the_one_expression(image, bits: int) -> bytes:
+    """The P5 bytes of np.round((image - lo) / (hi - lo) * maxval) taken over
+    the whole array, or of zeros when hi == lo."""
+    lo, hi, maxval = float(image.min()), float(image.max()), (1 << bits) - 1
+    scaled = np.round((image - lo) / (hi - lo) * maxval) if hi > lo else np.zeros(image.shape)
+    h, w = image.shape
+    return (f"P5\n{w} {h}\n{maxval}\n".encode()
+            + scaled.astype(">u2" if bits == 16 else np.uint8).tobytes())
+
+
 @pytest.mark.parametrize("bits", [16, 8])
 @pytest.mark.parametrize("constant", [False, True])
-def test_write_pgm_bytes_of_the_one_expression(tmp_path, bits, constant):
-    """`write_pgm` scales a copy in place; its pixels are the bytes of
-    np.round((vals - lo) / (hi - lo) * maxval), or zeros when hi == lo, and
-    the caller's array is left as it was."""
+def test_write_pgm_bytes_of_the_one_expression(tmp_path, monkeypatch, bits, constant):
+    """`write_pgm` scales a strip of rows at a time; its pixels are the bytes
+    of the one expression over the whole array, for float and bool input and
+    for strips of the default size (one strip here), of one row, and of 7
+    rows (37 = 5 x 7 + 2, a short last strip), and the caller's array is left
+    as it was."""
     rng = np.random.default_rng(3)
     vals = np.full((37, 53), 2.5e-4) if constant else rng.normal(size=(37, 53)) * 3e-4
-    before = vals.copy()
-    p = write_pgm(tmp_path / "t.pgm", vals, {"n_exp": 3}, bits=bits)
-    lo, hi, maxval = vals.min(), vals.max(), (1 << bits) - 1
-    scaled = np.round((vals - lo) / (hi - lo) * maxval) if hi > lo else np.zeros_like(vals)
-    pixels = scaled.astype(">u2" if bits == 16 else np.uint8).tobytes()
-    assert p.read_bytes() == f"P5\n53 37\n{maxval}\n".encode() + pixels
-    assert np.array_equal(vals, before)
+    for rows in (None, 1, 7):
+        if rows:
+            monkeypatch.setattr(io_utils, "_PGM_STRIP_BYTES", rows * 8 * 53)
+        for image in (vals, vals >= np.median(vals)):
+            before = image.copy()
+            p = write_pgm(tmp_path / "t.pgm", image, {"n_exp": 3}, bits=bits)
+            assert p.read_bytes() == _pgm_of_the_one_expression(image, bits)
+            assert np.array_equal(image, before)
 
 
 def test_sector_spectra_partition():
@@ -269,8 +282,9 @@ def test_husimi_count_stops_at_resonances(tmp_path, monkeypatch):
 
 def test_husimi_figure_peak_memory(tmp_path):
     """Traced peak of the n_exp 5 figure, its spectrum cached and SciPy
-    loaded beforehand: measured 21.5 MiB, where the dense-rho Wigner and one
-    unblocked Husimi pass reached 64.9 MiB; the bound is 32 MiB."""
+    loaded beforehand: measured 23.2 MiB in the Husimi pass (21.5 MiB before
+    its last block was padded to 32 states), where the dense-rho Wigner and
+    one unblocked Husimi pass reached 64.9 MiB; the bound is 32 MiB."""
     sector_spectrum(243, "even")
     closed_states(243, "even")
     assert _traced_peak(run_husimi_figure, RunConfig(n_exp=5, out_dir=tmp_path)) <= 32 * 2**20
@@ -278,13 +292,40 @@ def test_husimi_figure_peak_memory(tmp_path):
 
 def test_husimi_image_independent_of_batch():
     """The figure makes the right, left and closed-map images in one Husimi
-    pass; each state's image must be bitwise what its own call gives."""
+    pass; each state's image must be bitwise what its own call gives, also
+    for one state alone against the same state in a 40-state batch at
+    N = 729, where an unpadded block changed 4400-4600 of 6561 pixels
+    (x86-64 OpenBLAS; none at N = 243, whose fold is 9 long, not 27)."""
     s = sector_spectrum(243, "even")
     sets = [s.R[:, :20], s.L[:, :20],
             closed_states(243, "even")[1][:, :20]]
     joint = husimi_grids(np.hstack(sets), 81)
     alone = sum((husimi_grids(X, 81) for X in sets), [])
     assert all(np.array_equal(a, b) for a, b in zip(joint, alone, strict=True))
+    R = sector_spectrum(729, "even").R
+    batch = husimi_grids(R[:, :40], 81)
+    for k in (0, 5, 39):
+        assert np.array_equal(husimi_grids(R[:, k:k + 1], 81)[0], batch[k])
+
+
+def test_husimi_figure_wigner_images(tmp_path):
+    """The figure's Wigner PGMs are those of the average over its right
+    vectors, each image made whole and put through the one expression."""
+    r = run_husimi_figure(RunConfig(n_exp=4, out_dir=tmp_path))
+    W = wigner_grid_average(sector_spectrum(81, "even").R[:, :r["count"]])
+    for name, image, bits in (("pos", np.maximum(W, 0.0), 16), ("neg", np.maximum(-W, 0.0), 16),
+                              ("sign", (W >= 0).astype(float), 8)):
+        assert (tmp_path / f"wigner_{name}_81.pgm").read_bytes() == \
+            _pgm_of_the_one_expression(image, bits)
+
+
+def test_wigner_images_hold_one_more_grid(tmp_path):
+    """The three Wigner PGMs of a grid W at N = 243 are written with at most
+    one more grid alive, plus strips: traced peak measured 1.07 grids beyond
+    W, where three whole images each copied by `write_pgm` reached 2.25; the
+    bound is 1.1 grids."""
+    W = wigner_grid_average(sector_spectrum(243, "even").R[:, :100])
+    assert _traced_peak(experiments._write_wigner_images, tmp_path, W, {}) <= 1.1 * W.nbytes
 
 
 def test_run_density(tmp_path):

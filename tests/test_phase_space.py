@@ -9,7 +9,6 @@ from openbaker.phase_space import (
     average_density,
     band_mass,
     cantor_mass,
-    coherent_vector,
     husimi_grids,
     interval_mask,
     momentum_density,
@@ -21,6 +20,7 @@ from openbaker.phase_space import (
 from openbaker.quantum import dft_matrix
 from open_dense import (open_propagator, wigner_dense, wigner_momentum_marginal,
                         wigner_position_marginal)
+from torus_reference import coherent_vector, region_R_minus
 
 
 def _brute_phase_point_operator(N, j, l):
@@ -343,8 +343,6 @@ def test_kill_property_small_N():
     in the backward escape strips (their inverse orbit enters the opening
     within m steps), up to wave-packet tails; packets off those strips
     survive."""
-    from openbaker.classical import region_R_minus
-
     N = 81
     Ut = open_propagator(N)
     centers = [TorusPoint(q, float((a + b) / 2))

@@ -5,6 +5,7 @@ from openbaker.quantum import (
     UnresolvedRegionError,
     baker_apply,
     baker_corners,
+    baker_form,
     baker_unitary,
     dft_apply,
     dft_matrix,
@@ -47,6 +48,14 @@ def test_baker_unitary_is_unitary():
         assert np.allclose(U.conj().T @ U, np.eye(N), atol=1e-12)
     with pytest.raises(ValueError):
         baker_unitary(10)
+
+
+@pytest.mark.parametrize("N", [3, 27, 81, 243, 729])
+def test_baker_unitary_is_baker_form_bitwise(N):
+    """`baker_unitary` conjugates F_N in place; the product gets the operands
+    of `baker_form` in the same layout, so U is the same to the bit (the
+    closed-map control selects its states by round-off)."""
+    assert np.array_equal(baker_unitary(N), baker_form(dft_matrix(N), dft_matrix(N // 3)))
 
 
 def test_baker_commutes_with_parity():
@@ -138,8 +147,8 @@ def test_baker_transports_coherent_state():
     the classical image of x. The overlap with a round packet there is the
     Gaussian overlap of widths sigma and 3 sigma, sqrt(2*3/(1+9)) =
     sqrt(3/5), up to O(1/N) corrections."""
-    from openbaker.classical import TorusPoint, baker_forward
-    from openbaker.phase_space import coherent_vector
+    from openbaker.classical import TorusPoint
+    from torus_reference import baker_forward, coherent_vector
 
     N = 243
     x = TorusPoint(0.11, 0.71)
