@@ -34,6 +34,7 @@ and caches nothing.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -158,11 +159,12 @@ def closed_states(N: int, sector: str) -> tuple:
     vectors of each sector block, lifted to the full space. U is unitary,
     so these are its left vectors too; they are not normalized (LAPACK's
     columns have unit norm to round-off), and no residual is taken."""
-    import scipy.linalg as la  # here alone: the open route never loads SciPy
     U = baker_unitary(N)
+    blocks = [sector_block(U, s) for s in (("even", "odd") if sector == "full" else (sector,))]
+    del U  # freed before SciPy is loaded and LAPACK runs
+    import scipy.linalg as la  # here alone: the open route never loads SciPy
     zs, Vs = [], []
-    for s in ("even", "odd") if sector == "full" else (sector,):
-        A, B = sector_block(U, s)
+    for A, B in blocks:
         z, R = la.eig(A)
         zs.append(z)
         Vs.append(B @ R)
@@ -218,9 +220,10 @@ def _folded_sector(N: int, sign: float, z, W) -> Spectrum:
 
 def _emit(cfg: RunConfig, stem: str, table: dict, extra=None) -> Path:
     """Write a table given as columns, header -> 1-D sequence, each cell
-    rendered by `io_utils.fmt`, as CSV with a sidecar or as one JSON file."""
+    rendered by `io_utils.fmt`, as CSV with a sidecar or as one JSON file.
+    CSV rows are rendered one at a time as they are written."""
     header = list(table)
-    rows = list(zip(*([io_utils.fmt(x) for x in c] for c in table.values())))
+    rows = zip(*(map(io_utils.fmt, c) for c in table.values()))
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     if cfg.fmt == "json":
@@ -231,7 +234,7 @@ def _emit(cfg: RunConfig, stem: str, table: dict, extra=None) -> Path:
             payload.update(extra)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
         return path
-    path = io_utils.write_csv(out / f"{stem}.csv", [header] + rows)
+    path = io_utils.write_csv(out / f"{stem}.csv", itertools.chain([header], rows))
     io_utils.write_sidecar(path, cfg.as_dict(), extra)
     return path
 
@@ -324,11 +327,11 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
     del W  # gone before the closed-map control loads SciPy and builds U
 
     # one block of the right, left and closed-map states, stacked once: one
-    # Husimi pass for all three images (the Gaussian fold weights are built once)
+    # Husimi pass for all three averages (the Gaussian fold weights are built
+    # once), each summing its count images as the pass makes them
     X = np.hstack([s.R[:, :count], s.L[:, :count], closed_states(N, cfg.sector)[1][:, :count]])
     H = husimi_grids(X, G)
-    avg_r, avg_l, closed_r = (average_density(H[k * count:(k + 1) * count]) for k in range(3))
-    del H  # the 3 x count images go before the PGMs and tables are written
+    avg_r, avg_l, closed_r = (average_density(itertools.islice(H, count)) for _ in range(3))
     band = interval_mask(cantor_approx(1), G)
     right_mass = float(avg_r[:, band].sum())   # horizontal Cantor band
     left_mass = float(avg_l[band, :].sum())    # vertical Cantor band

@@ -29,6 +29,8 @@ def fmt(x) -> str:
 
 
 def write_csv(path, rows) -> Path:
+    """`rows`, any iterable of rows of cells, as CRLF CSV, read once as it
+    is written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:

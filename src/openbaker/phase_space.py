@@ -6,7 +6,7 @@ Conventions: position grid q_n = (n+1/2)/N, antiperiodic wavefunctions
 half-integer phase-space points. Every distribution is a plain real array:
 densities of length N, Husimi images (G, G), Wigner grids (2N, 2N). The
 transforms take the states as the columns of an N x S block: the densities
-of S states are an N x S block, their Husimi images a list of S images.
+of S states are an N x S block, their Husimi images an iterator of S images.
 
 Every transform here is an FFT or a GEMM. The antiperiodic DFT is one
 length-N FFT of the twiddled state (`quantum.dft_apply`). A Wigner average
@@ -64,8 +64,12 @@ def husimi_grids(V: np.ndarray, G: int):
     centre i. Twiddled by e^{-i pi (m+1/2)/G} and folded mod G, that sum is
     one real GEMM per residue and one length-G FFT over the residues. The
     packet norm comes from the 3 x 3 Gram matrix of the Gaussian's lattice
-    images; it depends on j unless G divides N. Blocks of `_HUSIMI_BLOCK`
-    states keep the transient arrays from growing with S."""
+    images; it depends on j unless G divides N.
+
+    V and G are checked and the Gaussian weights built at the call, which
+    returns an iterator over the images in column order: blocks of
+    `_HUSIMI_BLOCK` states are made as it is read, so neither the transient
+    arrays nor the images held grow with S."""
     if G < 8:
         raise ValueError("G must be >= 8")
     N, S = V.shape
@@ -81,7 +85,12 @@ def husimi_grids(V: np.ndarray, G: int):
     nu = np.arange(-1, 2)
     c = (-1.0) ** nu * np.exp(2j * math.pi * N * np.outer(centres, nu))
     norm2 = np.einsum("ja,iab,jb->ji", c, gi @ gi.transpose(0, 2, 1), c.conj()).real[:, :, None]
-    images = []
+    return _husimi_images(V, G, K, twiddle, g_fold, norm2)
+
+
+def _husimi_images(V, G, K, twiddle, g_fold, norm2):
+    """The images of `husimi_grids`, one at a time, a block of states apart."""
+    N, S = V.shape
     for first in range(0, S, _HUSIMI_BLOCK):
         # every block is whole, the last one padded with zero states whose
         # images are dropped: a partial BLAS panel would move a state's bits
@@ -93,8 +102,9 @@ def husimi_grids(V: np.ndarray, G: int):
         # times the complex states as one real GEMM on interleaved (re, im) columns
         folded = np.matmul(g_fold, X.reshape(K, G, -1).transpose(1, 0, 2).view(float))
         H = np.abs(np.fft.fft(folded.view(complex), axis=0)) ** 2 / norm2  # [j, i, state]
-        images += [unit_sum(H[:, :, j].T) for j in range(n)]
-    return images
+        del X, folded  # only H is held while its images are taken
+        for j in range(n):
+            yield unit_sum(H[:, :, j].T)
 
 
 def wigner_grid_average(X: np.ndarray) -> np.ndarray:
@@ -154,11 +164,23 @@ def unit_sum(values: np.ndarray) -> np.ndarray:
 
 
 def average_density(densities) -> np.ndarray:
-    """Arithmetic mean of same-shape densities, renormalized to unit sum."""
-    densities = list(densities)
-    if not densities:
+    """Arithmetic mean of same-shape densities, renormalized to unit sum.
+    `densities` is any iterable, read once with one running sum: added in
+    order and divided by the count, as `np.mean` of their stack does, so the
+    bits are the same while only one density is held at a time."""
+    total, count = None, 0
+    for d in densities:
+        if total is None:
+            total = np.array(d, dtype=float, order="C")  # as the stack's mean is
+        elif np.shape(d) != total.shape:
+            raise ValueError(f"density of shape {np.shape(d)} among {total.shape}")
+        else:
+            total += d
+        count += 1
+    if total is None:
         raise ValueError("need at least one density")
-    return unit_sum(np.mean(densities, axis=0))
+    total /= count
+    return unit_sum(total)
 
 
 def interval_mask(support: IntervalUnion, L: int) -> np.ndarray:

@@ -263,7 +263,7 @@ def test_criterion_11_property_suite(tmp_path):
     psi /= np.linalg.norm(psi)
     sums = [abs(position_density(psi).sum() - 1),
             abs(momentum_density(psi[:, None]).sum() - 1),
-            abs(husimi_grids(psi[:, None], 27)[0].sum() - 1)]
+            abs(list(husimi_grids(psi[:, None], 27))[0].sum() - 1)]
     W = wigner_grid_average(psi[:, None])
     marg = max(float(np.abs(wigner_position_marginal(W) - np.abs(psi) ** 2).max()),
                float(np.abs(wigner_momentum_marginal(W)

@@ -70,6 +70,23 @@ def test_emit_renders_every_cell_by_one_rule(tmp_path, fmt_):
 def test_write_csv_crlf(tmp_path):
     p = write_csv(tmp_path / "t.csv", [["a", "b"], ["1", "2"]])
     assert p.read_bytes() == b"a,b\r\n1,2\r\n"
+    # any iterable of rows, read once
+    p = write_csv(tmp_path / "g.csv", (row for row in [["a", "b"], ["1", "2"]]))
+    assert p.read_bytes() == b"a,b\r\n1,2\r\n"
+
+
+def test_emit_streams_rows(tmp_path):
+    """`_emit` renders a CSV table a row at a time: a 6561 x 3 table (the
+    Husimi table at G = 81) writes the bytes of its rows rendered whole and
+    joined, with a traced peak measured at 0.16 MiB, where rendering every
+    cell before the first row reached 1.73 MiB; the bound is 0.5 MiB."""
+    q, p = np.indices((81, 81)).reshape(2, -1)
+    table = {"q_index": q, "p_index": p, "value": np.random.default_rng(1).random(q.size)}
+    cfg = RunConfig(n_exp=3, out_dir=tmp_path)
+    peak = _traced_peak(experiments._emit, cfg, "t", table)
+    rows = [list(table)] + [[fmt(x) for x in row] for row in zip(*table.values())]
+    assert (tmp_path / "t.csv").read_bytes() == "".join(",".join(row) + "\r\n" for row in rows).encode()
+    assert peak <= 0.5 * 2**20
 
 
 def test_write_pgm(tmp_path):
@@ -282,12 +299,13 @@ def test_husimi_count_stops_at_resonances(tmp_path, monkeypatch):
 
 def test_husimi_figure_peak_memory(tmp_path):
     """Traced peak of the n_exp 5 figure, its spectrum cached and SciPy
-    loaded beforehand: measured 23.2 MiB in the Husimi pass (21.5 MiB before
-    its last block was padded to 32 states), where the dense-rho Wigner and
-    one unblocked Husimi pass reached 64.9 MiB; the bound is 32 MiB."""
+    loaded beforehand: measured 11.7 MiB, with each Husimi average summed as
+    the pass makes its images, where the pass that held all 3 x 100 images
+    and stacked each third once more reached 23.2 MiB, and the dense-rho
+    Wigner with one unblocked Husimi pass 64.9 MiB; the bound is 14 MiB."""
     sector_spectrum(243, "even")
     closed_states(243, "even")
-    assert _traced_peak(run_husimi_figure, RunConfig(n_exp=5, out_dir=tmp_path)) <= 32 * 2**20
+    assert _traced_peak(run_husimi_figure, RunConfig(n_exp=5, out_dir=tmp_path)) <= 14 * 2**20
 
 
 def test_husimi_image_independent_of_batch():
@@ -299,13 +317,13 @@ def test_husimi_image_independent_of_batch():
     s = sector_spectrum(243, "even")
     sets = [s.R[:, :20], s.L[:, :20],
             closed_states(243, "even")[1][:, :20]]
-    joint = husimi_grids(np.hstack(sets), 81)
-    alone = sum((husimi_grids(X, 81) for X in sets), [])
+    joint = list(husimi_grids(np.hstack(sets), 81))
+    alone = sum((list(husimi_grids(X, 81)) for X in sets), [])
     assert all(np.array_equal(a, b) for a, b in zip(joint, alone, strict=True))
     R = sector_spectrum(729, "even").R
-    batch = husimi_grids(R[:, :40], 81)
+    batch = list(husimi_grids(R[:, :40], 81))
     for k in (0, 5, 39):
-        assert np.array_equal(husimi_grids(R[:, k:k + 1], 81)[0], batch[k])
+        assert np.array_equal(list(husimi_grids(R[:, k:k + 1], 81))[0], batch[k])
 
 
 def test_husimi_figure_wigner_images(tmp_path):
