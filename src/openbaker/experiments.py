@@ -23,10 +23,15 @@ counted, not built. The N x N propagator is never diagonalized, nor even
 formed: the blocks are folded from U's kept corners (`baker_corners`), and
 the vectors are lifted and their residuals taken through U's FFT action
 (`baker_apply`); a block gives right vectors only, and the left ones follow
-by time reversal (U~^T = F U~ F^-1). The open sectors are the one spectrum
-cache (`_SECTORS`): `open_spectrum` merges both into new arrays, and
-`sector_spectrum` returns one, folding it alone if it is missing. The open
-route runs on NumPy alone. The closed-map control, the one user of SciPy, is
+by time reversal (U~^T = F U~ F^-1). The one spectrum cache (`_SECTORS`)
+holds each open sector's folded solve, not its lifted vectors: z and the
+N/3 x N/3 folded right vectors W in (-|z|, phase) order and, after a first
+lift, the residuals and the normalization divisors, 0.96 MB per sector at
+N = 729. Each request is one lift (`_lift`) into new arrays, a panel of
+columns at a time: `open_spectrum` writes both sectors' columns straight
+into the full spectrum's places, `sector_spectrum` one sector's, solving it
+alone if it is missing, and `weyl` reads z with no lift. The open route runs
+on NumPy alone. The closed-map control, the one user of SciPy, is
 plain states: `closed_states` solves the dense block of U in each sector for
 right vectors only (U is unitary, so its left vectors are its right ones)
 and caches nothing.
@@ -39,6 +44,7 @@ import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,7 +69,7 @@ from .phase_space import (
     wigner_grid_average,
 )
 from .quantum import baker_apply, baker_corners, baker_unitary, dft_apply, sector_block
-from .spectral import Spectrum, decay_order, eigenpairs, escape_weights, merged, spectrum_table
+from .spectral import Spectrum, decay_order, escape_weights, residuals, spectrum_table, unit_columns
 from .walsh import ZERO_THRESHOLD, long_lived_spectrum, nonzero_count, walsh_spectrum_report
 
 __all__ = [
@@ -114,43 +120,96 @@ class RunConfig:
         return d
 
 
-# The one spectrum cache: open parity sectors by (N, sector), oldest first;
-# beyond eight, the oldest is dropped
+# The one spectrum cache: the folded solve of each open parity sector by
+# (N, sector), oldest first; beyond eight, the oldest is dropped. An entry
+# holds the sector's sign (1 even, -1 odd), the eigenvalues z of its folded
+# kept block in (-|z|, phase) order and the block's right vectors W
+# (N/3 x N/3) in that order; `lifted` is empty until a first lift fills it
+# with (norm_r, phase_r, norm_l, phase_l, res_r, res_l), the `unit_columns`
+# divisors of R and L and the residuals
 _SECTORS: dict = {}
+
+# Columns lifted at a time: a lift holds a few N x _PANEL temporaries
+_PANEL = 32
 
 
 def _open_sectors(N: int, sectors: tuple) -> list:
-    """The open parity sectors asked for, from `_SECTORS`, or else the
-    missing ones folded from one set of U's kept corners and stored."""
+    """The folded solves of the open parity sectors asked for, from
+    `_SECTORS`, or else the missing ones solved from one set of U's kept
+    corners and stored."""
     found = {sector: _SECTORS[N, sector] for sector in sectors if (N, sector) in _SECTORS}
     missing = [sector for sector in sectors if sector not in found]
     if missing:
         C = baker_corners(N)
-        signs = [1.0 if sector == "even" else -1.0 for sector in missing]
-        solved = [_folded_block_eig(C, sign) for sign in signs]
-        del C  # freed before the N x N/3 vector blocks are made
-        for sector, sign, eig in zip(missing, signs, solved):
-            found[sector] = _SECTORS[N, sector] = _folded_sector(N, sign, *eig)
+        for sector in missing:
+            sign = 1.0 if sector == "even" else -1.0
+            z, W = _folded_block_eig(C, sign)
+            o = decay_order(z)
+            found[sector] = _SECTORS[N, sector] = SimpleNamespace(
+                sign=sign, z=z[o], W=W[:, o], lifted=[])
             if len(_SECTORS) > 8:
                 del _SECTORS[next(iter(_SECTORS))]
     return [found[sector] for sector in sectors]
 
 
+def _lift(N: int, sectors: tuple) -> Spectrum:
+    """The spectrum of the open sectors asked for, lifted from their folded
+    solves into new arrays in (-|z|, phase) order, a panel of at most
+    `_PANEL` columns at a time, each written straight into its final
+    columns. A sector's first lift takes its divisors and residuals and
+    keeps them in its entry; a later one divides by them again, bitwise the
+    same, and takes no residual. R and L are F-ordered, so each column is
+    one contiguous write."""
+    folded = _open_sectors(N, sectors)
+    z = np.concatenate([f.z for f in folded])
+    order = decay_order(z)
+    at = np.argsort(order)  # the place of each column in that order
+    R, L = (np.empty((N, len(z)), dtype=complex, order="F") for _ in range(2))
+    res_r, res_l = np.empty(len(z)), np.empty(len(z))
+    start = 0
+    for f in folded:
+        t = len(f.z)
+        # panels of near-equal width, none of one column unless t = 1: the
+        # norms of a one-column block sum pairwise, those of a wider block
+        # row by row, as the whole block's did
+        n = -(-t // _PANEL)
+        parts = []
+        for k in range(n):
+            cols = slice(k * t // n, (k + 1) * t // n)
+            V, U = _lift_columns(N, f.sign, f.W[:, cols])
+            if f.lifted:
+                kept = [a[cols] for a in f.lifted]
+                unit_columns(V, kept[:2])
+                unit_columns(U, kept[2:4])
+            else:
+                kept = [*unit_columns(V), *unit_columns(U),
+                        residuals(_open_apply, V, f.z[cols]),
+                        residuals(_open_apply_h, U, f.z[cols].conj())]
+                parts.append(kept)
+            dest = at[start + cols.start:start + cols.stop]
+            R[:, dest], L[:, dest], res_r[dest], res_l[dest] = V, U, kept[4], kept[5]
+        if parts:
+            f.lifted = [np.concatenate(a) for a in zip(*parts)]
+        start += t
+    return Spectrum(N, z[order], R, L, res_r, res_l)
+
+
 def open_spectrum(N: int) -> Spectrum:
-    """Full spectrum of the open propagator: both parity sectors from the
-    cache, folded into it if missing, merged into new arrays."""
-    return merged(*_open_sectors(N, ("even", "odd")))
+    """Full spectrum of the open propagator: both parity sectors lifted from
+    their cached folded solves, solved first if missing, into one set of
+    arrays."""
+    return _lift(N, ("even", "odd"))
 
 
 def sector_spectrum(N: int, sector: str) -> Spectrum:
     """Spectrum of the open propagator restricted to one parity sector:
     its N/3 eigenpairs, with eigenvectors in the full N-dimensional space;
-    a sector asked for alone is folded alone."""
+    a sector asked for alone is solved alone."""
     if sector == "full":
         return open_spectrum(N)
     if sector not in ("even", "odd"):
         raise ValueError("sector must be 'even', 'odd' or 'full'")
-    return _open_sectors(N, (sector,))[0]
+    return _lift(N, (sector,))
 
 
 def closed_states(N: int, sector: str) -> tuple:
@@ -201,21 +260,22 @@ def _open_apply_h(X: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _folded_sector(N: int, sign: float, z, W) -> Spectrum:
-    """The N/3 eigenpairs of U~ = U (I - pi_0) in one parity sector from those
-    of its folded block, with no U, U~ or parity basis: right vectors
-    v = U x, x = (w, 0, +-w reversed), by `baker_apply`; left vectors by time
-    reversal (U~^T = F U~ F^-1), u = conj(F v) = conj(F_t x) by thirds, as
-    F_N U = diag(F_t, F_t, F_t): one length-N/3 `dft_apply`, exactly 0 on the
-    opening; residuals by the FFT actions of U~ and U~^H. The sector's opening
-    kernel, z = 0 with right vectors (e_n +- e_n')/sqrt 2 (n' = N-1-n in the
-    middle third) and left vectors U times those, is not built."""
+def _lift_columns(N: int, sign: float, W: np.ndarray) -> tuple:
+    """The right and left vectors of U~ = U (I - pi_0) in one parity sector
+    from right vectors W of its folded block, not yet normalized, with no U,
+    U~ or parity basis: right vectors v = U x, x = (w, 0, +-w reversed), by
+    `baker_apply`; left vectors by time reversal (U~^T = F U~ F^-1),
+    u = conj(F v) = conj(F_t x) by thirds, as F_N U = diag(F_t, F_t, F_t):
+    one length-N/3 `dft_apply`, exactly 0 on the opening. The sector's
+    opening kernel, z = 0 with right vectors (e_n +- e_n')/sqrt 2
+    (n' = N-1-n in the middle third) and left vectors U times those, is not
+    built."""
     t = N // 3
-    V, L = np.zeros((N, t), dtype=complex), np.zeros((N, t), dtype=complex)
+    X, L = np.zeros((N, W.shape[1]), dtype=complex), np.zeros((N, W.shape[1]), dtype=complex)
     u = dft_apply(W).conj()
-    V[:t], V[2 * t:] = W, sign * W[::-1]
+    X[:t], X[2 * t:] = W, sign * W[::-1]
     L[:t], L[2 * t:] = u, sign * u[::-1]
-    return eigenpairs(z, baker_apply(V), L, _open_apply, _open_apply_h)
+    return baker_apply(X), L
 
 
 def _emit(cfg: RunConfig, stem: str, table: dict, extra=None) -> Path:
@@ -290,8 +350,10 @@ def run_weyl_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
     if len(N_list) < 3:
         raise ValueError("weyl counts need n_exp >= 5 (at least 3 N values for a slope)")
     thresholds = sorted({0.3, 0.5, 0.7, cfg.threshold})
-    # each N's sectors once (the cache holds eight), unmerged, then every threshold
-    moduli = [np.hstack([s.moduli() for s in _open_sectors(N, ("even", "odd"))]) for N in N_list]
+    # each N's folded solves once (the cache holds eight), no vector lifted,
+    # then every threshold
+    moduli = [np.abs(np.concatenate([f.z for f in _open_sectors(N, ("even", "odd"))]))
+              for N in N_list]
     counts = np.array([[(m > r).sum() for m in moduli] for r in thresholds])
     slopes = {r: float(np.polyfit(np.log(N_list), np.log(c), 1)[0]) if c.min() > 0 else float("nan")
               for r, c in zip(thresholds, counts)}

@@ -82,7 +82,8 @@ def write_pgm(path, values: np.ndarray, config: dict, bits: int = 16) -> Path:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n{maxval}\n".encode())
         for r in range(0, h, step):
-            scaled = np.subtract(vals[r:r + step], lo, dtype=float)  # scaled in place
+            # scaled in place; C order, which `fh.write` needs, whatever the input's
+            scaled = np.subtract(vals[r:r + step], lo, dtype=float, order="C")
             if hi > lo:
                 scaled /= hi - lo
                 scaled *= maxval

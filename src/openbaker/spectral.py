@@ -5,13 +5,14 @@ the decay rate is Gamma = -ln|z|^2. Left and right eigenvectors are
 normalized to unit norm separately (they are not orthogonal to each other).
 
 A `Spectrum` is the read-only arrays (N, z, R, L, res_r, res_l) in one
-(-|z|, phase) order, `decay_order`. Every spectrum is built by `eigenpairs`,
-whether its columns come from the folded blocks of the open map or the Walsh
-trapped subspace. It sees the propagator only through its action on a block
-of columns, so a map whose matrix is never formed (the open map by two FFTs
-per column, the Walsh map in O(N) per column) is checked the same way as a
-dense one. `merged` joins two spectra, the open map's parity sectors, into
-new arrays.
+(-|z|, phase) order, `decay_order`. Every spectrum's columns are normalized
+by `unit_columns` and checked by `residuals`, which see the propagator only
+through its action on a block of columns, so a map whose matrix is never
+formed (the open map by two FFTs per column, the Walsh map in O(N) per
+column) is checked the same way as a dense one. `eigenpairs` applies both
+to whole blocks (the Walsh trapped subspace); the open map's parity sectors
+are lifted from their folded blocks a panel of columns at a time
+(`experiments`), with the same two rules, so to the same bits.
 
 Figures read a spectrum's columns: the `count` longest-lived states are the
 first `count` columns of R, a decay-rate bin is a mask on `moduli()`, and
@@ -34,8 +35,9 @@ __all__ = [
     "decay_order",
     "eigenpairs",
     "escape_weights",
-    "merged",
+    "residuals",
     "spectrum_table",
+    "unit_columns",
 ]
 
 _Pair = namedtuple("_Pair", "residual_right residual_left")
@@ -77,14 +79,37 @@ def decay_order(z: np.ndarray) -> np.ndarray:
     return np.lexsort((np.angle(z), -np.abs(z)))
 
 
+def unit_columns(M: np.ndarray, divisors: tuple | None = None) -> tuple:
+    """Divide each column of M, in place, by its norm and then by the unit
+    phase of its largest-modulus component, which makes that component real
+    positive (a reproducible phase). Returns the two divisors, (norms,
+    phases); handed back as `divisors`, they repeat the same divisions on
+    the same columns bitwise, with no norm or phase taken again."""
+    if divisors is None:
+        norms = np.linalg.norm(M, axis=0)
+        M /= norms
+        top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
+        divisors = norms, top / np.abs(top)
+    else:
+        M /= divisors[0]
+    M /= divisors[1]
+    return divisors
+
+
+def residuals(apply, V: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """||A v - z v|| for each column v of V and its z, with apply(X) = A X."""
+    B = apply(V)
+    B -= V * z
+    return np.linalg.norm(B, axis=0)
+
+
 def eigenpairs(z: np.ndarray, V: np.ndarray, U: np.ndarray, apply, apply_h) -> Spectrum:
     """The spectrum of an operator A from eigenvalues z with right (V) and
     left (U) eigenvector columns; `apply(X)` and `apply_h(X)` return A X and
     A^H X for an N x r block X.
 
     V and U are handed over: in place, their columns are put in (-|z|, phase)
-    order and normalized, and each column's largest-modulus component is
-    made real positive (a reproducible phase); the spectrum then holds them
+    order and normalized by `unit_columns`; the spectrum then holds them
     read-only. The residuals are reported, not checked; the first buffer is
     freed before the second is made.
     """
@@ -92,31 +117,8 @@ def eigenpairs(z: np.ndarray, V: np.ndarray, U: np.ndarray, apply, apply_h) -> S
     z = z[o]
     for M in (V, U):
         np.take(M, o, axis=1, out=M)  # buffered: safe in place
-        M /= np.linalg.norm(M, axis=0)
-        top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
-        M /= top / np.abs(top)
-    B = apply(V)
-    B -= V * z
-    res_r = np.linalg.norm(B, axis=0)
-    del B
-    B = apply_h(U)
-    B -= U * z.conj()
-    return Spectrum(V.shape[0], z, V, U, res_r, np.linalg.norm(B, axis=0))
-
-
-def merged(a: Spectrum, b: Spectrum) -> Spectrum:
-    """The pairs of two spectra on C^N in (-|z|, phase) order, each column
-    scattered once into new arrays at its place in that order."""
-    z = np.concatenate([a.z, b.z])
-    o = decay_order(z)
-    at = np.argsort(o)  # the place of each column in that order
-    # R and L are F-ordered, so each column lands in one contiguous write;
-    # into C-ordered arrays the scatter took four times as long
-    R, L = np.empty((len(z), a.N), dtype=complex), np.empty((len(z), a.N), dtype=complex)
-    for s, rows in ((a, at[:len(a.z)]), (b, at[len(a.z):])):
-        R[rows], L[rows] = s.R.T, s.L.T
-    return Spectrum(a.N, z[o], R.T, L.T, np.concatenate([a.res_r, b.res_r])[o],
-                    np.concatenate([a.res_l, b.res_l])[o])
+        unit_columns(M)
+    return Spectrum(V.shape[0], z, V, U, residuals(apply, V, z), residuals(apply_h, U, z.conj()))
 
 
 def escape_weights(s: Spectrum, m_max: int) -> tuple:

@@ -130,6 +130,18 @@ def test_write_pgm_bytes_of_the_one_expression(tmp_path, monkeypatch, bits, cons
             assert np.array_equal(image, before)
 
 
+@pytest.mark.parametrize("rows", [None, 7])
+def test_write_pgm_fortran_ordered(tmp_path, monkeypatch, rows):
+    """A Fortran-ordered image, such as a transposed one, is written as the
+    bytes of its C-ordered copy, in one strip or in strips of 7 rows; it
+    used to raise "ndarray is not C-contiguous"."""
+    if rows:
+        monkeypatch.setattr(io_utils, "_PGM_STRIP_BYTES", rows * 8 * 37)
+    H = np.random.default_rng(5).random((37, 53))
+    expected = write_pgm(tmp_path / "c.pgm", np.ascontiguousarray(H.T), {}).read_bytes()
+    assert write_pgm(tmp_path / "f.pgm", H.T, {}).read_bytes() == expected
+
+
 def test_sector_spectra_partition():
     N = 81
     full = np.sort(open_spectrum(N).moduli())
@@ -172,6 +184,47 @@ def test_merged_spectrum_shares_no_memory_with_its_sectors():
         s = sector_spectrum(27, sector)
         for name in ("z", "R", "L", "res_r", "res_l"):
             assert not np.shares_memory(getattr(full, name), getattr(s, name))
+
+
+@pytest.mark.parametrize("N", [243, 729])
+def test_cached_sector_holds_no_lifted_vector(N):
+    """A `_SECTORS` entry is its sector's folded solve: z, the N/3 x N/3
+    folded vectors W and, once lifted, six arrays of N/3 (the divisors of R
+    and L and the residuals), with no array of N rows: 0.96 MB at N = 729,
+    where the lifted sector held 5.7 MB."""
+    experiments._SECTORS.clear()
+    open_spectrum(N)
+    t = N // 3
+    for sector in ("even", "odd"):
+        f = experiments._SECTORS[N, sector]
+        arrays = [f.z, f.W, *f.lifted]
+        assert len(f.lifted) == 6 and all(a.shape[0] == t for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= 16 * t * t + 96 * t
+
+
+# Traced peaks of a cold lift at N = 729, measured: 14.9 MiB for the full
+# spectrum, 10.8 MiB of it the result, and 9.9 MiB for one sector, set by its
+# solve (U's corners and the folded block). With the lifted sectors cached
+# and merged, they were 24.4 and 18.1 MiB.
+@pytest.mark.parametrize("build, mib", [(lambda: open_spectrum(729), 17),
+                                        (lambda: sector_spectrum(729, "even"), 11.5)],
+                         ids=["open", "sector"])
+def test_cold_spectrum_peak_memory(build, mib):
+    experiments._SECTORS.clear()
+    assert _traced_peak(build) <= mib * 2**20
+
+
+def test_cache_hit_dropped_while_filling_is_returned():
+    """A sector found in the full cache is returned, and lifted, even when
+    storing its missing partner drops it as the oldest entry."""
+    experiments._SECTORS.clear()
+    even = sector_spectrum(27, "even")
+    for N in (3, 6, 9, 12, 15, 18, 21):
+        sector_spectrum(N, "even")
+    assert len(experiments._SECTORS) == 8 and next(iter(experiments._SECTORS)) == (27, "even")
+    full = open_spectrum(27)
+    assert (27, "even") not in experiments._SECTORS and (27, "odd") in experiments._SECTORS
+    assert set(even.z.tolist()) <= set(full.z.tolist()) and len(full.z) == 18
 
 
 def test_weyl_scaled_count():
@@ -244,21 +297,23 @@ def test_weyl_slopes_keyed_by_shortest_text(tmp_path, fmt_, name):
 
 
 def test_weyl_builds_each_propagator_once(tmp_path, monkeypatch):
-    """`weyl` takes each N's two sectors once and counts every threshold
-    from them, with no merged spectrum, so U_N's kept corners are built once
-    per N however few sectors the cache holds; `spectrum`, `weyl` and
-    `density` never build the dense U_N."""
+    """`weyl` takes each N's two folded solves once and counts every
+    threshold from their eigenvalues, with no vector lifted (no
+    `baker_apply`), so U_N's kept corners are built once per N however few
+    sectors the cache holds; `spectrum`, `weyl` and `density` never build
+    the dense U_N."""
     experiments._SECTORS.clear()
-    build, built, spectra, merges = experiments.baker_corners, [], [], []
-    sectors, merge = experiments._open_sectors, experiments.merged
+    build, built, spectra, applied = experiments.baker_corners, [], [], []
+    sectors, apply = experiments._open_sectors, experiments.baker_apply
     monkeypatch.setattr(experiments, "baker_corners", lambda N: built.append(N) or build(N))
     monkeypatch.setattr(experiments, "_open_sectors",
                         lambda N, names: spectra.append((N, names)) or sectors(N, names))
-    monkeypatch.setattr(experiments, "merged", lambda *a: merges.append(a) or merge(*a))
+    monkeypatch.setattr(experiments, "baker_apply",
+                        lambda X, **k: applied.append(X.shape) or apply(X, **k))
     monkeypatch.setattr(experiments, "baker_unitary",
                         lambda N: pytest.fail(f"dense U_{N} built for an open spectrum"))
     assert main(["weyl", "--n-exp", "5", "--out", str(tmp_path)]) == 0
-    assert built == [27, 81, 243] and not merges
+    assert built == [27, 81, 243] and not applied
     assert spectra == [(N, ("even", "odd")) for N in built]
     experiments._SECTORS.clear()
     for sub in ("density", "spectrum"):  # the even sector alone, then the odd one
