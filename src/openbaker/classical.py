@@ -1,26 +1,23 @@
-"""Classical triadic baker map, escape regions and trapped-set geometry.
+"""Escape regions and trapped-set geometry of the classical triadic baker map.
 
 All regions are held exactly as finite unions of triadic intervals with
 rational endpoints, built in closed form from Cantor words (integers whose
 ternary digits are all 0 or 2), so the escape-region recursions can be
-checked as set identities rather than up to a sampling tolerance.
+checked as set identities rather than up to a sampling tolerance. An escape
+region R_+^m is held as the position support of its vertical strip.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "TorusPoint",
     "IntervalUnion",
-    "Axis",
-    "StripRegion",
     "region_R_plus",
     "cantor_approx",
     "escape_rate_estimate",
@@ -30,27 +27,6 @@ __all__ = [
 
 LYAPUNOV = math.log(3.0)
 ESCAPE_RATE = math.log(3.0 / 2.0)
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """A point (q, p) on the unit torus, reduced mod 1 on construction."""
-
-    q: float
-    p: float
-
-    def __post_init__(self):
-        # x % 1.0 returns 1.0 for tiny negative x; fold that back to 0
-        object.__setattr__(self, "q", self.q % 1.0 % 1.0)
-        object.__setattr__(self, "p", self.p % 1.0 % 1.0)
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x).limit_denominator(3**40)
 
 
 @dataclass(frozen=True)
@@ -67,7 +43,7 @@ class IntervalUnion:
     def from_pairs(pairs: Iterable) -> "IntervalUnion":
         ivs = []
         for a, b in pairs:
-            a, b = _as_fraction(a), _as_fraction(b)
+            a, b = Fraction(a), Fraction(b)
             if not (0 <= a and b <= 1):
                 raise ValueError(f"interval [{a},{b}) not inside [0,1)")
             if a < b:
@@ -83,42 +59,12 @@ class IntervalUnion:
                 merged.append((a, b))
         return IntervalUnion(tuple((a, b) for a, b in merged))
 
-    @staticmethod
-    def full() -> "IntervalUnion":
-        return IntervalUnion.from_pairs([(0, 1)])
-
     @property
     def measure(self) -> Fraction:
         return sum((b - a for a, b in self.intervals), Fraction(0))
 
-    def contains(self, x) -> bool:
-        x = _as_fraction(x)
-        return any(a <= x < b for a, b in self.intervals)
-
     def __bool__(self) -> bool:
         return bool(self.intervals)
-
-
-class Axis(Enum):
-    POSITION = "position"
-    MOMENTUM = "momentum"
-
-
-@dataclass(frozen=True)
-class StripRegion:
-    """A full-height vertical strip (position axis) or full-width horizontal
-    strip (momentum axis) on the torus."""
-
-    axis: Axis
-    support: IntervalUnion
-
-    @property
-    def measure(self) -> Fraction:
-        return self.support.measure
-
-    def contains(self, x: TorusPoint) -> bool:
-        coord = x.q if self.axis is Axis.POSITION else x.p
-        return self.support.contains(coord)
 
 
 def _cantor_words(length: int) -> list:
@@ -129,18 +75,16 @@ def _cantor_words(length: int) -> list:
     return words
 
 
-def region_R_plus(m: int) -> StripRegion:
-    """Points escaping through the opening at exactly the m-th forward step.
-
-    Vertical strip: the q whose first m ternary digits avoid 1 and whose next
-    digit is 1, i.e. [(3a+1)/3^(m+1), (3a+2)/3^(m+1)) over the Cantor words a
-    of length m. m = 0 is the opening itself.
-    """
+def region_R_plus(m: int) -> IntervalUnion:
+    """Points escaping through the opening at exactly the m-th forward step:
+    the vertical strip of the q whose first m ternary digits avoid 1 and
+    whose next digit is 1, i.e. [(3a+1)/3^(m+1), (3a+2)/3^(m+1)) over the
+    Cantor words a of length m. m = 0 is the opening itself."""
     if m < 0:
         raise ValueError("m must be >= 0")
     den = 3 ** (m + 1)
-    return StripRegion(Axis.POSITION, IntervalUnion.from_pairs(
-        [(Fraction(3 * a + 1, den), Fraction(3 * a + 2, den)) for a in _cantor_words(m)]))
+    return IntervalUnion.from_pairs(
+        [(Fraction(3 * a + 1, den), Fraction(3 * a + 2, den)) for a in _cantor_words(m)])
 
 
 def cantor_approx(level: int) -> IntervalUnion:

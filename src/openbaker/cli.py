@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: spectrum, weights, weyl, husimi, density, walsh, classical.
-Exit codes: 0 success, 1 validation error, 2 numerical or out-of-memory failure.
+Exit codes: 0 success, 1 invalid input or output path, 2 numerical or out-of-memory failure.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def main(argv=None) -> int:
             raise ValueError("--threshold does not apply with --walsh: the Walsh count uses "
                              f"the exact kernel (ZERO_THRESHOLD = {ZERO_THRESHOLD:g})")
         result = run(RunConfig(**args), **walsh)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

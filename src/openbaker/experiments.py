@@ -40,7 +40,6 @@ and caches nothing.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -107,6 +106,8 @@ class RunConfig:
             raise ValueError("format must be csv or json")
         if not 0 < self.threshold < 1:  # false for nan too
             raise ValueError(f"threshold must be a finite number in (0, 1), not {self.threshold}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
     @property
@@ -126,7 +127,7 @@ class RunConfig:
 # kept block in (-|z|, phase) order and the block's right vectors W
 # (N/3 x N/3) in that order; `lifted` is empty until a first lift fills it
 # with (norm_r, phase_r, norm_l, phase_l, res_r, res_l), the `unit_columns`
-# divisors of R and L and the residuals
+# divisors of R and L and the residuals. Every array of an entry is read-only
 _SECTORS: dict = {}
 
 # Columns lifted at a time: a lift holds a few N x _PANEL temporaries
@@ -145,8 +146,9 @@ def _open_sectors(N: int, sectors: tuple) -> list:
             sign = 1.0 if sector == "even" else -1.0
             z, W = _folded_block_eig(C, sign)
             o = decay_order(z)
-            found[sector] = _SECTORS[N, sector] = SimpleNamespace(
+            f = found[sector] = _SECTORS[N, sector] = SimpleNamespace(
                 sign=sign, z=z[o], W=W[:, o], lifted=[])
+            f.z.flags.writeable = f.W.flags.writeable = False
             if len(_SECTORS) > 8:
                 del _SECTORS[next(iter(_SECTORS))]
     return [found[sector] for sector in sectors]
@@ -190,6 +192,8 @@ def _lift(N: int, sectors: tuple) -> Spectrum:
             R[:, dest], L[:, dest], res_r[dest], res_l[dest] = V, U, kept[4], kept[5]
         if parts:
             f.lifted = [np.concatenate(a) for a in zip(*parts)]
+            for a in f.lifted:
+                a.flags.writeable = False
         start += t
     return Spectrum(N, z[order], R, L, res_r, res_l)
 
@@ -292,7 +296,7 @@ def _emit(cfg: RunConfig, stem: str, table: dict, extra=None) -> Path:
                    "rows": [dict(zip(header, r)) for r in rows]}
         if extra:
             payload.update(extra)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+        path.write_text(io_utils.json_text(payload))
         return path
     path = io_utils.write_csv(out / f"{stem}.csv", itertools.chain([header], rows))
     io_utils.write_sidecar(path, cfg.as_dict(), extra)

@@ -1,7 +1,8 @@
 """Flat-file output helpers: CSV, JSON sidecars and P5 graymaps.
 
-`fmt` is the one rule that makes a value a table cell, in CSV and JSON alike.
-All CSV content is deterministic for a fixed configuration; wall-clock
+`fmt` is the one rule that makes a value a table cell, in CSV and JSON alike,
+and `json_text` the one that writes a JSON file, nan and inf as null. All
+CSV content is deterministic for a fixed configuration; wall-clock
 provenance and checksums live in the JSON sidecars only.
 """
 
@@ -10,12 +11,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["fmt", "write_csv", "write_sidecar", "write_pgm", "sha256_file"]
+__all__ = ["fmt", "json_text", "write_csv", "write_sidecar", "write_pgm", "sha256_file"]
 
 # bytes of float64 per strip of graymap rows
 _PGM_STRIP_BYTES = 1 << 16
@@ -26,6 +28,20 @@ def fmt(x) -> str:
     0.0 is "0", inf "inf"), anything else by `str`, so ints print plain,
     bools as True/False and strings as they are."""
     return f"{float(x):.17g}" if isinstance(x, (float, np.floating)) else str(x)
+
+
+def json_text(obj) -> str:
+    """`obj` as indented JSON with sorted keys, a value JSON cannot hold as its
+    `str`, and a non-finite float (JSON has no nan or inf) as null."""
+    return json.dumps(_finite(obj), indent=2, sort_keys=True, default=str) + "\n"
+
+
+def _finite(x):
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return list(map(_finite, x))
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def write_csv(path, rows) -> Path:
@@ -62,7 +78,7 @@ def write_sidecar(artifact_path, config: dict, extra: dict | None = None) -> Pat
     if extra:
         meta.update(extra)
     out = artifact_path.with_suffix(artifact_path.suffix + ".json")
-    out.write_text(json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
+    out.write_text(json_text(meta))
     return out
 
 

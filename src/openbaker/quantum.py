@@ -22,7 +22,6 @@ __all__ = [
     "UnresolvedRegionError",
     "dft_matrix",
     "dft_apply",
-    "baker_form",
     "baker_unitary",
     "baker_apply",
     "baker_corners",
@@ -54,31 +53,18 @@ def dft_apply(X: np.ndarray) -> np.ndarray:
     return Y * (np.exp(-1j * np.pi * (2 * np.arange(N) + 1) / (2 * N)) / np.sqrt(N))[:, None]
 
 
-def baker_form(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Closed baker propagator outer^-1 diag(inner, inner, inner) of a
-    quantization with unitary transforms `outer` on N and `inner` on N/3."""
-    return _times_blocks(outer.conj().T, inner)
-
-
-def _times_blocks(A: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """A diag(inner, inner, inner), as one product with the dense block
-    diagonal."""
-    N, M = A.shape[0], inner.shape[0]
-    D = np.zeros((N, N), dtype=complex)
-    for s in range(0, N, M):
-        D[s:s + M, s:s + M] = inner
-    return A @ D
-
-
 def baker_unitary(N: int) -> np.ndarray:
     """Closed baker propagator U_N = F_N^-1 diag(F_{N/3}, F_{N/3}, F_{N/3}),
-    bit for bit `baker_form(dft_matrix(N), dft_matrix(N // 3))`: F_N is
-    conjugated in place, so the product gets the same operands with no
-    conjugated copy."""
+    as one product of conj(F_N).T with the dense block diagonal: F_N is
+    conjugated in place, so the product has no conjugated copy."""
     if N % 3 != 0:
         raise ValueError("N must be divisible by 3")
-    F = dft_matrix(N)
-    return _times_blocks(np.conj(F, out=F).T, dft_matrix(N // 3))
+    t = N // 3
+    F, Ft = dft_matrix(N), dft_matrix(t)
+    D = np.zeros((N, N), dtype=complex)
+    for s in range(0, N, t):
+        D[s:s + t, s:s + t] = Ft
+    return np.conj(F, out=F).T @ D
 
 
 def _twiddles(N: int) -> tuple:
@@ -146,7 +132,7 @@ def escape_projector(m: int, N: int) -> np.ndarray:
     partially covers some grid cell [n/N, (n+1)/N).
     """
     d = np.zeros(N)
-    for a, b in region_R_plus(m).support.intervals:
+    for a, b in region_R_plus(m).intervals:
         lo, hi = a * N, b * N
         if lo.denominator != 1 or hi.denominator != 1:
             raise UnresolvedRegionError(

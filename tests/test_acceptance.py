@@ -12,7 +12,6 @@ import pytest
 
 from openbaker.classical import (
     IntervalUnion,
-    TorusPoint,
     cantor_approx,
     box_dimension,
     escape_rate_estimate,
@@ -42,7 +41,7 @@ from openbaker.spectral import escape_weights
 from openbaker.walsh import _apply, long_lived_spectrum, nonzero_count
 from interval_ops import difference, scale_shift, union
 from open_dense import open_propagator, wigner_momentum_marginal, wigner_position_marginal
-from torus_reference import coherent_vector, region_R_minus
+from torus_reference import TorusPoint, coherent_vector, region_R_minus
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
 
@@ -229,16 +228,16 @@ def test_criterion_10_classical_exactness():
                    for m in range(9))
     rec_plus_ok = True
     for m in range(6):
-        s = region_R_plus(m).support
+        s = region_R_plus(m)
         pre = IntervalUnion()
         for d in (0, 1, 2):
             pre = union(pre, scale_shift(s, d, 3))
-        rec_plus_ok &= (difference(pre, region_R_plus(0).support).intervals
-                        == region_R_plus(m + 1).support.intervals)
+        rec_plus_ok &= (difference(pre, region_R_plus(0)).intervals
+                        == region_R_plus(m + 1).intervals)
     rec_minus_ok = all(
-        union(scale_shift(region_R_minus(m).support, 0, 3),
-              scale_shift(region_R_minus(m).support, 2, 3)).intervals
-        == region_R_minus(m + 1).support.intervals
+        union(scale_shift(region_R_minus(m), 0, 3),
+              scale_shift(region_R_minus(m), 2, 3)).intervals
+        == region_R_minus(m + 1).intervals
         for m in range(1, 6))
     rate_err = abs(escape_rate_estimate(8) - math.log(1.5))
     dim_err = abs(box_dimension(cantor_approx(8), list(range(1, 7))) - CANTOR_DIM)

@@ -36,6 +36,8 @@ def test_run_config_validation(tmp_path):
         RunConfig(n_exp=0)
     with pytest.raises(ValueError):
         RunConfig(fmt="yaml")
+    with pytest.raises(ValueError, match="seed must be >= 0, not -1"):
+        RunConfig(seed=-1)
     cfg = RunConfig(n_exp=3, out_dir=tmp_path)
     assert cfg.N == 27
     assert cfg.as_dict()["N"] == 27
@@ -162,18 +164,31 @@ def test_sector_spectra_partition():
         assert np.abs(U[::-1] - sign * U).max() < 1e-12
 
 
+def _spectrum_arrays(s):
+    return [getattr(s, name) for name in ("z", "R", "L", "res_r", "res_l")]
+
+
+def _sector_entry_arrays(N, sector):
+    open_spectrum(N)  # a lift fills the entry's divisors and residuals
+    f = experiments._SECTORS[N, sector]
+    assert len(f.lifted) == 6
+    return [f.z, f.W, *f.lifted]
+
+
 @pytest.mark.parametrize("build", [
-    lambda: open_spectrum(27),
-    lambda: sector_spectrum(27, "even"),
-    lambda: long_lived_spectrum(3),
-], ids=["open", "sector", "walsh_long_lived"])
+    lambda: _spectrum_arrays(open_spectrum(27)),
+    lambda: _spectrum_arrays(sector_spectrum(27, "even")),
+    lambda: _spectrum_arrays(long_lived_spectrum(3)),
+    lambda: _sector_entry_arrays(27, "odd"),
+], ids=["open", "sector", "walsh_long_lived", "sector_cache_entry"])
 def test_cached_spectra_read_only(build):
     """A write to any array of a spectrum fails: a cached sector, the
-    merged full spectrum and the Walsh spectrum."""
-    s = build()
-    for name in ("z", "R", "L", "res_r", "res_l"):
+    merged full spectrum and the Walsh spectrum; and to any array of a
+    `_SECTORS` entry (z, W and the lift's divisors and residuals), which
+    every later lift of that sector reads."""
+    for a in build():
         with pytest.raises(ValueError, match="read-only"):
-            getattr(s, name)[0] = 0.0
+            a[0] = 0.0
 
 
 def test_merged_spectrum_shares_no_memory_with_its_sectors():
@@ -286,14 +301,24 @@ def test_run_weyl(tmp_path):
         run_weyl_experiment(RunConfig(n_exp=4, out_dir=tmp_path))
 
 
+def _strict_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("threshold, keys, degenerate", [
+    (0.45, ["0.3", "0.45", "0.5", "0.7"], None),
+    (0.999999, ["0.3", "0.5", "0.7", "0.999999"], "0.999999"),
+], ids=["keys", "degenerate"])
 @pytest.mark.parametrize("fmt_, name", [("csv", "weyl_243.csv.json"), ("json", "weyl_243.json")])
-def test_weyl_slopes_keyed_by_shortest_text(tmp_path, fmt_, name):
+def test_weyl_slopes_keyed_by_shortest_text(tmp_path, fmt_, name, threshold, keys, degenerate):
     """The sidecar's and the JSON table's slopes are keyed by each
     threshold's shortest round-trip text, "0.3", not by the 17-digit table
-    cell "0.29999999999999999"."""
-    run_weyl_experiment(RunConfig(n_exp=5, out_dir=tmp_path, threshold=0.45, fmt=fmt_))
-    slopes = json.loads((tmp_path / name).read_text())["slopes"]
-    assert list(slopes) == ["0.3", "0.45", "0.5", "0.7"]
+    cell "0.29999999999999999". Both files are strict JSON: the slope of a
+    threshold that no resonance passes is null, not a bare NaN."""
+    run_weyl_experiment(RunConfig(n_exp=5, out_dir=tmp_path, threshold=threshold, fmt=fmt_))
+    slopes = json.loads((tmp_path / name).read_text(), parse_constant=_strict_json)["slopes"]
+    assert list(slopes) == keys
+    assert [k for k, v in slopes.items() if v is None] == ([degenerate] if degenerate else [])
 
 
 def test_weyl_builds_each_propagator_once(tmp_path, monkeypatch):
@@ -619,6 +644,16 @@ def test_cli_walsh_rejects_n_exp_1(tmp_path, capsys, args, message):
     assert main([*args, "--n-exp", "1", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_unwritable_out_exits_1(tmp_path, capsys):
+    """An `--out` that names an existing file exits 1 with one `error:` line,
+    not a traceback."""
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["spectrum", "--n-exp", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
 
 
 def test_cli_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):

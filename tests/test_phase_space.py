@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from openbaker import phase_space
-from openbaker.classical import TorusPoint, cantor_approx, region_R_plus
+from openbaker.classical import cantor_approx, region_R_plus
 from openbaker.phase_space import (
     average_density,
     band_mass,
@@ -20,7 +20,7 @@ from openbaker.phase_space import (
 from openbaker.quantum import dft_matrix
 from open_dense import (open_propagator, wigner_dense, wigner_momentum_marginal,
                         wigner_position_marginal)
-from torus_reference import coherent_vector, region_R_minus
+from torus_reference import TorusPoint, coherent_vector, region_R_minus
 
 
 def _brute_phase_point_operator(N, j, l):
@@ -381,7 +381,7 @@ def test_kill_property_small_N():
     N = 81
     Ut = open_propagator(N)
     centers = [TorusPoint(q, float((a + b) / 2))
-               for a, b in region_R_minus(1).support.intervals
+               for a, b in region_R_minus(1).intervals
                for q in (0.1, 0.5, 0.9)]
     gone = kill_property_check(Ut, 1, centers)
     stay = kill_property_check(Ut, 1, [TorusPoint(0.05, 0.05)])
@@ -391,5 +391,5 @@ def test_kill_property_small_N():
     # O(1) at this N and shrinks as N grows (checked at larger N in the
     # acceptance suite via the one-step property)
     deep = [TorusPoint(0.1, float((a + b) / 2))
-            for a, b in region_R_minus(2).support.intervals]
+            for a, b in region_R_minus(2).intervals]
     assert kill_property_check(Ut, 2, deep) < 0.5

@@ -5,7 +5,6 @@ from openbaker.quantum import (
     UnresolvedRegionError,
     baker_apply,
     baker_corners,
-    baker_form,
     baker_unitary,
     dft_apply,
     dft_matrix,
@@ -14,6 +13,7 @@ from openbaker.quantum import (
     sector_block,
 )
 from open_dense import extended_unitary, open_propagator
+from walsh_dense import baker_form
 
 
 def parity_matrix(N):
@@ -147,8 +147,7 @@ def test_baker_transports_coherent_state():
     the classical image of x. The overlap with a round packet there is the
     Gaussian overlap of widths sigma and 3 sigma, sqrt(2*3/(1+9)) =
     sqrt(3/5), up to O(1/N) corrections."""
-    from openbaker.classical import TorusPoint
-    from torus_reference import baker_forward, coherent_vector
+    from torus_reference import TorusPoint, baker_forward, coherent_vector
 
     N = 243
     x = TorusPoint(0.11, 0.71)

@@ -1,12 +1,26 @@
-"""Reference geometry on the torus that the package never evaluates: the
-classical baker map on points, the incoming regions R_-^m, and the Gaussian
-coherent-state vector that the Husimi images are checked against."""
+"""Reference geometry on the torus that the package never evaluates: torus
+points, the classical baker map on them, the incoming regions R_-^m, and the
+Gaussian coherent-state vector that the Husimi images are checked against."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from openbaker.classical import Axis, StripRegion, TorusPoint, region_R_plus
+from openbaker.classical import IntervalUnion, region_R_plus
+
+
+@dataclass(frozen=True)
+class TorusPoint:
+    """A point (q, p) on the unit torus, reduced mod 1 on construction."""
+
+    q: float
+    p: float
+
+    def __post_init__(self):
+        # x % 1.0 returns 1.0 for tiny negative x; fold that back to 0
+        object.__setattr__(self, "q", self.q % 1.0 % 1.0)
+        object.__setattr__(self, "p", self.p % 1.0 % 1.0)
 
 
 def baker_forward(x: TorusPoint) -> TorusPoint:
@@ -21,12 +35,12 @@ def baker_inverse(x: TorusPoint) -> TorusPoint:
     return TorusPoint((x.q + d) / 3.0, 3.0 * x.p - d)
 
 
-def region_R_minus(m: int) -> StripRegion:
-    """Points that left through the opening exactly m steps ago: the
-    horizontal strip whose momentum support is that of R_+^(m-1)."""
+def region_R_minus(m: int) -> IntervalUnion:
+    """Points that left through the opening exactly m steps ago: the momentum
+    support of a full-width horizontal strip, that of R_+^(m-1)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return StripRegion(Axis.MOMENTUM, region_R_plus(m - 1).support)
+    return region_R_plus(m - 1)
 
 
 def coherent_vector(center: TorusPoint, N: int) -> np.ndarray:

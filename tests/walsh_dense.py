@@ -2,8 +2,9 @@
 
 This is the generic route the structured `openbaker.walsh` replaces: the
 Walsh-Fourier transform as a dense N x N matrix, the open propagator through
-the same `baker_form` as the antiperiodic quantization, opened as in
-`open_dense.py`, and one full SVD of its k-th matrix power.
+the generic `baker_form`, which with the antiperiodic DFTs gives
+`openbaker.quantum.baker_unitary` to the bit, opened as in `open_dense.py`,
+and one full SVD of its k-th matrix power.
 
 Digit-order convention: the digit-reversal permutation is applied to the
 rows of the tensor-product transform, at every dimension (outer and inner
@@ -14,9 +15,19 @@ instead of 16 nonzero eigenvalues at k = 4).
 
 import numpy as np
 
-from openbaker.quantum import baker_form
 from openbaker.walsh import ZERO_THRESHOLD
 from open_dense import opened
+
+
+def baker_form(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Closed baker propagator outer^-1 diag(inner, inner, inner) of a
+    quantization with unitary transforms `outer` on N and `inner` on N/3,
+    as one product of conj(outer).T with the dense block diagonal."""
+    N, M = outer.shape[0], inner.shape[0]
+    D = np.zeros((N, N), dtype=complex)
+    for s in range(0, N, M):
+        D[s:s + M, s:s + M] = inner
+    return outer.conj().T @ D
 
 
 def digit_reversal(k: int) -> np.ndarray:
