@@ -305,20 +305,25 @@ def _strict_json(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-@pytest.mark.parametrize("threshold, keys, degenerate", [
-    (0.45, ["0.3", "0.45", "0.5", "0.7"], None),
-    (0.999999, ["0.3", "0.5", "0.7", "0.999999"], "0.999999"),
-], ids=["keys", "degenerate"])
 @pytest.mark.parametrize("fmt_, name", [("csv", "weyl_243.csv.json"), ("json", "weyl_243.json")])
-def test_weyl_slopes_keyed_by_shortest_text(tmp_path, fmt_, name, threshold, keys, degenerate):
+def test_weyl_slopes_keyed_by_shortest_text(tmp_path, fmt_, name):
     """The sidecar's and the JSON table's slopes are keyed by each
     threshold's shortest round-trip text, "0.3", not by the 17-digit table
-    cell "0.29999999999999999". Both files are strict JSON: the slope of a
-    threshold that no resonance passes is null, not a bare NaN."""
-    run_weyl_experiment(RunConfig(n_exp=5, out_dir=tmp_path, threshold=threshold, fmt=fmt_))
+    cell "0.29999999999999999"."""
+    run_weyl_experiment(RunConfig(n_exp=5, out_dir=tmp_path, threshold=0.45, fmt=fmt_))
     slopes = json.loads((tmp_path / name).read_text(), parse_constant=_strict_json)["slopes"]
-    assert list(slopes) == keys
-    assert [k for k, v in slopes.items() if v is None] == ([degenerate] if degenerate else [])
+    assert list(slopes) == ["0.3", "0.45", "0.5", "0.7"]
+    assert None not in slopes.values()
+
+
+@pytest.mark.parametrize("fmt_, name", [("csv", "weyl_243.csv.json"), ("json", "weyl_243.json")])
+def test_weyl_degenerate_slope_is_null(tmp_path, fmt_, name):
+    """Both files are strict JSON: the slope of a threshold that no
+    resonance passes is null, not a bare NaN."""
+    run_weyl_experiment(RunConfig(n_exp=5, out_dir=tmp_path, threshold=0.999999, fmt=fmt_))
+    slopes = json.loads((tmp_path / name).read_text(), parse_constant=_strict_json)["slopes"]
+    assert list(slopes) == ["0.3", "0.5", "0.7", "0.999999"]
+    assert [k for k, v in slopes.items() if v is None] == ["0.999999"]
 
 
 def test_weyl_builds_each_propagator_once(tmp_path, monkeypatch):
