@@ -80,7 +80,13 @@ def main(argv=None) -> int:
         if walsh.get("walsh") and "threshold" in args:
             raise ValueError("--threshold does not apply with --walsh: the Walsh count uses "
                              f"the exact kernel (ZERO_THRESHOLD = {ZERO_THRESHOLD:g})")
-        result = run(RunConfig(**args), **walsh)
+        cfg = RunConfig(**args)
+        # an --out that cannot be a directory fails here, before any solve,
+        # and nothing is made until the runner writes its first output
+        top = next(p for p in (cfg.out_dir, *cfg.out_dir.parents) if p.exists())
+        if not top.is_dir():
+            raise NotADirectoryError(f"--out {cfg.out_dir}: {top} is not a directory")
+        result = run(cfg, **walsh)
     except (ValueError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1

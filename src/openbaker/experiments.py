@@ -24,13 +24,13 @@ formed: the blocks are folded from U's kept corners (`baker_corners`), and
 the vectors are lifted and their residuals taken through U's FFT action
 (`baker_apply`); a block gives right vectors only, and the left ones follow
 by time reversal (U~^T = F U~ F^-1). The one spectrum cache (`_SECTORS`)
-holds each open sector's folded solve, not its lifted vectors: z and the
-N/3 x N/3 folded right vectors W in (-|z|, phase) order and, after a first
-lift, the residuals and the normalization divisors, 0.96 MB per sector at
-N = 729. Each request is one lift (`_lift`) into new arrays, a panel of
-columns at a time: `open_spectrum` writes both sectors' columns straight
-into the full spectrum's places, `sector_spectrum` one sector's, solving it
-alone if it is missing, and `weyl` reads z with no lift. The open route runs
+holds each open sector's folded solve and nothing else, read-only: z and
+the N/3 x N/3 folded right vectors W in (-|z|, phase) order, 0.95 MB per
+sector at N = 729. Each request is one lift (`_lift`) into new arrays, a
+panel of columns at a time, each panel normalized and its residuals taken:
+`open_spectrum` writes both sectors' columns straight into the full
+spectrum's places, `sector_spectrum` one sector's, solving it alone if it
+is missing, and `weyl` reads z with no lift. The open route runs
 on NumPy alone. The closed-map control, the one user of SciPy, is
 plain states: `closed_states` solves the dense block of U in each sector for
 right vectors only (U is unitary, so its left vectors are its right ones)
@@ -43,7 +43,6 @@ import itertools
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -122,33 +121,34 @@ class RunConfig:
 
 
 # The one spectrum cache: the folded solve of each open parity sector by
-# (N, sector), oldest first; beyond eight, the oldest is dropped. An entry
-# holds the sector's sign (1 even, -1 odd), the eigenvalues z of its folded
-# kept block in (-|z|, phase) order and the block's right vectors W
-# (N/3 x N/3) in that order; `lifted` is empty until a first lift fills it
-# with (norm_r, phase_r, norm_l, phase_l, res_r, res_l), the `unit_columns`
-# divisors of R and L and the residuals. Every array of an entry is read-only
+# (N, sector), oldest first; beyond eight, the oldest is dropped. An entry is
+# the read-only pair (z, W), the eigenvalues of its folded kept block in
+# (-|z|, phase) order and the block's right vectors (N/3 x N/3) in that
+# order, 16 (N/3)^2 + 16 N/3 bytes
 _SECTORS: dict = {}
 
 # Columns lifted at a time: a lift holds a few N x _PANEL temporaries
 _PANEL = 32
 
+# Parity of each open sector's vectors under n -> N-1-n
+_SIGN = {"even": 1.0, "odd": -1.0}
+
 
 def _open_sectors(N: int, sectors: tuple) -> list:
-    """The folded solves of the open parity sectors asked for, from
+    """The folded solves (z, W) of the open parity sectors asked for, from
     `_SECTORS`, or else the missing ones solved from one set of U's kept
-    corners and stored."""
+    corners and stored; a solve dropped from the cache while the others are
+    stored is still returned."""
     found = {sector: _SECTORS[N, sector] for sector in sectors if (N, sector) in _SECTORS}
     missing = [sector for sector in sectors if sector not in found]
     if missing:
         C = baker_corners(N)
         for sector in missing:
-            sign = 1.0 if sector == "even" else -1.0
-            z, W = _folded_block_eig(C, sign)
+            z, W = _folded_block_eig(C, _SIGN[sector])
             o = decay_order(z)
-            f = found[sector] = _SECTORS[N, sector] = SimpleNamespace(
-                sign=sign, z=z[o], W=W[:, o], lifted=[])
-            f.z.flags.writeable = f.W.flags.writeable = False
+            found[sector] = _SECTORS[N, sector] = z[o], W[:, o]
+            for a in found[sector]:
+                a.flags.writeable = False
             if len(_SECTORS) > 8:
                 del _SECTORS[next(iter(_SECTORS))]
     return [found[sector] for sector in sectors]
@@ -157,43 +157,32 @@ def _open_sectors(N: int, sectors: tuple) -> list:
 def _lift(N: int, sectors: tuple) -> Spectrum:
     """The spectrum of the open sectors asked for, lifted from their folded
     solves into new arrays in (-|z|, phase) order, a panel of at most
-    `_PANEL` columns at a time, each written straight into its final
-    columns. A sector's first lift takes its divisors and residuals and
-    keeps them in its entry; a later one divides by them again, bitwise the
-    same, and takes no residual. R and L are F-ordered, so each column is
-    one contiguous write."""
+    `_PANEL` columns at a time, each normalized by `unit_columns`, checked
+    by `residuals` and written straight into its final columns; two lifts
+    of a sector compute the same, so to the same bits. R and L are
+    F-ordered, so each column is one contiguous write."""
     folded = _open_sectors(N, sectors)
-    z = np.concatenate([f.z for f in folded])
+    z = np.concatenate([zs for zs, _ in folded])
     order = decay_order(z)
     at = np.argsort(order)  # the place of each column in that order
     R, L = (np.empty((N, len(z)), dtype=complex, order="F") for _ in range(2))
     res_r, res_l = np.empty(len(z)), np.empty(len(z))
     start = 0
-    for f in folded:
-        t = len(f.z)
+    for sector, (zs, W) in zip(sectors, folded):
+        t = len(zs)
         # panels of near-equal width, none of one column unless t = 1: the
         # norms of a one-column block sum pairwise, those of a wider block
         # row by row, as the whole block's did
         n = -(-t // _PANEL)
-        parts = []
         for k in range(n):
             cols = slice(k * t // n, (k + 1) * t // n)
-            V, U = _lift_columns(N, f.sign, f.W[:, cols])
-            if f.lifted:
-                kept = [a[cols] for a in f.lifted]
-                unit_columns(V, kept[:2])
-                unit_columns(U, kept[2:4])
-            else:
-                kept = [*unit_columns(V), *unit_columns(U),
-                        residuals(_open_apply, V, f.z[cols]),
-                        residuals(_open_apply_h, U, f.z[cols].conj())]
-                parts.append(kept)
+            V, U = _lift_columns(N, _SIGN[sector], W[:, cols])
+            unit_columns(V)
+            unit_columns(U)
             dest = at[start + cols.start:start + cols.stop]
-            R[:, dest], L[:, dest], res_r[dest], res_l[dest] = V, U, kept[4], kept[5]
-        if parts:
-            f.lifted = [np.concatenate(a) for a in zip(*parts)]
-            for a in f.lifted:
-                a.flags.writeable = False
+            R[:, dest], L[:, dest] = V, U
+            res_r[dest] = residuals(_open_apply, V, zs[cols])
+            res_l[dest] = residuals(_open_apply_h, U, zs[cols].conj())
         start += t
     return Spectrum(N, z[order], R, L, res_r, res_l)
 
@@ -356,7 +345,7 @@ def run_weyl_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
     thresholds = sorted({0.3, 0.5, 0.7, cfg.threshold})
     # each N's folded solves once (the cache holds eight), no vector lifted,
     # then every threshold
-    moduli = [np.abs(np.concatenate([f.z for f in _open_sectors(N, ("even", "odd"))]))
+    moduli = [np.abs(np.concatenate([z for z, _ in _open_sectors(N, ("even", "odd"))]))
               for N in N_list]
     counts = np.array([[(m > r).sum() for m in moduli] for r in thresholds])
     slopes = {r: float(np.polyfit(np.log(N_list), np.log(c), 1)[0]) if c.min() > 0 else float("nan")
@@ -385,22 +374,26 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
     s = sector_spectrum(N, cfg.sector)
     # at most the resonances: the opening's exact kernel (z = 0) holds no columns
     count = min(cfg.count, len(s.z))
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    cfgd = cfg.as_dict()
+    out, cfgd = cfg.out_dir, cfg.as_dict()
     W = wigner_grid_average(s.R[:, :count])
     _write_wigner_images(out, W, cfgd)
     del W  # gone before the closed-map control loads SciPy and builds U
 
-    # one block of the right, left and closed-map states, stacked once: one
-    # Husimi pass for all three averages (the Gaussian fold weights are built
-    # once), each summing its count images as the pass makes them
-    X = np.hstack([s.R[:, :count], s.L[:, :count], closed_states(N, cfg.sector)[1][:, :count]])
+    # one block of the right and closed-map states, stacked once: one Husimi
+    # pass for both averages (the Gaussian fold weights are built once), each
+    # summing its count images as the pass makes them. The left average is
+    # the transposed right one, by time reversal (U~^T = F U~ F^-1): the left
+    # states live on the forward trapped set, the mirror image of the
+    # backward one
+    X = np.hstack([s.R[:, :count], closed_states(N, cfg.sector)[1][:, :count]])
     H = husimi_grids(X, G)
-    avg_r, avg_l, closed_r = (average_density(itertools.islice(H, count)) for _ in range(3))
+    avg_r, closed_r = (average_density(itertools.islice(H, count)) for _ in range(2))
+    avg_l = avg_r.T
     band = interval_mask(cantor_approx(1), G)
     right_mass = float(avg_r[:, band].sum())   # horizontal Cantor band
-    left_mass = float(avg_l[band, :].sum())    # vertical Cantor band
+    # the left average's vertical band is the right one's horizontal band, by
+    # the same time reversal: the left mass is the right one by construction
+    left_mass = right_mass
 
     io_utils.write_pgm(out / f"husimi_right_{N}.pgm", avg_r, cfgd)
     io_utils.write_pgm(out / f"husimi_left_{N}.pgm", avg_l, cfgd)

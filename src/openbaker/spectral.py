@@ -12,7 +12,7 @@ formed (the open map by two FFTs per column, the Walsh map in O(N) per
 column) is checked the same way as a dense one. `eigenpairs` applies both
 to whole blocks (the Walsh trapped subspace); the open map's parity sectors
 are lifted from their folded blocks a panel of columns at a time
-(`experiments`), with the same two rules, so to the same bits.
+(`experiments`), with the same two rules on every lift, so to the same bits.
 
 Figures read a spectrum's columns: the `count` longest-lived states are the
 first `count` columns of R, a decay-rate bin is a mask on `moduli()`, and
@@ -79,21 +79,13 @@ def decay_order(z: np.ndarray) -> np.ndarray:
     return np.lexsort((np.angle(z), -np.abs(z)))
 
 
-def unit_columns(M: np.ndarray, divisors: tuple | None = None) -> tuple:
+def unit_columns(M: np.ndarray) -> None:
     """Divide each column of M, in place, by its norm and then by the unit
     phase of its largest-modulus component, which makes that component real
-    positive (a reproducible phase). Returns the two divisors, (norms,
-    phases); handed back as `divisors`, they repeat the same divisions on
-    the same columns bitwise, with no norm or phase taken again."""
-    if divisors is None:
-        norms = np.linalg.norm(M, axis=0)
-        M /= norms
-        top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
-        divisors = norms, top / np.abs(top)
-    else:
-        M /= divisors[0]
-    M /= divisors[1]
-    return divisors
+    positive (a reproducible phase)."""
+    M /= np.linalg.norm(M, axis=0)
+    top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
+    M /= top / np.abs(top)
 
 
 def residuals(apply, V: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from openbaker.experiments import (
     sector_spectrum,
 )
 from openbaker.io_utils import fmt, sha256_file, write_csv, write_pgm
-from openbaker.phase_space import husimi_grids, wigner_grid_average
+from openbaker.phase_space import average_density, husimi_grids, wigner_grid_average
 from openbaker.walsh import long_lived_spectrum
 from open_dense import open_propagator
 from test_acceptance import weyl_scaled_count
@@ -169,10 +169,9 @@ def _spectrum_arrays(s):
 
 
 def _sector_entry_arrays(N, sector):
-    open_spectrum(N)  # a lift fills the entry's divisors and residuals
-    f = experiments._SECTORS[N, sector]
-    assert len(f.lifted) == 6
-    return [f.z, f.W, *f.lifted]
+    open_spectrum(N)
+    z, W = experiments._SECTORS[N, sector]
+    return [z, W]
 
 
 @pytest.mark.parametrize("build", [
@@ -183,9 +182,8 @@ def _sector_entry_arrays(N, sector):
 ], ids=["open", "sector", "walsh_long_lived", "sector_cache_entry"])
 def test_cached_spectra_read_only(build):
     """A write to any array of a spectrum fails: a cached sector, the
-    merged full spectrum and the Walsh spectrum; and to any array of a
-    `_SECTORS` entry (z, W and the lift's divisors and residuals), which
-    every later lift of that sector reads."""
+    merged full spectrum and the Walsh spectrum; and to either array of a
+    `_SECTORS` entry, z and W, which every later lift of that sector reads."""
     for a in build():
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -203,18 +201,18 @@ def test_merged_spectrum_shares_no_memory_with_its_sectors():
 
 @pytest.mark.parametrize("N", [243, 729])
 def test_cached_sector_holds_no_lifted_vector(N):
-    """A `_SECTORS` entry is its sector's folded solve: z, the N/3 x N/3
-    folded vectors W and, once lifted, six arrays of N/3 (the divisors of R
-    and L and the residuals), with no array of N rows: 0.96 MB at N = 729,
-    where the lifted sector held 5.7 MB."""
+    """A `_SECTORS` entry is its sector's folded solve and nothing else,
+    also after lifts: the N/3 eigenvalues z and the N/3 x N/3 folded vectors
+    W, with no array of N rows: 0.95 MB at N = 729, where the lifted sector
+    held 5.7 MB."""
     experiments._SECTORS.clear()
+    open_spectrum(N)
     open_spectrum(N)
     t = N // 3
     for sector in ("even", "odd"):
-        f = experiments._SECTORS[N, sector]
-        arrays = [f.z, f.W, *f.lifted]
-        assert len(f.lifted) == 6 and all(a.shape[0] == t for a in arrays)
-        assert sum(a.nbytes for a in arrays) <= 16 * t * t + 96 * t
+        z, W = experiments._SECTORS[N, sector]
+        assert z.shape == (t,) and W.shape == (t, t)
+        assert z.nbytes + W.nbytes <= 16 * t * t + 16 * t
 
 
 # Traced peaks of a cold lift at N = 729, measured: 14.9 MiB for the full
@@ -370,35 +368,39 @@ def test_run_husimi(tmp_path):
 def test_husimi_count_stops_at_resonances(tmp_path, monkeypatch):
     """The even sector at N = 81 holds its 27 resonances as columns (its 14
     exact zeros are counted, not carried); the default count of 100 selects
-    the 27, whose right and left vectors lead the one Husimi block."""
+    the 27, whose right vectors lead the one Husimi block, followed by as
+    many closed-map states."""
     husimi, blocks = experiments.husimi_grids, []
     monkeypatch.setattr(experiments, "husimi_grids",
                         lambda V, G: blocks.append(V) or husimi(V, G))
     r = run_husimi_figure(RunConfig(n_exp=4, out_dir=tmp_path))
     assert r["count"] == 27
     s = sector_spectrum(81, "even")
-    assert blocks[0].shape == (81, 3 * 27) and s.z.shape == (27,) and (s.z != 0).all()
+    assert blocks[0].shape == (81, 2 * 27) and s.z.shape == (27,) and (s.z != 0).all()
     assert np.array_equal(blocks[0][:, :27], s.R)
-    assert np.array_equal(blocks[0][:, 27:54], s.L)
+    assert np.array_equal(blocks[0][:, 27:], closed_states(81, "even")[1][:, :27])
 
 
 def test_husimi_figure_peak_memory(tmp_path):
     """Traced peak of the n_exp 5 figure, its spectrum cached and SciPy
-    loaded beforehand: measured 11.7 MiB, with each Husimi average summed as
-    the pass makes its images, where the pass that held all 3 x 100 images
-    and stacked each third once more reached 23.2 MiB, and the dense-rho
-    Wigner with one unblocked Husimi pass 64.9 MiB; the bound is 14 MiB."""
+    loaded beforehand: measured 11.9 MiB, with each of the two Husimi
+    averages summed as the pass makes its images (12.2 MiB with a third
+    average over the left states), where the pass that held all 3 x 100
+    images and stacked each third once more reached 23.2 MiB, and the
+    dense-rho Wigner with one unblocked Husimi pass 64.9 MiB; the bound is
+    14 MiB."""
     sector_spectrum(243, "even")
     closed_states(243, "even")
     assert _traced_peak(run_husimi_figure, RunConfig(n_exp=5, out_dir=tmp_path)) <= 14 * 2**20
 
 
 def test_husimi_image_independent_of_batch():
-    """The figure makes the right, left and closed-map images in one Husimi
-    pass; each state's image must be bitwise what its own call gives, also
-    for one state alone against the same state in a 40-state batch at
-    N = 729, where an unpadded block changed 4400-4600 of 6561 pixels
-    (x86-64 OpenBLAS; none at N = 243, whose fold is 9 long, not 27)."""
+    """The figure makes the right and closed-map images in one Husimi pass;
+    each state's image, here of right, left and closed-map states, must be
+    bitwise what its own call gives, also for one state alone against the
+    same state in a 40-state batch at N = 729, where an unpadded block
+    changed 4400-4600 of 6561 pixels (x86-64 OpenBLAS; none at N = 243,
+    whose fold is 9 long, not 27)."""
     s = sector_spectrum(243, "even")
     sets = [s.R[:, :20], s.L[:, :20],
             closed_states(243, "even")[1][:, :20]]
@@ -409,6 +411,26 @@ def test_husimi_image_independent_of_batch():
     batch = list(husimi_grids(R[:, :40], 81))
     for k in (0, 5, 39):
         assert np.array_equal(list(husimi_grids(R[:, k:k + 1], 81))[0], batch[k])
+
+
+@pytest.mark.parametrize("sector, G", [("even", 27), ("odd", 50), ("full", 27)])
+def test_left_husimi_average_is_the_transposed_right_one(tmp_path, sector, G):
+    """Time reversal (U~^T = F U~ F^-1) maps the right states, on the
+    backward trapped set, to the left ones, on its mirror image the forward
+    set: the average of the Husimi images of the stored left vectors is the
+    transposed right average to a few ulp of its largest pixel, also for a
+    G that does not divide N: measured 7.5e-16 to 1.2e-15 of it in these
+    cases, and at most 4.1e-15 in the even, odd and full sectors up to
+    N = 2187 (2.2e-18 absolute at N = 729, G = 81, 20 states). The figure
+    writes its left PGM from the transposed right average, with the bytes
+    of the left vectors' one."""
+    s = sector_spectrum(243, sector)
+    avg_r, avg_l = (average_density(husimi_grids(V[:, :81], G)) for V in (s.R, s.L))
+    assert np.abs(avg_l - avg_r.T).max() <= 1e-14 * avg_r.max()
+    cfg = RunConfig(n_exp=5, out_dir=tmp_path, grid=G, count=81, sector=sector)
+    run_husimi_figure(cfg)
+    expected = write_pgm(tmp_path / "left.pgm", avg_l, cfg.as_dict()).read_bytes()
+    assert (tmp_path / "husimi_left_243.pgm").read_bytes() == expected
 
 
 def test_husimi_figure_wigner_images(tmp_path):
@@ -649,16 +671,25 @@ def test_cli_walsh_rejects_n_exp_1(tmp_path, capsys, args, message):
     assert main([*args, "--n-exp", "1", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not any(tmp_path.iterdir())
+    # an --out not made yet stays unmade
+    assert main([*args, "--n-exp", "1", "--out", str(tmp_path / "new" / "runs")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
 
 
-def test_cli_unwritable_out_exits_1(tmp_path, capsys):
-    """An `--out` that names an existing file exits 1 with one `error:` line,
-    not a traceback."""
+def test_cli_unwritable_out_exits_1(tmp_path, capsys, monkeypatch):
+    """An `--out` that names an existing file, or a path under one, exits 1
+    with one `error:` line, not a traceback, and before any solve."""
     out = tmp_path / "taken"
     out.write_text("")
-    assert main(["spectrum", "--n-exp", "2", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+    experiments._SECTORS.clear()
+    monkeypatch.setattr(experiments, "_folded_block_eig",
+                        lambda *a: pytest.fail("solved before --out was checked"))
+    for path in (out, out / "runs"):
+        assert main(["spectrum", "--n-exp", "2", "--out", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_cli_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):

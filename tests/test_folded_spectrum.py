@@ -78,12 +78,18 @@ def test_open_spectrum_shares_its_sectors(N, monkeypatch):
     """`open_spectrum` folds both parity sectors from one U and publishes
     them: `sector_spectrum` then returns them with no second eigensolve, and
     the full spectrum's columns are theirs, bitwise, in (-|z|, phase) order.
-    A sector built alone is bitwise equal to the shared one."""
+    A warm full spectrum, lifted again from the cached solves, is bitwise
+    the cold one, and a sector built alone is bitwise equal to the shared
+    one."""
     experiments._SECTORS.clear()
     full = open_spectrum(N)
     monkeypatch.setattr(np.linalg, "eig", lambda *a, **k: pytest.fail("sector solved again"))
     shared = {sector: sector_spectrum(N, sector) for sector in ("even", "odd")}
+    warm = open_spectrum(N)
     monkeypatch.undo()
+    assert warm is not full
+    for name in FIELDS:
+        assert getattr(warm, name).tobytes() == getattr(full, name).tobytes()
     order = decay_order(np.concatenate([s.z for s in shared.values()]))
     for name in FIELDS:
         both = np.concatenate([getattr(s, name) for s in shared.values()], axis=-1)
