@@ -36,13 +36,14 @@ SUBCOMMANDS = {
     "classical": (6, "run_classical", ()),
 }
 
+# An option not given is absent from the parsed arguments (each subparser's
+# default is SUPPRESS), so every default but --n-exp's is RunConfig's
 OPTIONS = {
-    "--grid": dict(type=int, default=81, help="Husimi grid size"),
-    "--count": dict(type=int, default=100, help="number of long-lived states to select"),
-    # absent unless given, so that `weyl --walsh` can refuse it
-    "--threshold": dict(type=float, default=argparse.SUPPRESS,
+    "--grid": dict(type=int, help="Husimi grid size"),
+    "--count": dict(type=int, help="number of long-lived states to select"),
+    "--threshold": dict(type=float,
                         help="long-lived modulus cutoff for Weyl counting (default 0.5)"),
-    "--sector": dict(choices=["even", "odd", "full"], default="even",
+    "--sector": dict(choices=["even", "odd", "full"],
                      help="parity sector for figure-level state selection"),
     "--walsh": dict(action="store_true", help="use the Walsh quantization"),
 }
@@ -60,13 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Open triadic baker map resonance laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (n_exp, _, options) in SUBCOMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--n-exp", type=int, default=n_exp,
                        help="k for N = 3^k (default %(default)s)")
-        p.add_argument("--out", dest="out_dir", default="runs", help="output directory")
-        p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for noise baselines only")
+        p.add_argument("--out", dest="out_dir", help="output directory")
+        p.add_argument("--format", dest="fmt", choices=["csv", "json"])
+        p.add_argument("--seed", type=int, help="seed for noise baselines only")
         for flag in options:
             p.add_argument(flag, **OPTIONS[flag])
     return parser

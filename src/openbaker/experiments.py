@@ -25,9 +25,10 @@ the vectors are lifted and their residuals taken through U's FFT action
 (`baker_apply`); a block gives right vectors only, and the left ones follow
 by time reversal (U~^T = F U~ F^-1). The one spectrum cache (`_SECTORS`)
 holds each open sector's folded solve and nothing else, read-only: z and
-the N/3 x N/3 folded right vectors W in (-|z|, phase) order, 0.95 MB per
-sector at N = 729. Each request is one lift (`_lift`) into new arrays, a
-panel of columns at a time, each panel normalized and its residuals taken:
+the N/3 x N/3 folded right vectors W as `np.linalg.eig` returns them, 0.95
+MB per sector at N = 729. Each request is one call of `spectral.eigenpairs`
+(`_lift`), with a block per sector whose lift is `_lift_columns`: it puts
+the pairs in order and lifts them into new arrays a panel at a time, so
 `open_spectrum` writes both sectors' columns straight into the full
 spectrum's places, `sector_spectrum` one sector's, solving it alone if it
 is missing, and `weyl` reads z with no lift. The open route runs
@@ -67,7 +68,7 @@ from .phase_space import (
     wigner_grid_average,
 )
 from .quantum import baker_apply, baker_corners, baker_unitary, dft_apply, sector_block
-from .spectral import Spectrum, decay_order, escape_weights, residuals, spectrum_table, unit_columns
+from .spectral import Spectrum, decay_order, eigenpairs, escape_weights, spectrum_table
 from .walsh import ZERO_THRESHOLD, long_lived_spectrum, nonzero_count, walsh_spectrum_report
 
 __all__ = [
@@ -122,13 +123,10 @@ class RunConfig:
 
 # The one spectrum cache: the folded solve of each open parity sector by
 # (N, sector), oldest first; beyond eight, the oldest is dropped. An entry is
-# the read-only pair (z, W), the eigenvalues of its folded kept block in
-# (-|z|, phase) order and the block's right vectors (N/3 x N/3) in that
-# order, 16 (N/3)^2 + 16 N/3 bytes
+# the read-only pair (z, W), the eigenvalues of its folded kept block and the
+# block's right vectors (N/3 x N/3), both in eig's order, 16 (N/3)^2 + 16 N/3
+# bytes
 _SECTORS: dict = {}
-
-# Columns lifted at a time: a lift holds a few N x _PANEL temporaries
-_PANEL = 32
 
 # Parity of each open sector's vectors under n -> N-1-n
 _SIGN = {"even": 1.0, "odd": -1.0}
@@ -144,9 +142,7 @@ def _open_sectors(N: int, sectors: tuple) -> list:
     if missing:
         C = baker_corners(N)
         for sector in missing:
-            z, W = _folded_block_eig(C, _SIGN[sector])
-            o = decay_order(z)
-            found[sector] = _SECTORS[N, sector] = z[o], W[:, o]
+            found[sector] = _SECTORS[N, sector] = _folded_block_eig(C, _SIGN[sector])
             for a in found[sector]:
                 a.flags.writeable = False
             if len(_SECTORS) > 8:
@@ -155,36 +151,12 @@ def _open_sectors(N: int, sectors: tuple) -> list:
 
 
 def _lift(N: int, sectors: tuple) -> Spectrum:
-    """The spectrum of the open sectors asked for, lifted from their folded
-    solves into new arrays in (-|z|, phase) order, a panel of at most
-    `_PANEL` columns at a time, each normalized by `unit_columns`, checked
-    by `residuals` and written straight into its final columns; two lifts
-    of a sector compute the same, so to the same bits. R and L are
-    F-ordered, so each column is one contiguous write."""
-    folded = _open_sectors(N, sectors)
-    z = np.concatenate([zs for zs, _ in folded])
-    order = decay_order(z)
-    at = np.argsort(order)  # the place of each column in that order
-    R, L = (np.empty((N, len(z)), dtype=complex, order="F") for _ in range(2))
-    res_r, res_l = np.empty(len(z)), np.empty(len(z))
-    start = 0
-    for sector, (zs, W) in zip(sectors, folded):
-        t = len(zs)
-        # panels of near-equal width, none of one column unless t = 1: the
-        # norms of a one-column block sum pairwise, those of a wider block
-        # row by row, as the whole block's did
-        n = -(-t // _PANEL)
-        for k in range(n):
-            cols = slice(k * t // n, (k + 1) * t // n)
-            V, U = _lift_columns(N, _SIGN[sector], W[:, cols])
-            unit_columns(V)
-            unit_columns(U)
-            dest = at[start + cols.start:start + cols.stop]
-            R[:, dest], L[:, dest] = V, U
-            res_r[dest] = residuals(_open_apply, V, zs[cols])
-            res_l[dest] = residuals(_open_apply_h, U, zs[cols].conj())
-        start += t
-    return Spectrum(N, z[order], R, L, res_r, res_l)
+    """The spectrum of the open sectors asked for, lifted by `eigenpairs`
+    from their folded solves, one block per sector, its lift `_lift_columns`
+    on the columns of W asked for."""
+    blocks = [(z, lambda cols, W=W, sign=_SIGN[sector]: _lift_columns(N, sign, W[:, cols]))
+              for sector, (z, W) in zip(sectors, _open_sectors(N, sectors))]
+    return eigenpairs(N, blocks, _open_apply, _open_apply_h)
 
 
 def open_spectrum(N: int) -> Spectrum:

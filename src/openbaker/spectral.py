@@ -5,14 +5,13 @@ the decay rate is Gamma = -ln|z|^2. Left and right eigenvectors are
 normalized to unit norm separately (they are not orthogonal to each other).
 
 A `Spectrum` is the read-only arrays (N, z, R, L, res_r, res_l) in one
-(-|z|, phase) order, `decay_order`. Every spectrum's columns are normalized
-by `unit_columns` and checked by `residuals`, which see the propagator only
-through its action on a block of columns, so a map whose matrix is never
-formed (the open map by two FFTs per column, the Walsh map in O(N) per
-column) is checked the same way as a dense one. `eigenpairs` applies both
-to whole blocks (the Walsh trapped subspace); the open map's parity sectors
-are lifted from their folded blocks a panel of columns at a time
-(`experiments`), with the same two rules on every lift, so to the same bits.
+(-|z|, phase) order, `decay_order`, and `eigenpairs` is the one code that
+builds it: from blocks, each its eigenvalues and a lift to their vectors,
+it lifts a panel of columns at a time, normalizes it, takes its
+`residuals` and writes it into its final columns. It sees the propagator
+only through its action on a block of columns, so a map whose matrix is
+never formed (the open map by two FFTs per column, the Walsh map in O(N)
+per column) is checked the same way as a dense one.
 
 Figures read a spectrum's columns: the `count` longest-lived states are the
 first `count` columns of R, a decay-rate bin is a mask on `moduli()`, and
@@ -37,10 +36,12 @@ __all__ = [
     "escape_weights",
     "residuals",
     "spectrum_table",
-    "unit_columns",
 ]
 
 _Pair = namedtuple("_Pair", "residual_right residual_left")
+
+# Columns lifted at a time: a lift holds a few N x _PANEL temporaries
+_PANEL = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,15 +80,6 @@ def decay_order(z: np.ndarray) -> np.ndarray:
     return np.lexsort((np.angle(z), -np.abs(z)))
 
 
-def unit_columns(M: np.ndarray) -> None:
-    """Divide each column of M, in place, by its norm and then by the unit
-    phase of its largest-modulus component, which makes that component real
-    positive (a reproducible phase)."""
-    M /= np.linalg.norm(M, axis=0)
-    top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
-    M /= top / np.abs(top)
-
-
 def residuals(apply, V: np.ndarray, z: np.ndarray) -> np.ndarray:
     """||A v - z v|| for each column v of V and its z, with apply(X) = A X."""
     B = apply(V)
@@ -95,22 +87,49 @@ def residuals(apply, V: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.linalg.norm(B, axis=0)
 
 
-def eigenpairs(z: np.ndarray, V: np.ndarray, U: np.ndarray, apply, apply_h) -> Spectrum:
-    """The spectrum of an operator A from eigenvalues z with right (V) and
-    left (U) eigenvector columns; `apply(X)` and `apply_h(X)` return A X and
-    A^H X for an N x r block X.
+def eigenpairs(N: int, blocks, apply, apply_h) -> Spectrum:
+    """The spectrum of an operator A on C^N from eigensolves of its blocks;
+    `apply(X)` and `apply_h(X)` return A X and A^H X for an N x r block X.
 
-    V and U are handed over: in place, their columns are put in (-|z|, phase)
-    order and normalized by `unit_columns`; the spectrum then holds them
-    read-only. The residuals are reported, not checked; the first buffer is
-    freed before the second is made.
+    Each block is (z, lift): its eigenvalues in any order, and `lift(cols)`,
+    which returns the right and left vectors of z[cols] as two N x r arrays,
+    not yet normalized, handed over. All pairs go in one (-|z|, phase) order,
+    and each block is lifted a panel of at most `_PANEL` columns at a time.
+    In place, each column is divided by its norm and then by the unit phase
+    of its largest-modulus component, which makes that component real
+    positive (a reproducible phase); the residuals are reported, not checked,
+    and the panel goes straight into its final columns of R and L
+    (F-ordered: one contiguous write per column). Two lifts with the same
+    panels give the same bits; a lift computed column by column (FFTs) gives
+    them whatever the panels, a BLAS product (the Walsh lift) can move with
+    a panel's width.
     """
-    o = decay_order(z)
-    z = z[o]
-    for M in (V, U):
-        np.take(M, o, axis=1, out=M)  # buffered: safe in place
-        unit_columns(M)
-    return Spectrum(V.shape[0], z, V, U, residuals(apply, V, z), residuals(apply_h, U, z.conj()))
+    z = np.concatenate([zb for zb, _ in blocks])
+    order = decay_order(z)
+    at = np.argsort(order)  # the place of each pair in that order
+    R, L = (np.empty((N, len(z)), dtype=complex, order="F") for _ in range(2))
+    res_r, res_l = np.empty(len(z)), np.empty(len(z))
+    start = 0
+    for zb, lift in blocks:
+        t = len(zb)
+        # panels of near-equal width, none of one column unless t = 1: the
+        # norms of a one-column block sum pairwise, those of a wider block
+        # row by row, as a whole block's do
+        n = -(-t // _PANEL)
+        for k in range(n):
+            cols = slice(k * t // n, (k + 1) * t // n)
+            V, U = lift(cols)
+            for M in (V, U):
+                M /= np.linalg.norm(M, axis=0)
+                top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
+                M /= top / np.abs(top)
+            dest = at[start + cols.start:start + cols.stop]
+            R[:, dest], L[:, dest] = V, U
+            res_r[dest] = residuals(apply, V, zb[cols])
+            res_l[dest] = residuals(apply_h, U, zb[cols].conj())
+            del V, U  # freed before the next panel is lifted
+        start += t
+    return Spectrum(N, z[order], R, L, res_r, res_l)
 
 
 def escape_weights(s: Spectrum, m_max: int) -> tuple:

@@ -86,17 +86,25 @@ def long_lived_spectrum(k: int) -> Spectrum:
     The eigenpairs (z, w) of the small matrix Q^H U~ Q give the right vectors
     V = Q w; the left vectors are the dual basis U = P (P^H V)^-H inside the
     span P of the Cantor coordinates, so U^H V = I before normalization and
-    U is zero off the Cantor indices. The remaining eigenvalues are exactly 0.
+    U is zero off the Cantor indices. Both are lifted a panel at a time, from
+    w and from the 2^k x 2^k dual (P^H V)^-H, so no N x 2^k V or U is held
+    beside the spectrum's own columns. The remaining eigenvalues are exactly 0.
     """
     if not 2 <= k <= MAX_K:
         raise ValueError(f"Walsh eigenpairs need 2 <= n_exp <= {MAX_K}: "
                          "they hold N x 2^n_exp bases (161 MB each at n_exp 9)")
     Q, cantor = _trapped_bases(k)
-    z, w = np.linalg.eig(Q.conj().T @ _apply(Q))
-    V = Q @ w
-    U = np.zeros_like(V)
-    U[cantor] = np.linalg.inv(V[cantor]).conj().T
-    return eigenpairs(z, V, U, _apply, _apply_h)
+    UQ = _apply(Q)  # before Q^H is made: three N x 2^k arrays at most, not four
+    z, w = np.linalg.eig(Q.conj().T @ UQ)
+    del UQ
+    dual = np.linalg.inv(Q[cantor] @ w).conj().T
+
+    def lift(cols):
+        U = np.zeros((len(Q), len(z[cols])), dtype=complex)
+        U[cantor] = dual[:, cols]
+        return Q @ w[:, cols], U
+
+    return eigenpairs(len(Q), [(z, lift)], _apply, _apply_h)
 
 
 def walsh_spectrum_report(k: int) -> dict:

@@ -514,6 +514,16 @@ def test_json_format(tmp_path):
     assert set(payload["rows"][0]) >= {"re_z", "im_z", "modulus"}
 
 
+@pytest.mark.parametrize("name", list(cli.SUBCOMMANDS))
+def test_cli_defaults_are_run_configs(name):
+    """An option not given is absent from the parsed arguments, so a run's
+    defaults are RunConfig's alone: `--n-exp k` by itself makes
+    RunConfig(n_exp=k), with no --walsh flag left to pop."""
+    args = vars(cli.build_parser().parse_args([name, "--n-exp", "5"]))
+    assert args.pop("command") == name
+    assert RunConfig(**args) == RunConfig(n_exp=5)
+
+
 def test_cli_spectrum(tmp_path, capsys):
     rc = main(["spectrum", "--n-exp", "3", "--out", str(tmp_path)])
     assert rc == 0

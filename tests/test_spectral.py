@@ -17,6 +17,7 @@ from openbaker.experiments import (
     run_husimi_figure,
     sector_spectrum,
 )
+from openbaker import spectral
 from openbaker.quantum import escape_projector
 from openbaker.spectral import (
     Spectrum,
@@ -32,7 +33,7 @@ from open_dense import open_propagator
 def _dense_spectrum(A):
     """Spectrum of a square matrix from one two-sided LAPACK eigensolve."""
     z, U, V = la.eig(A, left=True, right=True)
-    return eigenpairs(z, V, U, *_actions(A))
+    return eigenpairs(len(A), [(z, lambda c: (V[:, c], U[:, c]))], *_actions(A))
 
 
 def _actions(A):
@@ -124,7 +125,7 @@ def _reference_pairs(A, z, V, U):
 def test_eigenpairs_matches_per_pair_reference(A):
     z, U, V = la.eig(A, left=True, right=True)
     ref = _reference_pairs(A, z, V.copy(), U.copy())
-    s = eigenpairs(z, V, U, *_actions(A))
+    s = eigenpairs(len(A), [(z, lambda c: (V[:, c], U[:, c]))], *_actions(A))
     assert s.z.tolist() == [r[0] for r in ref]
     for i, (_, v, u, res_r, res_l) in enumerate(ref):
         for got, want in ((s.R[:, i], v), (s.L[:, i], u)):
@@ -135,6 +136,42 @@ def test_eigenpairs_matches_per_pair_reference(A):
         assert abs(s.res_r[i] - res_r) < 1e-14
         assert abs(s.res_l[i] - res_l) < 1e-14
     assert not s.R.flags.writeable and not s.L.flags.writeable
+
+
+@pytest.mark.parametrize("make", [lambda: open_spectrum(243), lambda: sector_spectrum(243, "odd")],
+                         ids=["open_243", "odd_243"])
+def test_lift_bits_do_not_depend_on_panels(make, monkeypatch):
+    """The open map's lift and actions are FFTs, which compute each column
+    alone, so its bits do not depend on which columns share a panel: with
+    panels of at most 7 or 64 columns, a spectrum is bitwise the one lifted
+    in the default panels. This is what lets a cached sector solve keep
+    eig's column order."""
+    want = make()
+    for width in (7, 64):
+        monkeypatch.setattr(spectral, "_PANEL", width)
+        got = make()
+        for name in ("z", "R", "L", "res_r", "res_l"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (width, name)
+
+
+def test_walsh_lift_bits_move_only_with_blas_panel_widths(monkeypatch):
+    """The Walsh lift (Q w) and actions are BLAS matrix products, whose bits
+    can move with a panel's width: x86-64 OpenBLAS takes the columns beyond
+    a multiple of its kernel's unroll on another path. At k = 6, one panel
+    of 64 columns gives the bits of the default two of 32; panels of at most
+    7 give z and L bitwise (L is copied from the dual basis) and move R and
+    the residuals by round-off, measured at most 1.4e-16 in R and 6.2e-17
+    in the residuals for k = 3, 5 and 6 and widths 3 to 12."""
+    want = long_lived_spectrum(6)
+    monkeypatch.setattr(spectral, "_PANEL", 64)
+    got = long_lived_spectrum(6)
+    for name in ("z", "R", "L", "res_r", "res_l"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    monkeypatch.setattr(spectral, "_PANEL", 7)
+    got = long_lived_spectrum(6)
+    assert got.z.tobytes() == want.z.tobytes() and got.L.tobytes() == want.L.tobytes()
+    assert np.abs(got.R - want.R).max() < 1e-15
+    assert max(np.abs(got.res_r - want.res_r).max(), np.abs(got.res_l - want.res_l).max()) < 1e-15
 
 
 def test_left_vectors_vanish_on_opening(spec27):
