@@ -24,15 +24,16 @@ formed: the blocks are folded from U's kept corners (`baker_corners`), and
 the vectors are lifted and their residuals taken through U's FFT action
 (`baker_apply`); a block gives right vectors only, and the left ones follow
 by time reversal (U~^T = F U~ F^-1). The one spectrum cache (`_SECTORS`)
-holds each open sector's folded solve and nothing else, read-only: z and
-the N/3 x N/3 folded right vectors W as `np.linalg.eig` returns them, 0.95
-MB per sector at N = 729. Each request is one call of `spectral.eigenpairs`
-(`_lift`), with a block per sector whose lift is `_lift_columns`: it puts
-the pairs in order and lifts them into new arrays a panel at a time, so
-`open_spectrum` writes both sectors' columns straight into the full
-spectrum's places, `sector_spectrum` one sector's, solving it alone if it
-is missing, and `weyl` reads z with no lift. The open route runs
-on NumPy alone. The closed-map control, the one user of SciPy, is
+keeps every open sector's folded solve until the process ends, and nothing
+else, read-only: z and the N/3 x N/3 folded right vectors W as
+`np.linalg.eig` returns them, 0.95 MB per sector at N = 729, so `weyl`
+after `spectrum` solves no sector twice. Each request is one call of
+`spectral.eigenpairs` (`_lift`), with a block per sector whose lift is
+`_lift_columns`: it puts the pairs in order and lifts them into new arrays
+a panel at a time, so `open_spectrum` writes both sectors' columns straight
+into the full spectrum's places, `sector_spectrum` one sector's, solving it
+alone if it is missing, and `weyl` reads z with no lift. The open route
+runs on NumPy alone. The closed-map control, the one user of SciPy, is
 plain states: `closed_states` solves the dense block of U in each sector for
 right vectors only (U is unitary, so its left vectors are its right ones)
 and caches nothing.
@@ -121,11 +122,12 @@ class RunConfig:
         return d
 
 
-# The one spectrum cache: the folded solve of each open parity sector by
-# (N, sector), oldest first; beyond eight, the oldest is dropped. An entry is
-# the read-only pair (z, W), the eigenvalues of its folded kept block and the
+# The one spectrum cache: every folded solve of an open parity sector the
+# process makes, by (N, sector), kept until it ends. An entry is the
+# read-only pair (z, W), the eigenvalues of its folded kept block and the
 # block's right vectors (N/3 x N/3), both in eig's order, 16 (N/3)^2 + 16 N/3
-# bytes
+# bytes: ninefold per step in N, so all entries below the largest pair add
+# at most an eighth of it
 _SECTORS: dict = {}
 
 # Parity of each open sector's vectors under n -> N-1-n
@@ -134,20 +136,16 @@ _SIGN = {"even": 1.0, "odd": -1.0}
 
 def _open_sectors(N: int, sectors: tuple) -> list:
     """The folded solves (z, W) of the open parity sectors asked for, from
-    `_SECTORS`, or else the missing ones solved from one set of U's kept
-    corners and stored; a solve dropped from the cache while the others are
-    stored is still returned."""
-    found = {sector: _SECTORS[N, sector] for sector in sectors if (N, sector) in _SECTORS}
-    missing = [sector for sector in sectors if sector not in found]
+    `_SECTORS`, the missing ones solved first from one set of U's kept
+    corners and stored."""
+    missing = [sector for sector in sectors if (N, sector) not in _SECTORS]
     if missing:
         C = baker_corners(N)
         for sector in missing:
-            found[sector] = _SECTORS[N, sector] = _folded_block_eig(C, _SIGN[sector])
-            for a in found[sector]:
+            _SECTORS[N, sector] = _folded_block_eig(C, _SIGN[sector])
+            for a in _SECTORS[N, sector]:
                 a.flags.writeable = False
-            if len(_SECTORS) > 8:
-                del _SECTORS[next(iter(_SECTORS))]
-    return [found[sector] for sector in sectors]
+    return [_SECTORS[N, sector] for sector in sectors]
 
 
 def _lift(N: int, sectors: tuple) -> Spectrum:
@@ -315,8 +313,7 @@ def run_weyl_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
     if len(N_list) < 3:
         raise ValueError("weyl counts need n_exp >= 5 (at least 3 N values for a slope)")
     thresholds = sorted({0.3, 0.5, 0.7, cfg.threshold})
-    # each N's folded solves once (the cache holds eight), no vector lifted,
-    # then every threshold
+    # each N's folded solves once, no vector lifted, then every threshold
     moduli = [np.abs(np.concatenate([z for z, _ in _open_sectors(N, ("even", "odd"))]))
               for N in N_list]
     counts = np.array([[(m > r).sum() for m in moduli] for r in thresholds])

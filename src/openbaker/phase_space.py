@@ -184,11 +184,12 @@ def average_density(densities) -> np.ndarray:
 
 
 def interval_mask(support: IntervalUnion, L: int) -> np.ndarray:
-    """Boolean mask of the grid cells whose centres (n+1/2)/L lie in `support`."""
-    grid = (np.arange(L) + 0.5) / L
+    """Boolean mask of the grid cells whose centres (n+1/2)/L lie in `support`:
+    for each interval [a, b), the n with a L - 1/2 <= n < b L - 1/2, a slice
+    whose ends are found in the endpoints' exact arithmetic."""
     mask = np.zeros(L, dtype=bool)
     for a, b in support.intervals:
-        mask |= (grid >= float(a)) & (grid < float(b))
+        mask[math.ceil((2 * a * L - 1) / 2):math.ceil((2 * b * L - 1) / 2)] = True
     return mask
 
 

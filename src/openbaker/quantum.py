@@ -3,7 +3,9 @@
 The Hilbert space has dimension N (effective hbar = 1/(2 pi N)); position
 grid points sit at q_n = (n + 1/2)/N, matching the half-integer offsets of
 the antiperiodic discrete Fourier transform. A projector onto a vertical
-strip is diagonal in this basis and is held as its 0/1 diagonal.
+strip, the opening pi_0 or an escape region, is diagonal in this basis: the
+open map zeroes the middle third, and `spectral.escape_weights` holds the
+escape projectors as 0/1 diagonals.
 
 The propagator U_N = F_N^-1 diag(F_{N/3}, F_{N/3}, F_{N/3}) acts on a block
 of columns by two FFTs (`baker_apply`), the antiperiodic DFT F_N by one
@@ -16,21 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classical import region_R_plus
-
 __all__ = [
-    "UnresolvedRegionError",
     "dft_matrix",
     "dft_apply",
     "baker_unitary",
     "baker_apply",
     "baker_corners",
-    "escape_projector",
 ]
-
-
-class UnresolvedRegionError(ValueError):
-    """The grid is too coarse to represent a region exactly."""
 
 
 def dft_matrix(N: int) -> np.ndarray:
@@ -121,26 +115,6 @@ def baker_corners(N: int) -> np.ndarray:
         F = _dft_entries(kept, np.arange(start, start + t), N)
         np.matmul(np.conj(F, out=F), Ft, out=C[:, col:col + t])
     return C
-
-
-def escape_projector(m: int, N: int) -> np.ndarray:
-    """pi_m: read-only 0/1 diagonal (length N, float) of the projector onto
-    the grid points (n+1/2)/N in the escape region R_+^m (m = 0 is the
-    opening pi_0).
-
-    Raises UnresolvedRegionError when an interval of the region only
-    partially covers some grid cell [n/N, (n+1)/N).
-    """
-    d = np.zeros(N)
-    for a, b in region_R_plus(m).intervals:
-        lo, hi = a * N, b * N
-        if lo.denominator != 1 or hi.denominator != 1:
-            raise UnresolvedRegionError(
-                f"interval [{a},{b}) not aligned with the 1/{N} grid"
-            )
-        d[int(lo):int(hi)] = 1.0
-    d.flags.writeable = False
-    return d
 
 
 def parity_sector_basis(N: int, sector: str) -> np.ndarray:

@@ -15,9 +15,11 @@ per column) is checked the same way as a dense one.
 
 Figures read a spectrum's columns: the `count` longest-lived states are the
 first `count` columns of R, a decay-rate bin is a mask on `moduli()`, and
-`escape_weights` gives every pair's escape-region weights, measured and
-predicted, as two (pairs x depths) arrays, and `spectrum_table` the spectrum
-table as columns of numbers, exact zeros included (`io_utils.fmt` renders it).
+`escape_weights` gives every pair's escape-region weights, measured on the
+grid cells whose centres lie in each region (`phase_space.interval_mask`, on
+a grid that resolves the regions) and predicted, as two (pairs x depths)
+arrays, and `spectrum_table` the spectrum table as columns of numbers,
+exact zeros included (`io_utils.fmt` renders it).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .quantum import escape_projector
+from .classical import region_R_plus
+from .phase_space import interval_mask
 
 __all__ = [
     "Spectrum",
@@ -136,10 +139,17 @@ def escape_weights(s: Spectrum, m_max: int) -> tuple:
     """Weights of every right vector on the escape regions R_+^0 ... R_+^m_max,
     as two (pairs x depths) arrays: the measured masses (|R|^2)^T P, where P
     stacks the 0/1 diagonals pi_0 ... pi_m_max, and the semiclassical
-    prediction |z|^(2m) (1 - |z|^2)."""
+    prediction |z|^(2m) (1 - |z|^2). The regions' endpoints are multiples of
+    3^-(m_max+1), which must divide the grid: a grid point (n+1/2)/N then
+    lies 1/(2N) from every endpoint, so pi_m selects exactly the grid cells
+    [n/N, (n+1)/N) inside R_+^m (`phase_space.interval_mask`)."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    P = np.column_stack([escape_projector(m, s.N) for m in range(m_max + 1)])
+    if s.N % 3 ** (m_max + 1):
+        raise ValueError(f"escape regions to depth {m_max} need N divisible by "
+                         f"{3 ** (m_max + 1)}, not N = {s.N}")
+    P = np.column_stack([interval_mask(region_R_plus(m), s.N)
+                         for m in range(m_max + 1)]).astype(float)
     # an einsum: a GEMM sums in another order and moves the tables' last digits
     measured = np.einsum("np,nm->pm", np.abs(s.R) ** 2, P)
     r2 = s.moduli() ** 2

@@ -1,10 +1,14 @@
 """Exact set algebra on IntervalUnion, used by the tests to build the
 reference recursions (preimages, images, disjointness) that the closed-form
-regions of `openbaker.classical` must reproduce, and membership of a point."""
+regions of `openbaker.classical` must reproduce, membership of a point, and
+the escape projectors by exact rational arithmetic, the reference for the
+grid-cell centre rule of `phase_space.interval_mask`."""
 
 from fractions import Fraction
 
-from openbaker.classical import IntervalUnion
+import numpy as np
+
+from openbaker.classical import IntervalUnion, region_R_plus
 
 
 def contains(u: IntervalUnion, x) -> bool:
@@ -59,3 +63,21 @@ def scale_shift(u: IntervalUnion, num, den) -> IntervalUnion:
     return IntervalUnion.from_pairs(
         [((a + num) / den, (b + num) / den) for a, b in u.intervals]
     )
+
+
+def escape_projector(m: int, N: int) -> np.ndarray:
+    """pi_m: read-only 0/1 diagonal (length N, float) of the projector onto
+    the grid points (n+1/2)/N in the escape region R_+^m (m = 0 is the
+    opening pi_0), each interval's endpoints scaled by N exactly.
+
+    Raises ValueError when an interval of the region only partially covers
+    some grid cell [n/N, (n+1)/N).
+    """
+    d = np.zeros(N)
+    for a, b in region_R_plus(m).intervals:
+        lo, hi = a * N, b * N
+        if lo.denominator != 1 or hi.denominator != 1:
+            raise ValueError(f"interval [{a},{b}) not aligned with the 1/{N} grid")
+        d[int(lo):int(hi)] = 1.0
+    d.flags.writeable = False
+    return d

@@ -33,13 +33,10 @@ from openbaker.phase_space import (
     self_similarity_score,
     wigner_grid_average,
 )
-from openbaker.quantum import (
-    dft_matrix,
-    escape_projector,
-)
+from openbaker.quantum import dft_matrix
 from openbaker.spectral import escape_weights
 from openbaker.walsh import _apply, long_lived_spectrum, nonzero_count
-from interval_ops import difference, scale_shift, union
+from interval_ops import difference, escape_projector, scale_shift, union
 from open_dense import open_propagator, wigner_momentum_marginal, wigner_position_marginal
 from torus_reference import TorusPoint, coherent_vector, region_R_minus
 

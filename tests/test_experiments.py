@@ -227,17 +227,22 @@ def test_cold_spectrum_peak_memory(build, mib):
     assert _traced_peak(build) <= mib * 2**20
 
 
-def test_cache_hit_dropped_while_filling_is_returned():
-    """A sector found in the full cache is returned, and lifted, even when
-    storing its missing partner drops it as the oldest entry."""
+def test_cache_keeps_every_folded_solve(monkeypatch):
+    """Every folded solve stays in `_SECTORS`: after both sectors at N = 3,
+    9, 27, 81 and 243 (ten entries), N = 3 is asked for again with no
+    second solve, and its re-lifted spectrum is bitwise the first."""
     experiments._SECTORS.clear()
-    even = sector_spectrum(27, "even")
-    for N in (3, 6, 9, 12, 15, 18, 21):
-        sector_spectrum(N, "even")
-    assert len(experiments._SECTORS) == 8 and next(iter(experiments._SECTORS)) == (27, "even")
-    full = open_spectrum(27)
-    assert (27, "even") not in experiments._SECTORS and (27, "odd") in experiments._SECTORS
-    assert set(even.z.tolist()) <= set(full.z.tolist()) and len(full.z) == 18
+    solve, solved = experiments._folded_block_eig, []
+    monkeypatch.setattr(experiments, "_folded_block_eig",
+                        lambda C, sign: solved.append(3 * len(C) // 2) or solve(C, sign))
+    first = open_spectrum(3)
+    for N in (9, 27, 81, 243):
+        open_spectrum(N)
+    assert len(experiments._SECTORS) == 10
+    again = open_spectrum(3)
+    assert solved == [N for N in (3, 9, 27, 81, 243) for _ in range(2)]
+    for a, b in zip(_spectrum_arrays(first), _spectrum_arrays(again)):
+        assert np.array_equal(a, b)
 
 
 def test_weyl_scaled_count():
@@ -327,9 +332,9 @@ def test_weyl_degenerate_slope_is_null(tmp_path, fmt_, name):
 def test_weyl_builds_each_propagator_once(tmp_path, monkeypatch):
     """`weyl` takes each N's two folded solves once and counts every
     threshold from their eigenvalues, with no vector lifted (no
-    `baker_apply`), so U_N's kept corners are built once per N however few
-    sectors the cache holds; `spectrum`, `weyl` and `density` never build
-    the dense U_N."""
+    `baker_apply`), so U_N's kept corners are built once per N, and again
+    only for a sector not yet solved; `spectrum`, `weyl` and `density`
+    never build the dense U_N."""
     experiments._SECTORS.clear()
     build, built, spectra, applied = experiments.baker_corners, [], [], []
     sectors, apply = experiments._open_sectors, experiments.baker_apply

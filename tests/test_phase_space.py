@@ -18,6 +18,7 @@ from openbaker.phase_space import (
     wigner_grid_average,
 )
 from openbaker.quantum import dft_matrix
+from interval_ops import escape_projector
 from open_dense import (open_propagator, wigner_dense, wigner_momentum_marginal,
                         wigner_position_marginal)
 from torus_reference import TorusPoint, coherent_vector, region_R_minus
@@ -347,6 +348,16 @@ def test_cantor_and_band_mass():
         cantor_mass(flat, 0)
     with pytest.raises(ValueError):
         cantor_mass(np.ones(10), 1)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_interval_mask_matches_exact_escape_projector(k):
+    """On a grid that resolves them (N = 3^k, m <= k-1), the grid-cell
+    centre rule selects exactly the cells that the exact rational rule
+    does: a centre lies 1/(2N) from every endpoint of R_+^m."""
+    N = 3**k
+    for m in range(k):
+        assert np.array_equal(interval_mask(region_R_plus(m), N), escape_projector(m, N) == 1.0)
 
 
 def test_self_similarity():

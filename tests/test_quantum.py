@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from openbaker.quantum import (
-    UnresolvedRegionError,
     baker_apply,
     baker_corners,
     baker_unitary,
     dft_apply,
     dft_matrix,
-    escape_projector,
     parity_sector_basis,
     sector_block,
 )
+from interval_ops import escape_projector
 from open_dense import extended_unitary, open_propagator
 from walsh_dense import baker_form
 
@@ -160,7 +159,7 @@ def test_projector_exact_and_unresolved():
     pi0 = escape_projector(0, 9)
     assert np.flatnonzero(pi0).tolist() == [3, 4, 5]
     assert pi0.sum() == 3
-    with pytest.raises(UnresolvedRegionError):
+    with pytest.raises(ValueError, match="not aligned with the 1/9 grid"):
         escape_projector(2, 9)  # needs N divisible by 27
 
 

@@ -18,7 +18,6 @@ from openbaker.experiments import (
     sector_spectrum,
 )
 from openbaker import spectral
-from openbaker.quantum import escape_projector
 from openbaker.spectral import (
     Spectrum,
     eigenpairs,
@@ -27,6 +26,7 @@ from openbaker.spectral import (
 )
 from openbaker.io_utils import fmt
 from openbaker.walsh import long_lived_spectrum
+from interval_ops import escape_projector
 from open_dense import open_propagator
 
 
@@ -221,6 +221,15 @@ def test_weight_validation(spec27):
     _, s = spec27
     with pytest.raises(ValueError):
         escape_weights(s, -1)
+
+
+@pytest.mark.parametrize("N, m_max, den", [(9, 2, 27), (81, 4, 243), (12, 1, 9)])
+def test_escape_weights_unresolved_grid(N, m_max, den):
+    """A grid whose cells do not resolve the deepest escape region asked
+    for (3^(m_max+1) does not divide N) fails with both numbers named,
+    not with the weights of a wrongly rasterized region."""
+    with pytest.raises(ValueError, match=f"need N divisible by {den}, not N = {N}"):
+        escape_weights(_uniform_spectrum(N, [0.5]), m_max)
 
 
 def _uniform_spectrum(N: int, zs) -> Spectrum:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from openbaker.quantum import escape_projector
 from openbaker.spectral import escape_weights
 from openbaker.walsh import (
     ZERO_THRESHOLD,
@@ -15,6 +14,7 @@ from openbaker.walsh import (
     nonzero_count,
     walsh_spectrum_report,
 )
+from interval_ops import escape_projector
 from walsh_dense import digit_reversal, trapped_svd, walsh_open_baker, walsh_transform
 from test_phase_space import _traced_peak
 
