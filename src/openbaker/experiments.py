@@ -28,15 +28,15 @@ keeps every open sector's folded solve until the process ends, and nothing
 else, read-only: z and the N/3 x N/3 folded right vectors W as
 `np.linalg.eig` returns them, 0.95 MB per sector at N = 729, so `weyl`
 after `spectrum` solves no sector twice. Each request is one call of
-`spectral.eigenpairs` (`_lift`), with a block per sector whose lift is
-`_lift_columns`: it puts the pairs in order and lifts them into new arrays
-a panel at a time, so `open_spectrum` writes both sectors' columns straight
-into the full spectrum's places, `sector_spectrum` one sector's, solving it
-alone if it is missing, and `weyl` reads z with no lift. The open route
-runs on NumPy alone. The closed-map control, the one user of SciPy, is
-plain states: `closed_states` solves the dense block of U in each sector for
-right vectors only (U is unitary, so its left vectors are its right ones)
-and caches nothing.
+`spectral.eigenpairs` (`_lift`): it puts the pairs in order and lifts them
+into new arrays a panel at a time, so `open_spectrum` writes both sectors'
+columns straight into the full spectrum's places, `sector_spectrum` one
+sector's, solving it alone if it is missing, and `weyl` reads z with no
+lift; left vectors and residuals are lifted only if read (among the figures
+by `spectrum` alone). The open route runs on NumPy alone. The closed-map
+control, the one user of SciPy, is plain states: `closed_states` solves the
+dense block of U in each sector for right vectors only (U is unitary, so
+its left vectors are its right ones) and caches nothing.
 """
 
 from __future__ import annotations
@@ -150,9 +150,15 @@ def _open_sectors(N: int, sectors: tuple) -> list:
 
 def _lift(N: int, sectors: tuple) -> Spectrum:
     """The spectrum of the open sectors asked for, lifted by `eigenpairs`
-    from their folded solves, one block per sector, its lift `_lift_columns`
-    on the columns of W asked for."""
-    blocks = [(z, lambda cols, W=W, sign=_SIGN[sector]: _lift_columns(N, sign, W[:, cols]))
+    from their folded solves, a block per sector, with no U, U~ or parity
+    basis: from columns w of W, right vectors v = U x, x = `_unfold`(w), by
+    `baker_apply`, and left ones by time reversal (U~^T = F U~ F^-1),
+    u = conj(F v) = `_unfold`(conj(F_t w)), as F_N U = diag(F_t, F_t, F_t):
+    one length-N/3 `dft_apply`, exactly 0 on the opening. The opening
+    kernel, z = 0 with right vectors (e_n +- e_n')/sqrt 2 (n' = N-1-n in the
+    middle third) and left vectors U times those, is not built."""
+    blocks = [(z, lambda cols, W=W, sign=_SIGN[sector]: baker_apply(_unfold(sign, W[:, cols])),
+               lambda cols, W=W, sign=_SIGN[sector]: _unfold(sign, dft_apply(W[:, cols]).conj()))
               for sector, (z, W) in zip(sectors, _open_sectors(N, sectors))]
     return eigenpairs(N, blocks, _open_apply, _open_apply_h)
 
@@ -223,22 +229,9 @@ def _open_apply_h(X: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _lift_columns(N: int, sign: float, W: np.ndarray) -> tuple:
-    """The right and left vectors of U~ = U (I - pi_0) in one parity sector
-    from right vectors W of its folded block, not yet normalized, with no U,
-    U~ or parity basis: right vectors v = U x, x = (w, 0, +-w reversed), by
-    `baker_apply`; left vectors by time reversal (U~^T = F U~ F^-1),
-    u = conj(F v) = conj(F_t x) by thirds, as F_N U = diag(F_t, F_t, F_t):
-    one length-N/3 `dft_apply`, exactly 0 on the opening. The sector's
-    opening kernel, z = 0 with right vectors (e_n +- e_n')/sqrt 2
-    (n' = N-1-n in the middle third) and left vectors U times those, is not
-    built."""
-    t = N // 3
-    X, L = np.zeros((N, W.shape[1]), dtype=complex), np.zeros((N, W.shape[1]), dtype=complex)
-    u = dft_apply(W).conj()
-    X[:t], X[2 * t:] = W, sign * W[::-1]
-    L[:t], L[2 * t:] = u, sign * u[::-1]
-    return baker_apply(X), L
+def _unfold(sign: float, W: np.ndarray) -> np.ndarray:
+    """(w, 0, +-w reversed) for each column w of W, in a new array."""
+    return np.concatenate([W, np.zeros_like(W), sign * W[::-1]])
 
 
 def _emit(cfg: RunConfig, stem: str, table: dict, extra=None) -> Path:

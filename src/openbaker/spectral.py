@@ -4,14 +4,15 @@ Resonances of the open propagator are eigenvalues inside the unit disk;
 the decay rate is Gamma = -ln|z|^2. Left and right eigenvectors are
 normalized to unit norm separately (they are not orthogonal to each other).
 
-A `Spectrum` is the read-only arrays (N, z, R, L, res_r, res_l) in one
-(-|z|, phase) order, `decay_order`, and `eigenpairs` is the one code that
-builds it: from blocks, each its eigenvalues and a lift to their vectors,
-it lifts a panel of columns at a time, normalizes it, takes its
-`residuals` and writes it into its final columns. It sees the propagator
-only through its action on a block of columns, so a map whose matrix is
-never formed (the open map by two FFTs per column, the Walsh map in O(N)
-per column) is checked the same way as a dense one.
+A `Spectrum` is read-only arrays in one (-|z|, phase) order, `decay_order`:
+z and R, made when it is built, and L, res_r and res_l, made on first read.
+`eigenpairs` is the one code that builds it: from blocks, each its
+eigenvalues and lifts to their right and left vectors, it lifts, normalizes
+and places a panel of columns at a time, taking both `residuals` of a panel
+with its left lift. It sees the propagator only through its action on a
+block of columns, so a map whose matrix is never formed (the open map by
+two FFTs per column, the Walsh map in O(N) per column) is checked the same
+way as a dense one.
 
 Figures read a spectrum's columns: the `count` longest-lived states are the
 first `count` columns of R, a decay-rate bin is a mask on `moduli()`, and
@@ -25,7 +26,9 @@ exact zeros included (`io_utils.fmt` renders it).
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -52,20 +55,25 @@ class Spectrum:
     """Eigenpairs of an operator on C^N, only those computed: eigenvalues z,
     right and left vectors as the columns of R and L (N x len(z)), and the
     residuals res_r = ||A v - z v|| and res_l = ||A^H u - conj(z) u||, all
-    read-only. Its other N - len(z) eigenvalues are exact zeros (the open
-    map's opening kernel, the Walsh map's nilpotent part); a parity sector's
-    operator is zero on the other sector, which counts among its zeros."""
+    read-only, the last three made by `fill()` on the first read of any. Its
+    other N - len(z) eigenvalues are exact zeros (the open map's opening
+    kernel, the Walsh map's nilpotent part, and a parity sector's other one)."""
 
     N: int
     z: np.ndarray
     R: np.ndarray
-    L: np.ndarray
-    res_r: np.ndarray
-    res_l: np.ndarray
+    fill: Callable  # () -> (L, res_r, res_l)
 
     def __post_init__(self):
-        for f in fields(self)[1:]:
-            getattr(self, f.name).flags.writeable = False
+        self.z.flags.writeable = self.R.flags.writeable = False
+
+    @cached_property
+    def _filled(self) -> tuple:
+        for a in (arrays := self.fill()):
+            a.flags.writeable = False
+        return arrays
+
+    L, res_r, res_l = (property(lambda self, i=i: self._filled[i]) for i in range(3))
 
     def moduli(self) -> np.ndarray:
         return np.abs(self.z)
@@ -90,49 +98,58 @@ def residuals(apply, V: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.linalg.norm(B, axis=0)
 
 
+def _unit(M: np.ndarray) -> np.ndarray:
+    """M, each column divided in place by its norm, then by the unit phase of
+    its largest-modulus component (made real positive: a reproducible phase)."""
+    M /= np.linalg.norm(M, axis=0)
+    top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
+    M /= top / np.abs(top)
+    return M
+
+
+def _panels(t: int) -> list:
+    """Columns 0 ... t-1 as slices of near-equal width, at most `_PANEL`, none
+    of one column unless t = 1 (a column's norm sums pairwise, a wider
+    panel's row by row, as a whole block's)."""
+    n = -(-t // _PANEL)
+    return [slice(k * t // n, (k + 1) * t // n) for k in range(n)]
+
+
 def eigenpairs(N: int, blocks, apply, apply_h) -> Spectrum:
     """The spectrum of an operator A on C^N from eigensolves of its blocks;
     `apply(X)` and `apply_h(X)` return A X and A^H X for an N x r block X.
 
-    Each block is (z, lift): its eigenvalues in any order, and `lift(cols)`,
-    which returns the right and left vectors of z[cols] as two N x r arrays,
-    not yet normalized, handed over. All pairs go in one (-|z|, phase) order,
-    and each block is lifted a panel of at most `_PANEL` columns at a time.
-    In place, each column is divided by its norm and then by the unit phase
-    of its largest-modulus component, which makes that component real
-    positive (a reproducible phase); the residuals are reported, not checked,
-    and the panel goes straight into its final columns of R and L
-    (F-ordered: one contiguous write per column). Two lifts with the same
-    panels give the same bits; a lift computed column by column (FFTs) gives
-    them whatever the panels, a BLAS product (the Walsh lift) can move with
-    a panel's width.
+    Each block is (z, right, left): its eigenvalues in any order, and
+    `right(cols)` and `left(cols)`, which return the right and the left
+    vectors of z[cols], not yet normalized, handed over. All pairs go in one
+    (-|z|, phase) order. R is lifted here, and L with both residuals by the
+    spectrum's `fill`, over the same `_panels` of each block, each made
+    `_unit` straight into its final columns. The residuals are reported, not
+    checked, each on a C-ordered panel (a panel's layout moves their bits).
+    The same panels give the same bits; an FFT lift gives them whatever the
+    panels, a BLAS product (the Walsh lift) can move with a panel's width.
     """
-    z = np.concatenate([zb for zb, _ in blocks])
+    z = np.concatenate([b[0] for b in blocks])
     order = decay_order(z)
-    at = np.argsort(order)  # the place of each pair in that order
-    R, L = (np.empty((N, len(z)), dtype=complex, order="F") for _ in range(2))
-    res_r, res_l = np.empty(len(z)), np.empty(len(z))
-    start = 0
-    for zb, lift in blocks:
-        t = len(zb)
-        # panels of near-equal width, none of one column unless t = 1: the
-        # norms of a one-column block sum pairwise, those of a wider block
-        # row by row, as a whole block's do
-        n = -(-t // _PANEL)
-        for k in range(n):
-            cols = slice(k * t // n, (k + 1) * t // n)
-            V, U = lift(cols)
-            for M in (V, U):
-                M /= np.linalg.norm(M, axis=0)
-                top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
-                M /= top / np.abs(top)
-            dest = at[start + cols.start:start + cols.stop]
-            R[:, dest], L[:, dest] = V, U
-            res_r[dest] = residuals(apply, V, zb[cols])
+    places = np.split(np.argsort(order), np.cumsum([len(b[0]) for b in blocks])[:-1])  # by block
+    # each panel's block, columns and places, fixed here for `fill` to walk
+    panels = [(i, cols, at[cols]) for i, at in enumerate(places) for cols in _panels(len(at))]
+    R = np.empty((N, len(z)), dtype=complex, order="F")  # one contiguous write per column
+    for i, cols, dest in panels:
+        R[:, dest] = _unit(blocks[i][1](cols))
+    lefts = [(zb, left) for zb, _, left in blocks]  # fill keeps no right lift's data
+
+    def fill() -> tuple:
+        L, res_r, res_l = np.empty_like(R), np.empty(len(z)), np.empty(len(z))
+        for i, cols, dest in panels:
+            zb, left = lefts[i]
+            L[:, dest] = U = _unit(left(cols))
+            res_r[dest] = residuals(apply, np.ascontiguousarray(R[:, dest]), zb[cols])
             res_l[dest] = residuals(apply_h, U, zb[cols].conj())
-            del V, U  # freed before the next panel is lifted
-        start += t
-    return Spectrum(N, z[order], R, L, res_r, res_l)
+            del U  # freed before the next panel is lifted
+        return L, res_r, res_l
+
+    return Spectrum(N, z[order], R, fill)
 
 
 def escape_weights(s: Spectrum, m_max: int) -> tuple:

@@ -87,8 +87,8 @@ def long_lived_spectrum(k: int) -> Spectrum:
     V = Q w; the left vectors are the dual basis U = P (P^H V)^-H inside the
     span P of the Cantor coordinates, so U^H V = I before normalization and
     U is zero off the Cantor indices. Both are lifted a panel at a time, from
-    w and from the 2^k x 2^k dual (P^H V)^-H, so no N x 2^k V or U is held
-    beside the spectrum's own columns. The remaining eigenvalues are exactly 0.
+    w and (when first read) from the 2^k x 2^k dual (P^H V)^-H, so no N x 2^k
+    V or U is held beside the spectrum's own columns. The rest are exactly 0.
     """
     if not 2 <= k <= MAX_K:
         raise ValueError(f"Walsh eigenpairs need 2 <= n_exp <= {MAX_K}: "
@@ -99,12 +99,12 @@ def long_lived_spectrum(k: int) -> Spectrum:
     del UQ
     dual = np.linalg.inv(Q[cantor] @ w).conj().T
 
-    def lift(cols):
-        U = np.zeros((len(Q), len(z[cols])), dtype=complex)
+    def left(cols):  # kept by the spectrum until its L is read: Q is not
+        U = np.zeros((3**k, len(z[cols])), dtype=complex)
         U[cantor] = dual[:, cols]
-        return Q @ w[:, cols], U
+        return U
 
-    return eigenpairs(len(Q), [(z, lift)], _apply, _apply_h)
+    return eigenpairs(3**k, [(z, lambda cols: Q @ w[:, cols], left)], _apply, _apply_h)
 
 
 def walsh_spectrum_report(k: int) -> dict:

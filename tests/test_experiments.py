@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openbaker import cli, experiments, io_utils, walsh
+from openbaker import cli, experiments, io_utils, spectral, walsh
 from openbaker.cli import main
 from openbaker.experiments import (
     RunConfig,
@@ -164,8 +164,8 @@ def test_sector_spectra_partition():
         assert np.abs(U[::-1] - sign * U).max() < 1e-12
 
 
-def _spectrum_arrays(s):
-    return [getattr(s, name) for name in ("z", "R", "L", "res_r", "res_l")]
+def _spectrum_arrays(s, names=("z", "R", "L", "res_r", "res_l")):
+    return [getattr(s, name) for name in names]
 
 
 def _sector_entry_arrays(N, sector):
@@ -178,12 +178,17 @@ def _sector_entry_arrays(N, sector):
     lambda: _spectrum_arrays(open_spectrum(27)),
     lambda: _spectrum_arrays(sector_spectrum(27, "even")),
     lambda: _spectrum_arrays(long_lived_spectrum(3)),
+    lambda: _spectrum_arrays(open_spectrum(27), ("res_l", "res_r", "L")),
+    lambda: _spectrum_arrays(long_lived_spectrum(3), ("res_r", "L", "res_l")),
     lambda: _sector_entry_arrays(27, "odd"),
-], ids=["open", "sector", "walsh_long_lived", "sector_cache_entry"])
+], ids=["open", "sector", "walsh_long_lived", "open_filled_by_res_l", "walsh_filled_by_res_r",
+        "sector_cache_entry"])
 def test_cached_spectra_read_only(build):
     """A write to any array of a spectrum fails: a cached sector, the
-    merged full spectrum and the Walsh spectrum; and to either array of a
-    `_SECTORS` entry, z and W, which every later lift of that sector reads."""
+    merged full spectrum and the Walsh spectrum, also to L, res_r and res_l,
+    which are filled on the first read of any of them; and to either array
+    of a `_SECTORS` entry, z and W, which every later lift of that sector
+    reads."""
     for a in build():
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -215,13 +220,16 @@ def test_cached_sector_holds_no_lifted_vector(N):
         assert z.nbytes + W.nbytes <= 16 * t * t + 16 * t
 
 
-# Traced peaks of a cold lift at N = 729, measured: 14.9 MiB for the full
-# spectrum, 10.8 MiB of it the result, and 9.9 MiB for one sector, set by its
-# solve (U's corners and the folded block). With the lifted sectors cached
-# and merged, they were 24.4 and 18.1 MiB.
-@pytest.mark.parametrize("build, mib", [(lambda: open_spectrum(729), 17),
-                                        (lambda: sector_spectrum(729, "even"), 11.5)],
-                         ids=["open", "sector"])
+# Traced peaks of a cold lift at N = 729, measured: 9.9 MiB for the full
+# spectrum and for one sector, both set by the solve (U's corners and the
+# folded block), and 14.4 MiB for the full spectrum with its L and residuals
+# read. When L and the residuals were lifted with R, the full spectrum
+# peaked at 14.9 MiB; with the lifted sectors cached and merged, the full
+# spectrum and one sector peaked at 24.4 and 18.1 MiB.
+@pytest.mark.parametrize("build, mib", [(lambda: open_spectrum(729), 11),
+                                        (lambda: sector_spectrum(729, "even"), 11),
+                                        (lambda: open_spectrum(729).L, 15.5)],
+                         ids=["open", "sector", "open_filled"])
 def test_cold_spectrum_peak_memory(build, mib):
     experiments._SECTORS.clear()
     assert _traced_peak(build) <= mib * 2**20
@@ -243,6 +251,29 @@ def test_cache_keeps_every_folded_solve(monkeypatch):
     assert solved == [N for N in (3, 9, 27, 81, 243) for _ in range(2)]
     for a, b in zip(_spectrum_arrays(first), _spectrum_arrays(again)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("sector", ["even", "full"])
+def test_only_the_spectrum_table_lifts_left_vectors(tmp_path, monkeypatch, sector):
+    """The figures read right vectors alone: at n_exp 5, `weights`, `husimi`
+    and `density` take no residual and make no left lift (one `dft_apply`
+    per panel), and `spectrum`, whose table reads both residuals, makes one
+    left lift and takes one right and one left residual per panel: a sector
+    of N/3 = 81 columns lifts in 3 panels."""
+    calls = {"residuals": 0, "left": 0}
+
+    def counted(name, f):
+        return lambda *a, **k: calls.update({name: calls[name] + 1}) or f(*a, **k)
+
+    monkeypatch.setattr(spectral, "residuals", counted("residuals", spectral.residuals))
+    monkeypatch.setattr(experiments, "dft_apply", counted("left", experiments.dft_apply))
+    cfg = RunConfig(n_exp=5, out_dir=tmp_path, sector=sector)
+    for run in (run_weights_experiment, run_husimi_figure, run_density_figures):
+        run(cfg)
+    assert calls == {"residuals": 0, "left": 0}
+    run_spectrum(cfg)
+    panels = 2 * -(-81 // spectral._PANEL)
+    assert calls == {"residuals": 2 * panels, "left": panels}
 
 
 def test_weyl_scaled_count():
@@ -388,12 +419,12 @@ def test_husimi_count_stops_at_resonances(tmp_path, monkeypatch):
 
 def test_husimi_figure_peak_memory(tmp_path):
     """Traced peak of the n_exp 5 figure, its spectrum cached and SciPy
-    loaded beforehand: measured 11.9 MiB, with each of the two Husimi
-    averages summed as the pass makes its images (12.2 MiB with a third
-    average over the left states), where the pass that held all 3 x 100
-    images and stacked each third once more reached 23.2 MiB, and the
-    dense-rho Wigner with one unblocked Husimi pass 64.9 MiB; the bound is
-    14 MiB."""
+    loaded beforehand: measured 11.6 MiB (11.9 while a spectrum lifted its
+    L with R), with each of the two Husimi averages summed as the pass makes
+    its images (12.2 MiB with a third average over the left states), where
+    the pass that held all 3 x 100 images and stacked each third once more
+    reached 23.2 MiB, and the dense-rho Wigner with one unblocked Husimi
+    pass 64.9 MiB; the bound is 14 MiB."""
     sector_spectrum(243, "even")
     closed_states(243, "even")
     assert _traced_peak(run_husimi_figure, RunConfig(n_exp=5, out_dir=tmp_path)) <= 14 * 2**20

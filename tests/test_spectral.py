@@ -17,7 +17,7 @@ from openbaker.experiments import (
     run_husimi_figure,
     sector_spectrum,
 )
-from openbaker import spectral
+from openbaker import experiments, spectral, walsh
 from openbaker.spectral import (
     Spectrum,
     eigenpairs,
@@ -33,7 +33,7 @@ from open_dense import open_propagator
 def _dense_spectrum(A):
     """Spectrum of a square matrix from one two-sided LAPACK eigensolve."""
     z, U, V = la.eig(A, left=True, right=True)
-    return eigenpairs(len(A), [(z, lambda c: (V[:, c], U[:, c]))], *_actions(A))
+    return eigenpairs(len(A), [(z, lambda c: V[:, c], lambda c: U[:, c])], *_actions(A))
 
 
 def _actions(A):
@@ -125,7 +125,7 @@ def _reference_pairs(A, z, V, U):
 def test_eigenpairs_matches_per_pair_reference(A):
     z, U, V = la.eig(A, left=True, right=True)
     ref = _reference_pairs(A, z, V.copy(), U.copy())
-    s = eigenpairs(len(A), [(z, lambda c: (V[:, c], U[:, c]))], *_actions(A))
+    s = eigenpairs(len(A), [(z, lambda c: V[:, c], lambda c: U[:, c])], *_actions(A))
     assert s.z.tolist() == [r[0] for r in ref]
     for i, (_, v, u, res_r, res_l) in enumerate(ref):
         for got, want in ((s.R[:, i], v), (s.L[:, i], u)):
@@ -152,6 +152,54 @@ def test_lift_bits_do_not_depend_on_panels(make, monkeypatch):
         got = make()
         for name in ("z", "R", "L", "res_r", "res_l"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (width, name)
+
+
+def _eager_eigenpairs(N, blocks, apply, apply_h):
+    """Reference for `eigenpairs`: the five arrays with L and both residuals
+    made with R, as one loop over the same panels, each panel's right and
+    left vectors lifted, normalized and placed together and its residuals
+    taken on the lifted panels."""
+    z = np.concatenate([b[0] for b in blocks])
+    order = spectral.decay_order(z)
+    at = np.argsort(order)
+    R, L = (np.empty((N, len(z)), dtype=complex, order="F") for _ in range(2))
+    res_r, res_l = np.empty(len(z)), np.empty(len(z))
+    start = 0
+    for zb, right, left in blocks:
+        t = len(zb)
+        n = -(-t // spectral._PANEL)
+        for k in range(n):
+            cols = slice(k * t // n, (k + 1) * t // n)
+            V, U = right(cols), left(cols)
+            for M in (V, U):
+                M /= np.linalg.norm(M, axis=0)
+                top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
+                M /= top / np.abs(top)
+            dest = at[start + cols.start:start + cols.stop]
+            R[:, dest], L[:, dest] = V, U
+            res_r[dest] = spectral.residuals(apply, V, zb[cols])
+            res_l[dest] = spectral.residuals(apply_h, U, zb[cols].conj())
+        start += t
+    return dict(z=z[order], R=R, L=L, res_r=res_r, res_l=res_l)
+
+
+@pytest.mark.parametrize("make", [lambda: open_spectrum(243), lambda: sector_spectrum(243, "odd"),
+                                  lambda: long_lived_spectrum(5)],
+                         ids=["open_243", "odd_243", "walsh_5"])
+@pytest.mark.parametrize("first", ["L", "res_l", "pairs"])
+def test_filled_arrays_do_not_depend_on_the_first_read(make, first, monkeypatch):
+    """L, res_r and res_l are made together on the first read of any of
+    them, over the panels of the right lift; whichever is read first, all
+    five arrays are bitwise those of one eager loop that lifts both sides
+    of a panel at once."""
+    for module in (experiments, walsh):
+        monkeypatch.setattr(module, "eigenpairs", _eager_eigenpairs)
+    want = make()
+    monkeypatch.undo()
+    got = make()
+    getattr(got, first)
+    for name, a in want.items():
+        assert getattr(got, name).tobytes() == a.tobytes(), name
 
 
 def test_walsh_lift_bits_move_only_with_blas_panel_widths(monkeypatch):
@@ -234,9 +282,10 @@ def test_escape_weights_unresolved_grid(N, m_max, den):
 
 def _uniform_spectrum(N: int, zs) -> Spectrum:
     """A hand-built spectrum with the given eigenvalues, each carrying the
-    flat unit vector."""
+    flat unit vector as its right and left vectors, with zero residuals."""
     V = np.full((N, len(zs)), N**-0.5, dtype=complex)
-    return Spectrum(N, np.array(zs, dtype=complex), V, V.copy(), np.zeros(len(zs)), np.zeros(len(zs)))
+    return Spectrum(N, np.array(zs, dtype=complex), V,
+                    lambda: (V.copy(), np.zeros(len(zs)), np.zeros(len(zs))))
 
 
 @given(st.floats(0, 1), st.integers(0, 10))
