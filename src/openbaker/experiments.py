@@ -21,7 +21,7 @@ Every baker spectrum is built per parity sector, as the arrays of the N/3
 eigenpairs of its folded kept block; the opening's exact kernel (z = 0) is
 counted, not built. The N x N propagator is never diagonalized, nor even
 formed: the blocks are folded from U's kept corners (`baker_corners`), and
-the vectors are lifted and their residuals taken through U's FFT action
+the vectors are lifted and their residuals taken through U~'s FFT action
 (`baker_apply`); a block gives right vectors only, and the left ones follow
 by time reversal (U~^T = F U~ F^-1). The one spectrum cache (`_SECTORS`)
 keeps every open sector's folded solve until the process ends, and nothing
@@ -151,7 +151,7 @@ def _open_sectors(N: int, sectors: tuple) -> list:
 def _lift(N: int, sectors: tuple) -> Spectrum:
     """The spectrum of the open sectors asked for, lifted by `eigenpairs`
     from their folded solves, a block per sector, with no U, U~ or parity
-    basis: from columns w of W, right vectors v = U x, x = `_unfold`(w), by
+    basis: from columns w of W, right vectors v = U~ x, x = `_unfold`(w), by
     `baker_apply`, and left ones by time reversal (U~^T = F U~ F^-1),
     u = conj(F v) = `_unfold`(conj(F_t w)), as F_N U = diag(F_t, F_t, F_t):
     one length-N/3 `dft_apply`, exactly 0 on the opening. The opening
@@ -160,7 +160,7 @@ def _lift(N: int, sectors: tuple) -> Spectrum:
     blocks = [(z, lambda cols, W=W, sign=_SIGN[sector]: baker_apply(_unfold(sign, W[:, cols])),
                lambda cols, W=W, sign=_SIGN[sector]: _unfold(sign, dft_apply(W[:, cols]).conj()))
               for sector, (z, W) in zip(sectors, _open_sectors(N, sectors))]
-    return eigenpairs(N, blocks, _open_apply, _open_apply_h)
+    return eigenpairs(N, blocks, baker_apply)
 
 
 def open_spectrum(N: int) -> Spectrum:
@@ -211,22 +211,6 @@ def _folded_block_eig(C: np.ndarray, sign: float) -> tuple:
     t = C.shape[0] // 2
     A = (C[:t, :t] + C[::-1, ::-1][:t, :t] + sign * (C[:t, ::-1][:, :t] + C[::-1][:t, :t])) / 2
     return np.linalg.eig(A)
-
-
-def _open_apply(X: np.ndarray) -> np.ndarray:
-    """U~ X = U (I - pi_0) X through the FFT action of U."""
-    t = X.shape[0] // 3
-    X = X.copy()
-    X[t:2 * t] = 0.0
-    return baker_apply(X)
-
-
-def _open_apply_h(X: np.ndarray) -> np.ndarray:
-    """U~^H X = (I - pi_0) U^H X through the FFT action of U^H."""
-    t = X.shape[0] // 3
-    Y = baker_apply(X, adjoint=True)
-    Y[t:2 * t] = 0.0
-    return Y
 
 
 def _unfold(sign: float, W: np.ndarray) -> np.ndarray:

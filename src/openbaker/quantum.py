@@ -7,8 +7,9 @@ strip, the opening pi_0 or an escape region, is diagonal in this basis: the
 open map zeroes the middle third, and `spectral.escape_weights` holds the
 escape projectors as 0/1 diagonals.
 
-The propagator U_N = F_N^-1 diag(F_{N/3}, F_{N/3}, F_{N/3}) acts on a block
-of columns by two FFTs (`baker_apply`), the antiperiodic DFT F_N by one
+The closed propagator is U_N = F_N^-1 diag(F_{N/3}, F_{N/3}, F_{N/3}) and
+the open one U~ = U_N (I - pi_0). `baker_apply` applies U~ or U~^H to a
+block of columns by two FFTs, the antiperiodic DFT F_N applies by one
 (`dft_apply`), and the open spectra need of U only its restriction to the
 kept first and last thirds (`baker_corners`). Everything here runs on
 NumPy alone. The dense `baker_unitary` serves the closed-map control.
@@ -66,7 +67,8 @@ def _twiddles(N: int) -> tuple:
     both FFTs unitary, the length-t one over each third: a[m] (length t),
     then b[bt + k] (length N) joining the output phase of the antiperiodic
     F_t to the input phase of F_N^-1, then c[n]. Each phase is
-    exp(i pi j / (2N)) with its integer j reduced mod 4N before rounding."""
+    exp(i pi j / (2N)) with its integer j reduced mod 4N before rounding;
+    U~ X is the same with the middle third of a * X zeroed."""
     t = N // 3
     m, n = np.arange(t), np.arange(N)
     unit = np.exp(0.5j * np.pi * np.arange(4 * N) / N)
@@ -76,10 +78,12 @@ def _twiddles(N: int) -> tuple:
 
 
 def baker_apply(X: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """U_N X, or U_N^H X when `adjoint`, for an N x r block X (or a vector):
-    one antiperiodic length-N/3 FFT over the three thirds and one
-    antiperiodic length-N FFT per column, O(N log N), with no N x N array.
-    Returns a new array; X is not changed."""
+    """The open propagator U~ X = U_N (I - pi_0) X, or U~^H X = (I - pi_0)
+    U_N^H X when `adjoint`, for an N x r block X (or a vector): one
+    antiperiodic length-N/3 FFT over the three thirds and one antiperiodic
+    length-N FFT per column, O(N log N), with no N x N array. The opening is
+    zeroed before the first FFT (after the last for U~^H): U~ X ignores X's
+    middle third, and U~^H X is 0 on it. A new array; X is not changed."""
     N = X.shape[0]
     if N % 3 != 0:
         raise ValueError("N must be divisible by 3")
@@ -90,8 +94,11 @@ def baker_apply(X: np.ndarray, adjoint: bool = False) -> np.ndarray:
         Y *= b.conj()
         Y = np.fft.ifft(Y.reshape(3, t, -1), axis=1, norm="ortho")
         Y *= a.conj()
+        Y[1] = 0.0
     else:
-        Y = np.fft.fft(X.reshape(3, t, -1) * a, axis=1, norm="ortho").reshape(N, -1)
+        Y = X.reshape(3, t, -1) * a
+        Y[1] = 0.0
+        Y = np.fft.fft(Y, axis=1, norm="ortho").reshape(N, -1)
         Y *= b
         Y = np.fft.ifft(Y, axis=0, norm="ortho")
         Y *= c

@@ -9,10 +9,10 @@ z and R, made when it is built, and L, res_r and res_l, made on first read.
 `eigenpairs` is the one code that builds it: from blocks, each its
 eigenvalues and lifts to their right and left vectors, it lifts, normalizes
 and places a panel of columns at a time, taking both `residuals` of a panel
-with its left lift. It sees the propagator only through its action on a
-block of columns, so a map whose matrix is never formed (the open map by
-two FFTs per column, the Walsh map in O(N) per column) is checked the same
-way as a dense one.
+with its left lift. It sees the propagator only through one action on a
+block of columns, `apply(X)` or `apply(X, adjoint=True)`, so a map whose
+matrix is never formed (the open map by two FFTs per column, the Walsh map
+in O(N) per column) is checked the same way as a dense one.
 
 Figures read a spectrum's columns: the `count` longest-lived states are the
 first `count` columns of R, a decay-rate bin is a mask on `moduli()`, and
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -115,9 +115,9 @@ def _panels(t: int) -> list:
     return [slice(k * t // n, (k + 1) * t // n) for k in range(n)]
 
 
-def eigenpairs(N: int, blocks, apply, apply_h) -> Spectrum:
+def eigenpairs(N: int, blocks, apply) -> Spectrum:
     """The spectrum of an operator A on C^N from eigensolves of its blocks;
-    `apply(X)` and `apply_h(X)` return A X and A^H X for an N x r block X.
+    `apply(X)` and `apply(X, adjoint=True)` return A X and A^H X for N x r X.
 
     Each block is (z, right, left): its eigenvalues in any order, and
     `right(cols)` and `left(cols)`, which return the right and the left
@@ -145,7 +145,7 @@ def eigenpairs(N: int, blocks, apply, apply_h) -> Spectrum:
             zb, left = lefts[i]
             L[:, dest] = U = _unit(left(cols))
             res_r[dest] = residuals(apply, np.ascontiguousarray(R[:, dest]), zb[cols])
-            res_l[dest] = residuals(apply_h, U, zb[cols].conj())
+            res_l[dest] = residuals(partial(apply, adjoint=True), U, zb[cols].conj())
             del U  # freed before the next panel is lifted
         return L, res_r, res_l
 

@@ -19,7 +19,7 @@ dual basis among the Cantor coordinates, so <u_i|v_j> = 0 for i != j even
 within a cluster, and every left vector is exactly zero off the Cantor
 indices, the forward trapped set. The escape-region weights
 (`escape_weights`) obey |z|^(2m) (1 - |z|^2) to round-off. No N x N matrix is formed:
-the residuals are taken through the O(N) action of U~ and of its adjoint.
+the residuals are taken through one O(N) action, of U~ or of its adjoint.
 The eigenpairs stop at k = MAX_K because they hold N x 2^k bases (161 MB
 each at k = 9); the counts need only the singular values.
 """
@@ -46,16 +46,13 @@ _M = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3) 
 _M[:, 1] = 0.0
 
 
-def _apply(V: np.ndarray) -> np.ndarray:
-    """U~ V for a vector or the columns of an N x r block, in O(N r)."""
+def _apply(V: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """U~ V, or U~^H V when `adjoint`, for a vector or an N x r block, in O(N r)."""
     N = V.shape[0]
+    if adjoint:
+        X = V.reshape(N // 3, 3, -1).swapaxes(0, 1).reshape(3, -1)
+        return (_M.conj().T @ X).reshape(V.shape)
     return (_M @ V.reshape(3, -1)).reshape(3, N // 3, -1).swapaxes(0, 1).reshape(V.shape)
-
-
-def _apply_h(X: np.ndarray) -> np.ndarray:
-    """U~^H X, the adjoint of `_apply`, in O(N r)."""
-    N = X.shape[0]
-    return (_M.conj().T @ X.reshape(N // 3, 3, -1).swapaxes(0, 1).reshape(3, -1)).reshape(X.shape)
 
 
 def _singular_values(k: int) -> list:
@@ -104,7 +101,7 @@ def long_lived_spectrum(k: int) -> Spectrum:
         U[cantor] = dual[:, cols]
         return U
 
-    return eigenpairs(3**k, [(z, lambda cols: Q @ w[:, cols], left)], _apply, _apply_h)
+    return eigenpairs(3**k, [(z, lambda cols: Q @ w[:, cols], left)], _apply)
 
 
 def walsh_spectrum_report(k: int) -> dict:

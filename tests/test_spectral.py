@@ -33,12 +33,12 @@ from open_dense import open_propagator
 def _dense_spectrum(A):
     """Spectrum of a square matrix from one two-sided LAPACK eigensolve."""
     z, U, V = la.eig(A, left=True, right=True)
-    return eigenpairs(len(A), [(z, lambda c: V[:, c], lambda c: U[:, c])], *_actions(A))
+    return eigenpairs(len(A), [(z, lambda c: V[:, c], lambda c: U[:, c])], _action(A))
 
 
-def _actions(A):
-    """The action of a dense matrix and of its adjoint on a block of columns."""
-    return (lambda X: A @ X), (lambda X: A.conj().T @ X)
+def _action(A):
+    """The action of a dense matrix, or of its adjoint, on a block of columns."""
+    return lambda X, adjoint=False: (A.conj().T if adjoint else A) @ X
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,7 @@ def _reference_pairs(A, z, V, U):
 def test_eigenpairs_matches_per_pair_reference(A):
     z, U, V = la.eig(A, left=True, right=True)
     ref = _reference_pairs(A, z, V.copy(), U.copy())
-    s = eigenpairs(len(A), [(z, lambda c: V[:, c], lambda c: U[:, c])], *_actions(A))
+    s = eigenpairs(len(A), [(z, lambda c: V[:, c], lambda c: U[:, c])], _action(A))
     assert s.z.tolist() == [r[0] for r in ref]
     for i, (_, v, u, res_r, res_l) in enumerate(ref):
         for got, want in ((s.R[:, i], v), (s.L[:, i], u)):
@@ -154,7 +154,7 @@ def test_lift_bits_do_not_depend_on_panels(make, monkeypatch):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (width, name)
 
 
-def _eager_eigenpairs(N, blocks, apply, apply_h):
+def _eager_eigenpairs(N, blocks, apply):
     """Reference for `eigenpairs`: the five arrays with L and both residuals
     made with R, as one loop over the same panels, each panel's right and
     left vectors lifted, normalized and placed together and its residuals
@@ -178,7 +178,8 @@ def _eager_eigenpairs(N, blocks, apply, apply_h):
             dest = at[start + cols.start:start + cols.stop]
             R[:, dest], L[:, dest] = V, U
             res_r[dest] = spectral.residuals(apply, V, zb[cols])
-            res_l[dest] = spectral.residuals(apply_h, U, zb[cols].conj())
+            res_l[dest] = spectral.residuals(lambda X: apply(X, adjoint=True), U,
+                                             zb[cols].conj())
         start += t
     return dict(z=z[order], R=R, L=L, res_r=res_r, res_l=res_l)
 

@@ -7,7 +7,6 @@ from openbaker.spectral import escape_weights
 from openbaker.walsh import (
     ZERO_THRESHOLD,
     _apply,
-    _apply_h,
     _singular_values,
     _trapped_bases,
     long_lived_spectrum,
@@ -69,12 +68,13 @@ def test_digit_structure_matches_dense_reference(k):
     N = 3**k
     Ut = _apply(np.eye(N, dtype=complex))
     assert np.abs(Ut - walsh_open_baker(k)).max() < 1e-14
-    assert np.abs(_apply_h(np.eye(N, dtype=complex)) - walsh_open_baker(k).conj().T).max() < 1e-14
+    Uh = _apply(np.eye(N, dtype=complex), adjoint=True)
+    assert np.abs(Uh - walsh_open_baker(k).conj().T).max() < 1e-14
     X = np.random.default_rng(k).standard_normal((N, 5)) + 0j
     assert np.abs(_apply(X) - Ut @ X).max() < 1e-14
     assert np.abs(_apply(X[:, 0]) - Ut @ X[:, 0]).max() < 1e-14
-    assert np.abs(_apply_h(X) - Ut.conj().T @ X).max() < 1e-14
-    assert np.abs(_apply_h(X[:, 0]) - Ut.conj().T @ X[:, 0]).max() < 1e-14
+    assert np.abs(_apply(X, adjoint=True) - Ut.conj().T @ X).max() < 1e-14
+    assert np.abs(_apply(X[:, 0], adjoint=True) - Ut.conj().T @ X[:, 0]).max() < 1e-14
     M = Ut[:3, ::N // 3]  # rows 0..2 of U~ hold M on columns 0, N/3, 2N/3
     Mk = M
     for _ in range(k - 1):
