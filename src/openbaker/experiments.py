@@ -12,31 +12,28 @@ Figure pipelines select eigenstates in the even parity sector: the
 propagator commutes with parity, and the published eigenvalue window for
 the longest-lived states (top modulus about 0.89 at N = 3^7) is the one
 seen after symmetry reduction, while the full spectrum's top modulus is
-0.939. The pipelines read a spectrum's columns: the weights table is
-`escape_weights` for both maps, the longest-lived states are the leading
-columns, the decay-rate bins of Fig. 4 are masks on the moduli, and the
-phase-space transforms take the selected states as one N x S block.
+0.939. The weights table is `escape_weights` for both maps; the decay-rate
+bins of Fig. 4 are masks on the moduli, and the longest-lived states and
+the bins' are leading columns (`Spectrum.leading`), one N x S block.
 
-Every baker spectrum is built per parity sector, as the arrays of the N/3
-eigenpairs of its folded kept block; the opening's exact kernel (z = 0) is
-counted, not built. The N x N propagator is never diagonalized, nor even
-formed: the blocks are folded from U's kept corners (`baker_corners`), and
-the vectors are lifted and their residuals taken through U~'s FFT action
+Every baker spectrum is built per parity sector, from the N/3 eigenpairs
+of its folded kept block; the opening's exact kernel (z = 0) is counted,
+not built. The N x N propagator is never diagonalized, nor even formed:
+the blocks are folded from U's kept corners (`baker_corners`), and the
+vectors are lifted and their residuals taken through U~'s FFT action
 (`baker_apply`); a block gives right vectors only, and the left ones follow
 by time reversal (U~^T = F U~ F^-1). The one spectrum cache (`_SECTORS`)
 keeps every open sector's folded solve until the process ends, and nothing
 else, read-only: z and the N/3 x N/3 folded right vectors W as
 `np.linalg.eig` returns them, 0.95 MB per sector at N = 729, so `weyl`
 after `spectrum` solves no sector twice. Each request is one call of
-`spectral.eigenpairs` (`_lift`): it puts the pairs in order and lifts them
-into new arrays a panel at a time, so `open_spectrum` writes both sectors'
-columns straight into the full spectrum's places, `sector_spectrum` one
-sector's, solving it alone if it is missing, and `weyl` reads z with no
-lift; left vectors and residuals are lifted only if read (among the figures
-by `spectrum` alone). The open route runs on NumPy alone. The closed-map
-control, the one user of SciPy, is plain states: `closed_states` solves the
-dense block of U in each sector for right vectors only (U is unitary, so
-its left vectors are its right ones) and caches nothing.
+`spectral.eigenpairs` (`_lift`), which lifts only the columns read, a panel
+at a time into new arrays: `weyl` reads z alone, `husimi` and `density`
+leading columns, `weights` all of R, `spectrum` L and the residuals. The
+open route runs on NumPy alone. The closed-map control, the one user of
+SciPy, is plain states: `closed_states` solves the dense block of U in each
+sector for right vectors only (U is unitary, so its left vectors are its
+right ones) and caches nothing.
 """
 
 from __future__ import annotations
@@ -155,8 +152,7 @@ def _lift(N: int, sectors: tuple) -> Spectrum:
     `baker_apply`, and left ones by time reversal (U~^T = F U~ F^-1),
     u = conj(F v) = `_unfold`(conj(F_t w)), as F_N U = diag(F_t, F_t, F_t):
     one length-N/3 `dft_apply`, exactly 0 on the opening. The opening
-    kernel, z = 0 with right vectors (e_n +- e_n')/sqrt 2 (n' = N-1-n in the
-    middle third) and left vectors U times those, is not built."""
+    kernel (z = 0) is not built."""
     blocks = [(z, lambda cols, W=W, sign=_SIGN[sector]: baker_apply(_unfold(sign, W[:, cols])),
                lambda cols, W=W, sign=_SIGN[sector]: _unfold(sign, dft_apply(W[:, cols]).conj()))
               for sector, (z, W) in zip(sectors, _open_sectors(N, sectors))]
@@ -220,21 +216,15 @@ def _unfold(sign: float, W: np.ndarray) -> np.ndarray:
 
 def _emit(cfg: RunConfig, stem: str, table: dict, extra=None) -> Path:
     """Write a table given as columns, header -> 1-D sequence, each cell
-    rendered by `io_utils.fmt`, as CSV with a sidecar or as one JSON file.
-    CSV rows are rendered one at a time as they are written."""
-    header = list(table)
+    rendered by `io_utils.fmt`, as CSV with a sidecar or as one JSON file,
+    rows rendered one at a time as they are written."""
     rows = zip(*(map(io_utils.fmt, c) for c in table.values()))
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     if cfg.fmt == "json":
-        path = out / f"{stem}.json"
-        payload = {"config": cfg.as_dict(),
-                   "rows": [dict(zip(header, r)) for r in rows]}
-        if extra:
-            payload.update(extra)
-        path.write_text(io_utils.json_text(payload))
-        return path
-    path = io_utils.write_csv(out / f"{stem}.csv", itertools.chain([header], rows))
+        return io_utils.write_json(out / f"{stem}.json", {"config": cfg.as_dict(), **(extra or {})},
+                                   (dict(zip(table, r)) for r in rows))
+    path = io_utils.write_csv(out / f"{stem}.csv", itertools.chain([list(table)], rows))
     io_utils.write_sidecar(path, cfg.as_dict(), extra)
     return path
 
@@ -290,9 +280,7 @@ def run_weyl_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
     if len(N_list) < 3:
         raise ValueError("weyl counts need n_exp >= 5 (at least 3 N values for a slope)")
     thresholds = sorted({0.3, 0.5, 0.7, cfg.threshold})
-    # each N's folded solves once, no vector lifted, then every threshold
-    moduli = [np.abs(np.concatenate([z for z, _ in _open_sectors(N, ("even", "odd"))]))
-              for N in N_list]
+    moduli = [open_spectrum(N).moduli() for N in N_list]  # no vector lifted
     counts = np.array([[(m > r).sum() for m in moduli] for r in thresholds])
     slopes = {r: float(np.polyfit(np.log(N_list), np.log(c), 1)[0]) if c.min() > 0 else float("nan")
               for r, c in zip(thresholds, counts)}
@@ -320,8 +308,8 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
     s = sector_spectrum(N, cfg.sector)
     # at most the resonances: the opening's exact kernel (z = 0) holds no columns
     count = min(cfg.count, len(s.z))
-    out, cfgd = cfg.out_dir, cfg.as_dict()
-    W = wigner_grid_average(s.R[:, :count])
+    out, cfgd, R = cfg.out_dir, cfg.as_dict(), s.leading(count)
+    W = wigner_grid_average(R)
     _write_wigner_images(out, W, cfgd)
     del W  # gone before the closed-map control loads SciPy and builds U
 
@@ -331,7 +319,7 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
     # the transposed right one, by time reversal (U~^T = F U~ F^-1): the left
     # states live on the forward trapped set, the mirror image of the
     # backward one
-    X = np.hstack([s.R[:, :count], closed_states(N, cfg.sector)[1][:, :count]])
+    X = np.hstack([R, closed_states(N, cfg.sector)[1][:, :count]])
     H = husimi_grids(X, G)
     avg_r, closed_r = (average_density(itertools.islice(H, count)) for _ in range(2))
     avg_l = avg_r.T
@@ -401,8 +389,11 @@ def run_density_figures(cfg: RunConfig) -> dict:
         raise ValueError("density figures need n_exp >= 4 (20 states in one sector)")
     N = cfg.N
     s = sector_spectrum(N, cfg.sector)
-    mod, R = s.moduli(), s.R
-    results = {}
+    mod, results = s.moduli(), {}
+    bins = {tag: _modulus_bin(mod, lo, hi) for tag, (lo, hi) in
+            {"low": (0.35, 0.45), "high": (0.65, 0.75)}.items()}
+    # the columns read, the 20 longest-lived and both bins', lifted alone
+    R = s.leading(max(20, *(np.flatnonzero(keep).max(initial=0) + 1 for keep, _ in bins.values())))
 
     results["fig3_modulus_max"] = float(mod[:20].max())
     results["fig3_modulus_min"] = float(mod[:20].min())
@@ -413,9 +404,8 @@ def run_density_figures(cfg: RunConfig) -> dict:
     results["fig3_cantor_mass_level2"] = cantor_mass(mdens, 2)
     results["fig3_self_similarity"] = self_similarity_score(mdens)
 
-    for tag, (lo, hi) in {"low": (0.35, 0.45), "high": (0.65, 0.75)}.items():
-        keep, widened = _modulus_bin(mod, lo, hi)
-        pdens = average_density(position_density(R[:, keep]).T)
+    for tag, (keep, widened) in bins.items():
+        pdens = average_density(position_density(R[:, keep[:R.shape[1]]]).T)
         _emit(cfg, f"fig4_{tag}_position_density_{N}", _density(pdens, "q", N))
         _emit(cfg, f"fig4_{tag}_magnification_{N}",
               _density(unit_sum(pdens[: N // 3]), "q_unmagnified", N))

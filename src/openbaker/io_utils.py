@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["fmt", "json_text", "write_csv", "write_sidecar", "write_pgm", "sha256_file"]
+__all__ = ["fmt", "json_text", "write_csv", "write_json", "write_sidecar", "write_pgm",
+           "sha256_file"]
 
 # bytes of float64 per strip of graymap rows
 _PGM_STRIP_BYTES = 1 << 16
@@ -52,6 +53,21 @@ def write_csv(path, rows) -> Path:
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\r\n").writerows(rows)
     return path
+
+
+def write_json(path, head: dict, rows) -> Path:
+    """`json_text` of `head` with "rows": `rows`, any iterable of dicts,
+    written a row at a time as it is read, in the bytes of the whole (whose
+    top-level keys alone are indented by two spaces)."""
+    start, end = json_text({**head, "rows": None}).split('\n  "rows": null')
+    with open(path, "w") as fh:
+        fh.write(start + '\n  "rows": [')
+        sep = "\n    "
+        for row in rows:
+            fh.write(sep + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    "))
+            sep = ",\n    "
+        fh.write(("]" if sep == "\n    " else "\n  ]") + end)
+    return Path(path)
 
 
 def sha256_file(path) -> str:

@@ -5,22 +5,23 @@ the decay rate is Gamma = -ln|z|^2. Left and right eigenvectors are
 normalized to unit norm separately (they are not orthogonal to each other).
 
 A `Spectrum` is read-only arrays in one (-|z|, phase) order, `decay_order`:
-z and R, made when it is built, and L, res_r and res_l, made on first read.
-`eigenpairs` is the one code that builds it: from blocks, each its
-eigenvalues and lifts to their right and left vectors, it lifts, normalizes
-and places a panel of columns at a time, taking both `residuals` of a panel
-with its left lift. It sees the propagator only through one action on a
-block of columns, `apply(X)` or `apply(X, adjoint=True)`, so a map whose
-matrix is never formed (the open map by two FFTs per column, the Walsh map
-in O(N) per column) is checked the same way as a dense one.
+z, made when it is built, R on its first read, and L, res_r and res_l on
+the first read of any. `eigenpairs` is the one code that builds it: from
+blocks, each its eigenvalues and lifts to their right and left vectors, it
+lifts, normalizes and places a panel of columns at a time, taking both
+`residuals` of a panel with its left lift. It sees the propagator only
+through one action on a block of columns, `apply(X)` or
+`apply(X, adjoint=True)`, so a map whose matrix is never formed (the open
+map by two FFTs per column, the Walsh map in O(N) per column) is checked
+the same way as a dense one.
 
-Figures read a spectrum's columns: the `count` longest-lived states are the
-first `count` columns of R, a decay-rate bin is a mask on `moduli()`, and
-`escape_weights` gives every pair's escape-region weights, measured on the
-grid cells whose centres lie in each region (`phase_space.interval_mask`, on
-a grid that resolves the regions) and predicted, as two (pairs x depths)
-arrays, and `spectrum_table` the spectrum table as columns of numbers,
-exact zeros included (`io_utils.fmt` renders it).
+Figures read a spectrum's columns: the `count` longest-lived states are
+`leading(count)`, lifted alone until R is made, a decay-rate bin is a mask
+on `moduli()`, and `escape_weights` gives every pair's escape-region
+weights, measured on the grid cells whose centres lie in each region
+(`phase_space.interval_mask`, on a grid that resolves the regions) and
+predicted, as two (pairs x depths) arrays, and `spectrum_table` the
+spectrum table as columns of numbers, exact zeros included.
 """
 
 from __future__ import annotations
@@ -55,21 +56,27 @@ class Spectrum:
     """Eigenpairs of an operator on C^N, only those computed: eigenvalues z,
     right and left vectors as the columns of R and L (N x len(z)), and the
     residuals res_r = ||A v - z v|| and res_l = ||A^H u - conj(z) u||, all
-    read-only, the last three made by `fill()` on the first read of any. Its
-    other N - len(z) eigenvalues are exact zeros (the open map's opening
-    kernel, the Walsh map's nilpotent part, and a parity sector's other one)."""
+    read-only, R made by `lift` on its first read and the rest by `fill` on
+    the first read of any. Its other N - len(z) eigenvalues are exact zeros
+    (the opening kernel, the Walsh nilpotent part, a parity sector's other)."""
 
     N: int
     z: np.ndarray
-    R: np.ndarray
-    fill: Callable  # () -> (L, res_r, res_l)
+    lift: Callable  # k -> the first k columns of R, lifted alone
+    fill: Callable  # R -> (L, res_r, res_l)
 
     def __post_init__(self):
-        self.z.flags.writeable = self.R.flags.writeable = False
+        self.z.flags.writeable = False
+
+    R = cached_property(lambda self: self.lift(len(self.z)))
+
+    def leading(self, k: int) -> np.ndarray:
+        """R[:, :k]: a view of R once it is made, else only these columns lifted."""
+        return self.R[:, :k] if "R" in vars(self) else self.lift(k)
 
     @cached_property
     def _filled(self) -> tuple:
-        for a in (arrays := self.fill()):
+        for a in (arrays := self.fill(self.R)):
             a.flags.writeable = False
         return arrays
 
@@ -107,14 +114,6 @@ def _unit(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _panels(t: int) -> list:
-    """Columns 0 ... t-1 as slices of near-equal width, at most `_PANEL`, none
-    of one column unless t = 1 (a column's norm sums pairwise, a wider
-    panel's row by row, as a whole block's)."""
-    n = -(-t // _PANEL)
-    return [slice(k * t // n, (k + 1) * t // n) for k in range(n)]
-
-
 def eigenpairs(N: int, blocks, apply) -> Spectrum:
     """The spectrum of an operator A on C^N from eigensolves of its blocks;
     `apply(X)` and `apply(X, adjoint=True)` return A X and A^H X for N x r X.
@@ -122,34 +121,44 @@ def eigenpairs(N: int, blocks, apply) -> Spectrum:
     Each block is (z, right, left): its eigenvalues in any order, and
     `right(cols)` and `left(cols)`, which return the right and the left
     vectors of z[cols], not yet normalized, handed over. All pairs go in one
-    (-|z|, phase) order. R is lifted here, and L with both residuals by the
-    spectrum's `fill`, over the same `_panels` of each block, each made
-    `_unit` straight into its final columns. The residuals are reported, not
-    checked, each on a C-ordered panel (a panel's layout moves their bits).
-    The same panels give the same bits; an FFT lift gives them whatever the
-    panels, a BLAS product (the Walsh lift) can move with a panel's width.
+    (-|z|, phase) order. `lift(k)` lifts the pairs placed below k, and
+    `fill` L and both residuals, each block's columns in near-equal panels
+    of at most `_PANEL`, each made `_unit` as a C-ordered copy straight into
+    its final columns: a norm then sums row by row, as in any C-ordered
+    panel of two or more columns (a lone column's pairwise, so a block's one
+    column below k is lifted twice). An FFT lift (the open map's) so gives
+    R[:, :k] bitwise whatever the panels; a BLAS product (the Walsh lift)
+    can move with a panel's width. The residuals are reported, not checked.
     """
     z = np.concatenate([b[0] for b in blocks])
     order = decay_order(z)
     places = np.split(np.argsort(order), np.cumsum([len(b[0]) for b in blocks])[:-1])  # by block
-    # each panel's block, columns and places, fixed here for `fill` to walk
-    panels = [(i, cols, at[cols]) for i, at in enumerate(places) for cols in _panels(len(at))]
-    R = np.empty((N, len(z)), dtype=complex, order="F")  # one contiguous write per column
-    for i, cols, dest in panels:
-        R[:, dest] = _unit(blocks[i][1](cols))
-    lefts = [(zb, left) for zb, _, left in blocks]  # fill keeps no right lift's data
 
-    def fill() -> tuple:
+    def panels(k: int):  # each panel's block, columns and places, for the pairs below k
+        for i, at in enumerate(places):
+            cols = np.flatnonzero(at < k)
+            cols = cols.repeat(2) if len(cols) == 1 < len(at) else cols
+            t, n = len(cols), -(-len(cols) // _PANEL)
+            yield from ((i, c, at[c]) for c in (cols[p * t // n:(p + 1) * t // n] for p in range(n)))
+
+    def lift(k: int) -> np.ndarray:
+        R = np.empty((N, min(k, len(z))), dtype=complex, order="F")  # one contiguous write per column
+        for i, cols, dest in panels(k):
+            R[:, dest] = _unit(np.ascontiguousarray(blocks[i][1](cols)))
+        R.flags.writeable = False
+        return R
+
+    def fill(R: np.ndarray) -> tuple:
         L, res_r, res_l = np.empty_like(R), np.empty(len(z)), np.empty(len(z))
-        for i, cols, dest in panels:
-            zb, left = lefts[i]
-            L[:, dest] = U = _unit(left(cols))
+        for i, cols, dest in panels(len(z)):
+            zb, _, left = blocks[i]
+            L[:, dest] = U = _unit(np.ascontiguousarray(left(cols)))
             res_r[dest] = residuals(apply, np.ascontiguousarray(R[:, dest]), zb[cols])
             res_l[dest] = residuals(partial(apply, adjoint=True), U, zb[cols].conj())
             del U  # freed before the next panel is lifted
         return L, res_r, res_l
 
-    return Spectrum(N, z[order], R, fill)
+    return Spectrum(N, z[order], lift, fill)
 
 
 def escape_weights(s: Spectrum, m_max: int) -> tuple:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,47 @@ def test_emit_streams_rows(tmp_path):
     rows = [list(table)] + [[fmt(x) for x in row] for row in zip(*table.values())]
     assert (tmp_path / "t.csv").read_bytes() == "".join(",".join(row) + "\r\n" for row in rows).encode()
     assert peak <= 0.5 * 2**20
+
+
+def test_emit_streams_json_rows(tmp_path):
+    """A JSON table is written a row at a time as well: the 6561-row table
+    of `test_emit_streams_rows` peaks at 0.12 MiB traced, where `json_text`
+    of the whole payload reached 8.1 MiB; the bound is 0.5 MiB."""
+    q, p = np.indices((81, 81)).reshape(2, -1)
+    table = {"q_index": q, "p_index": p, "value": np.random.default_rng(1).random(q.size)}
+    cfg = RunConfig(n_exp=3, out_dir=tmp_path, fmt="json")
+    assert _traced_peak(experiments._emit, cfg, "t", table) <= 0.5 * 2**20
+    assert len(json.loads((tmp_path / "t.json").read_text())["rows"]) == 81 * 81
+
+
+def _emit_json_whole(cfg, stem, table, extra=None):
+    """Reference for a JSON table: `json_text` of its whole payload, every
+    row rendered before the first is written."""
+    rows = [dict(zip(table, map(fmt, r))) for r in zip(*table.values())]
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    path = cfg.out_dir / f"{stem}.json"
+    path.write_text(io_utils.json_text({"config": cfg.as_dict(), "rows": rows, **(extra or {})}))
+    return path
+
+
+@pytest.mark.parametrize("args", ["classical", "spectrum", "weights", "weights --walsh", "weyl",
+                                  "weyl --walsh", "husimi", "density", "walsh"])
+def test_json_tables_have_the_bytes_of_the_whole(tmp_path, monkeypatch, args):
+    """Every table a subcommand writes with `--format json` at n_exp 4 (5
+    for `weyl`, which fits a slope over three N) has the bytes of the
+    reference that renders its whole payload at once, extra keys included."""
+    argv = args.split() + ["--n-exp", "5" if args == "weyl" else "4", "--format", "json",
+                           "--out", str(tmp_path / "out")]
+
+    def tables():
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in (tmp_path / "out").glob("*.json")
+                if not p.name.endswith(".pgm.json")}
+
+    streamed = tables()
+    shutil.rmtree(tmp_path / "out")
+    monkeypatch.setattr(experiments, "_emit", _emit_json_whole)
+    assert streamed and tables() == streamed
 
 
 def test_write_pgm(tmp_path):
@@ -220,15 +262,15 @@ def test_cached_sector_holds_no_lifted_vector(N):
         assert z.nbytes + W.nbytes <= 16 * t * t + 16 * t
 
 
-# Traced peaks of a cold lift at N = 729, measured: 9.9 MiB for the full
-# spectrum and for one sector, both set by the solve (U's corners and the
-# folded block), and 14.2 MiB for the full spectrum with its L and residuals
-# read (14.4 while each residual panel was copied to zero the opening). When
-# L and the residuals were lifted with R, the full spectrum peaked at
-# 14.9 MiB; with the lifted sectors cached and merged, the full spectrum and
-# one sector peaked at 24.4 and 18.1 MiB.
-@pytest.mark.parametrize("build, mib", [(lambda: open_spectrum(729), 11),
-                                        (lambda: sector_spectrum(729, "even"), 11),
+# Traced peaks of a cold lift at N = 729, R read (it is made on its first
+# read), measured: 9.9 MiB for the full spectrum and for one sector, both set
+# by the solve (U's corners and the folded block), and 14.2 MiB for the full
+# spectrum with its L and residuals read (14.4 while each residual panel was
+# copied to zero the opening). When L and the residuals were lifted with R,
+# the full spectrum peaked at 14.9 MiB; with the lifted sectors cached and
+# merged, the full spectrum and one sector peaked at 24.4 and 18.1 MiB.
+@pytest.mark.parametrize("build, mib", [(lambda: open_spectrum(729).R, 11),
+                                        (lambda: sector_spectrum(729, "even").R, 11),
                                         (lambda: open_spectrum(729).L, 15)],
                          ids=["open", "sector", "open_filled"])
 def test_cold_spectrum_peak_memory(build, mib):
@@ -275,6 +317,21 @@ def test_only_the_spectrum_table_lifts_left_vectors(tmp_path, monkeypatch, secto
     run_spectrum(cfg)
     panels = 2 * -(-81 // spectral._PANEL)
     assert calls == {"residuals": 2 * panels, "left": panels}
+
+
+def test_figures_lift_only_the_columns_they_read(tmp_path, monkeypatch):
+    """Right vectors are lifted through `baker_apply`, one column each: at
+    n_exp 6 `density` lifts the 72 leading columns of the even sector's 243
+    (its 20 longest-lived states and its two decay-rate bins, the last at
+    column 71), `husimi` the 100 it averages, and `weyl`, which counts from
+    the moduli, none."""
+    lifted, apply = [], experiments.baker_apply
+    monkeypatch.setattr(experiments, "baker_apply",
+                        lambda X, **k: lifted.append(X.shape[1]) or apply(X, **k))
+    for sub, columns in (("density", 72), ("husimi", 100), ("weyl", 0)):
+        lifted.clear()
+        assert main([sub, "--n-exp", "6", "--out", str(tmp_path)]) == 0
+        assert sum(lifted) == columns, sub
 
 
 def test_weyl_scaled_count():
