@@ -87,12 +87,12 @@ def main(argv=None) -> int:
         if not top.is_dir():
             raise NotADirectoryError(f"--out {cfg.out_dir}: {top} is not a directory")
         result = run(cfg, **walsh)
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:  # LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     except MemoryError as exc:
         print(f"out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

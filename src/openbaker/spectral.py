@@ -6,10 +6,10 @@ normalized to unit norm separately (they are not orthogonal to each other).
 
 A `Spectrum` is read-only arrays in one (-|z|, phase) order, `decay_order`:
 z, made when it is built, R on its first read, and L, res_r and res_l on
-the first read of any. `eigenpairs` is the one code that builds it: from
-blocks, each its eigenvalues and lifts to their right and left vectors, it
-lifts, normalizes and places a panel of columns at a time, taking both
-`residuals` of a panel with its left lift. It sees the propagator only
+the first read of any, with no R. `eigenpairs` is the one code that builds
+it: from blocks, each its eigenvalues and lifts to their right and left
+vectors, it lifts, normalizes and places a panel of columns at a time,
+taking each panel's residual on its own lift. It sees the propagator only
 through one action on a block of columns, `apply(X)` or
 `apply(X, adjoint=True)`, so a map whose matrix is never formed (the open
 map by two FFTs per column, the Walsh map in O(N) per column) is checked
@@ -63,7 +63,7 @@ class Spectrum:
     N: int
     z: np.ndarray
     lift: Callable  # k -> the first k columns of R, lifted alone
-    fill: Callable  # R -> (L, res_r, res_l)
+    fill: Callable  # () -> (L, res_r, res_l), with no R
 
     def __post_init__(self):
         self.z.flags.writeable = False
@@ -76,7 +76,7 @@ class Spectrum:
 
     @cached_property
     def _filled(self) -> tuple:
-        for a in (arrays := self.fill(self.R)):
+        for a in (arrays := self.fill()):
             a.flags.writeable = False
         return arrays
 
@@ -128,7 +128,8 @@ def eigenpairs(N: int, blocks, apply) -> Spectrum:
     panel of two or more columns (a lone column's pairwise, so a block's one
     column below k is lifted twice). An FFT lift (the open map's) so gives
     R[:, :k] bitwise whatever the panels; a BLAS product (the Walsh lift)
-    can move with a panel's width. The residuals are reported, not checked.
+    can move with a panel's width. `fill` lifts each right panel anew for its
+    residual, freeing it before the left one; residuals are reported only.
     """
     z = np.concatenate([b[0] for b in blocks])
     order = decay_order(z)
@@ -148,12 +149,12 @@ def eigenpairs(N: int, blocks, apply) -> Spectrum:
         R.flags.writeable = False
         return R
 
-    def fill(R: np.ndarray) -> tuple:
-        L, res_r, res_l = np.empty_like(R), np.empty(len(z)), np.empty(len(z))
+    def fill() -> tuple:
+        L, res_r, res_l = np.empty((N, len(z)), complex, "F"), np.empty(len(z)), np.empty(len(z))
         for i, cols, dest in panels(len(z)):
-            zb, _, left = blocks[i]
+            zb, right, left = blocks[i]
+            res_r[dest] = residuals(apply, _unit(np.ascontiguousarray(right(cols))), zb[cols])
             L[:, dest] = U = _unit(np.ascontiguousarray(left(cols)))
-            res_r[dest] = residuals(apply, np.ascontiguousarray(R[:, dest]), zb[cols])
             res_l[dest] = residuals(partial(apply, adjoint=True), U, zb[cols].conj())
             del U  # freed before the next panel is lifted
         return L, res_r, res_l

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -264,14 +265,15 @@ def test_cached_sector_holds_no_lifted_vector(N):
 
 # Traced peaks of a cold lift at N = 729, R read (it is made on its first
 # read), measured: 9.9 MiB for the full spectrum and for one sector, both set
-# by the solve (U's corners and the folded block), and 14.2 MiB for the full
-# spectrum with its L and residuals read (14.4 while each residual panel was
+# by the solve (U's corners and the folded block), and 9.9 MiB for the full
+# spectrum with its L and residuals read, which never make R (14.2 while the
+# residuals were taken on R's columns, 14.4 while each residual panel was
 # copied to zero the opening). When L and the residuals were lifted with R,
 # the full spectrum peaked at 14.9 MiB; with the lifted sectors cached and
 # merged, the full spectrum and one sector peaked at 24.4 and 18.1 MiB.
 @pytest.mark.parametrize("build, mib", [(lambda: open_spectrum(729).R, 11),
                                         (lambda: sector_spectrum(729, "even").R, 11),
-                                        (lambda: open_spectrum(729).L, 15)],
+                                        (lambda: open_spectrum(729).L, 11)],
                          ids=["open", "sector", "open_filled"])
 def test_cold_spectrum_peak_memory(build, mib):
     experiments._SECTORS.clear()
@@ -476,8 +478,11 @@ def test_husimi_count_stops_at_resonances(tmp_path, monkeypatch):
 
 
 def test_husimi_figure_peak_memory(tmp_path):
-    """Traced peak of the n_exp 5 figure, its spectrum cached and SciPy
-    loaded beforehand: measured 11.6 MiB (11.9 while a spectrum lifted its
+    """Traced peak of the n_exp 5 figure, its spectrum cached and SciPy's
+    LAPACK extension loaded beforehand by a closed-map solve, which imports
+    no `scipy.linalg`: measured 11.6 MiB (11.7 in a process where the
+    figure's first FFT imports numpy.fft, which `scipy.linalg` imported
+    before; 11.9 while a spectrum lifted its
     L with R), with each of the two Husimi averages summed as the pass makes
     its images (12.2 MiB with a third average over the left states), where
     the pass that held all 3 x 100 images and stacked each third once more
@@ -647,19 +652,34 @@ print(json.dumps(loaded))
 """
 
 
-@pytest.mark.parametrize("subcommands, scipy_loaded", [
+@pytest.mark.parametrize("subcommands, loaded", [
     ([["spectrum"], ["weights"], ["weyl", "--n-exp", "5"], ["density"], ["walsh"], ["classical"]],
-     False),
-    ([["husimi"]], True),
+     [False, False]),
+    ([["husimi"]], [True, False]),
 ], ids=["open_route", "closed_control"])
-def test_cli_loads_scipy_only_for_the_closed_control(tmp_path, subcommands, scipy_loaded):
+def test_cli_loads_scipy_only_for_the_closed_control(tmp_path, subcommands, loaded):
     """The open route runs on NumPy alone: in a fresh interpreter, every
     subcommand but `husimi` runs without loading any `scipy` module, and
-    `husimi` loads `scipy.linalg` for its closed-map control."""
+    `husimi` loads `scipy` and SciPy's LAPACK extension for its closed-map
+    control, but never `scipy.linalg`."""
     env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).resolve().parents[1])}
     argv = [sys.executable, "-c", SCIPY_PROBE, str(tmp_path), json.dumps(subcommands)]
     run = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-    assert json.loads(run.stdout.splitlines()[-1]) == [[scipy_loaded] * 2] * len(subcommands)
+    assert json.loads(run.stdout.splitlines()[-1]) == [loaded] * len(subcommands)
+
+
+def test_cli_closed_control_lapack_failure_exits_2(tmp_path, capsys, monkeypatch):
+    """A nonzero info from the closed-map control's zgeev (LAPACK did not
+    converge) is a numerical failure: `husimi` exits with code 2 and says
+    so, with no masses table."""
+    import scipy.linalg  # noqa: F401  (loads the LAPACK extension that is replaced)
+    lapack = sys.modules["scipy.linalg._flapack"]
+    failing = types.SimpleNamespace(zgeev_lwork=lapack.zgeev_lwork,
+                                    zgeev=lambda A, **k: (*lapack.zgeev(A, **k)[:3], 1))
+    monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", failing)
+    assert main(["husimi", "--n-exp", "3", "--out", str(tmp_path)]) == 2
+    assert "numerical failure: zgeev failed" in capsys.readouterr().err
+    assert not (tmp_path / "husimi_masses_27.csv").exists()
 
 
 def test_cli_invalid_args(tmp_path):

@@ -13,7 +13,7 @@ import scipy.linalg as la
 
 from openbaker import experiments
 from openbaker.experiments import closed_states, open_spectrum, sector_spectrum
-from openbaker.quantum import baker_unitary, dft_matrix
+from openbaker.quantum import baker_unitary, dft_matrix, sector_block
 from openbaker.spectral import decay_order
 from open_dense import extended_unitary, open_propagator, opened
 
@@ -141,6 +141,27 @@ def test_time_reversal_maps_right_to_left_vectors(N):
         u = VL[:, first] / np.linalg.norm(VL[:, first])
         phase = np.vdot(s.L[:, j], u)
         assert np.linalg.norm(u - phase / abs(phase) * s.L[:, j]) < LEFT_VECTOR_TOLERANCE[N]
+
+
+@pytest.mark.parametrize("sector", ["even", "odd", "full"])
+@pytest.mark.parametrize("N", [27, 81, 243])
+def test_closed_states_bitwise_scipy_eig(N, sector):
+    """The closed-map control calls LAPACK's zgeev as `scipy.linalg.eig`
+    does, from the same SciPy extension with the same workspace, without
+    importing `scipy.linalg`: z and V are bitwise those of `la.eig` on each
+    sector block, lifted, merged and ordered the same way."""
+    U = baker_unitary(N)
+    zs, Vs = [], []
+    for s in (("even", "odd") if sector == "full" else (sector,)):
+        A, B = sector_block(U, s)
+        z, R = la.eig(A)
+        zs.append(z)
+        Vs.append(B @ R)
+    z = np.concatenate(zs)
+    order = decay_order(z)
+    got = closed_states(N, sector)
+    assert got[0].tobytes() == z[order].tobytes()
+    assert got[1].tobytes() == np.hstack(Vs)[:, order].tobytes()
 
 
 # Closed eigenvalues from the parity blocks against LAPACK on the dense U_N.
