@@ -315,7 +315,7 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
         raise ValueError("husimi needs count >= 1")
     if cfg.n_exp > 7:
         raise ValueError("husimi needs n_exp <= 7: its Wigner average holds a real "
-                         "(2N)^2 grid and an N x N complex one (2.1 GB at n_exp 8)")
+                         "N x 2N half grid and an N x N complex one (1.38 GB at n_exp 8)")
     s = sector_spectrum(N, cfg.sector)
     # at most the resonances: the opening's exact kernel (z = 0) holds no columns
     count = min(cfg.count, len(s.z))
@@ -359,14 +359,17 @@ def run_husimi_figure(cfg: RunConfig) -> dict:
 
 
 def _write_wigner_images(out: Path, W: np.ndarray, cfgd: dict) -> None:
-    """The sign, positive and negative parts of a (2N, 2N) Wigner grid W as
-    PGMs, with at most one more grid alive: the negative part is made in W
-    itself, which is left holding max(-W, 0)."""
-    N = W.shape[0] // 2
-    io_utils.write_pgm(out / f"wigner_sign_{N}.pgm", W >= 0, cfgd, bits=8)
-    io_utils.write_pgm(out / f"wigner_pos_{N}.pgm", np.maximum(W, 0.0), cfgd)
-    np.maximum(np.negative(W, out=W), 0.0, out=W)
-    io_utils.write_pgm(out / f"wigner_neg_{N}.pgm", W, cfgd)
+    """The sign, positive and negative parts of a 2N x 2N Wigner grid as PGMs,
+    from its upper half W: the lower half is W for odd N and -W for even N,
+    whose lower image halves are thus the opposite parts. At most one more
+    half grid is alive, the positive part; W is left holding max(-W, 0)."""
+    N, odd = len(W), len(W) % 2 == 1
+    io_utils.write_pgm(out / f"wigner_sign_{N}.pgm", (W >= 0,) * 2 if odd else (W >= 0, W <= 0),
+                       cfgd, bits=8)
+    pos = np.maximum(W, 0.0)
+    neg = np.maximum(np.negative(W, out=W), 0.0, out=W)
+    io_utils.write_pgm(out / f"wigner_pos_{N}.pgm", (pos, pos if odd else neg), cfgd)
+    io_utils.write_pgm(out / f"wigner_neg_{N}.pgm", (neg, neg if odd else pos), cfgd)
 
 
 def _modulus_bin(mod: np.ndarray, lo: float, hi: float):

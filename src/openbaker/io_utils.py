@@ -98,31 +98,33 @@ def write_sidecar(artifact_path, config: dict, extra: dict | None = None) -> Pat
     return out
 
 
-def write_pgm(path, values: np.ndarray, config: dict, bits: int = 16) -> Path:
+def write_pgm(path, values: np.ndarray | tuple, config: dict, bits: int = 16) -> Path:
     """Binary P5 graymap scaled to the full integer range, with the value
-    range recorded in the sidecar. `values` (float or bool) is read, never
-    copied whole: each strip of rows becomes
+    range recorded in the sidecar. `values` (float or bool) is one array, or
+    a tuple of arrays of one width that are the image's rows in order (one
+    may recur). Each is read, never copied whole: each strip of rows becomes
     round((v - lo) / (hi - lo) * maxval) in float64, or zeros if hi == lo,
     cast to the pixel type and written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    vals = np.asarray(values)
-    lo, hi = float(vals.min()), float(vals.max())
+    blocks = [np.asarray(v) for v in (values if isinstance(values, tuple) else (values,))]
+    lo, hi = min(float(v.min()) for v in blocks), max(float(v.max()) for v in blocks)
     maxval = (1 << bits) - 1
-    h, w = vals.shape
+    h, w = sum(len(v) for v in blocks), blocks[0].shape[1]
     step = max(1, _PGM_STRIP_BYTES // (8 * w))
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n{maxval}\n".encode())
-        for r in range(0, h, step):
-            # scaled in place; C order, which `fh.write` needs, whatever the input's
-            scaled = np.subtract(vals[r:r + step], lo, dtype=float, order="C")
-            if hi > lo:
-                scaled /= hi - lo
-                scaled *= maxval
-                np.round(scaled, out=scaled)
-            else:
-                scaled[:] = 0.0
-            fh.write(scaled.astype(">u2" if bits == 16 else np.uint8))
+        for vals in blocks:
+            for r in range(0, len(vals), step):
+                # scaled in place; C order, which `fh.write` needs, whatever the input's
+                scaled = np.subtract(vals[r:r + step], lo, dtype=float, order="C")
+                if hi > lo:
+                    scaled /= hi - lo
+                    scaled *= maxval
+                    np.round(scaled, out=scaled)
+                else:
+                    scaled[:] = 0.0
+                fh.write(scaled.astype(">u2" if bits == 16 else np.uint8))
     meta = {"value_min": lo, "value_max": hi, "bits": bits,
             "axis_mapping": "rows: first axis ascending, columns: second axis ascending"}
     write_sidecar(path, config, meta)

@@ -4,7 +4,7 @@ Conventions: position grid q_n = (n+1/2)/N, antiperiodic wavefunctions
 (psi(q+1) = -psi(q)), Gaussian coherent states of width sigma_q =
 1/sqrt(2 pi N). The Wigner function lives on the doubled 2N x 2N grid of
 half-integer phase-space points. Every distribution is a plain real array:
-densities of length N, Husimi images (G, G), Wigner grids (2N, 2N). The
+densities of length N, Husimi images (G, G), Wigner half grids (N, 2N). The
 transforms take the states as the columns of an N x S block: the densities
 of S states are an N x S block, their Husimi images an iterator of S images.
 
@@ -109,7 +109,8 @@ def _husimi_images(V, G, K, twiddle, g_fold, norm2):
 
 def wigner_grid_average(X: np.ndarray) -> np.ndarray:
     """Mean discrete Wigner function of the columns of an N x S block X, from
-    displaced-parity phase-point operators, as a real (2N, 2N) array.
+    displaced-parity phase-point operators, as the upper half, rows j < N,
+    of its real 2N x 2N grid W: the lower half is W[j + N] = (-1)^(N+1) W[j].
 
     W[j, l] sits at (q, p) = (j/(2N), l-dependent momentum); the total over
     the doubled grid is 1 and the marginals reproduce the position and
@@ -124,13 +125,13 @@ def wigner_grid_average(X: np.ndarray) -> np.ndarray:
     and a - b lies in (-N, N): each row is one length-2N inverse FFT of a
     row holding N signed entries (for even N two of them share a - b and
     add), taken a block of rows at a time. A(j + N, l) = (-1)^(N+1) A(j, l),
-    so rows j + N are copies of rows j, negated for even N."""
+    hence the lower half's rule."""
     N, S = X.shape
     if S == 0:
         raise ValueError("need at least one state")
     M, a = 2 * N, np.arange(N)
     rho = X @ X.conj().T / S
-    W = np.empty((2, N, M))
+    W = np.empty((N, M))
     step = max(1, _WIGNER_BLOCK_BYTES // (32 * N))
     for j0 in range(0, N, step):
         j = np.arange(j0, min(j0 + step, N))[:, None]
@@ -138,9 +139,8 @@ def wigner_grid_average(X: np.ndarray) -> np.ndarray:
         Z = np.zeros((len(j), M), dtype=complex)
         np.add.at(Z.reshape(-1), (j - j0) * M + (2 * a - j + 1 - k * N) % M,
                   np.where(k == j % 2, -1.0, 1.0) * rho[(j - 1 - a) % N, a])
-        W[0, j0:j0 + len(j)] = np.fft.ifft(Z, axis=1).real / 2
-    np.multiply(W[0], (-1.0) ** (N + 1), out=W[1])
-    return W.reshape(M, M)
+        W[j0:j0 + len(j)] = np.fft.ifft(Z, axis=1).real / 2
+    return W
 
 
 def position_density(X: np.ndarray) -> np.ndarray:

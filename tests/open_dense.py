@@ -1,7 +1,8 @@
 """Dense references for what the package never forms: the open propagator
 U~ = U_N (I - pi_0) as an N x N matrix, U_N in extended precision, and the
 Wigner average through the whole 2N x 2N density matrix of its half-grid
-amplitudes, with the marginals that read densities back from a Wigner grid.
+amplitudes, with the whole grid rebuilt from the package's upper half and
+the marginals that read densities back from a Wigner grid.
 
 `baker_unitary` rounds each phase 2 pi (n+1/2)(m+1/2)/N of its transforms
 after the product, so its entries are off by up to 2.7e-13 at N = 729.
@@ -67,6 +68,13 @@ def wigner_dense(X: np.ndarray) -> np.ndarray:
     phase = np.exp(1j * np.pi * s * (1.0 - 1.0 / N)).reshape(2, N, 1)
     W = (phase * np.fft.fft(Z, axis=0)).real.reshape(2 * N, 2 * N)
     return W / (4.0 * N)
+
+
+def wigner_full(W: np.ndarray) -> np.ndarray:
+    """The whole 2N x 2N Wigner grid from its N x 2N upper half W, as
+    `phase_space.wigner_grid_average` returns it: W[j + N] = (-1)^(N+1) W[j]."""
+    N = W.shape[0]
+    return np.vstack([W, (-1) ** (N + 1) * W])
 
 
 def wigner_position_marginal(W: np.ndarray) -> np.ndarray:

@@ -37,7 +37,8 @@ from openbaker.quantum import dft_matrix
 from openbaker.spectral import escape_weights
 from openbaker.walsh import _apply, long_lived_spectrum, nonzero_count
 from interval_ops import difference, escape_projector, scale_shift, union
-from open_dense import open_propagator, wigner_momentum_marginal, wigner_position_marginal
+from open_dense import (open_propagator, wigner_full, wigner_momentum_marginal,
+                        wigner_position_marginal)
 from torus_reference import TorusPoint, coherent_vector, region_R_minus
 
 CANTOR_DIM = math.log(2.0) / math.log(3.0)
@@ -260,7 +261,7 @@ def test_criterion_11_property_suite(tmp_path):
     sums = [abs(position_density(psi).sum() - 1),
             abs(momentum_density(psi[:, None]).sum() - 1),
             abs(list(husimi_grids(psi[:, None], 27))[0].sum() - 1)]
-    W = wigner_grid_average(psi[:, None])
+    W = wigner_full(wigner_grid_average(psi[:, None]))
     marg = max(float(np.abs(wigner_position_marginal(W) - np.abs(psi) ** 2).max()),
                float(np.abs(wigner_momentum_marginal(W)
                             - np.abs(dft_matrix(81) @ psi) ** 2).max()))

@@ -28,9 +28,9 @@ from openbaker.experiments import (
 from openbaker.io_utils import fmt, sha256_file, write_csv, write_pgm
 from openbaker.phase_space import average_density, husimi_grids, wigner_grid_average
 from openbaker.walsh import long_lived_spectrum
-from open_dense import open_propagator
+from open_dense import open_propagator, wigner_full
 from test_acceptance import weyl_scaled_count
-from test_phase_space import _traced_peak
+from test_phase_space import _random_states, _traced_peak
 
 
 def test_run_config_validation(tmp_path):
@@ -161,8 +161,9 @@ def test_write_pgm_bytes_of_the_one_expression(tmp_path, monkeypatch, bits, cons
     """`write_pgm` scales a strip of rows at a time; its pixels are the bytes
     of the one expression over the whole array, for float and bool input and
     for strips of the default size (one strip here), of one row, and of 7
-    rows (37 = 5 x 7 + 2, a short last strip), and the caller's array is left
-    as it was."""
+    rows (37 = 5 x 7 + 2, a short last strip), also when the image is given
+    as a tuple of row blocks (20 and 17 rows, each split into its own
+    strips), and the caller's array is left as it was."""
     rng = np.random.default_rng(3)
     vals = np.full((37, 53), 2.5e-4) if constant else rng.normal(size=(37, 53)) * 3e-4
     for rows in (None, 1, 7):
@@ -171,6 +172,8 @@ def test_write_pgm_bytes_of_the_one_expression(tmp_path, monkeypatch, bits, cons
         for image in (vals, vals >= np.median(vals)):
             before = image.copy()
             p = write_pgm(tmp_path / "t.pgm", image, {"n_exp": 3}, bits=bits)
+            assert p.read_bytes() == _pgm_of_the_one_expression(image, bits)
+            p = write_pgm(tmp_path / "t.pgm", (image[:20], image[20:]), {"n_exp": 3}, bits=bits)
             assert p.read_bytes() == _pgm_of_the_one_expression(image, bits)
             assert np.array_equal(image, before)
 
@@ -532,24 +535,54 @@ def test_left_husimi_average_is_the_transposed_right_one(tmp_path, sector, G):
     assert (tmp_path / "husimi_left_243.pgm").read_bytes() == expected
 
 
-def test_husimi_figure_wigner_images(tmp_path):
-    """The figure's Wigner PGMs are those of the average over its right
-    vectors, each image made whole and put through the one expression."""
-    r = run_husimi_figure(RunConfig(n_exp=4, out_dir=tmp_path))
-    W = wigner_grid_average(sector_spectrum(81, "even").R[:, :r["count"]])
+def _assert_wigner_images(out: Path, W: np.ndarray) -> None:
+    """The three Wigner PGMs in `out` are those of the whole grid W, each
+    image made whole and put through the one expression."""
+    N = len(W) // 2
     for name, image, bits in (("pos", np.maximum(W, 0.0), 16), ("neg", np.maximum(-W, 0.0), 16),
                               ("sign", (W >= 0).astype(float), 8)):
-        assert (tmp_path / f"wigner_{name}_81.pgm").read_bytes() == \
+        assert (out / f"wigner_{name}_{N}.pgm").read_bytes() == \
             _pgm_of_the_one_expression(image, bits)
 
 
+def test_husimi_figure_wigner_images(tmp_path):
+    """The figure's Wigner PGMs are those of the average over its right
+    vectors, on the whole grid rebuilt from the upper half."""
+    r = run_husimi_figure(RunConfig(n_exp=4, out_dir=tmp_path))
+    W = wigner_grid_average(sector_spectrum(81, "even").R[:, :r["count"]])
+    _assert_wigner_images(tmp_path, wigner_full(W))
+
+
+@pytest.mark.parametrize("N", [8, 10])
+def test_wigner_images_even_n(tmp_path, monkeypatch, N):
+    """For even N the grid's lower half is the upper one negated, so the
+    lower half of the positive image is the upper half's negative part and
+    the other way round, and the sign image's is W <= 0, told from W < 0 by
+    a position eigenstate, whose grid is exactly zero off a few rows: the
+    PGMs written from the half grid are those of the whole grid, of random
+    states and of that eigenstate, in strips of the default size and of 3
+    rows, which split each half unevenly."""
+    for rows in (None, 3):
+        if rows:
+            monkeypatch.setattr(io_utils, "_PGM_STRIP_BYTES", rows * 8 * 2 * N)
+        for X in (_random_states(N, 3, seed=N), np.eye(N, 1, -1, dtype=complex)):
+            W = wigner_grid_average(X)
+            full = wigner_full(W)
+            assert (full < 0).any() and (full > 0).any()
+            experiments._write_wigner_images(tmp_path, W, {})
+            _assert_wigner_images(tmp_path, full)
+
+
 def test_wigner_images_hold_one_more_grid(tmp_path):
-    """The three Wigner PGMs of a grid W at N = 243 are written with at most
-    one more grid alive, plus strips: traced peak measured 1.07 grids beyond
-    W, where three whole images each copied by `write_pgm` reached 2.25; the
-    bound is 1.1 grids."""
+    """The three Wigner PGMs of a grid at N = 243 are written from its upper
+    half W with at most one more half grid alive, the positive part, plus
+    strips: traced peak measured 1.15 half grids beyond W, where the whole
+    grid with its positive part made whole beside it reached 1.07 whole
+    grids (2.14 half grids) and three whole images each copied by
+    `write_pgm` 2.25 whole grids; the bound is 1.2 half grids."""
     W = wigner_grid_average(sector_spectrum(243, "even").R[:, :100])
-    assert _traced_peak(experiments._write_wigner_images, tmp_path, W, {}) <= 1.1 * W.nbytes
+    assert W.shape == (243, 486)
+    assert _traced_peak(experiments._write_wigner_images, tmp_path, W, {}) <= 1.2 * W.nbytes
 
 
 def test_run_density(tmp_path):
@@ -831,8 +864,8 @@ def test_cli_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_husimi_limit_n_exp(tmp_path, capsys, monkeypatch):
-    """The Wigner average holds a real (2N)^2 grid (1.38 GB) and an N x N
-    complex density matrix (0.69 GB), 2.1 GB at n_exp 8, so
+    """The Wigner average holds a real N x 2N half grid (0.69 GB) and an
+    N x N complex density matrix (0.69 GB), 1.38 GB at n_exp 8, so
     `husimi --n-exp 8` fails before any build, names the limit and writes
     nothing."""
     for name in ("baker_unitary", "baker_corners"):

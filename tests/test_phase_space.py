@@ -19,7 +19,7 @@ from openbaker.phase_space import (
 )
 from openbaker.quantum import dft_matrix
 from interval_ops import escape_projector
-from open_dense import (open_propagator, wigner_dense, wigner_momentum_marginal,
+from open_dense import (open_propagator, wigner_dense, wigner_full, wigner_momentum_marginal,
                         wigner_position_marginal)
 from torus_reference import TorusPoint, coherent_vector, region_R_minus
 
@@ -44,7 +44,7 @@ def test_wigner_matches_brute_force_operator():
     rng = np.random.default_rng(5)
     psi = rng.normal(size=N) + 1j * rng.normal(size=N)
     psi /= np.linalg.norm(psi)
-    W = wigner_grid_average(psi[:, None])
+    W = wigner_full(wigner_grid_average(psi[:, None]))
     for j in range(0, 2 * N, 3):
         for l in range(0, 2 * N, 5):
             A = _brute_phase_point_operator(N, j, l)
@@ -145,7 +145,7 @@ def test_wigner_total_and_marginals():
     rng = np.random.default_rng(1)
     psi = rng.normal(size=N) + 1j * rng.normal(size=N)
     psi /= np.linalg.norm(psi)
-    W = wigner_grid_average(psi[:, None])
+    W = wigner_full(wigner_grid_average(psi[:, None]))
     assert W.shape == (2 * N, 2 * N)
     assert W.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(wigner_position_marginal(W), np.abs(psi) ** 2, atol=1e-12)
@@ -161,7 +161,7 @@ def test_wigner_near_positive_at_packet_center():
     N = 81
     q0, p0 = 0.25, 0.7
     v = coherent_vector(TorusPoint(q0, p0), N)
-    W = wigner_grid_average(v[:, None])
+    W = wigner_full(wigner_grid_average(v[:, None]))
     # doubled-grid coordinates of the center: position rows sit at j = 2n+1,
     # momentum columns at l = (2n - N + 1) mod 2N
     nq = round(q0 * N - 0.5)
@@ -179,9 +179,9 @@ def test_wigner_average_is_mean():
     N = 27
     rng = np.random.default_rng(2)
     X = np.column_stack([rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(3)])
-    avg = wigner_grid_average(X)
+    avg = wigner_full(wigner_grid_average(X))
     assert avg.shape == (2 * N, 2 * N)
-    mean = np.mean([wigner_grid_average(X[:, k:k + 1]) for k in range(3)], axis=0)
+    mean = np.mean([wigner_full(wigner_grid_average(X[:, k:k + 1])) for k in range(3)], axis=0)
     assert np.allclose(avg, mean, atol=1e-13)
     with pytest.raises(ValueError):
         wigner_grid_average(np.empty((N, 0), dtype=complex))
@@ -211,12 +211,13 @@ def test_wigner_matches_dense_reference(monkeypatch, N, S, rows):
     sets the rows of W per block (1, or 7, which leaves a short last block);
     None keeps the default budget, one block at these N. Measured max|dW|
     on x86-64 OpenBLAS: at most 1.4e-15 max|W|; the bound is 1e-14 max|W|.
-    The package copies rows j < N to rows j + N; the reference computes both
-    halves, which agree to the same bound (2.7e-16 max|W| measured)."""
+    The package returns rows j < N, and `wigner_full` rebuilds rows j + N
+    as their copies; the reference computes both halves, which agree to the
+    same bound (2.7e-16 max|W| measured)."""
     if rows:
         monkeypatch.setattr(phase_space, "_WIGNER_BLOCK_BYTES", 32 * N * rows)
     X = _random_states(N, S, seed=N + S)
-    W, ref = wigner_grid_average(X), wigner_dense(X)
+    W, ref = wigner_full(wigner_grid_average(X)), wigner_dense(X)
     assert W.shape == ref.shape == (2 * N, 2 * N)
     assert np.abs(W - ref).max() <= 1e-14 * np.abs(ref).max()
     assert np.array_equal(W[N:], W[:N])
@@ -228,13 +229,14 @@ def test_wigner_even_n(N):
     """For even N two entries of a row share one a - b and add, and rows
     j + N are rows j negated: the grid still equals <psi|A(j,l)|psi>/(4N)
     at every doubled-grid point (1.4e-16 and 1.2e-16 measured at N = 8
-    and 10) and the dense reference (4.9e-16 and 5.3e-16 max|W|)."""
+    and 10) and the dense reference (4.9e-16 and 5.3e-16 max|W|), with the
+    lower half rebuilt by `wigner_full`."""
     X = _random_states(N, 3, seed=N)
-    W = wigner_grid_average(X)
+    W = wigner_full(wigner_grid_average(X))
     assert np.array_equal(W[N:], -W[:N])
     assert np.abs(W - wigner_dense(X)).max() <= 1e-14 * np.abs(W).max()
     psi = X[:, 0]
-    W = wigner_grid_average(psi[:, None])
+    W = wigner_full(wigner_grid_average(psi[:, None]))
     for j in range(2 * N):
         for l in range(2 * N):
             A = _brute_phase_point_operator(N, j, l)
@@ -242,14 +244,15 @@ def test_wigner_even_n(N):
 
 
 def test_wigner_peak_memory_is_a_few_grids():
-    """No 2N x 2N density matrix and no half-grid amplitudes: at N = 729,
-    S = 100 the traced peak was 1.81 times the (2N)^2 real output (the
-    grid, the N x N complex rho of half its size, and 2 MiB row blocks),
-    where the half-grid route in row blocks reached 2.40 times it and the
-    dense route 7.15; the bound is 2."""
+    """No 2N x 2N density matrix, no half-grid amplitudes and no (2N)^2
+    grid: at N = 729, S = 100 the traced peak was 1.31 times the bytes of a
+    real (2N)^2 grid (the N x 2N upper half, the N x N complex rho of the
+    same size, and 2 MiB row blocks), where the whole grid reached 1.81
+    times them, the half-grid route in row blocks 2.40 and the dense route
+    7.15; the bound is 1.4."""
     N = 729
     X = _random_states(N, 100)
-    assert _traced_peak(wigner_grid_average, X) <= 2.0 * (2 * N) ** 2 * 8
+    assert _traced_peak(wigner_grid_average, X) <= 1.4 * (2 * N) ** 2 * 8
 
 
 def test_husimi_peak_memory_grows_only_by_the_images():
