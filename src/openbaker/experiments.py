@@ -71,7 +71,8 @@ from .phase_space import (
 )
 from .quantum import baker_apply, baker_corners, baker_unitary, dft_apply, sector_block
 from .spectral import Spectrum, decay_order, eigenpairs, escape_weights, spectrum_table
-from .walsh import ZERO_THRESHOLD, long_lived_spectrum, nonzero_count, walsh_spectrum_report
+from .walsh import (ZERO_THRESHOLD, long_lived_spectrum, long_lived_weights, nonzero_count,
+                    walsh_spectrum_report)
 
 __all__ = [
     "RunConfig",
@@ -250,23 +251,23 @@ def run_weights_experiment(cfg: RunConfig, walsh: bool = False) -> dict:
     the opening) against |z|^(2m) (1 - |z|^2) (the Fig. 2 dataset for N = 3^6)."""
     k = cfg.n_exp
     if walsh:
-        s = long_lived_spectrum(k)
-        m_max = min(4, k - 1)
+        s, m_max = long_lived_spectrum(k), min(4, k - 1)
+        measured, predicted = long_lived_weights(k, m_max)  # lifts no vector
     else:
         if k < 4:
             raise ValueError("weights experiment needs n_exp >= 4")
-        s = open_spectrum(cfg.N)
-        m_max = min(4, k - 2)
+        s, m_max = open_spectrum(cfg.N), min(4, k - 2)
+        measured, predicted = escape_weights(s, m_max)
     N = 3**k
-    measured, predicted = escape_weights(s, m_max)
     residual = measured - predicted
     mod = s.moduli()
     band = (0.2 <= mod) & (mod <= 0.95)
     agg = {}
     for m in range(m_max + 1):
         keep = band & (predicted[:, m] > 0)
-        rel = np.abs(residual[keep, m]) / predicted[keep, m]
-        agg[m] = float(np.median(rel)) if keep.any() else float("nan")
+        rel, n = np.sort(np.abs(residual[keep, m]) / predicted[keep, m]), keep.sum()
+        # np.median's value, without the numpy.ma import np.median makes on first use
+        agg[m] = float(rel[(n - 1) // 2] + rel[n // 2]) / 2 if n else float("nan")
     tag = "walsh" if walsh else "baker"
     path = _emit(cfg, f"weights_{tag}_{N}",
                  {"modulus": np.repeat(mod, m_max + 1),

@@ -41,6 +41,7 @@ __all__ = [
     "decay_order",
     "eigenpairs",
     "escape_weights",
+    "predicted_weights",
     "residuals",
     "spectrum_table",
 ]
@@ -115,7 +116,7 @@ def _unit(M: np.ndarray) -> np.ndarray:
 
 
 def eigenpairs(N: int, blocks, apply) -> Spectrum:
-    """The spectrum of an operator A on C^N from eigensolves of its blocks;
+    """The spectrum of an operator A on C^N from the eigenpairs of its blocks;
     `apply(X)` and `apply(X, adjoint=True)` return A X and A^H X for N x r X.
 
     Each block is (z, right, left): its eigenvalues in any order, and
@@ -126,9 +127,10 @@ def eigenpairs(N: int, blocks, apply) -> Spectrum:
     of at most `_PANEL`, each made `_unit` as a C-ordered copy straight into
     its final columns: a norm then sums row by row, as in any C-ordered
     panel of two or more columns (a lone column's pairwise, so a block's one
-    column below k is lifted twice). An FFT lift (the open map's) so gives
-    R[:, :k] bitwise whatever the panels; a BLAS product (the Walsh lift)
-    can move with a panel's width. `fill` lifts each right panel anew for its
+    column below k is lifted twice). A lift by FFTs or elementwise products
+    (the open map's, the Walsh map's) so gives R[:, :k] bitwise whatever the
+    panels; a BLAS product (the Walsh action, in the residuals) can move with
+    a panel's width. `fill` lifts each right panel anew for its
     residual, freeing it before the left one; residuals are reported only.
     """
     z = np.concatenate([b[0] for b in blocks])
@@ -178,9 +180,12 @@ def escape_weights(s: Spectrum, m_max: int) -> tuple:
     P = np.column_stack([interval_mask(region_R_plus(m), s.N)
                          for m in range(m_max + 1)]).astype(float)
     # an einsum: a GEMM sums in another order and moves the tables' last digits
-    measured = np.einsum("np,nm->pm", np.abs(s.R) ** 2, P)
-    r2 = s.moduli() ** 2
-    return measured, np.power.outer(r2, np.arange(m_max + 1)) * (1.0 - r2)[:, None]
+    return np.einsum("np,nm->pm", np.abs(s.R) ** 2, P), predicted_weights(s.moduli(), m_max)
+
+
+def predicted_weights(moduli: np.ndarray, m_max: int) -> np.ndarray:
+    """|z|^(2m) (1 - |z|^2) for m = 0 ... m_max, as a (pairs x depths) array."""
+    return np.power.outer(moduli**2, np.arange(m_max + 1)) * (1.0 - moduli**2)[:, None]
 
 
 def spectrum_table(s: Spectrum) -> dict:

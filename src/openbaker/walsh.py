@@ -6,44 +6,42 @@ weighted digit shift (Nonnenmacher & Zworski, Commun. Math. Phys. 269
 (2007) 311), built from one digit matrix M = conj(F3) with its middle column
 zeroed: row n of U~ is row (n mod 3) N/3 + floor(n/3) of M (x) I_{N/3}, so
 U~ applies in O(N), and U~^k = M^(x)k. Hence the singular values of U~^k are
-k-fold products of M's column norms (1, 0, 1); range(U~^k) has the
-orthonormal basis Q1^(x)k, Q1 = conj(F3)[:, {0, 2}]; range((U~^k)^H) is
-spanned by the coordinates whose ternary digits are all 0 or 2 (the Cantor
-indices); and U~ is nilpotent on the rest, so its other N - 2^k eigenvalues
-are exactly 0 and are reported as such.
+k-fold products of M's column norms (1, 0, 1), and U~ is nilpotent off
+range(U~^k) = range(Q1^(x)k), Q1 = M[:, {0, 2}]: its other N - 2^k
+eigenvalues are exactly 0 and are reported as such.
 
-The 2^k long-lived pairs come from those two subspaces, not from a dense
-eigensolve, whose eigenvectors in the degenerate clusters sit several orders
-above round-off. U~ is diagonalized on Q1^(x)k, and the left vectors are the
-dual basis among the Cantor coordinates, so <u_i|v_j> = 0 for i != j even
-within a cluster, and every left vector is exactly zero off the Cantor
-indices, the forward trapped set. The escape-region weights
-(`escape_weights`) obey |z|^(2m) (1 - |z|^2) to round-off. No N x N matrix is formed:
-the residuals are taken through one O(N) action, of U~ or of its adjoint.
-The eigenpairs stop at k = MAX_K because they hold N x 2^k bases (161 MB
-each at k = 9); the counts need only the singular values.
+The 2^k long-lived pairs come from binary necklaces, with no eigensolve
+(Keating, Nonnenmacher, Novaes & Sieber, Nonlinearity 21 (2008) 2591): on
+the basis Y^(x)k of range(U~^k), Y = Q1 X with Q1^H M Q1 = X diag(mu) X^-1,
+U~ sends the k-bit word j to mu[leading bit of j] times its left rotation.
+The left vectors are the dual basis in the span of the Cantor coordinates
+(ternary digits all 0 or 2), range((U~^k)^H): <u_i|v_j> = 0 for i != j
+even within a degenerate cluster, and u vanishes off this forward trapped
+set. Cylinder masses, so escape weights, are forms in the coefficients with
+per-digit 2 x 2 Gram factors of Y, and need no N-vector. The eigenpairs
+stop at k = MAX_K, as their vectors are N x 2^k; the counts do not.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cache
 
 import numpy as np
 
-from .spectral import Spectrum, eigenpairs, escape_weights
+from .spectral import Spectrum, decay_order, eigenpairs, predicted_weights
 
-__all__ = [
-    "nonzero_count",
-    "long_lived_spectrum",
-    "walsh_spectrum_report",
-]
+__all__ = ["nonzero_count", "long_lived_spectrum", "long_lived_weights", "walsh_spectrum_report"]
 
 ZERO_THRESHOLD = 1e-6
 MAX_K = 8
 
 _M = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)  # conj(F3)
 _M[:, 1] = 0.0
+# m = M on the digits {0, 2}, solved in closed form: eigenvalues mu (larger first), X = (b, mu - a)
+(_a, _b), (_c, _d) = _M[np.ix_([0, 2], [0, 2])]
+_MU = (_a + _d) / 2 + np.array([1, -1]) * np.sqrt((_a - _d) ** 2 / 4 + _b * _c)
+_Y = _M[:, ::2] @ np.array([[_b, _b], _MU - _a])
 
 
 def _apply(V: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -55,6 +53,15 @@ def _apply(V: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return (_M @ V.reshape(3, -1)).reshape(3, N // 3, -1).swapaxes(0, 1).reshape(V.shape)
 
 
+def _digitwise(factors: list, X: np.ndarray) -> np.ndarray:
+    """(factors[0] (x) factors[1] (x) ...) X for two-column factors, the first on
+    the leading digit, by elementwise products: no BLAS, so X's width moves no bit."""
+    for A in factors:
+        X = X.reshape(2, -1, r := X.shape[-1])
+        X = (A[:, :1, None] * X[0] + A[:, 1:, None] * X[1]).swapaxes(0, 1).reshape(-1, r)
+    return X
+
+
 def _singular_values(k: int) -> list:
     """Distinct singular values of U~^k = M^(x)k with their multiplicities:
     the k-fold products of M's column norms."""
@@ -63,11 +70,28 @@ def _singular_values(k: int) -> list:
             for a in range(k + 1) for b in range(k + 1 - a)]
 
 
-def _trapped_bases(k: int) -> tuple:
-    """Orthonormal basis Q of range(U~^k), and the Cantor indices, whose
-    coordinate vectors span range((U~^k)^H)."""
-    Q = reduce(np.kron, [_M[:, ::2]] * k)
-    return Q, np.flatnonzero(reduce(np.kron, [[1, 0, 1]] * k))
+@cache
+def _necklace_pairs(k: int) -> tuple:
+    """The 2^k long-lived z in decay order and their vectors' coefficients on
+    Y^(x)k as the columns of C, read-only. A cycle j_0 -> ... -> j_(p-1) of
+    rotations gives p pairs: z^p = prod_i mu[leading bit of j_i], from the
+    digit counts (equal cycles, equal bits), c_(j_0) = 1 and c_(j_(i+1)) =
+    mu[leading bit of j_i] c_(j_i) / z."""
+    n, z, C = 2**k, [], np.zeros((2**k, 2**k), complex)
+    for j0 in range(n):
+        cycle = [j0]
+        while (j := (cycle[-1] << 1 | cycle[-1] >> (k - 1)) & (n - 1)) != j0:
+            cycle.append(j)
+        if j0 == min(cycle):  # each cycle once, from its least word
+            p, ones = len(cycle), bin(j0).count("1") * len(cycle) // k
+            zc = (_MU[0] ** (p - ones) * _MU[1] ** ones) ** (1 / p) * np.exp(2j * np.pi * np.arange(p) / p)
+            steps = [_MU[j >> (k - 1)] / zc for j in cycle[:-1]]
+            C[cycle, len(z):len(z) + p] = np.cumprod([np.ones(p), *steps], axis=0)
+            z.extend(zc)
+    order = decay_order(z := np.array(z))
+    z, C = z[order], C[:, order]
+    z.flags.writeable = C.flags.writeable = False
+    return z, C
 
 
 def nonzero_count(k: int) -> int:
@@ -78,39 +102,39 @@ def nonzero_count(k: int) -> int:
 
 
 def long_lived_spectrum(k: int) -> Spectrum:
-    """The 2^k long-lived pairs, from the invariant subspaces.
-
-    The eigenpairs (z, w) of the small matrix Q^H U~ Q give the right vectors
-    V = Q w; the left vectors are the dual basis U = P (P^H V)^-H inside the
-    span P of the Cantor coordinates, so U^H V = I before normalization and
-    U is zero off the Cantor indices. Both are lifted a panel at a time, from
-    w and (when first read) from the 2^k x 2^k dual (P^H V)^-H, so no N x 2^k
-    V or U is held beside the spectrum's own columns. The rest are exactly 0.
-    """
+    """The 2^k long-lived pairs from the necklaces: right vectors V = Y^(x)k C,
+    and left ones the dual basis E^(x)k (Y[{0, 2}]^(x)k C)^-H, E = I[:, {0, 2}],
+    inverted on the first read of L; both lifted a panel at a time. The rest are 0."""
     if not 2 <= k <= MAX_K:
         raise ValueError(f"Walsh eigenpairs need 2 <= n_exp <= {MAX_K}: "
-                         "they hold N x 2^n_exp bases (161 MB each at n_exp 9)")
-    Q, cantor = _trapped_bases(k)
-    UQ = _apply(Q)  # before Q^H is made: three N x 2^k arrays at most, not four
-    z, w = np.linalg.eig(Q.conj().T @ UQ)
-    del UQ
-    dual = np.linalg.inv(Q[cantor] @ w).conj().T
+                         "their vectors are N x 2^n_exp (161 MB at n_exp 9)")
+    z, C = _necklace_pairs(k)
+    dual = cache(lambda: np.linalg.inv(_digitwise([_Y[::2]] * k, C)).conj().T)
+    return eigenpairs(3**k, [(z, lambda cols: _digitwise([_Y] * k, C[:, cols]),
+                              lambda cols: _digitwise([np.eye(3)[:, ::2]] * k, dual()[:, cols]))],
+                      _apply)
 
-    def left(cols):  # kept by the spectrum until its L is read: Q is not
-        U = np.zeros((3**k, len(z[cols])), dtype=complex)
-        U[cantor] = dual[:, cols]
-        return U
 
-    return eigenpairs(3**k, [(z, lambda cols: Q @ w[:, cols], left)], _apply)
+def long_lived_weights(k: int, m_max: int) -> tuple:
+    """`spectral.escape_weights` of `long_lived_spectrum(k)`, with no vector
+    lifted: V = Y^(x)k c has mass c^H (G_1 (x) ... (x) G_k) c on the cylinder
+    A_1 x ... x A_k, G_j = Y[A_j]^H Y[A_j]; R_+^m takes A_j = {0, 2} for the
+    first m digits, {1} for the next and all three for the rest."""
+    if not 0 <= m_max < k <= MAX_K:
+        raise ValueError(f"Walsh weights need 0 <= m_max < k <= {MAX_K}, not m_max {m_max}, k {k}")
+    z, C = _necklace_pairs(k)
+    inner, middle, whole = (_Y[A].conj().T @ _Y[A] for A in ([0, 2], [1], slice(None)))
+    mass = [np.einsum("ij,ij->j", C.conj(), _digitwise(f, C)).real for f in
+            [[inner] * m + [middle] + [whole] * (k - m - 1) for m in range(m_max + 1)] + [[whole] * k]]
+    return np.column_stack(mass[:-1]) / mass[-1][:, None], predicted_weights(np.abs(z), m_max)
 
 
 def walsh_spectrum_report(k: int) -> dict:
     """Per-eigenvalue table as columns: modulus, short/long flag, kernel
     dimension and the worst weight-formula residual over the resolvable
-    depths. The N - 2^k kernel rows have z = 0 exactly."""
-    s = long_lived_spectrum(k)
+    depths (`long_lived_weights`). The N - 2^k kernel rows have z = 0 exactly."""
+    s, (measured, predicted) = long_lived_spectrum(k), long_lived_weights(k, min(4, k - 1))
     N, r = s.N, len(s.z)
-    measured, predicted = escape_weights(s, min(4, k - 1))
     z = np.pad(s.z, (0, N - r))
     return {"index": np.arange(N), "re_z": z.real, "im_z": z.imag, "modulus": np.abs(z),
             "long_lived": np.arange(N) < r, "kernel_dim": np.full(N, N - r),

@@ -339,6 +339,23 @@ def test_figures_lift_only_the_columns_they_read(tmp_path, monkeypatch):
         assert sum(lifted) == columns, sub
 
 
+def test_walsh_cli_lifts_no_vector(tmp_path, monkeypatch):
+    """`walsh` and `weights --walsh` read z and the closed-form weights only:
+    each builds `long_lived_spectrum` once and lifts no column of R or L."""
+    lifted, built, pairs = [], [], walsh.eigenpairs
+    spy = lambda N, blocks, apply: pairs(N, [(z, lambda c, f=f: lifted.append(c) or f(c),
+                                              lambda c, g=g: lifted.append(c) or g(c))
+                                             for z, f, g in blocks], apply)
+    monkeypatch.setattr(walsh, "eigenpairs", spy)
+    spectrum = walsh.long_lived_spectrum
+    monkeypatch.setattr(walsh, "long_lived_spectrum", lambda k: built.append(k) or spectrum(k))
+    monkeypatch.setattr(experiments, "long_lived_spectrum", walsh.long_lived_spectrum)
+    for args in (["walsh"], ["weights", "--walsh"]):
+        built.clear()
+        assert main([*args, "--n-exp", "6", "--out", str(tmp_path)]) == 0
+        assert built == [6] and lifted == [], args
+
+
 def test_weyl_scaled_count():
     assert weyl_scaled_count(100, 729) == 100
     assert weyl_scaled_count(100, 243) == 50
@@ -671,7 +688,8 @@ def test_cli_classical_and_walsh(tmp_path, capsys):
 
 # Runs the subcommands named in argv[2] (JSON) in turn, at n_exp 4 unless
 # given, in one fresh interpreter, and prints as its last line whether any
-# `scipy` module, and whether `scipy.linalg`, was loaded after each one.
+# `scipy` module, whether `scipy.linalg` and whether `numpy.ma` was loaded
+# after each one.
 SCIPY_PROBE = """
 import json, sys
 from openbaker.cli import main
@@ -680,21 +698,23 @@ for args in json.loads(sys.argv[2]):
     n_exp = [] if "--n-exp" in args else ["--n-exp", "4"]
     assert main([*args, *n_exp, "--out", sys.argv[1]]) == 0, args
     loaded.append([any(m.split(".")[0] == "scipy" for m in sys.modules),
-                   "scipy.linalg" in sys.modules])
+                   "scipy.linalg" in sys.modules, "numpy.ma" in sys.modules])
 print(json.dumps(loaded))
 """
 
 
 @pytest.mark.parametrize("subcommands, loaded", [
     ([["spectrum"], ["weights"], ["weyl", "--n-exp", "5"], ["density"], ["walsh"], ["classical"]],
-     [False, False]),
-    ([["husimi"]], [True, False]),
+     [False, False, False]),
+    ([["husimi"]], [True, False, False]),
 ], ids=["open_route", "closed_control"])
 def test_cli_loads_scipy_only_for_the_closed_control(tmp_path, subcommands, loaded):
     """The open route runs on NumPy alone: in a fresh interpreter, every
     subcommand but `husimi` runs without loading any `scipy` module, and
     `husimi` loads `scipy` and SciPy's LAPACK extension for its closed-map
-    control, but never `scipy.linalg`."""
+    control, but never `scipy.linalg`. None loads `numpy.ma`: `weights`
+    takes its medians from the sorted middle pair, as `np.median` does
+    without the import it makes on first use (8-13 ms per process)."""
     env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).resolve().parents[1])}
     argv = [sys.executable, "-c", SCIPY_PROBE, str(tmp_path), json.dumps(subcommands)]
     run = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
@@ -801,10 +821,10 @@ def test_cli_weights_walsh(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [["walsh"], ["weights", "--walsh"]], ids=["walsh", "weights"])
 def test_cli_walsh_eigenpairs_limit_n_exp(tmp_path, capsys, monkeypatch, args):
-    """The Walsh eigenpairs hold N x 2^n_exp bases, so n_exp 9 (161 MB
-    each) fails before any build, names the limit and writes nothing; the
-    Weyl counts need no eigenpair and take it."""
-    monkeypatch.setattr(walsh, "_trapped_bases",
+    """The Walsh eigenpairs' vectors are N x 2^n_exp, so n_exp 9 (161 MB)
+    fails before any build, names the limit and writes nothing; the Weyl
+    counts need no eigenpair and take it."""
+    monkeypatch.setattr(walsh, "_necklace_pairs",
                         lambda *a: pytest.fail("built before validating n_exp"))
     assert main([*args, "--n-exp", "9", "--out", str(tmp_path)]) == 1
     assert "need 2 <= n_exp <= 8" in capsys.readouterr().err

@@ -223,13 +223,14 @@ def test_filled_arrays_do_not_depend_on_the_first_read(make, first, monkeypatch)
 
 
 def test_walsh_lift_bits_move_only_with_blas_panel_widths(monkeypatch):
-    """The Walsh lift (Q w) and actions are BLAS matrix products, whose bits
-    can move with a panel's width: x86-64 OpenBLAS takes the columns beyond
-    a multiple of its kernel's unroll on another path. At k = 6, one panel
-    of 64 columns gives the bits of the default two of 32; panels of at most
-    7 give z and L bitwise (L is copied from the dual basis) and move R and
-    the residuals by round-off, measured at most 1.4e-16 in R and 6.2e-17
-    in the residuals for k = 3, 5 and 6 and widths 3 to 12."""
+    """The Walsh lifts (Y^(x)k C for R, and L scattered from the dual basis,
+    one digit at a time) are elementwise products, so their bits do not move
+    with a panel's width; the residuals are taken through `walsh._apply`, a
+    BLAS matrix product, whose bits can: x86-64 OpenBLAS takes the columns
+    beyond a multiple of its kernel's unroll on another path. At k = 6, one
+    panel of 64 columns gives the bits of the default two of 32; panels of
+    at most 7 give z, R and L bitwise and move the residuals by round-off,
+    measured at most 4.0e-18 for k = 3, 5, 6 and 8 and widths 3 to 12."""
     want = long_lived_spectrum(6)
     monkeypatch.setattr(spectral, "_PANEL", 64)
     got = long_lived_spectrum(6)
@@ -237,9 +238,9 @@ def test_walsh_lift_bits_move_only_with_blas_panel_widths(monkeypatch):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     monkeypatch.setattr(spectral, "_PANEL", 7)
     got = long_lived_spectrum(6)
-    assert got.z.tobytes() == want.z.tobytes() and got.L.tobytes() == want.L.tobytes()
-    assert np.abs(got.R - want.R).max() < 1e-15
-    assert max(np.abs(got.res_r - want.res_r).max(), np.abs(got.res_l - want.res_l).max()) < 1e-15
+    for name in ("z", "R", "L"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert max(np.abs(got.res_r - want.res_r).max(), np.abs(got.res_l - want.res_l).max()) < 2e-17
 
 
 def test_left_vectors_vanish_on_opening(spec27):

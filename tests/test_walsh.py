@@ -5,16 +5,24 @@ import pytest
 
 from openbaker.spectral import escape_weights
 from openbaker.walsh import (
+    MAX_K,
     ZERO_THRESHOLD,
     _apply,
     _singular_values,
-    _trapped_bases,
     long_lived_spectrum,
+    long_lived_weights,
     nonzero_count,
     walsh_spectrum_report,
 )
 from interval_ops import escape_projector
-from walsh_dense import digit_reversal, trapped_svd, walsh_open_baker, walsh_transform
+from walsh_dense import (
+    digit_reversal,
+    subspace_spectrum,
+    trapped_bases,
+    trapped_svd,
+    walsh_open_baker,
+    walsh_transform,
+)
 from test_phase_space import _traced_peak
 
 F3 = np.exp(-2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
@@ -89,7 +97,7 @@ def test_trapped_bases_match_dense_svd(k):
     count equal the dense SVD's."""
     N = 3**k
     sv, X, P = trapped_svd(k)
-    Q, cantor = _trapped_bases(k)
+    Q, cantor = trapped_bases(k)
     assert Q.shape == (N, 2**k) and len(cantor) == 2**k
     assert np.abs(Q.conj().T @ Q - np.eye(2**k)).max() < 1e-13
     assert np.abs(Q @ Q.conj().T - X @ X.conj().T).max() < 1e-12
@@ -247,14 +255,45 @@ def test_left_vectors_vanish_off_cantor_digits(k):
     assert (np.abs(s.R[digit_one]) > 0).any(axis=0).all()
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
+def test_closed_form_matches_subspace_route(k):
+    """The necklace pairs against the subspace route they replaced (the
+    eigensolve of Q^H U~ Q, `walsh_dense.subspace_spectrum`): the same
+    eigenvalue multiset; each cluster of equal eigenvalues (their distinct
+    values lie at least 0.097 apart up to k = 8) spans the same invariant
+    subspace, compared as the sine of the largest principal angle between
+    the two spans, since the vectors inside a cluster are a choice of basis;
+    and the closed-form weights equal `escape_weights` on the lifted R, with
+    the predictions bitwise. Measured at k = 8, the worst case: eigenvalues
+    1.1e-14, subspaces 2.7e-14, weights 1.2e-14."""
+    s, ref = long_lived_spectrum(k), subspace_spectrum(k)
+    assert len(s.z) == len(ref.z) == 2**k
+    rest = list(ref.z)
+    for z in s.z:
+        j = int(np.argmin(np.abs(np.array(rest) - z)))
+        assert abs(rest.pop(j) - z) < 3e-14
+    for z in np.unique(np.round(s.z, 9)):
+        ours, theirs = (np.linalg.qr(t.R[:, np.abs(t.z - z) < 1e-8])[0] for t in (s, ref))
+        assert ours.shape == theirs.shape
+        assert np.linalg.norm(theirs - ours @ (ours.conj().T @ theirs), 2) < 1e-13
+    m_max = min(4, k - 1)
+    measured, predicted = long_lived_weights(k, m_max)
+    lifted, predicted_lifted = escape_weights(s, m_max)
+    assert np.abs(measured - lifted).max() < 5e-14
+    assert predicted.tobytes() == predicted_lifted.tobytes()
+    for bad in ((k, k), (k, -1), (MAX_K + 1, 4)):
+        with pytest.raises(ValueError, match="m_max < k <= 8"):
+            long_lived_weights(*bad)
+
+
 def test_long_lived_spectrum_peak_memory():
-    """The Walsh pairs are lifted a panel at a time, from w and from the
-    2^k x 2^k dual basis, beside Q and the spectrum's R and L (N x 2^k,
-    25.6 MiB each at k = 8), and U~ Q is freed before the eigensolve: 91.9
-    MiB traced at k = 8, R read (it is lifted on its first read). Building V
-    and U whole and reordering them in place, with Q^H made beside U~ Q,
-    reached 129.3 MiB."""
-    assert _traced_peak(lambda: long_lived_spectrum(8).R) <= 100 * 2**20
+    """The Walsh pairs are lifted a panel at a time from their 2^k x 2^k
+    coefficients, one digit at a time, so beside the spectrum's R (N x 2^k,
+    25.6 MiB at k = 8) only a few N x 32 panels are alive: 35.2 MiB traced
+    at k = 8, R read (it is lifted on its first read). A route that holds
+    another N x 2^k array beside R, as a basis Q for the lifts, exceeds the
+    bound."""
+    assert _traced_peak(lambda: long_lived_spectrum(8).R) <= 40 * 2**20
 
 
 def test_walsh_spectrum_report():

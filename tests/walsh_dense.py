@@ -6,6 +6,12 @@ the generic `baker_form`, which with the antiperiodic DFTs gives
 `openbaker.quantum.baker_unitary` to the bit, opened as in `open_dense.py`,
 and one full SVD of its k-th matrix power.
 
+It also keeps the subspace route that `openbaker.walsh.long_lived_spectrum`
+replaced with the necklace closed form, as that one's reference at k <= 8:
+the eigensolve of the 2^k x 2^k block Q^H U~ Q on the tensor-product basis
+Q of range(U~^k), with the left vectors the dual basis among the Cantor
+coordinates.
+
 Digit-order convention: the digit-reversal permutation is applied to the
 rows of the tensor-product transform, at every dimension (outer and inner
 blocks alike). The convention without reversal was tried and rejected: it
@@ -13,9 +19,12 @@ breaks the shift structure (weight residuals at the 1e-1 scale and 54
 instead of 16 nonzero eigenvalues at k = 4).
 """
 
+from functools import reduce
+
 import numpy as np
 
-from openbaker.walsh import ZERO_THRESHOLD
+from openbaker.spectral import Spectrum, eigenpairs
+from openbaker.walsh import MAX_K, ZERO_THRESHOLD, _M, _apply
 from open_dense import opened
 
 
@@ -67,3 +76,29 @@ def trapped_svd(k: int) -> tuple:
     X, sv, Yh = np.linalg.svd(np.linalg.matrix_power(walsh_open_baker(k), k))
     r = int((sv > ZERO_THRESHOLD).sum())
     return sv, X[:, :r], Yh[:r].conj().T
+
+
+def trapped_bases(k: int) -> tuple:
+    """Orthonormal basis Q = Q1^(x)k of range(U~^k), Q1 = M[:, {0, 2}], and
+    the Cantor indices, whose coordinate vectors span range((U~^k)^H)."""
+    Q = reduce(np.kron, [_M[:, ::2]] * k)
+    return Q, np.flatnonzero(reduce(np.kron, [[1, 0, 1]] * k))
+
+
+def subspace_spectrum(k: int) -> Spectrum:
+    """The 2^k long-lived pairs from the invariant subspaces: the eigenpairs
+    (z, w) of Q^H U~ Q give the right vectors V = Q w, and the left vectors
+    are the dual basis U = P (P^H V)^-H inside the span P of the Cantor
+    coordinates, so U^H V = I before normalization and U is zero off the
+    Cantor indices."""
+    assert 2 <= k <= MAX_K
+    Q, cantor = trapped_bases(k)
+    z, w = np.linalg.eig(Q.conj().T @ _apply(Q))
+    dual = np.linalg.inv(Q[cantor] @ w).conj().T
+
+    def left(cols):
+        U = np.zeros((3**k, len(z[cols])), dtype=complex)
+        U[cantor] = dual[:, cols]
+        return U
+
+    return eigenpairs(3**k, [(z, lambda cols: Q @ w[:, cols], left)], _apply)
