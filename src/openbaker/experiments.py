@@ -16,25 +16,26 @@ seen after symmetry reduction, while the full spectrum's top modulus is
 bins of Fig. 4 are masks on the moduli, and the longest-lived states and
 the bins' are leading columns (`Spectrum.leading`), one N x S block.
 
-Every baker spectrum is built per parity sector, from the N/3 eigenpairs
-of its folded kept block; the opening's exact kernel (z = 0) is counted,
-not built. The N x N propagator is never diagonalized, nor even formed:
-the blocks are folded from U's kept corners (`baker_corners`), and the
-vectors are lifted and their residuals taken through U~'s FFT action
-(`baker_apply`); a block gives right vectors only, and the left ones follow
-by time reversal (U~^T = F U~ F^-1). The one spectrum cache (`_SECTORS`)
-keeps every open sector's folded solve until the process ends, and nothing
-else, read-only: z and the N/3 x N/3 folded right vectors W as
-`np.linalg.eig` returns them, 0.95 MB per sector at N = 729, so `weyl`
+Every baker spectrum is built per parity sector, from the N/3 eigenpairs of
+its folded kept block; the opening's exact kernel (z = 0) is counted, not
+built. The N x N propagator is never diagonalized, nor even formed: the
+blocks are folded from U's kept corners (`baker_corners`), and the vectors
+are lifted and their residuals taken through U~ applied as its factors, two
+`dft_apply` calls (`baker_apply`); a block gives right vectors only, and
+the left ones follow by time reversal (U~^T = F U~ F^-1). The one spectrum
+cache (`_SECTORS`) keeps every open sector's folded solve until the process
+ends, and nothing else, read-only: z and the N/3 x N/3 folded right vectors
+W as `np.linalg.eig` returns them, 0.95 MB per sector at N = 729, so `weyl`
 after `spectrum` solves no sector twice. Each request is one call of
 `spectral.eigenpairs` (`_lift`), which lifts only the columns read, a panel
 at a time into new arrays: `weyl` reads z alone, `husimi` and `density`
 leading columns, `weights` all of R, `spectrum` L and the residuals. The
-open route runs on NumPy alone. The closed-map control, the one user of
-SciPy, is plain states: `closed_states` solves the dense block of U in each
-sector for right vectors only (U is unitary, so its left vectors are its
-right ones) by SciPy's LAPACK `zgeev`, the call `scipy.linalg.eig` makes,
-with SciPy's LAPACK extension loaded alone (`_flapack`), and caches nothing.
+open route runs on NumPy alone, and the Walsh pairs make no LAPACK call.
+The closed-map control, the one user of SciPy, is plain states:
+`closed_states` solves the dense block of U in each sector for right vectors
+only (U is unitary, so its left vectors are its right ones) by SciPy's
+LAPACK `zgeev`, the call `scipy.linalg.eig` makes, with SciPy's LAPACK
+extension loaded alone (`_flapack`), and caches nothing.
 """
 
 from __future__ import annotations

@@ -8,11 +8,13 @@ open map zeroes the middle third, and `spectral.escape_weights` holds the
 escape projectors as 0/1 diagonals.
 
 The closed propagator is U_N = F_N^-1 diag(F_{N/3}, F_{N/3}, F_{N/3}) and
-the open one U~ = U_N (I - pi_0). `baker_apply` applies U~ or U~^H to a
-block of columns by two FFTs, the antiperiodic DFT F_N applies by one
-(`dft_apply`), and the open spectra need of U only its restriction to the
-kept first and last thirds (`baker_corners`). Everything here runs on
-NumPy alone. The dense `baker_unitary` serves the closed-map control.
+the open one U~ = U_N (I - pi_0). The antiperiodic DFT F_n and F_n^H apply
+by one FFT each (`dft_apply`), and `baker_apply` applies U~ or U~^H to a
+block of columns as the product of these factors: F_{N/3} over the three
+thirds, the middle one zeroed, then F_N^H over the whole. The open spectra
+need of U only its restriction to the kept first and last thirds
+(`baker_corners`). Everything here runs on NumPy alone. The dense
+`baker_unitary` serves the closed-map control.
 """
 
 from __future__ import annotations
@@ -40,12 +42,19 @@ def _dft_entries(rows: np.ndarray, cols: np.ndarray, N: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(rows + 0.5, cols + 0.5) / N) / np.sqrt(N)
 
 
-def dft_apply(X: np.ndarray) -> np.ndarray:
-    """F X for F = dft_matrix(N) and an N x S block X: one FFT of the columns
-    twiddled by e^{-i pi m/N}, then the output half-shift."""
-    N = X.shape[0]
-    Y = np.fft.fft(X * np.exp(-1j * np.pi * np.arange(N) / N)[:, None], axis=0)
-    return Y * (np.exp(-1j * np.pi * (2 * np.arange(N) + 1) / (2 * N)) / np.sqrt(N))[:, None]
+def dft_apply(X: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """F X for F = dft_matrix(n), or F^H X when `adjoint`, for a vector of
+    length n or each n x S block of an (..., n, S) array: one FFT of the
+    columns twiddled by e^{-i pi m/n}, then the output half-shift; F^H is the
+    conjugate phases around an inverse FFT."""
+    if X.ndim == 1:
+        return dft_apply(X[:, None], adjoint)[:, 0]
+    n = X.shape[-2]
+    a = np.exp(-1j * np.pi * np.arange(n) / n)[:, None]
+    b = (np.exp(-1j * np.pi * (2 * np.arange(n) + 1) / (2 * n)) / np.sqrt(n))[:, None]
+    if adjoint:
+        return np.fft.ifft(X * b.conj(), axis=-2, norm="forward") * a.conj()
+    return np.fft.fft(X * a, axis=-2) * b
 
 
 def baker_unitary(N: int) -> np.ndarray:
@@ -62,46 +71,21 @@ def baker_unitary(N: int) -> np.ndarray:
     return np.conj(F, out=F).T @ D
 
 
-def _twiddles(N: int) -> tuple:
-    """Phases (a, b, c) with U_N X = c * IFFT_N(b * FFT_t(a * X)), t = N/3,
-    both FFTs unitary, the length-t one over each third: a[m] (length t),
-    then b[bt + k] (length N) joining the output phase of the antiperiodic
-    F_t to the input phase of F_N^-1, then c[n]. Each phase is
-    exp(i pi j / (2N)) with its integer j reduced mod 4N before rounding;
-    U~ X is the same with the middle third of a * X zeroed."""
-    t = N // 3
-    m, n = np.arange(t), np.arange(N)
-    unit = np.exp(0.5j * np.pi * np.arange(4 * N) / N)
-    return (unit[-6 * m % (4 * N)],
-            unit[(2 * t * (n // t) - 4 * (n % t) - 3) % (4 * N)],
-            unit[2 * n + 1])
-
-
 def baker_apply(X: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """The open propagator U~ X = U_N (I - pi_0) X, or U~^H X = (I - pi_0)
-    U_N^H X when `adjoint`, for an N x r block X (or a vector): one
-    antiperiodic length-N/3 FFT over the three thirds and one antiperiodic
-    length-N FFT per column, O(N log N), with no N x N array. The opening is
-    zeroed before the first FFT (after the last for U~^H): U~ X ignores X's
-    middle third, and U~^H X is 0 on it. A new array; X is not changed."""
+    """U~ X = F_N^-1 diag(F_t, 0, F_t) X, t = N/3, or U~^H X when `adjoint`,
+    for an N x r block X or a vector, as two `dft_apply` calls, O(N log N):
+    each third is transformed alone, so U~ X reads nothing of X's middle
+    third, and U~^H X is exactly 0 on it. A new array; X is not changed."""
     N = X.shape[0]
     if N % 3 != 0:
         raise ValueError("N must be divisible by 3")
-    t = N // 3
-    a, b, c = (w[:, None] for w in _twiddles(N))
     if adjoint:
-        Y = np.fft.fft(X.reshape(N, -1) * c.conj(), axis=0, norm="ortho")
-        Y *= b.conj()
-        Y = np.fft.ifft(Y.reshape(3, t, -1), axis=1, norm="ortho")
-        Y *= a.conj()
+        Y = dft_apply(dft_apply(X.reshape(N, -1)).reshape(3, N // 3, -1), adjoint=True)
         Y[1] = 0.0
     else:
-        Y = X.reshape(3, t, -1) * a
+        Y = dft_apply(X.reshape(3, N // 3, -1))
         Y[1] = 0.0
-        Y = np.fft.fft(Y, axis=1, norm="ortho").reshape(N, -1)
-        Y *= b
-        Y = np.fft.ifft(Y, axis=0, norm="ortho")
-        Y *= c
+        Y = dft_apply(Y.reshape(N, -1), adjoint=True)
     return Y.reshape(X.shape)
 
 

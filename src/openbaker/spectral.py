@@ -127,11 +127,11 @@ def eigenpairs(N: int, blocks, apply) -> Spectrum:
     of at most `_PANEL`, each made `_unit` as a C-ordered copy straight into
     its final columns: a norm then sums row by row, as in any C-ordered
     panel of two or more columns (a lone column's pairwise, so a block's one
-    column below k is lifted twice). A lift by FFTs or elementwise products
-    (the open map's, the Walsh map's) so gives R[:, :k] bitwise whatever the
-    panels; a BLAS product (the Walsh action, in the residuals) can move with
-    a panel's width. `fill` lifts each right panel anew for its
-    residual, freeing it before the left one; residuals are reported only.
+    column below k is lifted twice). Lifts and actions by FFTs or elementwise
+    products (the open map's, the Walsh map's) so give R[:, :k], L and the
+    residuals bitwise whatever the panels. `fill` lifts each right panel anew
+    for its residual, freeing it before the left one; residuals are reported
+    only.
     """
     z = np.concatenate([b[0] for b in blocks])
     order = decay_order(z)

@@ -331,6 +331,8 @@ def test_momentum_density_matches_dense_dft(N):
     psi /= np.linalg.norm(psi)
     ref = np.abs(dft_matrix(N) @ psi) ** 2
     assert np.abs(momentum_density(psi[:, None])[:, 0] - ref).max() < 1e-13
+    # a single vector gives its one density, the bits of its column's
+    assert np.array_equal(momentum_density(psi), momentum_density(psi[:, None])[:, 0])
 
 
 def test_cantor_and_band_mass():

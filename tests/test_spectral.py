@@ -138,20 +138,24 @@ def test_eigenpairs_matches_per_pair_reference(A):
     assert not s.R.flags.writeable and not s.L.flags.writeable
 
 
-@pytest.mark.parametrize("make", [lambda: open_spectrum(243), lambda: sector_spectrum(243, "odd")],
-                         ids=["open_243", "odd_243"])
+@pytest.mark.parametrize("make", [lambda: open_spectrum(243), lambda: sector_spectrum(243, "odd"),
+                                  lambda: long_lived_spectrum(6)],
+                         ids=["open_243", "odd_243", "walsh_6"])
 def test_lift_bits_do_not_depend_on_panels(make, monkeypatch):
-    """The open map's lift and actions are FFTs, which compute each column
-    alone, so its bits do not depend on which columns share a panel: with
-    panels of at most 7 or 64 columns, a spectrum is bitwise the one lifted
-    in the default panels. This is what lets a cached sector solve keep
-    eig's column order."""
-    want = make()
+    """The open map's lifts and actions are FFTs, and the Walsh map's are
+    elementwise products one digit at a time, both computing each column
+    alone with no BLAS, so their bits do not depend on which columns share a
+    panel: with panels of at most 7 or 64 columns, a spectrum's z, R, L and
+    both residuals are bitwise those lifted in the default panels. This is
+    what lets a cached sector solve keep eig's column order. (A panel of one
+    column would move R: `_unit` sums a lone column's norm pairwise.)"""
+    names, s = ("z", "R", "L", "res_r", "res_l"), make()
+    want = [getattr(s, name).tobytes() for name in names]  # read now, in the default panels
     for width in (7, 64):
         monkeypatch.setattr(spectral, "_PANEL", width)
         got = make()
-        for name in ("z", "R", "L", "res_r", "res_l"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (width, name)
+        for name, bits in zip(names, want):
+            assert getattr(got, name).tobytes() == bits, (width, name)
 
 
 @pytest.mark.parametrize("N", [3, 9, 27, 81, 243, 729])
@@ -220,27 +224,6 @@ def test_filled_arrays_do_not_depend_on_the_first_read(make, first, monkeypatch)
     assert "R" not in vars(got)
     for name, a in want.items():
         assert getattr(got, name).tobytes() == a.tobytes(), name
-
-
-def test_walsh_lift_bits_move_only_with_blas_panel_widths(monkeypatch):
-    """The Walsh lifts (Y^(x)k C for R, and L scattered from the dual basis,
-    one digit at a time) are elementwise products, so their bits do not move
-    with a panel's width; the residuals are taken through `walsh._apply`, a
-    BLAS matrix product, whose bits can: x86-64 OpenBLAS takes the columns
-    beyond a multiple of its kernel's unroll on another path. At k = 6, one
-    panel of 64 columns gives the bits of the default two of 32; panels of
-    at most 7 give z, R and L bitwise and move the residuals by round-off,
-    measured at most 4.0e-18 for k = 3, 5, 6 and 8 and widths 3 to 12."""
-    want = long_lived_spectrum(6)
-    monkeypatch.setattr(spectral, "_PANEL", 64)
-    got = long_lived_spectrum(6)
-    for name in ("z", "R", "L", "res_r", "res_l"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    monkeypatch.setattr(spectral, "_PANEL", 7)
-    got = long_lived_spectrum(6)
-    for name in ("z", "R", "L"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert max(np.abs(got.res_r - want.res_r).max(), np.abs(got.res_l - want.res_l).max()) < 2e-17
 
 
 def test_left_vectors_vanish_on_opening(spec27):

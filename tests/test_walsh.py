@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from openbaker import spectral, walsh
 from openbaker.spectral import escape_weights
 from openbaker.walsh import (
     MAX_K,
@@ -17,6 +18,7 @@ from openbaker.walsh import (
 from interval_ops import escape_projector
 from walsh_dense import (
     digit_reversal,
+    dual_basis,
     subspace_spectrum,
     trapped_bases,
     trapped_svd,
@@ -264,9 +266,17 @@ def test_closed_form_matches_subspace_route(k):
     subspace, compared as the sine of the largest principal angle between
     the two spans, since the vectors inside a cluster are a choice of basis;
     and the closed-form weights equal `escape_weights` on the lifted R, with
-    the predictions bitwise. Measured at k = 8, the worst case: eigenvalues
-    1.1e-14, subspaces 2.7e-14, weights 1.2e-14."""
+    the predictions bitwise. The left vectors, the closed-form dual
+    (E Y[{0, 2}]^-H)^(x)k D, equal the dual basis of R made by the inverse
+    (`walsh_dense.dual_basis`), normalized alike, and L^H R is diagonal.
+    Measured at k = 8, the worst case: eigenvalues 1.1e-14, subspaces
+    2.7e-14, weights 1.2e-14; L against the inverse 2.1e-15 (k = 7), and
+    the largest off-diagonal |<u_i|v_j>| 2.1e-16 (k = 3)."""
     s, ref = long_lived_spectrum(k), subspace_spectrum(k)
+    cantor = trapped_bases(k)[1]
+    assert np.abs(spectral._unit(dual_basis(s.R, cantor)) - s.L).max() < 3e-15
+    gram = np.abs(s.L.conj().T @ s.R)
+    assert (gram - np.diag(np.diag(gram))).max() < 4e-16
     assert len(s.z) == len(ref.z) == 2**k
     rest = list(ref.z)
     for z in s.z:
@@ -284,6 +294,22 @@ def test_closed_form_matches_subspace_route(k):
     for bad in ((k, k), (k, -1), (MAX_K + 1, 4)):
         with pytest.raises(ValueError, match="m_max < k <= 8"):
             long_lived_weights(*bad)
+
+
+def test_left_vectors_need_no_linalg(monkeypatch):
+    """The left vectors are the closed-form dual of the necklace columns,
+    lifted by elementwise products: building the pairs at k = 8 and reading
+    L calls no `numpy.linalg` function but the column norms of
+    `spectral.eigenpairs` (no inverse, solve or eigensolve)."""
+    called = []
+    for name in np.linalg.__all__:
+        f = getattr(np.linalg, name)
+        if callable(f) and not isinstance(f, type):
+            monkeypatch.setattr(np.linalg, name, lambda *a, f=f, name=name, **kw:
+                                called.append(name) or f(*a, **kw))
+    walsh._necklace_pairs.cache_clear()
+    long_lived_spectrum(8).L
+    assert called and set(called) == {"norm"}, sorted(set(called))
 
 
 def test_long_lived_spectrum_peak_memory():

@@ -10,7 +10,8 @@ It also keeps the subspace route that `openbaker.walsh.long_lived_spectrum`
 replaced with the necklace closed form, as that one's reference at k <= 8:
 the eigensolve of the 2^k x 2^k block Q^H U~ Q on the tensor-product basis
 Q of range(U~^k), with the left vectors the dual basis among the Cantor
-coordinates.
+coordinates, made by inverting a 2^k x 2^k matrix (`dual_basis`), which the
+closed form's left vectors are checked against.
 
 Digit-order convention: the digit-reversal permutation is applied to the
 rows of the tensor-product transform, at every dimension (outer and inner
@@ -85,20 +86,22 @@ def trapped_bases(k: int) -> tuple:
     return Q, np.flatnonzero(reduce(np.kron, [[1, 0, 1]] * k))
 
 
+def dual_basis(V: np.ndarray, cantor: np.ndarray) -> np.ndarray:
+    """The dual basis of the 2^k columns of V inside the span P of the Cantor
+    coordinates, U = P (P^H V)^-H, by one inverse: U^H V = I, and U is zero
+    off the Cantor indices."""
+    U = np.zeros(V.shape, dtype=complex)
+    U[cantor] = np.linalg.inv(V[cantor]).conj().T
+    return U
+
+
 def subspace_spectrum(k: int) -> Spectrum:
     """The 2^k long-lived pairs from the invariant subspaces: the eigenpairs
     (z, w) of Q^H U~ Q give the right vectors V = Q w, and the left vectors
-    are the dual basis U = P (P^H V)^-H inside the span P of the Cantor
-    coordinates, so U^H V = I before normalization and U is zero off the
-    Cantor indices."""
+    are their `dual_basis`."""
     assert 2 <= k <= MAX_K
     Q, cantor = trapped_bases(k)
     z, w = np.linalg.eig(Q.conj().T @ _apply(Q))
-    dual = np.linalg.inv(Q[cantor] @ w).conj().T
-
-    def left(cols):
-        U = np.zeros((3**k, len(z[cols])), dtype=complex)
-        U[cantor] = dual[:, cols]
-        return U
-
-    return eigenpairs(3**k, [(z, lambda cols: Q @ w[:, cols], left)], _apply)
+    V = Q @ w
+    U = dual_basis(V, cantor)
+    return eigenpairs(3**k, [(z, lambda cols: V[:, cols], lambda cols: U[:, cols])], _apply)
