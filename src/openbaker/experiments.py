@@ -25,11 +25,11 @@ are lifted and their residuals taken through U~ applied as its factors, two
 the left ones follow by time reversal (U~^T = F U~ F^-1). The one spectrum
 cache (`_SECTORS`) keeps every open sector's folded solve until the process
 ends, and nothing else, read-only: z and the N/3 x N/3 folded right vectors
-W as `np.linalg.eig` returns them, 0.95 MB per sector at N = 729, so `weyl`
-after `spectrum` solves no sector twice. Each request is one call of
-`spectral.eigenpairs` (`_lift`), which lifts only the columns read, a panel
-at a time into new arrays: `weyl` reads z alone, `husimi` and `density`
-leading columns, `weights` all of R, `spectrum` L and the residuals. The
+W as `np.linalg.eig` returns them, so `weyl` after `spectrum` solves no
+sector twice. Each request is one call of `spectral.eigenpairs` (`_lift`),
+which lifts only the columns read, a panel at a time into new arrays:
+`weyl` reads z alone, `husimi` and `density` leading columns, `weights` all
+of R, `spectrum` L and the residuals. The
 open route runs on NumPy alone, and the Walsh pairs make no LAPACK call.
 The closed-map control, the one user of SciPy, is plain states:
 `closed_states` solves the dense block of U in each sector for right vectors
@@ -194,7 +194,7 @@ def closed_states(N: int, sector: str) -> tuple:
     del U  # freed before LAPACK runs
     # SciPy's LAPACK extension alone, shared with scipy.linalg through sys.modules
     if (lapack := sys.modules.get("scipy.linalg._flapack")) is None:
-        import scipy  # 0.02 s and 3.3 MiB with the extension; scipy.linalg takes 0.20 s, 15.6 MiB
+        import scipy  # not scipy.linalg, which also imports numpy.testing, f2py and ma
         spec = PathFinder.find_spec("scipy.linalg._flapack", [f"{scipy.__path__[0]}/linalg"])
         spec.loader.exec_module(lapack := importlib.util.module_from_spec(spec))
     zs, Vs = [], []

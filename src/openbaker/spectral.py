@@ -100,15 +100,18 @@ def decay_order(z: np.ndarray) -> np.ndarray:
 
 
 def residuals(apply, V: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """||A v - z v|| for each column v of V and its z, with apply(X) = A X."""
-    B = apply(V)
+    """||A v - z v|| for each column v of V and its z, with apply(X) = A X,
+    each summed alone on an F-ordered difference."""
+    B = np.asfortranarray(apply(V))
     B -= V * z
     return np.linalg.norm(B, axis=0)
 
 
 def _unit(M: np.ndarray) -> np.ndarray:
-    """M, each column divided in place by its norm, then by the unit phase of
-    its largest-modulus component (made real positive: a reproducible phase)."""
+    """M as an F-ordered array (a copy unless it is one), each column divided
+    by its norm, summed alone, then by the unit phase of its largest-modulus
+    component (made real positive: a reproducible phase)."""
+    M = np.asfortranarray(M)
     M /= np.linalg.norm(M, axis=0)
     top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
     M /= top / np.abs(top)
@@ -124,14 +127,12 @@ def eigenpairs(N: int, blocks, apply) -> Spectrum:
     vectors of z[cols], not yet normalized, handed over. All pairs go in one
     (-|z|, phase) order. `lift(k)` lifts the pairs placed below k, and
     `fill` L and both residuals, each block's columns in near-equal panels
-    of at most `_PANEL`, each made `_unit` as a C-ordered copy straight into
-    its final columns: a norm then sums row by row, as in any C-ordered
-    panel of two or more columns (a lone column's pairwise, so a block's one
-    column below k is lifted twice). Lifts and actions by FFTs or elementwise
-    products (the open map's, the Walsh map's) so give R[:, :k], L and the
-    residuals bitwise whatever the panels. `fill` lifts each right panel anew
-    for its residual, freeing it before the left one; residuals are reported
-    only.
+    of at most `_PANEL`, each made `_unit` straight into its final columns.
+    Every norm sums one column alone, so lifts and actions that compute each
+    column alone (FFTs, elementwise products: the open and Walsh maps') give
+    R[:, :k], L and the residuals bitwise at any panel width. `fill` lifts
+    each right panel anew for its residual, freeing it before the left one;
+    residuals are reported only.
     """
     z = np.concatenate([b[0] for b in blocks])
     order = decay_order(z)
@@ -140,14 +141,13 @@ def eigenpairs(N: int, blocks, apply) -> Spectrum:
     def panels(k: int):  # each panel's block, columns and places, for the pairs below k
         for i, at in enumerate(places):
             cols = np.flatnonzero(at < k)
-            cols = cols.repeat(2) if len(cols) == 1 < len(at) else cols
             t, n = len(cols), -(-len(cols) // _PANEL)
             yield from ((i, c, at[c]) for c in (cols[p * t // n:(p + 1) * t // n] for p in range(n)))
 
     def lift(k: int) -> np.ndarray:
         R = np.empty((N, min(k, len(z))), dtype=complex, order="F")  # one contiguous write per column
         for i, cols, dest in panels(k):
-            R[:, dest] = _unit(np.ascontiguousarray(blocks[i][1](cols)))
+            R[:, dest] = _unit(blocks[i][1](cols))
         R.flags.writeable = False
         return R
 
@@ -155,8 +155,8 @@ def eigenpairs(N: int, blocks, apply) -> Spectrum:
         L, res_r, res_l = np.empty((N, len(z)), complex, "F"), np.empty(len(z)), np.empty(len(z))
         for i, cols, dest in panels(len(z)):
             zb, right, left = blocks[i]
-            res_r[dest] = residuals(apply, _unit(np.ascontiguousarray(right(cols))), zb[cols])
-            L[:, dest] = U = _unit(np.ascontiguousarray(left(cols)))
+            res_r[dest] = residuals(apply, _unit(right(cols)), zb[cols])
+            L[:, dest] = U = _unit(left(cols))
             res_l[dest] = residuals(partial(apply, adjoint=True), U, zb[cols].conj())
             del U  # freed before the next panel is lifted
         return L, res_r, res_l

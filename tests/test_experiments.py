@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -82,8 +83,7 @@ def test_write_csv_crlf(tmp_path):
 def test_emit_streams_rows(tmp_path):
     """`_emit` renders a CSV table a row at a time: a 6561 x 3 table (the
     Husimi table at G = 81) writes the bytes of its rows rendered whole and
-    joined, with a traced peak measured at 0.16 MiB, where rendering every
-    cell before the first row reached 1.73 MiB; the bound is 0.5 MiB."""
+    joined within 0.5 MiB traced, which rendering every cell first exceeds."""
     q, p = np.indices((81, 81)).reshape(2, -1)
     table = {"q_index": q, "p_index": p, "value": np.random.default_rng(1).random(q.size)}
     cfg = RunConfig(n_exp=3, out_dir=tmp_path)
@@ -95,8 +95,8 @@ def test_emit_streams_rows(tmp_path):
 
 def test_emit_streams_json_rows(tmp_path):
     """A JSON table is written a row at a time as well: the 6561-row table
-    of `test_emit_streams_rows` peaks at 0.12 MiB traced, where `json_text`
-    of the whole payload reached 8.1 MiB; the bound is 0.5 MiB."""
+    of `test_emit_streams_rows` stays within 0.5 MiB traced, which `json_text`
+    of the whole payload exceeds."""
     q, p = np.indices((81, 81)).reshape(2, -1)
     table = {"q_index": q, "p_index": p, "value": np.random.default_rng(1).random(q.size)}
     cfg = RunConfig(n_exp=3, out_dir=tmp_path, fmt="json")
@@ -181,8 +181,7 @@ def test_write_pgm_bytes_of_the_one_expression(tmp_path, monkeypatch, bits, cons
 @pytest.mark.parametrize("rows", [None, 7])
 def test_write_pgm_fortran_ordered(tmp_path, monkeypatch, rows):
     """A Fortran-ordered image, such as a transposed one, is written as the
-    bytes of its C-ordered copy, in one strip or in strips of 7 rows; it
-    used to raise "ndarray is not C-contiguous"."""
+    bytes of its C-ordered copy, in one strip or in strips of 7 rows."""
     if rows:
         monkeypatch.setattr(io_utils, "_PGM_STRIP_BYTES", rows * 8 * 37)
     H = np.random.default_rng(5).random((37, 53))
@@ -254,8 +253,7 @@ def test_merged_spectrum_shares_no_memory_with_its_sectors():
 def test_cached_sector_holds_no_lifted_vector(N):
     """A `_SECTORS` entry is its sector's folded solve and nothing else,
     also after lifts: the N/3 eigenvalues z and the N/3 x N/3 folded vectors
-    W, with no array of N rows: 0.95 MB at N = 729, where the lifted sector
-    held 5.7 MB."""
+    W, with no array of N rows, at most 16 (N/3)^2 + 16 N/3 bytes."""
     experiments._SECTORS.clear()
     open_spectrum(N)
     open_spectrum(N)
@@ -266,14 +264,9 @@ def test_cached_sector_holds_no_lifted_vector(N):
         assert z.nbytes + W.nbytes <= 16 * t * t + 16 * t
 
 
-# Traced peaks of a cold lift at N = 729, R read (it is made on its first
-# read), measured: 9.9 MiB for the full spectrum and for one sector, both set
-# by the solve (U's corners and the folded block), and 9.9 MiB for the full
-# spectrum with its L and residuals read, which never make R (14.2 while the
-# residuals were taken on R's columns, 14.4 while each residual panel was
-# copied to zero the opening). When L and the residuals were lifted with R,
-# the full spectrum peaked at 14.9 MiB; with the lifted sectors cached and
-# merged, the full spectrum and one sector peaked at 24.4 and 18.1 MiB.
+# A cold lift at N = 729 peaks in its solve (U's corners and the folded
+# block), within 11 MiB traced, whether R is read or L and the residuals,
+# which never make R
 @pytest.mark.parametrize("build, mib", [(lambda: open_spectrum(729).R, 11),
                                         (lambda: sector_spectrum(729, "even").R, 11),
                                         (lambda: open_spectrum(729).L, 11)],
@@ -498,16 +491,9 @@ def test_husimi_count_stops_at_resonances(tmp_path, monkeypatch):
 
 
 def test_husimi_figure_peak_memory(tmp_path):
-    """Traced peak of the n_exp 5 figure, its spectrum cached and SciPy's
-    LAPACK extension loaded beforehand by a closed-map solve, which imports
-    no `scipy.linalg`: measured 11.6 MiB (11.7 in a process where the
-    figure's first FFT imports numpy.fft, which `scipy.linalg` imported
-    before; 11.9 while a spectrum lifted its
-    L with R), with each of the two Husimi averages summed as the pass makes
-    its images (12.2 MiB with a third average over the left states), where
-    the pass that held all 3 x 100 images and stacked each third once more
-    reached 23.2 MiB, and the dense-rho Wigner with one unblocked Husimi
-    pass 64.9 MiB; the bound is 14 MiB."""
+    """The n_exp 5 figure, its spectrum cached and SciPy's LAPACK extension
+    loaded beforehand by a closed-map solve, stays within 14 MiB traced: each
+    of its two Husimi averages is summed as the pass makes its images."""
     sector_spectrum(243, "even")
     closed_states(243, "even")
     assert _traced_peak(run_husimi_figure, RunConfig(n_exp=5, out_dir=tmp_path)) <= 14 * 2**20
@@ -517,9 +503,8 @@ def test_husimi_image_independent_of_batch():
     """The figure makes the right and closed-map images in one Husimi pass;
     each state's image, here of right, left and closed-map states, must be
     bitwise what its own call gives, also for one state alone against the
-    same state in a 40-state batch at N = 729, where an unpadded block
-    changed 4400-4600 of 6561 pixels (x86-64 OpenBLAS; none at N = 243,
-    whose fold is 9 long, not 27)."""
+    same state in a 40-state batch at N = 729, whose fold is long enough for
+    a partial BLAS panel to move an unpadded block's bits."""
     s = sector_spectrum(243, "even")
     sets = [s.R[:, :20], s.L[:, :20],
             closed_states(243, "even")[1][:, :20]]
@@ -537,12 +522,9 @@ def test_left_husimi_average_is_the_transposed_right_one(tmp_path, sector, G):
     """Time reversal (U~^T = F U~ F^-1) maps the right states, on the
     backward trapped set, to the left ones, on its mirror image the forward
     set: the average of the Husimi images of the stored left vectors is the
-    transposed right average to a few ulp of its largest pixel, also for a
-    G that does not divide N: measured 7.5e-16 to 1.2e-15 of it in these
-    cases, and at most 4.1e-15 in the even, odd and full sectors up to
-    N = 2187 (2.2e-18 absolute at N = 729, G = 81, 20 states). The figure
-    writes its left PGM from the transposed right average, with the bytes
-    of the left vectors' one."""
+    transposed right average within 1e-14 of its largest pixel, also for a
+    G that does not divide N. The figure writes its left PGM from the
+    transposed right average, with the bytes of the left vectors' one."""
     s = sector_spectrum(243, sector)
     avg_r, avg_l = (average_density(husimi_grids(V[:, :81], G)) for V in (s.R, s.L))
     assert np.abs(avg_l - avg_r.T).max() <= 1e-14 * avg_r.max()
@@ -593,10 +575,7 @@ def test_wigner_images_even_n(tmp_path, monkeypatch, N):
 def test_wigner_images_hold_one_more_grid(tmp_path):
     """The three Wigner PGMs of a grid at N = 243 are written from its upper
     half W with at most one more half grid alive, the positive part, plus
-    strips: traced peak measured 1.15 half grids beyond W, where the whole
-    grid with its positive part made whole beside it reached 1.07 whole
-    grids (2.14 half grids) and three whole images each copied by
-    `write_pgm` 2.25 whole grids; the bound is 1.2 half grids."""
+    strips: within 1.2 half grids traced beyond W."""
     W = wigner_grid_average(sector_spectrum(243, "even").R[:, :100])
     assert W.shape == (243, 486)
     assert _traced_peak(experiments._write_wigner_images, tmp_path, W, {}) <= 1.2 * W.nbytes
@@ -673,6 +652,15 @@ def test_cli_defaults_are_run_configs(name):
     assert RunConfig(**args) == RunConfig(n_exp=5)
 
 
+def test_readme_command_line_names_every_subcommand_and_flag():
+    """README's "Command line" section, the one part of it that restates
+    code, shows every subcommand run and names every further flag."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert [n for n in cli.SUBCOMMANDS if not re.search(rf"openbaker +{n}\b", section)] == []
+    assert [f for f in cli.OPTIONS if not re.search(rf"`{f}\b", section)] == []
+
+
 def test_cli_spectrum(tmp_path, capsys):
     rc = main(["spectrum", "--n-exp", "3", "--out", str(tmp_path)])
     assert rc == 0
@@ -714,7 +702,7 @@ def test_cli_loads_scipy_only_for_the_closed_control(tmp_path, subcommands, load
     `husimi` loads `scipy` and SciPy's LAPACK extension for its closed-map
     control, but never `scipy.linalg`. None loads `numpy.ma`: `weights`
     takes its medians from the sorted middle pair, as `np.median` does
-    without the import it makes on first use (8-13 ms per process)."""
+    without the import it makes on first use."""
     env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).resolve().parents[1])}
     argv = [sys.executable, "-c", SCIPY_PROBE, str(tmp_path), json.dumps(subcommands)]
     run = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
@@ -779,8 +767,7 @@ def test_cli_husimi_validates_before_solving(tmp_path, capsys, monkeypatch, args
 @pytest.mark.parametrize("threshold", ["nan", "-1", "0", "1", "inf"])
 def test_cli_weyl_rejects_threshold(tmp_path, capsys, monkeypatch, threshold):
     """A Weyl threshold that is not a finite number in (0, 1) fails before
-    any solve, with the reason, and writes nothing: nan used to write nan
-    rows, and -1 counted every eigenvalue."""
+    any solve, with the reason, and writes nothing."""
     monkeypatch.setattr(experiments, "_open_sectors",
                         lambda *a: pytest.fail("solved before validating the threshold"))
     assert main(["weyl", "--n-exp", "5", "--threshold", threshold, "--out", str(tmp_path)]) == 1
@@ -792,8 +779,7 @@ def test_cli_weyl_rejects_threshold(tmp_path, capsys, monkeypatch, threshold):
 def test_cli_weyl_walsh_rejects_threshold(tmp_path, capsys, monkeypatch, threshold):
     """The Walsh count takes no threshold: given with --walsh, even at its
     default value, --threshold fails before any count, names the exact
-    kernel, and writes nothing. It used to be ignored, so 0.9 wrote the
-    default run's bytes."""
+    kernel, and writes nothing."""
     monkeypatch.setattr(experiments, "nonzero_count",
                         lambda *a: pytest.fail("counted before rejecting the threshold"))
     assert main(["weyl", "--walsh", "--n-exp", "4", "--threshold", threshold,
@@ -884,10 +870,9 @@ def test_cli_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_husimi_limit_n_exp(tmp_path, capsys, monkeypatch):
-    """The Wigner average holds a real N x 2N half grid (0.69 GB) and an
-    N x N complex density matrix (0.69 GB), 1.38 GB at n_exp 8, so
-    `husimi --n-exp 8` fails before any build, names the limit and writes
-    nothing."""
+    """The Wigner average holds a real N x 2N half grid and an N x N complex
+    density matrix, 1.38 GB at n_exp 8, so `husimi --n-exp 8` fails before
+    any build, names the limit and writes nothing."""
     for name in ("baker_unitary", "baker_corners"):
         monkeypatch.setattr(experiments, name,
                             lambda *a: pytest.fail("built before validating n_exp"))

@@ -209,11 +209,10 @@ def _traced_peak(f, *args) -> int:
 def test_wigner_matches_dense_reference(monkeypatch, N, S, rows):
     """The blocked Wigner average equals the dense half-grid reference. `rows`
     sets the rows of W per block (1, or 7, which leaves a short last block);
-    None keeps the default budget, one block at these N. Measured max|dW|
-    on x86-64 OpenBLAS: at most 1.4e-15 max|W|; the bound is 1e-14 max|W|.
-    The package returns rows j < N, and `wigner_full` rebuilds rows j + N
-    as their copies; the reference computes both halves, which agree to the
-    same bound (2.7e-16 max|W| measured)."""
+    None keeps the default budget, one block at these N. The bound is
+    1e-14 max|W|. The package returns rows j < N, and `wigner_full` rebuilds
+    rows j + N as their copies; the reference computes both halves, which
+    agree to the same bound."""
     if rows:
         monkeypatch.setattr(phase_space, "_WIGNER_BLOCK_BYTES", 32 * N * rows)
     X = _random_states(N, S, seed=N + S)
@@ -228,9 +227,8 @@ def test_wigner_matches_dense_reference(monkeypatch, N, S, rows):
 def test_wigner_even_n(N):
     """For even N two entries of a row share one a - b and add, and rows
     j + N are rows j negated: the grid still equals <psi|A(j,l)|psi>/(4N)
-    at every doubled-grid point (1.4e-16 and 1.2e-16 measured at N = 8
-    and 10) and the dense reference (4.9e-16 and 5.3e-16 max|W|), with the
-    lower half rebuilt by `wigner_full`."""
+    at every doubled-grid point (within 1e-12) and the dense reference
+    (within 1e-14 max|W|), with the lower half rebuilt by `wigner_full`."""
     X = _random_states(N, 3, seed=N)
     W = wigner_full(wigner_grid_average(X))
     assert np.array_equal(W[N:], -W[:N])
@@ -245,11 +243,9 @@ def test_wigner_even_n(N):
 
 def test_wigner_peak_memory_is_a_few_grids():
     """No 2N x 2N density matrix, no half-grid amplitudes and no (2N)^2
-    grid: at N = 729, S = 100 the traced peak was 1.31 times the bytes of a
-    real (2N)^2 grid (the N x 2N upper half, the N x N complex rho of the
-    same size, and 2 MiB row blocks), where the whole grid reached 1.81
-    times them, the half-grid route in row blocks 2.40 and the dense route
-    7.15; the bound is 1.4."""
+    grid: at N = 729, S = 100 the traced peak stays within 1.4 times the
+    bytes of a real (2N)^2 grid, which the N x 2N upper half, the N x N
+    complex rho of the same size and the row blocks fill."""
     N = 729
     X = _random_states(N, 100)
     assert _traced_peak(wigner_grid_average, X) <= 1.4 * (2 * N) ** 2 * 8
@@ -258,8 +254,7 @@ def test_wigner_peak_memory_is_a_few_grids():
 def test_husimi_peak_memory_grows_only_by_the_images():
     """The fold, FFT and |.|^2 run in blocks of states, so from 64 to 192
     states (N = 243, G = 81), all read into a list, the traced peak grows by
-    the 128 more output images, measured 0.98 times their bytes, where one
-    unblocked pass grew by 5.22 times them; the bound is 1.25."""
+    no more than 1.25 times the bytes of the 128 more output images."""
     N, G = 243, 81
     X = _random_states(N, 192)
     small = _traced_peak(lambda V: list(husimi_grids(V, G)), X[:, :64])
@@ -316,8 +311,7 @@ def test_average_density_rejects_no_densities_and_mixed_shapes():
 
 def test_average_density_holds_a_few_images():
     """Averaging 200 images of 81^2 from a generator holds the running sum,
-    the image being added and the next one: measured 3.02 images, where the
-    stack of a list held 401.5; the bound is 3.25."""
+    the image being added and the next one: within 3.25 images traced."""
     G = 81
     rng = np.random.default_rng(2)
     images = (rng.random((G, G)) for _ in range(200))

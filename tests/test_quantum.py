@@ -75,8 +75,7 @@ def _unit_columns(N, seed):
 def test_baker_apply_matches_dense_unitary(N):
     """The FFT action of U~ = U_N (I - pi_0) and of U~^H agrees with the
     dense open propagator on every column, to the dense matrix's own phase
-    round-off (at most 4.8e-16 N measured), for a block and for a single
-    vector."""
+    round-off (within 1e-15 N), for a block and for a single vector."""
     Ut, X = open_propagator(N), _unit_columns(N, N)
     for adjoint, dense in ((False, Ut), (True, Ut.conj().T)):
         Y = baker_apply(X, adjoint=adjoint)
@@ -89,9 +88,9 @@ def test_baker_apply_matches_dense_unitary(N):
 
 def test_baker_apply_matches_extended_precision():
     """Against U~_81, U_81 built in extended precision with its middle
-    columns zeroed, the FFT action (two `dft_apply` calls) is off by at most
-    6.1e-16 per unit column for U~ and 5.6e-16 for U~^H (measured), sixty
-    times closer than the dense `baker_unitary` (4.0e-14)."""
+    columns zeroed, the FFT action (two `dft_apply` calls) is off by less
+    than 8e-16 per unit column for U~ and U~^H, far closer than the phase
+    round-off of the dense `baker_unitary`."""
     N = 81
     Ul, X = opened(extended_unitary(N)), _unit_columns(N, 0)
     Xl = X.astype(np.clongdouble)
@@ -124,7 +123,7 @@ def test_baker_apply_adjoint_is_zero_on_the_opening(N):
 @pytest.mark.parametrize("N", [729, 2187])
 def test_baker_apply_adjoint_identity(N):
     """<U~ x, y> = <x, U~^H y> for 8 x 8 pairs of random unit columns, to
-    2e-16: measured 6.1e-17 at N = 729 and 3.5e-17 at 2187."""
+    2e-16."""
     rng = np.random.default_rng(N)
     X, Y = (rng.standard_normal((N, 8)) + 1j * rng.standard_normal((N, 8)) for _ in range(2))
     X /= np.linalg.norm(X, axis=0)
@@ -139,8 +138,7 @@ def test_dft_apply_matches_extended_precision(N):
     of F), for a block and for a single vector: row s of F X is
     N^{-1/2} sum_m X[m] e^{-2 pi i (m+1/2)(s+1/2)/N}, built here in extended
     precision with each phase's integer numerator (2m+1)(2s+1) reduced mod
-    4N before rounding. Measured: at most 9.1e-16 per unit column for F and
-    8.2e-16 for F^H."""
+    4N before rounding; within 3e-15 per unit column for F, 1.2e-15 for F^H."""
     X = _unit_columns(N, 1)
     j = np.outer(2 * np.arange(N) + 1, 2 * np.arange(N) + 1) % (4 * N)
     pi = 4 * np.arctan(np.longdouble(1))
@@ -157,9 +155,8 @@ def test_dft_apply_matches_extended_precision(N):
 @pytest.mark.parametrize("N", [27, 81, 243, 729])
 def test_baker_corners_match_dense_unitary(N):
     """The kept corners are U_N's rows and columns [0, t) and [2t, N) to
-    1e-15 (4.5e-16 measured at N = 243 and 729): they share the entries of
-    `dft_matrix`, and the open spectra's reference values hold to that
-    bound."""
+    1e-15: they share the entries of `dft_matrix`, and the open spectra's
+    reference values hold to that bound."""
     t = N // 3
     kept = np.r_[0:t, 2 * t:N]
     C = baker_corners(N)
@@ -172,10 +169,9 @@ def test_baker_corners_match_dense_unitary(N):
 @pytest.mark.parametrize("N, bound", [(81, 3e-14), (243, 6e-14)])
 def test_baker_corners_match_extended_precision(N, bound):
     """Against U_N built in extended precision, the corners are off by the
-    phase round-off of the `dft_matrix` entries they are made of: 2.39e-14
-    at N = 81 and 5.05e-14 at 243 (measured), the same as the corners of
-    the dense `baker_unitary`. The bound sits just above that error, so the
-    products may add ulps but no error of their own."""
+    phase round-off of the `dft_matrix` entries they are made of, as the
+    corners of the dense `baker_unitary` are. The bound sits just above that
+    error, so the products may add ulps but no error of their own."""
     t = N // 3
     kept = np.r_[0:t, 2 * t:N]
     exact = extended_unitary(N)[np.ix_(kept, kept)]

@@ -142,16 +142,14 @@ def test_eigenpairs_matches_per_pair_reference(A):
                                   lambda: long_lived_spectrum(6)],
                          ids=["open_243", "odd_243", "walsh_6"])
 def test_lift_bits_do_not_depend_on_panels(make, monkeypatch):
-    """The open map's lifts and actions are FFTs, and the Walsh map's are
-    elementwise products one digit at a time, both computing each column
-    alone with no BLAS, so their bits do not depend on which columns share a
-    panel: with panels of at most 7 or 64 columns, a spectrum's z, R, L and
-    both residuals are bitwise those lifted in the default panels. This is
-    what lets a cached sector solve keep eig's column order. (A panel of one
-    column would move R: `_unit` sums a lone column's norm pairwise.)"""
+    """Lifts and actions that compute each column alone (the open map's FFTs,
+    the Walsh map's elementwise products) and norms summed one column at a
+    time give bits that do not depend on which columns share a panel: at
+    panel widths 1, 7 and 64, a spectrum's z, R, L and both residuals are
+    bitwise those of the default panels."""
     names, s = ("z", "R", "L", "res_r", "res_l"), make()
     want = [getattr(s, name).tobytes() for name in names]  # read now, in the default panels
-    for width in (7, 64):
+    for width in (1, 7, 64):
         monkeypatch.setattr(spectral, "_PANEL", width)
         got = make()
         for name, bits in zip(names, want):
@@ -161,12 +159,9 @@ def test_lift_bits_do_not_depend_on_panels(make, monkeypatch):
 @pytest.mark.parametrize("N", [3, 9, 27, 81, 243, 729])
 @pytest.mark.parametrize("sector", ["full", "even", "odd"])
 def test_leading_columns_are_bitwise_those_of_R(N, sector):
-    """`leading(k)` lifts only the pairs placed below k, each block's in
-    C-ordered panels and a block's lone column twice, and is bitwise
+    """`leading(k)` lifts only the pairs placed below k and is bitwise
     R[:, :k] for k = 1, 2, 20, 100 and len(z), read before R or after it
-    (then a view of R). A lone column lifted alone, or a panel normalized
-    in eig's F order, sums its norm pairwise: R moved by up to 1.4e-16 at
-    N = 729."""
+    (then a view of R)."""
     for k in (1, 2, 20, 100, None):
         s = sector_spectrum(N, sector)
         k = len(s.z) if k is None else k
@@ -179,8 +174,8 @@ def test_leading_columns_are_bitwise_those_of_R(N, sector):
 def _eager_eigenpairs(N, blocks, apply):
     """Reference for `eigenpairs`: the five arrays with L and both residuals
     made with R, as one loop over the same panels, each panel's right and
-    left vectors lifted, normalized and placed together and its residuals
-    taken on the lifted panels."""
+    left vectors lifted, normalized as F-ordered copies and placed together
+    and its residuals taken on the lifted panels."""
     z = np.concatenate([b[0] for b in blocks])
     order = spectral.decay_order(z)
     at = np.argsort(order)
@@ -192,7 +187,7 @@ def _eager_eigenpairs(N, blocks, apply):
         n = -(-t // spectral._PANEL)
         for k in range(n):
             cols = slice(k * t // n, (k + 1) * t // n)
-            V, U = right(cols), left(cols)
+            V, U = np.asfortranarray(right(cols)), np.asfortranarray(left(cols))
             for M in (V, U):
                 M /= np.linalg.norm(M, axis=0)
                 top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
@@ -326,9 +321,8 @@ def _per_pair_weights(s: Spectrum, m_max: int):
                          ids=["open_81", "walsh_81"])
 def test_escape_weights_match_per_pair_formula(make, m_max):
     """The (pairs x depths) tables equal the per-pair sums to round-off: the
-    masses differ only in summation order (measured at most 4.4e-16 on
-    open_spectrum(81) and 1.1e-16 on long_lived_spectrum(4)), the
-    predictions by pow's last bit (2.8e-17 on both)."""
+    masses within 1e-15, as they differ only in summation order, and the
+    predictions within 1e-16, by pow's last bit."""
     s = make()
     measured, predicted = escape_weights(s, m_max)
     ref_measured, ref_predicted = _per_pair_weights(s, m_max)

@@ -268,10 +268,7 @@ def test_closed_form_matches_subspace_route(k):
     and the closed-form weights equal `escape_weights` on the lifted R, with
     the predictions bitwise. The left vectors, the closed-form dual
     (E Y[{0, 2}]^-H)^(x)k D, equal the dual basis of R made by the inverse
-    (`walsh_dense.dual_basis`), normalized alike, and L^H R is diagonal.
-    Measured at k = 8, the worst case: eigenvalues 1.1e-14, subspaces
-    2.7e-14, weights 1.2e-14; L against the inverse 2.1e-15 (k = 7), and
-    the largest off-diagonal |<u_i|v_j>| 2.1e-16 (k = 3)."""
+    (`walsh_dense.dual_basis`), normalized alike, and L^H R is diagonal."""
     s, ref = long_lived_spectrum(k), subspace_spectrum(k)
     cantor = trapped_bases(k)[1]
     assert np.abs(spectral._unit(dual_basis(s.R, cantor)) - s.L).max() < 3e-15
@@ -314,11 +311,10 @@ def test_left_vectors_need_no_linalg(monkeypatch):
 
 def test_long_lived_spectrum_peak_memory():
     """The Walsh pairs are lifted a panel at a time from their 2^k x 2^k
-    coefficients, one digit at a time, so beside the spectrum's R (N x 2^k,
-    25.6 MiB at k = 8) only a few N x 32 panels are alive: 35.2 MiB traced
-    at k = 8, R read (it is lifted on its first read). A route that holds
-    another N x 2^k array beside R, as a basis Q for the lifts, exceeds the
-    bound."""
+    coefficients, one digit at a time, so beside the spectrum's R (N x 2^k)
+    only a few N x 32 panels are alive: within 40 MiB traced at k = 8, R
+    read. A route that holds another N x 2^k array beside R, as a basis Q
+    for the lifts, exceeds the bound."""
     assert _traced_peak(lambda: long_lived_spectrum(8).R) <= 40 * 2**20
 
 
