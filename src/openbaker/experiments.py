@@ -18,24 +18,24 @@ the bins' are leading columns (`Spectrum.leading`), one N x S block.
 
 Every baker spectrum is built per parity sector, from the N/3 eigenpairs of
 its folded kept block; the opening's exact kernel (z = 0) is counted, not
-built. The N x N propagator is never diagonalized, nor even formed: the
-blocks are folded from U's kept corners (`baker_corners`), and the vectors
-are lifted and their residuals taken through U~ applied as its factors, two
-`dft_apply` calls (`baker_apply`); a block gives right vectors only, and
-the left ones follow by time reversal (U~^T = F U~ F^-1). The one spectrum
-cache (`_SECTORS`) keeps every open sector's folded solve until the process
-ends, and nothing else, read-only: z and the N/3 x N/3 folded right vectors
-W as `np.linalg.eig` returns them, so `weyl` after `spectrum` solves no
-sector twice. Each request is one call of `spectral.eigenpairs` (`_lift`),
-which lifts only the columns read, a panel at a time into new arrays:
-`weyl` reads z alone, `husimi` and `density` leading columns, `weights` all
-of R, `spectrum` L and the residuals. The
-open route runs on NumPy alone, and the Walsh pairs make no LAPACK call.
-The closed-map control, the one user of SciPy, is plain states:
-`closed_states` solves the dense block of U in each sector for right vectors
-only (U is unitary, so its left vectors are its right ones) by SciPy's
-LAPACK `zgeev`, the call `scipy.linalg.eig` makes, with SciPy's LAPACK
-extension loaded alone (`_flapack`), and caches nothing.
+built. The N x N propagator is never formed: the blocks are folded from U's
+kept corners (`baker_corners`), and the vectors are lifted and their
+residuals taken through U~ applied as its factors, two `dft_apply` calls
+(`baker_apply`); a block gives right vectors only, and the left ones follow
+by time reversal (U~^T = F U~ F^-1). The one spectrum cache (`_SECTORS`)
+keeps every open sector's folded solve until the process ends, and nothing
+else, read-only: z and the N/3 x N/3 folded right vectors W as
+`np.linalg.eig` returns them, so `weyl` after `spectrum` solves no sector
+twice. Every open spectrum is one `sector_spectrum(N, sector)` call, its
+sector checked against one table (`_COVERS`, read by `closed_states` too),
+that lifts through one `spectral.eigenpairs` call only the columns read, a
+panel at a time: `weyl` reads z alone, `husimi` and `density` leading
+columns, `weights` all of R, `spectrum` L and the residuals. The open route
+runs on NumPy alone, and the Walsh pairs make no LAPACK call. The closed-map
+control, the one user of SciPy, is plain states: `closed_states` solves the
+dense block of U in each sector for right vectors only (U is unitary: they
+are its left ones too) by LAPACK's `zgeev`, the call `scipy.linalg.eig`
+makes, from SciPy's `_flapack` extension loaded alone, and caches nothing.
 """
 
 from __future__ import annotations
@@ -133,54 +133,43 @@ class RunConfig:
 # at most an eighth of it
 _SECTORS: dict = {}
 
-# Parity of each open sector's vectors under n -> N-1-n
+# The parity sectors each `sector` choice covers; their vectors' parity under n -> N-1-n
+_COVERS = {"even": ("even",), "odd": ("odd",), "full": ("even", "odd")}
 _SIGN = {"even": 1.0, "odd": -1.0}
 
 
-def _open_sectors(N: int, sectors: tuple) -> list:
-    """The folded solves (z, W) of the open parity sectors asked for, from
-    `_SECTORS`, the missing ones solved first from one set of U's kept
-    corners and stored."""
-    missing = [sector for sector in sectors if (N, sector) not in _SECTORS]
-    if missing:
+def _covered(sector: str) -> tuple:
+    """The parity sectors `sector` covers, or a ValueError naming the choices."""
+    if sector not in _COVERS:
+        raise ValueError(f"sector must be 'even', 'odd' or 'full', not {sector!r}")
+    return _COVERS[sector]
+
+
+def sector_spectrum(N: int, sector: str) -> Spectrum:
+    """Spectrum of the open propagator in one parity sector ("even", "odd") or
+    both ("full"): each sector's N/3 eigenpairs from its folded solve in
+    `_SECTORS`, missing ones solved first from one set of U's kept corners,
+    lifted by one `eigenpairs` call, a block per sector, with no U, U~ or
+    parity basis: from columns w of W, right vectors v = U~ x, x = `_unfold`(w),
+    by `baker_apply`, and left ones by time reversal (U~^T = F U~ F^-1),
+    u = conj(F v) = `_unfold`(conj(F_t w)), as F_N U = diag(F_t, F_t, F_t): one
+    length-N/3 `dft_apply`, exactly 0 on the opening, whose kernel (z = 0) is not built."""
+    sectors = _covered(sector)
+    if missing := [s for s in sectors if (N, s) not in _SECTORS]:
         C = baker_corners(N)
-        for sector in missing:
-            _SECTORS[N, sector] = _folded_block_eig(C, _SIGN[sector])
-            for a in _SECTORS[N, sector]:
+        for s in missing:
+            _SECTORS[N, s] = _folded_block_eig(C, _SIGN[s])
+            for a in _SECTORS[N, s]:
                 a.flags.writeable = False
-    return [_SECTORS[N, sector] for sector in sectors]
-
-
-def _lift(N: int, sectors: tuple) -> Spectrum:
-    """The spectrum of the open sectors asked for, lifted by `eigenpairs`
-    from their folded solves, a block per sector, with no U, U~ or parity
-    basis: from columns w of W, right vectors v = U~ x, x = `_unfold`(w), by
-    `baker_apply`, and left ones by time reversal (U~^T = F U~ F^-1),
-    u = conj(F v) = `_unfold`(conj(F_t w)), as F_N U = diag(F_t, F_t, F_t):
-    one length-N/3 `dft_apply`, exactly 0 on the opening. The opening
-    kernel (z = 0) is not built."""
-    blocks = [(z, lambda cols, W=W, sign=_SIGN[sector]: baker_apply(_unfold(sign, W[:, cols])),
-               lambda cols, W=W, sign=_SIGN[sector]: _unfold(sign, dft_apply(W[:, cols]).conj()))
-              for sector, (z, W) in zip(sectors, _open_sectors(N, sectors))]
+    blocks = [(z, lambda cols, W=W, sign=_SIGN[s]: baker_apply(_unfold(sign, W[:, cols])),
+               lambda cols, W=W, sign=_SIGN[s]: _unfold(sign, dft_apply(W[:, cols]).conj()))
+              for s in sectors for z, W in [_SECTORS[N, s]]]
     return eigenpairs(N, blocks, baker_apply)
 
 
 def open_spectrum(N: int) -> Spectrum:
-    """Full spectrum of the open propagator: both parity sectors lifted from
-    their cached folded solves, solved first if missing, into one set of
-    arrays."""
-    return _lift(N, ("even", "odd"))
-
-
-def sector_spectrum(N: int, sector: str) -> Spectrum:
-    """Spectrum of the open propagator restricted to one parity sector:
-    its N/3 eigenpairs, with eigenvectors in the full N-dimensional space;
-    a sector asked for alone is solved alone."""
-    if sector == "full":
-        return open_spectrum(N)
-    if sector not in ("even", "odd"):
-        raise ValueError("sector must be 'even', 'odd' or 'full'")
-    return _lift(N, (sector,))
+    """Full spectrum of the open propagator: `sector_spectrum(N, "full")`."""
+    return sector_spectrum(N, "full")
 
 
 def closed_states(N: int, sector: str) -> tuple:
@@ -189,8 +178,9 @@ def closed_states(N: int, sector: str) -> tuple:
     vectors of each sector block by LAPACK's zgeev, lifted to the full space.
     U is unitary, so these are its left vectors too; they are not normalized
     (LAPACK's columns have unit norm to round-off); no residual is taken."""
+    sectors = _covered(sector)  # checked before U is built
     U = baker_unitary(N)
-    blocks = [sector_block(U, s) for s in (("even", "odd") if sector == "full" else (sector,))]
+    blocks = [sector_block(U, s) for s in sectors]
     del U  # freed before LAPACK runs
     # SciPy's LAPACK extension alone, shared with scipy.linalg through sys.modules
     if (lapack := sys.modules.get("scipy.linalg._flapack")) is None:

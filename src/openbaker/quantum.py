@@ -45,16 +45,16 @@ def _dft_entries(rows: np.ndarray, cols: np.ndarray, N: int) -> np.ndarray:
 def dft_apply(X: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """F X for F = dft_matrix(n), or F^H X when `adjoint`, for a vector of
     length n or each n x S block of an (..., n, S) array: one FFT of the
-    columns twiddled by e^{-i pi m/n}, then the output half-shift; F^H is the
-    conjugate phases around an inverse FFT."""
+    columns twiddled by e^{-i pi m/n}, then the output half-shift in place;
+    F^H is the conjugate phases around an inverse FFT."""
     if X.ndim == 1:
         return dft_apply(X[:, None], adjoint)[:, 0]
     n = X.shape[-2]
     a = np.exp(-1j * np.pi * np.arange(n) / n)[:, None]
     b = (np.exp(-1j * np.pi * (2 * np.arange(n) + 1) / (2 * n)) / np.sqrt(n))[:, None]
     if adjoint:
-        return np.fft.ifft(X * b.conj(), axis=-2, norm="forward") * a.conj()
-    return np.fft.fft(X * a, axis=-2) * b
+        return np.multiply(Y := np.fft.ifft(X * b.conj(), axis=-2, norm="forward"), a.conj(), out=Y)
+    return np.multiply(Y := np.fft.fft(X * a, axis=-2), b, out=Y)
 
 
 def baker_unitary(N: int) -> np.ndarray:

@@ -109,11 +109,12 @@ def residuals(apply, V: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _unit(M: np.ndarray) -> np.ndarray:
     """M as an F-ordered array (a copy unless it is one), each column divided
-    by its norm, summed alone, then by the unit phase of its largest-modulus
-    component (made real positive: a reproducible phase)."""
+    by its norm, summed alone, then by the unit phase of its first entry
+    within a relative 1e-12 of its largest modulus (made real positive: a
+    phase that entries equal to round-off, as parity images, do not flip)."""
     M = np.asfortranarray(M)
     M /= np.linalg.norm(M, axis=0)
-    top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
+    top = M[np.argmax((a := np.abs(M)) >= a.max(0) * (1 - 1e-12), axis=0), np.arange(M.shape[1])]
     M /= top / np.abs(top)
     return M
 
@@ -126,8 +127,8 @@ def eigenpairs(N: int, blocks, apply) -> Spectrum:
     `right(cols)` and `left(cols)`, which return the right and the left
     vectors of z[cols], not yet normalized, handed over. All pairs go in one
     (-|z|, phase) order. `lift(k)` lifts the pairs placed below k, and
-    `fill` L and both residuals, each block's columns in near-equal panels
-    of at most `_PANEL`, each made `_unit` straight into its final columns.
+    `fill` L and both residuals, each block's columns in panels of `_PANEL`
+    (the last one shorter), each made `_unit` straight into its final columns.
     Every norm sums one column alone, so lifts and actions that compute each
     column alone (FFTs, elementwise products: the open and Walsh maps') give
     R[:, :k], L and the residuals bitwise at any panel width. `fill` lifts
@@ -141,8 +142,7 @@ def eigenpairs(N: int, blocks, apply) -> Spectrum:
     def panels(k: int):  # each panel's block, columns and places, for the pairs below k
         for i, at in enumerate(places):
             cols = np.flatnonzero(at < k)
-            t, n = len(cols), -(-len(cols) // _PANEL)
-            yield from ((i, c, at[c]) for c in (cols[p * t // n:(p + 1) * t // n] for p in range(n)))
+            yield from ((i, c, at[c]) for c in (cols[p:p + _PANEL] for p in range(0, len(cols), _PANEL)))
 
     def lift(k: int) -> np.ndarray:
         R = np.empty((N, min(k, len(z))), dtype=complex, order="F")  # one contiguous write per column

@@ -15,13 +15,13 @@ The 2^k long-lived pairs come from binary necklaces, with no eigensolve
 the basis Y^(x)k of range(U~^k), Y = Q1 X with Q1^H M Q1 = X diag(mu) X^-1,
 U~ sends the k-bit word j to mu[leading bit of j] times its left rotation.
 The left vectors are the dual basis in the span of the Cantor coordinates
-(ternary digits all 0 or 2), range((U~^k)^H), in closed form with no
-inverse: <u_i|v_j> = 0 for i != j even within a degenerate cluster, and u
-vanishes off this forward trapped set. No vector passes through BLAS, so
-no bit depends on a panel's width or the thread count. Cylinder masses, so
-escape weights, are forms in the coefficients with per-digit 2 x 2 Gram
-factors of Y, and need no N-vector. The eigenpairs stop at k = MAX_K, as
-their vectors are N x 2^k; the counts do not.
+(ternary digits all 0 or 2), range((U~^k)^H), in closed form from the right
+vectors' coefficients, with no inverse: <u_i|v_j> = 0 for i != j even within
+a degenerate cluster, and u vanishes off this forward trapped set. No vector
+passes through BLAS, so no bit depends on a panel's width or the thread
+count. Cylinder masses, so escape weights, are forms in the coefficients
+with per-digit 2 x 2 Gram factors of Y, and need no N-vector. The eigenpairs
+stop at k = MAX_K, as their vectors are N x 2^k; the counts do not.
 """
 
 from __future__ import annotations
@@ -79,13 +79,13 @@ def _singular_values(k: int) -> list:
 
 @cache
 def _necklace_pairs(k: int) -> tuple:
-    """The 2^k long-lived z in decay order, their vectors' coefficients on
-    Y^(x)k as the columns of C, and the dual D (D^H C = I), read-only. A
-    cycle j_0 -> ... -> j_(p-1) of rotations gives p pairs: z^p = prod_i
-    mu[leading bit of j_i], from the digit counts (equal cycles, equal bits),
-    c_(j_0) = 1 and c_(j_(i+1)) = mu[leading bit of j_i] c_(j_i) / z; these p
-    columns differ by p-th roots of unity, so d = 1/(p conj c) on the cycle."""
-    n, z, (C, D) = 2**k, [], np.zeros((2, 2**k, 2**k), complex)
+    """The 2^k long-lived z in decay order and their vectors' coefficients on
+    Y^(x)k as the columns of C, read-only. A cycle j_0 -> ... -> j_(p-1) of
+    rotations gives p pairs: z^p = prod_i mu[leading bit of j_i], from the
+    digit counts (equal cycles, equal bits), c_(j_0) = 1 and c_(j_(i+1)) =
+    mu[leading bit of j_i] c_(j_i) / z; these p columns differ by p-th roots
+    of unity, so the dual D (D^H C = I) is 1/(p conj c) on the cycle."""
+    n, z, C = 2**k, [], np.zeros((2**k, 2**k), complex)
     for j0 in range(n):
         cycle = [j0]
         while (j := (cycle[-1] << 1 | cycle[-1] >> (k - 1)) & (n - 1)) != j0:
@@ -94,13 +94,12 @@ def _necklace_pairs(k: int) -> tuple:
             p, ones = len(cycle), bin(j0).count("1") * len(cycle) // k
             zc = (_MU[0] ** (p - ones) * _MU[1] ** ones) ** (1 / p) * np.exp(2j * np.pi * np.arange(p) / p)
             steps = [_MU[j >> (k - 1)] / zc for j in cycle[:-1]]
-            C[cycle, len(z):len(z) + p] = c = np.cumprod([np.ones(p), *steps], axis=0)
-            D[cycle, len(z):len(z) + p] = 1 / (p * c.conj())
+            C[cycle, len(z):len(z) + p] = np.cumprod([np.ones(p), *steps], axis=0)
             z.extend(zc)
     order = decay_order(z := np.array(z))
-    z, C, D = z[order], C[:, order], D[:, order]
-    z.flags.writeable = C.flags.writeable = D.flags.writeable = False
-    return z, C, D
+    z, C = z[order], C[:, order]
+    z.flags.writeable = C.flags.writeable = False
+    return z, C
 
 
 def nonzero_count(k: int) -> int:
@@ -113,13 +112,16 @@ def nonzero_count(k: int) -> int:
 def long_lived_spectrum(k: int) -> Spectrum:
     """The 2^k long-lived pairs from the necklaces: right vectors V = Y^(x)k C,
     and left ones the dual basis E^(x)k (Y[{0, 2}]^(x)k C)^-H = (E Y[{0, 2}]^-H)^(x)k D,
-    E = I[:, {0, 2}], with no inverse; both lifted a panel at a time. The rest are 0."""
+    E = I[:, {0, 2}], with no inverse, D made from each panel's columns of C; both
+    lifted a panel at a time. The rest are 0."""
     if not 2 <= k <= MAX_K:
         raise ValueError(f"Walsh eigenpairs need 2 <= n_exp <= {MAX_K}: "
                          "their vectors are N x 2^n_exp (161 MB at n_exp 9)")
-    z, C, D = _necklace_pairs(k)
+    z, C = _necklace_pairs(k)
     return eigenpairs(3**k, [(z, lambda cols: _digitwise([_Y] * k, C[:, cols]),
-                              lambda cols: _digitwise([_E] * k, D[:, cols]))], _apply)
+                              lambda cols: _digitwise([_E] * k, np.divide(  # the dual D of these columns
+                                  1, np.count_nonzero(c := C[:, cols], axis=0) * c.conj(),
+                                  out=np.zeros_like(c), where=c != 0)))], _apply)
 
 
 def long_lived_weights(k: int, m_max: int) -> tuple:
@@ -129,7 +131,7 @@ def long_lived_weights(k: int, m_max: int) -> tuple:
     first m digits, {1} for the next and all three for the rest."""
     if not 0 <= m_max < k <= MAX_K:
         raise ValueError(f"Walsh weights need 0 <= m_max < k <= {MAX_K}, not m_max {m_max}, k {k}")
-    z, C, _ = _necklace_pairs(k)
+    z, C = _necklace_pairs(k)
     inner, middle, whole = (_Y[A].conj().T @ _Y[A] for A in ([0, 2], [1], slice(None)))
     mass = [np.einsum("ij,ij->j", C.conj(), _digitwise(f, C)).real for f in
             [[inner] * m + [middle] + [whole] * (k - m - 1) for m in range(m_max + 1)] + [[whole] * k]]

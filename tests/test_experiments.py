@@ -434,24 +434,25 @@ def test_weyl_degenerate_slope_is_null(tmp_path, fmt_, name):
 
 
 def test_weyl_builds_each_propagator_once(tmp_path, monkeypatch):
-    """`weyl` takes each N's two folded solves once and counts every
+    """`weyl` takes each N's two folded solves once, in one
+    `sector_spectrum(N, "full")` call, and counts every
     threshold from their eigenvalues, with no vector lifted (no
     `baker_apply`), so U_N's kept corners are built once per N, and again
     only for a sector not yet solved; `spectrum`, `weyl` and `density`
     never build the dense U_N."""
     experiments._SECTORS.clear()
     build, built, spectra, applied = experiments.baker_corners, [], [], []
-    sectors, apply = experiments._open_sectors, experiments.baker_apply
+    spectrum, apply = experiments.sector_spectrum, experiments.baker_apply
     monkeypatch.setattr(experiments, "baker_corners", lambda N: built.append(N) or build(N))
-    monkeypatch.setattr(experiments, "_open_sectors",
-                        lambda N, names: spectra.append((N, names)) or sectors(N, names))
+    monkeypatch.setattr(experiments, "sector_spectrum",
+                        lambda N, sector: spectra.append((N, sector)) or spectrum(N, sector))
     monkeypatch.setattr(experiments, "baker_apply",
                         lambda X, **k: applied.append(X.shape) or apply(X, **k))
     monkeypatch.setattr(experiments, "baker_unitary",
                         lambda N: pytest.fail(f"dense U_{N} built for an open spectrum"))
     assert main(["weyl", "--n-exp", "5", "--out", str(tmp_path)]) == 0
     assert built == [27, 81, 243] and not applied
-    assert spectra == [(N, ("even", "odd")) for N in built]
+    assert spectra == [(N, "full") for N in built]
     experiments._SECTORS.clear()
     for sub in ("density", "spectrum"):  # the even sector alone, then the odd one
         assert main([sub, "--n-exp", "4", "--out", str(tmp_path)]) == 0
@@ -768,7 +769,7 @@ def test_cli_husimi_validates_before_solving(tmp_path, capsys, monkeypatch, args
 def test_cli_weyl_rejects_threshold(tmp_path, capsys, monkeypatch, threshold):
     """A Weyl threshold that is not a finite number in (0, 1) fails before
     any solve, with the reason, and writes nothing."""
-    monkeypatch.setattr(experiments, "_open_sectors",
+    monkeypatch.setattr(experiments, "sector_spectrum",
                         lambda *a: pytest.fail("solved before validating the threshold"))
     assert main(["weyl", "--n-exp", "5", "--threshold", threshold, "--out", str(tmp_path)]) == 1
     assert "threshold must be a finite number in (0, 1)" in capsys.readouterr().err

@@ -73,6 +73,29 @@ def test_sector_sizes_and_exact_kernel(N):
         sector_spectrum(N, "sideways")
 
 
+@pytest.mark.parametrize("N", [3, 27, 243])
+def test_open_spectrum_is_the_full_sector_spectrum(N):
+    """`open_spectrum(N)` is `sector_spectrum(N, "full")`: bitwise in
+    `leading(k)`, read before R, and in all five arrays."""
+    a, b = open_spectrum(N), sector_spectrum(N, "full")
+    for k in (1, 7, len(a.z)):
+        assert a.leading(k).tobytes() == b.leading(k).tobytes(), k
+    for name in FIELDS:
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@pytest.mark.parametrize("solve", [sector_spectrum, closed_states], ids=["open", "closed"])
+def test_unknown_sector_fails_before_any_build(solve, monkeypatch):
+    """A sector outside the one table ("both") fails with a ValueError
+    naming the three choices, before U's kept corners or the dense U is
+    built."""
+    for name in ("baker_corners", "baker_unitary"):
+        monkeypatch.setattr(experiments, name,
+                            lambda *a, name=name: pytest.fail(f"{name} called before the check"))
+    with pytest.raises(ValueError, match="sector must be 'even', 'odd' or 'full', not 'both'"):
+        solve(27, "both")
+
+
 @pytest.mark.parametrize("N", [81, 243])
 def test_open_spectrum_shares_its_sectors(N, monkeypatch):
     """`open_spectrum` folds both parity sectors from one U and publishes

@@ -103,14 +103,23 @@ def test_eigenvalue_oracle_diagonal():
     assert np.linalg.norm(A.conj().T @ s.L - s.L * s.z.conj(), axis=0).max() < 1e-14
 
 
+def _phase_entry(M, axis=None):
+    """Index of the first entry within a relative 1e-12 of the largest
+    modulus, of a vector or of each column (axis 0): the entry `_unit`
+    makes real positive."""
+    a = np.abs(M)
+    return np.argmax(a >= (1 - 1e-12) * a.max(axis=axis), axis=axis)
+
+
 def _reference_pairs(A, z, V, U):
     """Per-pair reference for `eigenpairs`: normalize each column, make its
-    largest component real positive, take the residuals by matrix-vector
-    products, and sort by (-|z|, phase)."""
+    first component within a relative 1e-12 of the largest modulus real
+    positive, take the residuals by matrix-vector products, and sort by
+    (-|z|, phase)."""
     pairs = []
     for i in range(len(z)):
         v, u = (M[:, i] / np.linalg.norm(M[:, i]) for M in (V, U))
-        v, u = (x / (x[np.argmax(np.abs(x))] / np.abs(x).max()) for x in (v, u))
+        v, u = (x / ((top := x[_phase_entry(x)]) / abs(top)) for x in (v, u))
         pairs.append((complex(z[i]), v, u,
                       np.linalg.norm(A @ v - z[i] * v),
                       np.linalg.norm(A.conj().T @ u - np.conj(z[i]) * u)))
@@ -130,12 +139,30 @@ def test_eigenpairs_matches_per_pair_reference(A):
     for i, (_, v, u, res_r, res_l) in enumerate(ref):
         for got, want in ((s.R[:, i], v), (s.L[:, i], u)):
             assert abs(np.linalg.norm(got) - 1) < 1e-14
-            top = got[np.argmax(np.abs(got))]
+            top = got[_phase_entry(got)]
             assert top.real > 0 and abs(top.imag) < 1e-14
             assert np.abs(got - want).max() < 1e-14
         assert abs(s.res_r[i] - res_r) < 1e-14
         assert abs(s.res_l[i] - res_l) < 1e-14
     assert not s.R.flags.writeable and not s.L.flags.writeable
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["even", "odd"])
+def test_unit_phase_ignores_one_ulp_between_parity_images(sign):
+    """A column's phase comes from its first entry within a relative 1e-12
+    of its largest modulus: of a parity-symmetric column (v[7-n] = +-v[n])
+    whose mirrored maxima differ by one ulp, either way round, the lower
+    index, so both columns get the same phase, real positive there."""
+    half = np.array([0.1, 0.6 * np.exp(0.3j), 0.2 - 0.1j, 0.05j])
+    got = []
+    for larger in (1, 6):
+        v = np.concatenate([half, sign * half[::-1]])
+        v[larger] *= 1 + np.finfo(float).eps
+        assert abs(v[larger]) > abs(v[7 - larger])
+        got.append(spectral._unit(v[:, None])[:, 0])
+    for g in got:
+        assert g[1].real > 0 and abs(g[1].imag) < 1e-16
+    assert np.abs(got[0] - got[1]).max() < 1e-15
 
 
 @pytest.mark.parametrize("make", [lambda: open_spectrum(243), lambda: sector_spectrum(243, "odd"),
@@ -174,8 +201,9 @@ def test_leading_columns_are_bitwise_those_of_R(N, sector):
 def _eager_eigenpairs(N, blocks, apply):
     """Reference for `eigenpairs`: the five arrays with L and both residuals
     made with R, as one loop over the same panels, each panel's right and
-    left vectors lifted, normalized as F-ordered copies and placed together
-    and its residuals taken on the lifted panels."""
+    left vectors lifted, normalized as F-ordered copies (phase from the
+    first entry within a relative 1e-12 of the largest modulus) and placed
+    together and its residuals taken on the lifted panels."""
     z = np.concatenate([b[0] for b in blocks])
     order = spectral.decay_order(z)
     at = np.argsort(order)
@@ -183,21 +211,19 @@ def _eager_eigenpairs(N, blocks, apply):
     res_r, res_l = np.empty(len(z)), np.empty(len(z))
     start = 0
     for zb, right, left in blocks:
-        t = len(zb)
-        n = -(-t // spectral._PANEL)
-        for k in range(n):
-            cols = slice(k * t // n, (k + 1) * t // n)
+        for k in range(0, len(zb), spectral._PANEL):
+            cols = slice(k, min(k + spectral._PANEL, len(zb)))
             V, U = np.asfortranarray(right(cols)), np.asfortranarray(left(cols))
             for M in (V, U):
                 M /= np.linalg.norm(M, axis=0)
-                top = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
+                top = M[_phase_entry(M, axis=0), np.arange(M.shape[1])]
                 M /= top / np.abs(top)
             dest = at[start + cols.start:start + cols.stop]
             R[:, dest], L[:, dest] = V, U
             res_r[dest] = spectral.residuals(apply, V, zb[cols])
             res_l[dest] = spectral.residuals(lambda X: apply(X, adjoint=True), U,
                                              zb[cols].conj())
-        start += t
+        start += len(zb)
     return dict(z=z[order], R=R, L=L, res_r=res_r, res_l=res_l)
 
 
