@@ -30,7 +30,7 @@ twice. Every open spectrum is one `sector_spectrum(N, sector)` call, its
 sector checked against one table (`_COVERS`, read by `closed_states` too),
 that lifts through one `spectral.eigenpairs` call only the columns read, a
 panel at a time: `weyl` reads z alone, `husimi` and `density` leading
-columns, `weights` all of R, `spectrum` L and the residuals. The open route
+columns, `weights` all of R, `spectrum` the residuals alone. The open route
 runs on NumPy alone, and the Walsh pairs make no LAPACK call. The closed-map
 control, the one user of SciPy, is plain states: `closed_states` solves the
 dense block of U in each sector for right vectors only (U is unitary: they

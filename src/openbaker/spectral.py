@@ -5,11 +5,11 @@ the decay rate is Gamma = -ln|z|^2. Left and right eigenvectors are
 normalized to unit norm separately (they are not orthogonal to each other).
 
 A `Spectrum` is read-only arrays in one (-|z|, phase) order, `decay_order`:
-z, made when it is built, R on its first read, and L, res_r and res_l on
-the first read of any, with no R. `eigenpairs` is the one code that builds
-it: from blocks, each its eigenvalues and lifts to their right and left
-vectors, it lifts, normalizes and places a panel of columns at a time,
-taking each panel's residual on its own lift. It sees the propagator only
+z, made when it is built, and R, L, res_r and res_l, each made on its own
+first read. `eigenpairs` is the one code that builds it: from blocks, each
+its eigenvalues and lifts to their right and left vectors, it lifts,
+normalizes and places a panel of columns at a time, taking each panel's
+residual on a lift of its own, dropped after use. It sees the propagator only
 through one action on a block of columns, `apply(X)` or
 `apply(X, adjoint=True)`, so a map whose matrix is never formed (the open
 map by two FFTs per column, the Walsh map in O(N) per column) is checked
@@ -57,31 +57,26 @@ class Spectrum:
     """Eigenpairs of an operator on C^N, only those computed: eigenvalues z,
     right and left vectors as the columns of R and L (N x len(z)), and the
     residuals res_r = ||A v - z v|| and res_l = ||A^H u - conj(z) u||, all
-    read-only, R made by `lift` on its first read and the rest by `fill` on
-    the first read of any. Its other N - len(z) eigenvalues are exact zeros
+    read-only, each made on its own first read: R and L by `lift`, res_r and
+    res_l by `residual`. Its other N - len(z) eigenvalues are exact zeros
     (the opening kernel, the Walsh nilpotent part, a parity sector's other)."""
 
     N: int
     z: np.ndarray
-    lift: Callable  # k -> the first k columns of R, lifted alone
-    fill: Callable  # () -> (L, res_r, res_l), with no R
+    lift: Callable  # (k, side) -> the first k right (side 1) or left (side 2) vectors
+    residual: Callable  # side -> that side's residuals
 
     def __post_init__(self):
         self.z.flags.writeable = False
 
-    R = cached_property(lambda self: self.lift(len(self.z)))
+    R = cached_property(lambda self: self.lift(len(self.z), 1))
+    L = cached_property(lambda self: self.lift(len(self.z), 2))
+    res_r = cached_property(lambda self: self.residual(1))
+    res_l = cached_property(lambda self: self.residual(2))
 
     def leading(self, k: int) -> np.ndarray:
         """R[:, :k]: a view of R once it is made, else only these columns lifted."""
-        return self.R[:, :k] if "R" in vars(self) else self.lift(k)
-
-    @cached_property
-    def _filled(self) -> tuple:
-        for a in (arrays := self.fill()):
-            a.flags.writeable = False
-        return arrays
-
-    L, res_r, res_l = (property(lambda self, i=i: self._filled[i]) for i in range(3))
+        return self.R[:, :k] if "R" in vars(self) else self.lift(k, 1)
 
     def moduli(self) -> np.ndarray:
         return np.abs(self.z)
@@ -126,42 +121,40 @@ def eigenpairs(N: int, blocks, apply) -> Spectrum:
     Each block is (z, right, left): its eigenvalues in any order, and
     `right(cols)` and `left(cols)`, which return the right and the left
     vectors of z[cols], not yet normalized, handed over. All pairs go in one
-    (-|z|, phase) order. `lift(k)` lifts the pairs placed below k, and
-    `fill` L and both residuals, each block's columns in panels of `_PANEL`
-    (the last one shorter), each made `_unit` straight into its final columns.
-    Every norm sums one column alone, so lifts and actions that compute each
-    column alone (FFTs, elementwise products: the open and Walsh maps') give
-    R[:, :k], L and the residuals bitwise at any panel width. `fill` lifts
-    each right panel anew for its residual, freeing it before the left one;
-    residuals are reported only.
+    (-|z|, phase) order. `lift(k, side)` lifts the right (side 1) or left
+    (side 2) vectors placed below k, and `residual(side)` takes that side's
+    residuals on panels lifted anew and dropped after use: a block's columns
+    `_PANEL` at a time (the last panel fewer), each made `_unit` straight into
+    its final columns. Every norm sums one column alone, so lifts and actions
+    that compute each column alone (FFTs, elementwise products: the open and
+    Walsh maps') give R[:, :k], L and the residuals bitwise at any panel width.
     """
     z = np.concatenate([b[0] for b in blocks])
     order = decay_order(z)
     places = np.split(np.argsort(order), np.cumsum([len(b[0]) for b in blocks])[:-1])  # by block
+    z = z[order]
 
     def panels(k: int):  # each panel's block, columns and places, for the pairs below k
         for i, at in enumerate(places):
             cols = np.flatnonzero(at < k)
             yield from ((i, c, at[c]) for c in (cols[p:p + _PANEL] for p in range(0, len(cols), _PANEL)))
 
-    def lift(k: int) -> np.ndarray:
-        R = np.empty((N, min(k, len(z))), dtype=complex, order="F")  # one contiguous write per column
+    def lift(k: int, side: int) -> np.ndarray:
+        M = np.empty((N, min(k, len(z))), dtype=complex, order="F")  # one contiguous write per column
         for i, cols, dest in panels(k):
-            R[:, dest] = _unit(blocks[i][1](cols))
-        R.flags.writeable = False
-        return R
+            M[:, dest] = _unit(blocks[i][side](cols))
+        M.flags.writeable = False
+        return M
 
-    def fill() -> tuple:
-        L, res_r, res_l = np.empty((N, len(z)), complex, "F"), np.empty(len(z)), np.empty(len(z))
+    def residual(side: int) -> np.ndarray:
+        res = np.empty(len(z))
         for i, cols, dest in panels(len(z)):
-            zb, right, left = blocks[i]
-            res_r[dest] = residuals(apply, _unit(right(cols)), zb[cols])
-            L[:, dest] = U = _unit(left(cols))
-            res_l[dest] = residuals(partial(apply, adjoint=True), U, zb[cols].conj())
-            del U  # freed before the next panel is lifted
-        return L, res_r, res_l
+            res[dest] = residuals(partial(apply, adjoint=side == 2), _unit(blocks[i][side](cols)),
+                                  z[dest].conj() if side == 2 else z[dest])
+        res.flags.writeable = False
+        return res
 
-    return Spectrum(N, z[order], lift, fill)
+    return Spectrum(N, z, lift, residual)
 
 
 def escape_weights(s: Spectrum, m_max: int) -> tuple:

@@ -69,14 +69,6 @@ def _digitwise(factors: list, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _singular_values(k: int) -> list:
-    """Distinct singular values of U~^k = M^(x)k with their multiplicities:
-    the k-fold products of M's column norms."""
-    s = np.sqrt((np.abs(_M) ** 2).sum(axis=0))
-    return [(s[0] ** a * s[1] ** b * s[2] ** (k - a - b), math.comb(k, a) * math.comb(k - a, b))
-            for a in range(k + 1) for b in range(k + 1 - a)]
-
-
 @cache
 def _necklace_pairs(k: int) -> tuple:
     """The 2^k long-lived z in decay order and their vectors' coefficients on
@@ -103,10 +95,12 @@ def _necklace_pairs(k: int) -> tuple:
 
 
 def nonzero_count(k: int) -> int:
-    """Number of nonzero eigenvalues of the open Walsh baker, via the
-    numerical rank of U~^k above ZERO_THRESHOLD (the nilpotent part dies
-    after k steps)."""
-    return sum(m for s, m in _singular_values(k) if s > ZERO_THRESHOLD)
+    """Number of nonzero eigenvalues of the open Walsh baker: its long-lived
+    moduli above ZERO_THRESHOLD, from their closed form, comb(k, a) of them
+    |mu_0|^(1 - a/k) |mu_1|^(a/k), those of the words with a ones (the rest
+    are exactly 0: the nilpotent part dies after k steps)."""
+    return sum(math.comb(k, a) for a in range(k + 1)
+               if abs(_MU[0]) ** (1 - a / k) * abs(_MU[1]) ** (a / k) > ZERO_THRESHOLD)
 
 
 def long_lived_spectrum(k: int) -> Spectrum:

@@ -29,7 +29,7 @@ def open_propagator(N: int) -> np.ndarray:
     return opened(baker_unitary(N))
 
 
-def _extended_dft(M: int) -> np.ndarray:
+def extended_dft(M: int) -> np.ndarray:
     """Antiperiodic DFT of size M in np.clongdouble. The phase of entry
     (n, m) is pi j / (2M) with the integer j = (2n+1)(2m+1) reduced mod 4M,
     its period, before any rounding."""
@@ -42,7 +42,7 @@ def extended_unitary(N: int) -> np.ndarray:
     """U_N = F_N^-1 diag(F_{N/3}, F_{N/3}, F_{N/3}) in np.clongdouble
     (unitary to 2e-19 at N = 81 on x86-64)."""
     t = N // 3
-    FN, Ft = _extended_dft(N), _extended_dft(t)
+    FN, Ft = extended_dft(N), extended_dft(t)
     return np.hstack([FN[s:s + t].conj().T @ Ft for s in range(0, N, t)])
 
 

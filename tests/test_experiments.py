@@ -230,10 +230,10 @@ def _sector_entry_arrays(N, sector):
         "sector_cache_entry"])
 def test_cached_spectra_read_only(build):
     """A write to any array of a spectrum fails: a cached sector, the
-    merged full spectrum and the Walsh spectrum, also to L, res_r and res_l,
-    which are filled on the first read of any of them; and to either array
-    of a `_SECTORS` entry, z and W, which every later lift of that sector
-    reads."""
+    merged full spectrum and the Walsh spectrum, whichever of R, L, res_r
+    and res_l is read first, each made on its own first read; and to either
+    array of a `_SECTORS` entry, z and W, which every later lift of that
+    sector reads."""
     for a in build():
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -265,8 +265,7 @@ def test_cached_sector_holds_no_lifted_vector(N):
 
 
 # A cold lift at N = 729 peaks in its solve (U's corners and the folded
-# block), within 11 MiB traced, whether R is read or L and the residuals,
-# which never make R
+# block), within 11 MiB traced, whether R is read or L, each made alone
 @pytest.mark.parametrize("build, mib", [(lambda: open_spectrum(729).R, 11),
                                         (lambda: sector_spectrum(729, "even").R, 11),
                                         (lambda: open_spectrum(729).L, 11)],
@@ -315,6 +314,15 @@ def test_only_the_spectrum_table_lifts_left_vectors(tmp_path, monkeypatch, secto
     run_spectrum(cfg)
     panels = 2 * -(-81 // spectral._PANEL)
     assert calls == {"residuals": 2 * panels, "left": panels}
+
+
+def test_spectrum_table_keeps_no_vector(tmp_path):
+    """The spectrum table reads z and the residuals alone, each residual on
+    panels lifted anew and dropped after use: with both N = 729 sectors
+    solved beforehand, `run_spectrum` at n_exp 6 peaks within 3 MiB traced,
+    below L (5.4 MiB) or R."""
+    open_spectrum(729)
+    assert _traced_peak(run_spectrum, RunConfig(n_exp=6, out_dir=tmp_path)) <= 3 * 2**20
 
 
 def test_figures_lift_only_the_columns_they_read(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from openbaker.quantum import (
     sector_block,
 )
 from interval_ops import escape_projector
-from open_dense import extended_unitary, open_propagator, opened
+from open_dense import extended_dft, extended_unitary, open_propagator, opened
 from walsh_dense import baker_form
 
 
@@ -136,14 +136,11 @@ def test_baker_apply_adjoint_identity(N):
 def test_dft_apply_matches_extended_precision(N):
     """`dft_apply` is F X and, with `adjoint`, F^H X (ids: the N x N shape
     of F), for a block and for a single vector: row s of F X is
-    N^{-1/2} sum_m X[m] e^{-2 pi i (m+1/2)(s+1/2)/N}, built here in extended
-    precision with each phase's integer numerator (2m+1)(2s+1) reduced mod
-    4N before rounding; within 3e-15 per unit column for F, 1.2e-15 for F^H."""
-    X = _unit_columns(N, 1)
-    j = np.outer(2 * np.arange(N) + 1, 2 * np.arange(N) + 1) % (4 * N)
-    pi = 4 * np.arctan(np.longdouble(1))
-    K = np.exp(np.clongdouble(-0.5j) * pi * j.astype(np.longdouble) / N)
-    K /= np.sqrt(np.longdouble(N))
+    N^{-1/2} sum_m X[m] e^{-2 pi i (m+1/2)(s+1/2)/N}, in extended precision
+    (`open_dense.extended_dft`, each phase's integer numerator (2m+1)(2s+1)
+    reduced mod 4N before rounding); within 3e-15 per unit column for F,
+    1.2e-15 for F^H."""
+    X, K = _unit_columns(N, 1), extended_dft(N)
     for adjoint, exact, bound in ((False, K, 3e-15), (True, K.conj().T, 1.2e-15)):
         for Z in (X, X[:, 0]):
             got = dft_apply(Z, adjoint=adjoint)

@@ -9,7 +9,6 @@ from openbaker.walsh import (
     MAX_K,
     ZERO_THRESHOLD,
     _apply,
-    _singular_values,
     long_lived_spectrum,
     long_lived_weights,
     nonzero_count,
@@ -17,6 +16,7 @@ from openbaker.walsh import (
 )
 from interval_ops import escape_projector
 from walsh_dense import (
+    F3,
     digit_reversal,
     dual_basis,
     subspace_spectrum,
@@ -26,8 +26,6 @@ from walsh_dense import (
     walsh_transform,
 )
 from test_phase_space import _traced_peak
-
-F3 = np.exp(-2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
 
 
 def test_digit_reversal():
@@ -95,8 +93,9 @@ def test_digit_structure_matches_dense_reference(k):
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_trapped_bases_match_dense_svd(k):
     """Q = Q1^(x)k spans the dense SVD's range of U~^k, the Cantor
-    coordinates span its co-range, and the singular-value products and the
-    count equal the dense SVD's."""
+    coordinates span its co-range, the dense singular values are 2^k ones
+    and zeros otherwise (the k-fold products of M's column norms 1, 0, 1),
+    and the count equals the dense SVD's."""
     N = 3**k
     sv, X, P = trapped_svd(k)
     Q, cantor = trapped_bases(k)
@@ -105,8 +104,7 @@ def test_trapped_bases_match_dense_svd(k):
     assert np.abs(Q @ Q.conj().T - X @ X.conj().T).max() < 1e-12
     assert np.abs(P @ P.conj().T - np.diag(np.isin(np.arange(N), cantor))).max() < 1e-12
     assert all(set(np.base_repr(n, 3)) <= {"0", "2"} for n in cantor)
-    products = np.sort(np.repeat(*zip(*_singular_values(k))))[::-1]
-    assert np.abs(products - sv).max() < 1e-12
+    assert np.abs(sv - (np.arange(N) < 2**k)).max() < 1e-12
     assert nonzero_count(k) == int((sv > ZERO_THRESHOLD).sum()) == 2**k
 
 
@@ -117,10 +115,10 @@ def test_nonzero_count_is_power_of_two(k):
 
 def test_nonzero_count_threshold_stable():
     """The count is the same for any threshold between round-off and
-    ZERO_THRESHOLD: the singular values of U~^3 are 1 or exactly 0."""
-    sv = _singular_values(3)
+    ZERO_THRESHOLD: the dense singular values of U~^3 are 1 or 0 to round-off."""
+    sv, _, _ = trapped_svd(3)
     for t in (1e-12, 1e-10, 1e-8, ZERO_THRESHOLD):
-        assert sum(m for s, m in sv if s > t) == 8
+        assert (sv > t).sum() == 8
     assert nonzero_count(3) == 8
 
 

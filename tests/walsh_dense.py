@@ -28,6 +28,8 @@ from openbaker.spectral import Spectrum, eigenpairs
 from openbaker.walsh import MAX_K, ZERO_THRESHOLD, _M, _apply
 from open_dense import opened
 
+F3 = np.exp(-2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)  # unshifted 3x3 DFT
+
 
 def baker_form(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Closed baker propagator outer^-1 diag(inner, inner, inner) of a
@@ -56,7 +58,6 @@ def walsh_transform(k: int) -> np.ndarray:
     k-fold tensor power of the unshifted 3x3 DFT."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    F3 = np.exp(-2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
     W = F3
     for _ in range(k - 1):
         W = np.kron(W, F3)
